@@ -133,6 +133,8 @@ class ClusteredModel:
         object.__setattr__(self, "task_labels", tuple(self.task_labels))
         intercept = self.intercept
         intercept = np.zeros(t) if intercept is None else np.array(intercept, dtype=np.float64)
+        if intercept.shape != (t,):
+            raise ValueError(f"intercept must have shape ({t},), got {intercept.shape}")
         intercept.setflags(write=False)
         object.__setattr__(self, "intercept", intercept)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,96 @@ def load_csv(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
     The header row is required. Rows with an empty outcome cell are
     dropped and counted in ``dropped_rows``. An empty or non-numeric
     feature cell is a :class:`ParseError`; there is no imputation.
+
+    The body is parsed in one vectorized pass. Whenever that pass cannot
+    show that its result equals the per-cell reader's, the file is read
+    again cell by cell, so errors and edge cases behave the same either way.
     """
+    ds = _load_table(path, task_column, outcome_column)
+    return ds if ds is not None else _load_cells(path, task_column, outcome_column)
+
+
+def _load_table(path, task_column: str, outcome_column: str) -> MultiTaskDataset | None:
+    """The vectorized reader: the dataset, or None to defer to :func:`_load_cells`.
+
+    ``np.loadtxt`` reads a subset of what ``float()`` reads and gives the
+    same double for it. Whatever it might read differently returns None:
+    a header problem, a cell only ``float()`` reads (``1_0``), a blank
+    line (which ``loadtxt`` skips), a ragged row, a non-finite feature of
+    a kept row, a non-finite outcome, or a task whose rows were all dropped.
+    """
+    codes: dict[str, int] = {}
+    body_lines = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if (
+            header is None
+            or len(set(header)) != len(header)
+            or task_column not in header
+            or outcome_column not in header
+            or task_column == outcome_column
+            or len(header) < 3
+        ):
+            return None
+        task_idx = header.index(task_column)
+        outcome_idx = header.index(outcome_column)
+
+        def body():
+            nonlocal body_lines
+            for body_lines, line in enumerate(fh, start=1):
+                yield line
+
+        def task_code(text: str) -> int:
+            return codes.setdefault(text, len(codes))
+
+        try:
+            with warnings.catch_warnings():
+                # An all-blank body is caught by the line count below.
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    body(),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    converters={task_idx: task_code, outcome_idx: _outcome_cell},
+                )
+        except ValueError:
+            return None
+    if table.shape != (body_lines, len(header)):
+        return None
+
+    feature_idx = [i for i in range(len(header)) if i not in (task_idx, outcome_idx)]
+    task_of_row = table[:, task_idx]
+    outcome = table[:, outcome_idx]
+    kept = ~np.isnan(outcome)
+    tasks = []
+    for label, code in codes.items():
+        rows = kept & (task_of_row == code)
+        x = table[np.ix_(rows, feature_idx)]
+        if x.shape[0] == 0 or not np.isfinite(x).all():
+            return None
+        tasks.append(TaskData(label=label, X=x, Y=outcome[rows]))
+    return MultiTaskDataset(
+        tasks=tuple(tasks),
+        feature_names=tuple(header[i] for i in feature_idx),
+        dropped_rows=int(body_lines - np.count_nonzero(kept)),
+    )
+
+
+def _outcome_cell(text: str) -> float:
+    """An outcome cell for ``np.loadtxt``: NaN marks a blank (dropped) row."""
+    text = text.strip()
+    if text == "":
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite outcome {text!r}")
+    return value
+
+
+def _load_cells(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
+    """The per-cell reader behind :func:`load_csv`; it owns every error message."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

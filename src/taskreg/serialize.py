@@ -138,9 +138,20 @@ def _model_from_dict(data: dict):
 
 
 def load_model(path):
-    """Load a model saved by :func:`save_model`."""
+    """Load a model saved by :func:`save_model`.
+
+    A missing key, or a ``NaN`` or ``Infinity`` (which ``json`` accepts
+    but :func:`save_model` never writes), is a ValueError naming the file.
+    """
+
+    def reject_constant(token: str):
+        raise ValueError(f"{path}: non-finite number {token} is not allowed")
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=reject_constant)
     if not isinstance(data, dict):
         raise ValueError("model file does not contain a JSON object")
-    return _model_from_dict(data)
+    try:
+        return _model_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

@@ -174,6 +174,32 @@ def test_evaluate_unknown_feature_named(tmp_path, capsys):
     assert "unknown features: mystery" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_nan_weight(tmp_path, capsys):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    data = json.loads(model.read_text())
+    data["weights"][0][0] = float("nan")  # json.dumps writes it as a bare NaN
+    model.write_text(json.dumps(data))
+    code = cli.main(["evaluate", str(test), "--model", str(model), "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {model}: non-finite number NaN is not allowed\n"
+    assert "total MAE" not in captured.out
+
+
+def test_model_missing_key_is_an_error(tmp_path, capsys):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    data = json.loads(model.read_text())
+    del data["lam"]
+    model.write_text(json.dumps(data))
+    code = cli.main(["evaluate", str(test), "--model", str(model), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {model}: missing key 'lam'\n"
+
+
 def test_riskfactors_outputs(tmp_path):
     csv_path = _write_csv(tmp_path / "data.csv")
     train, _, _ = _split(tmp_path, csv_path)

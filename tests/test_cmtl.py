@@ -455,3 +455,18 @@ def test_clustered_model_validation():
     )
     assert model.model_type == "cmtl"
     np.testing.assert_array_equal(model.intercept, np.zeros(3))
+
+
+def test_clustered_model_rejects_wrong_intercept_shape():
+    c = RelaxedClusterMatrix(matrix=np.diag([1.0, 1.0, 0.0]), k=2)
+    with pytest.raises(ValueError, match=r"intercept must have shape \(3,\), got \(2,\)"):
+        ClusteredModel(
+            weights=np.zeros((3, 2)),
+            cluster_matrix=c,
+            params=CmtlParams(rho1=1.0, rho2=1.0, k=2),
+            assignments=(0, 1, 1),
+            kmeans_seed=0,
+            feature_names=("a", "b"),
+            task_labels=("t0", "t1", "t2"),
+            intercept=np.zeros(2),
+        )

@@ -18,6 +18,7 @@ from taskreg import (
     stratified_split,
     write_csv,
 )
+from taskreg.dataset import _load_cells, _load_table
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -124,6 +125,87 @@ def test_load_all_outcomes_missing_for_task(tmp_path):
     text = "task,b,y\na,1,2\nq,1,\nq,2,\n"
     with pytest.raises(DegenerateTaskError, match="'q'"):
         load_csv(_write(tmp_path, text), "task", "y")
+
+
+def _random_panel(seed, *, newline, final_newline, cell):
+    """A CSV whose body the vectorized reader must parse exactly like the cell reader."""
+    rng = np.random.default_rng(seed)
+    labels = ['"rural, north"', "south", '"say ""hi"", east"', "west"]
+    lines = ["site,f0,f1,f2,outcome"]
+    for _ in range(40):
+        values = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, size=4)
+        values[rng.random(4) < 0.1] = -0.0
+        cells = [cell(v) for v in values]
+        if rng.random() < 0.15:
+            cells[-1] = rng.choice(["", " "])
+        lines.append(",".join([labels[rng.integers(len(labels))], *cells]))
+    lines.append(",".join([labels[0], *(cell(v) for v in rng.normal(size=4))]))
+    return newline.join(lines) + (newline if final_newline else "")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("cell", [lambda v: repr(float(v)), lambda v: f"{v:.3f}"], ids=["repr", "milli"])
+def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newline, cell):
+    text = _random_panel(seed, newline=newline, final_newline=final_newline, cell=cell)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _load_table(path, "site", "outcome")
+    assert fast is not None  # the vectorized pass was taken
+    slow = _load_cells(path, "site", "outcome")
+    assert fast.task_labels == slow.task_labels
+    assert fast.feature_names == slow.feature_names
+    assert fast.dropped_rows == slow.dropped_rows > 0
+    for a, b in zip(fast.tasks, slow.tasks):
+        assert a.X.shape == b.X.shape
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.Y.tobytes() == b.Y.tobytes()
+    assert load_csv(path, "site", "outcome").task_labels == slow.task_labels
+    assert "rural, north" in slow.task_labels and 'say "hi", east' in slow.task_labels
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        ("x,1,3\n\nx,2,4\n", ParseError, "row 3 has 0 fields, expected 3"),
+        ("x,1,3\nx,1,3,4\n", ParseError, "row 3 has 4 fields, expected 3"),
+        ("x,1,3,4\nx,1,3,4\n", ParseError, "row 2 has 4 fields, expected 3"),
+        ("x,1,3\nx,2,nan\n", ParseError, "row 3, column 'y': non-finite value 'nan'"),
+        ("x,1,3\nx,2,-inf\n", ParseError, "row 3, column 'y': non-finite value '-inf'"),
+        ("x,1,3\nx, ,4\n", ParseError, "row 3, column 'b': missing value"),
+        ("x,1,3\nx,inf,4\n", ParseError, "row 3, column 'b': non-finite value 'inf'"),
+        ("a,1,2\nq,1,\nq,2,\n", DegenerateTaskError,
+         "task 'q' has no rows left after dropping missing outcomes"),
+    ],
+    ids=["blank-line", "extra-field", "extra-field-every-row", "nan-outcome", "inf-outcome",
+         "empty-feature", "inf-feature", "task-all-dropped"],
+)
+def test_fallback_keeps_cell_reader_messages(tmp_path, body, error, message):
+    path = _write(tmp_path, "task,b,y\n" + body)
+    assert _load_table(path, "task", "y") is None
+    with pytest.raises(error) as excinfo:
+        load_csv(path, "task", "y")
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_fallback_accepts_what_float_accepts(tmp_path):
+    # float() reads "1_0" as 10.0; np.loadtxt rejects it, so the cell reader decides.
+    path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
+    assert _load_table(path, "task", "y") is None
+    ds = load_csv(path, "task", "y")
+    np.testing.assert_array_equal(ds.tasks[0].X.ravel(), [10.0, 3.0])
+    np.testing.assert_array_equal(ds.tasks[0].Y, [2.0, 40.0])
+
+
+def test_dropped_row_features_are_not_parsed(tmp_path):
+    # A dropped row's features never reach a number, on either path.
+    parsed = _write(tmp_path, "task,b,y\nx,1,2\nx,inf,\n", name="inf.csv")
+    assert _load_table(parsed, "task", "y") is not None
+    unparsed = _write(tmp_path, "task,b,y\nx,1,2\nx,oops,\n", name="oops.csv")
+    for path in (parsed, unparsed):
+        ds = load_csv(path, "task", "y")
+        assert ds.dropped_rows == 1 and ds.n_rows == 1
 
 
 def _toy(columns, labels=("a",), outcomes=None):

@@ -136,3 +136,25 @@ def test_model_to_dict_is_json_safe():
     model = fit_mtl(ds, 0.05)
     text = json.dumps(model_to_dict(model), allow_nan=False)
     assert "format_version" in text
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_rejects_non_finite_numbers(tmp_path, token):
+    ds = _dataset(seed=99)
+    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    data = json.loads((tmp_path / "m.json").read_text())
+    data["weights"][0][0] = float(token)  # json.dumps writes it back as the bare token
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"non-finite number {token}"):
+        load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("key", ["lam", "weights", "task_labels"])
+def test_rejects_missing_key(tmp_path, key):
+    ds = _dataset(seed=100)
+    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    data = json.loads((tmp_path / "m.json").read_text())
+    del data[key]
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"m.json: missing key '{key}'"):
+        load_model(tmp_path / "m.json")
