@@ -13,7 +13,7 @@ afterwards by seeded k-means on the top-K eigenvectors of C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,15 @@ class RelaxedClusterMatrix:
     """A T x T matrix inside the relaxed cluster feasible set.
 
     Construction validates symmetry, the eigenvalue box [0, 1], and
-    tr = k, all up to small numerical tolerances.
+    tr = k, all up to small numerical tolerances. ``spectrum`` keeps the
+    read-only (eigenvalues, eigenvectors) of the symmetrized matrix from
+    that validation, so a caller that needs them does not decompose the
+    matrix again.
     """
 
     matrix: np.ndarray
     k: int
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.float64)
@@ -82,13 +86,15 @@ class RelaxedClusterMatrix:
         trace_err = abs(float(np.trace(m)) - self.k)
         if trace_err > _TRACE_TOL:
             raise ValueError(f"trace differs from k={self.k} by {trace_err:.3g}")
-        eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+        eigs, vecs = np.linalg.eigh(0.5 * (m + m.T))
         if eigs.min() < -_EIGENVALUE_TOL or eigs.max() > 1.0 + _EIGENVALUE_TOL:
             raise ValueError(
                 f"eigenvalues [{eigs.min():.3g}, {eigs.max():.3g}] leave [0, 1]"
             )
-        m.setflags(write=False)
+        for arr in (m, eigs, vecs):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", (eigs, vecs))
 
     @property
     def n_tasks(self) -> int:
@@ -249,9 +255,12 @@ def grad_c_step(phi_s: np.ndarray, c_s: np.ndarray, params: CmtlParams, gamma: f
 def capped_simplex_project(sigma_hat: np.ndarray, k: int) -> np.ndarray:
     """Project a vector onto {sigma : sum = k, 0 <= sigma_i <= 1}.
 
-    Solved by bisection on the shift theta in sigma_i = clip(sigma_hat_i
-    - theta, 0, 1); the clipped sum is continuous and non-increasing in
-    theta, so the root bracket [min-1, max] always closes.
+    The projection is sigma_i = clip(sigma_hat_i - theta, 0, 1) at the
+    shift theta where the clipped sum equals k. That sum is piecewise
+    linear and non-increasing in theta, with kinks at sigma_hat_i - 1 and
+    sigma_hat_i, so it is evaluated at all 2T kinks and theta is
+    interpolated on the segment that crosses k (Wang & Lu, "Projection
+    onto the Capped Simplex", 2015).
     """
     sigma_hat = np.asarray(sigma_hat, dtype=np.float64).ravel()
     t = sigma_hat.size
@@ -262,17 +271,15 @@ def capped_simplex_project(sigma_hat: np.ndarray, k: int) -> np.ndarray:
     if k == t:
         return np.ones(t)
 
-    lo = float(sigma_hat.min()) - 1.0
-    hi = float(sigma_hat.max())
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        if np.clip(sigma_hat - mid, 0.0, 1.0).sum() > k:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return np.clip(sigma_hat - 0.5 * (lo + hi), 0.0, 1.0)
+    kinks = np.sort(np.concatenate([sigma_hat - 1.0, sigma_hat]))
+    sums = np.clip(sigma_hat - kinks[:, None], 0.0, 1.0).sum(axis=1)
+    # sums[0] is T up to roundoff and sums[-1] is exactly 0, so with
+    # k < T the first kink whose sum is <= k has a left neighbour above k.
+    right = int(np.argmax(sums <= k))
+    left = right - 1
+    fraction = (sums[left] - k) / (sums[left] - sums[right])
+    theta = kinks[left] + fraction * (kinks[right] - kinks[left])
+    return np.clip(sigma_hat - theta, 0.0, 1.0)
 
 
 def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
@@ -292,6 +299,79 @@ def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
     projected = capped_simplex_project(vals, k)
     c = (vecs * projected) @ vecs.T
     return RelaxedClusterMatrix(matrix=0.5 * (c + c.T), k=k)
+
+
+class _SmoothPart:
+    """The smooth part of the cmtl objective on the stacked [W | C].
+
+    Each task's data enters through the R factor of qr([X_t | y_t]),
+    since ||X_t w - y_t|| = ||R_t [w; -1]||. The factors are stacked with
+    zero rows as padding into one (T, min(max n_t, J+1), J+1) array, so
+    the data term of a value or a gradient is one batched matmul; the
+    true row counts n_t are kept apart.
+
+    The last evaluated point is remembered by value (a stored copy
+    compared with ``np.array_equal``), with its value, (eta*I + C)^{-1} W
+    and per-task residuals, so a gradient or objective at that point
+    reuses them. ``seed_spectrum`` hands over the eigenpairs a
+    :class:`RelaxedClusterMatrix` computed to validate itself; a point
+    whose C block is that matrix uses them instead of a new ``eigh``.
+    """
+
+    def __init__(self, ds: MultiTaskDataset, params: CmtlParams):
+        n_features = ds.n_features
+        rows = min(max(task.n for task in ds.tasks), n_features + 1)
+        r = np.zeros((ds.n_tasks, rows, n_features + 1))
+        for t, task in enumerate(ds.tasks):
+            r_t = np.linalg.qr(np.column_stack([task.X, task.Y]), mode="r")
+            r[t, : r_t.shape[0]] = r_t
+        self._r = r
+        self._counts = np.array([task.n for task in ds.tasks], dtype=np.float64)
+        self._n_features = n_features
+        self._eta = params.eta
+        self._coupling = params.coupling
+        # The last evaluated point and what was computed there.
+        self._point = self._value = self._solved = self._resid = None
+        # (C block, eigenvalues, eigenvectors) handed over by seed_spectrum.
+        self._spectrum = None
+
+    def seed_spectrum(self, cluster_matrix: RelaxedClusterMatrix) -> None:
+        self._spectrum = (cluster_matrix.matrix, *cluster_matrix.spectrum)
+
+    def _evaluate(self, z: np.ndarray) -> None:
+        if self._point is not None and np.array_equal(z, self._point):
+            return
+        w, c = z[:, : self._n_features], z[:, self._n_features :]
+        spectrum = self._spectrum
+        if spectrum is not None and np.array_equal(c, spectrum[0]):
+            vals, vecs = spectrum[1] + self._eta, spectrum[2]
+        else:
+            vals, vecs = _coupling_eig(c, self._eta)
+        solved = vecs @ ((vecs.T @ w) / vals[:, None])
+        augmented = np.column_stack([w, np.full(w.shape[0], -1.0)])
+        resid = np.matmul(self._r, augmented[:, :, None])[:, :, 0]
+        if vals.min() <= 1e-12:
+            value = math.inf
+        else:
+            value = self._coupling * float(np.vdot(w, solved))
+            value += float(((resid * resid).sum(axis=1) / self._counts).sum())
+        self._point = z.copy()
+        self._value, self._solved, self._resid = value, solved, resid
+
+    def value(self, z: np.ndarray) -> float:
+        self._evaluate(z)
+        return self._value
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        self._evaluate(z)
+        solved = self._solved
+        # Row t is R_t^T r_t = [X_t | y_t]^T (X_t w_t - y_t); its last entry is dropped.
+        gw = np.matmul(self._resid[:, None, :], self._r)[:, 0, : self._n_features]
+        gw *= (2.0 / self._counts)[:, None]
+        gw += 2.0 * self._coupling * solved
+        gc = -self._coupling * (solved @ solved.T)
+        gc = 0.5 * (gc + gc.T)
+        return np.hstack([gw, gc])
 
 
 def fit_cmtl(
@@ -321,54 +401,25 @@ def fit_cmtl(
     n_tasks, n_features = ds.n_tasks, ds.n_features
     if not 1 <= params.k < n_tasks:
         raise ValueError(f"k must be in [1, {n_tasks - 1}], got {params.k}")
-    eta = params.eta
-    coupling = params.coupling
-    xs = [t.X for t in ds.tasks]
-    ys = [t.Y for t in ds.tasks]
-    counts = [t.n for t in ds.tasks]
+    smooth = _SmoothPart(ds, params)
 
     def split(z):
         return z[:, :n_features], z[:, n_features:]
-
-    def smooth_value(z):
-        w, c = split(z)
-        vals, vecs = _coupling_eig(c, eta)
-        if vals.min() <= 1e-12:
-            return math.inf
-        solved = vecs @ ((vecs.T @ w) / vals[:, None])
-        reg = coupling * float(np.vdot(w, solved))
-        total = reg
-        for t in range(n_tasks):
-            r = xs[t] @ w[t] - ys[t]
-            total += float(r @ r) / counts[t]
-        return total
-
-    def smooth_grad(z):
-        w, c = split(z)
-        vals, vecs = _coupling_eig(c, eta)
-        solved = vecs @ ((vecs.T @ w) / vals[:, None])
-        gw = np.empty_like(w)
-        for t in range(n_tasks):
-            r = xs[t] @ w[t] - ys[t]
-            gw[t] = (2.0 / counts[t]) * (xs[t].T @ r)
-        gw += 2.0 * coupling * solved
-        gc = -coupling * (solved @ solved.T)
-        gc = 0.5 * (gc + gc.T)
-        return np.hstack([gw, gc])
 
     def prox(h, step):
         w_part, c_part = split(h)
         projected = project_spectral(c_part, params.k)
         if on_project is not None:
             on_project(projected)
+        smooth.seed_spectrum(projected)
         return np.hstack([w_part, projected.matrix])
 
     z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
     problem = ProximalProblem(
-        smooth_value=smooth_value,
-        smooth_grad=smooth_grad,
+        smooth_value=smooth.value,
+        smooth_grad=smooth.grad,
         prox=prox,
-        full_objective=smooth_value,
+        full_objective=smooth.value,
     )
     z_hat, trace = solve(problem, z0, cfg)
     w_hat, c_hat = split(z_hat)

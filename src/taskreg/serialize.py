@@ -10,6 +10,7 @@ are not reconstructed on load.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +19,56 @@ from .dataset import ScalingParams
 from .mtl import MtlModel
 
 FORMAT_VERSION = 1
+
+
+# JSON numbers load as exactly int or float; bool is a subclass of int.
+_REAL_TYPES = (int, float)
+
+
+def _number(value, key: str) -> float:
+    if type(value) not in _REAL_TYPES:
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, key: str, of: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected a list of {of}, got {value!r}")
+    return value
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    items = _list(value, key, "strings")
+    for item in items:
+        if not isinstance(item, str):
+            raise ValueError(f"{key}: expected a string, got {item!r}")
+    return tuple(items)
+
+
+def _numbers(value, key: str, ndim: int) -> np.ndarray:
+    """``ndim``-deep nested lists of real, non-bool numbers as a float array."""
+    items = [value]
+    for _ in range(ndim):
+        items = list(chain.from_iterable(_list(item, key, "numbers") for item in items))
+    if not set(map(type, items)) <= set(_REAL_TYPES):
+        bad = next(item for item in items if type(item) not in _REAL_TYPES)
+        raise ValueError(f"{key}: expected a number, got {bad!r}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{key}: rows differ in length") from None
+
+
+def _optional_string(value, key: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string or null, got {value!r}")
+    return value
 
 
 def _scaling_to_dict(scaling: ScalingParams | None):
@@ -36,11 +87,17 @@ def _scaling_to_dict(scaling: ScalingParams | None):
 def _scaling_from_dict(data) -> ScalingParams | None:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ValueError(f"scaling: expected an object or null, got {data!r}")
+    outcome = [
+        None if data.get(key) is None else _number(data[key], key)
+        for key in ("outcome_min", "outcome_max")
+    ]
     return ScalingParams(
-        feature_min=np.array(data["feature_min"], dtype=np.float64),
-        feature_max=np.array(data["feature_max"], dtype=np.float64),
-        outcome_min=data.get("outcome_min"),
-        outcome_max=data.get("outcome_max"),
+        feature_min=_numbers(data["feature_min"], "feature_min", 1),
+        feature_max=_numbers(data["feature_max"], "feature_max", 1),
+        outcome_min=outcome[0],
+        outcome_max=outcome[1],
     )
 
 
@@ -97,26 +154,31 @@ def save_model(model, path) -> None:
 
 def _model_from_dict(data: dict):
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     model_type = data.get("model_type")
-    weights = np.array(data["weights"], dtype=np.float64)
-    intercept = np.array(data["intercept"], dtype=np.float64)
+    task_labels = _strings(data["task_labels"], "task_labels")
+    feature_names = _strings(data["feature_names"], "feature_names")
+    weights = _numbers(data["weights"], "weights", 2)
+    intercept = _numbers(data["intercept"], "intercept", 1)
     scaling = _scaling_from_dict(data.get("scaling"))
-    task_labels = tuple(data["task_labels"])
-    feature_names = tuple(data["feature_names"])
 
     if model_type == "cmtl":
-        params = CmtlParams(rho1=data["rho1"], rho2=data["rho2"], k=int(data["k"]))
-        cluster_matrix = RelaxedClusterMatrix(
-            matrix=np.array(data["cluster_matrix"], dtype=np.float64), k=params.k
+        params = CmtlParams(
+            rho1=_number(data["rho1"], "rho1"),
+            rho2=_number(data["rho2"], "rho2"),
+            k=_integer(data["k"], "k"),
         )
+        cluster_matrix = RelaxedClusterMatrix(
+            matrix=_numbers(data["cluster_matrix"], "cluster_matrix", 2), k=params.k
+        )
+        assignments = _list(data["assignments"], "assignments", "integers")
         return ClusteredModel(
             weights=weights,
             cluster_matrix=cluster_matrix,
             params=params,
-            assignments=tuple(int(a) for a in data["assignments"]),
-            kmeans_seed=int(data["kmeans_seed"]),
+            assignments=tuple(_integer(a, "assignments") for a in assignments),
+            kmeans_seed=_integer(data["kmeans_seed"], "kmeans_seed"),
             feature_names=feature_names,
             task_labels=task_labels,
             scaling=scaling,
@@ -125,14 +187,14 @@ def _model_from_dict(data: dict):
     if model_type in ("mtl", "stl"):
         return MtlModel(
             weights=weights,
-            lam=float(data["lam"]),
+            lam=_number(data["lam"], "lam"),
             feature_names=feature_names,
             task_labels=task_labels,
             intercept=intercept,
             scaling=scaling,
             model_type=model_type,
-            stl_setting=data.get("stl_setting"),
-            stl_penalty=data.get("stl_penalty"),
+            stl_setting=_optional_string(data.get("stl_setting"), "stl_setting"),
+            stl_penalty=_optional_string(data.get("stl_penalty"), "stl_penalty"),
         )
     raise ValueError(f"unknown model_type {model_type!r}")
 
@@ -140,8 +202,9 @@ def _model_from_dict(data: dict):
 def load_model(path):
     """Load a model saved by :func:`save_model`.
 
-    A missing key, or a ``NaN`` or ``Infinity`` (which ``json`` accepts
-    but :func:`save_model` never writes), is a ValueError naming the file.
+    A missing key, a value of the wrong type or shape, or a ``NaN`` or
+    ``Infinity`` (which ``json`` accepts but :func:`save_model` never
+    writes), is a ValueError naming the file.
     """
 
     def reject_constant(token: str):
@@ -155,3 +218,5 @@ def load_model(path):
         return _model_from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,0 +1,73 @@
+"""The benchmark's ``--trace 1`` spans still see the solver and cmtl layers.
+
+``bench/tracing.py`` rebinds module attributes by name (the solver's four
+``ProximalProblem`` callbacks, ``cmtl.project_spectral``,
+``numpy.linalg.eigh``). A refactor that stops calling through one of them
+would silently zero its per-layer metric; these toy fits catch that. The
+benchmark file is compiled from source and never written to.
+"""
+
+from pathlib import Path
+import types
+
+import numpy as np
+import pytest
+
+from taskreg import baselines, cmtl
+from taskreg.dataset import MultiTaskDataset, TaskData
+from taskreg.fista import SolverConfig
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_CALLBACKS = ("smooth_value", "smooth_grad", "prox", "full_objective")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(_TRACING)
+    exec(compile(_TRACING.read_text(encoding="utf-8"), str(_TRACING), "exec"), module.__dict__)
+    return module
+
+
+def _toy_dataset():
+    rng = np.random.default_rng(70)
+    tasks = tuple(
+        TaskData(label=f"t{t}", X=rng.uniform(size=(10, 3)), Y=rng.normal(size=10))
+        for t in range(4)
+    )
+    return MultiTaskDataset(tasks=tasks, feature_names=("a", "b", "c"))
+
+
+def _metrics(tracing, fit):
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        fit()
+    return tracing.layer_metrics(tracer.spans)
+
+
+def test_cmtl_fit_records_every_traced_layer(tracing):
+    cfg = SolverConfig(max_iters=20)
+    params = cmtl.CmtlParams(rho1=0.5, rho2=0.5, k=2)
+    metrics = _metrics(tracing, lambda: cmtl.fit_cmtl(_toy_dataset(), params, cfg))
+    iterations = metrics["fista.iterations"]
+    assert iterations > 0
+    for callback in _CALLBACKS:
+        assert metrics[f"fista.{callback}_calls"] > 0, callback
+    # Cached work is skipped inside the callbacks, never by skipping a call.
+    assert metrics["fista.smooth_grad_calls"] == iterations
+    assert metrics["fista.full_objective_calls"] == iterations + 1
+    assert metrics["cmtl.fit_cmtl_s"] > 0
+    assert metrics["cmtl.project_spectral_calls"] == metrics["fista.prox_calls"]
+    assert metrics["cmtl.eigh_calls"] > 0
+
+
+def test_stl_fit_records_solver_callbacks(tracing):
+    spec = baselines.StlSpec(setting="individual", penalty="lasso", lam=0.1)
+    cfg = SolverConfig(max_iters=20)
+    metrics = _metrics(tracing, lambda: baselines.fit_stl(_toy_dataset(), spec, cfg))
+    assert metrics["fista.solve_calls"] == 4
+    for callback in _CALLBACKS:
+        assert metrics[f"fista.{callback}_calls"] > 0, callback
+    assert metrics["baselines.fit_stl_s"] > 0
+    assert metrics["cmtl.eigh_calls"] == 0
+

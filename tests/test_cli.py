@@ -200,6 +200,30 @@ def test_model_missing_key_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {model}: missing key 'lam'\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("task_labels", 5, "task_labels: expected a list of strings, got 5"),
+        ("rho1", "0.01", "rho1: expected a number, got '0.01'"),
+        ("k", 2.7, "k: expected an integer, got 2.7"),
+        ("assignments", [0.5, 0.5, 0.5], "assignments: expected an integer, got 0.5"),
+    ],
+    ids=["task_labels", "rho1", "k", "assignments"],
+)
+def test_clusters_rejects_wrongly_typed_model_field(tmp_path, capsys, key, value, message):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, _, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "cmtl.json", "--model", "cmtl", "--k", "2")
+    data = json.loads(model.read_text())
+    data[key] = value
+    model.write_text(json.dumps(data))
+    out = tmp_path / "clusters.csv"
+    code = cli.main(["clusters", "--model", str(model), "--out", str(out)])
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert code == 2
+    assert not out.exists()
+
+
 def test_riskfactors_outputs(tmp_path):
     csv_path = _write_csv(tmp_path / "data.csv")
     train, _, _ = _split(tmp_path, csv_path)

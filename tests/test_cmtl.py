@@ -1,9 +1,12 @@
 """Clustered multi-task model: regularizer, projections, joint fit, rounding."""
 
+import math
+
 import numpy as np
 import pytest
 
 from taskreg.cmtl import (
+    _SmoothPart,
     ClusteredModel,
     CmtlParams,
     RelaxedClusterMatrix,
@@ -19,7 +22,7 @@ from taskreg.cmtl import (
     project_spectral,
 )
 from taskreg.dataset import MultiTaskDataset, TaskData
-from taskreg.fista import SolverConfig
+from taskreg.fista import ProximalProblem, SolverConfig, solve
 
 from oracles import capped_simplex_grid, central_difference_grad, dykstra_spectral_project
 
@@ -242,6 +245,29 @@ def test_capped_simplex_matches_grid_oracle():
         np.testing.assert_allclose(got, expected, atol=1e-5)
         assert got.sum() == pytest.approx(k, abs=1e-9)
         assert np.all(got >= -1e-12) and np.all(got <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma_hat, k",
+    [
+        # Values on a 0.1 grid, so kinks coincide.
+        pytest.param(np.round(np.random.default_rng(58).normal(size=12), 1), 3, id="ties"),
+        pytest.param(np.array([0.3, 0.3, 0.3, 1.3, -0.7, 0.3, 1.3]), 2, id="ties-across-box"),
+        pytest.param(np.full(5, 0.5), 2, id="all-equal"),
+        pytest.param(np.full(6, -4.0), 5, id="all-equal-k-T-1"),
+        pytest.param(np.array([2.0, -1.0, 0.25, 0.75, 3.0, -2.0]), 5, id="k-T-1"),
+        pytest.param(np.random.default_rng(59).normal(scale=3.0, size=9), 8, id="k-T-1-random"),
+        pytest.param(np.array([0.7, 0.8, 0.5, 0.0, 1.0]), 3, id="feasible"),
+        pytest.param(np.full(4, 0.25), 1, id="feasible-all-equal"),
+    ],
+)
+def test_capped_simplex_edge_cases(sigma_hat, k):
+    got = capped_simplex_project(sigma_hat, k)
+    np.testing.assert_allclose(got, capped_simplex_grid(sigma_hat, k), atol=1e-5)
+    assert abs(got.sum() - k) <= 1e-12
+    assert np.all(got >= 0.0) and np.all(got <= 1.0)
+    if np.all((sigma_hat >= 0) & (sigma_hat <= 1)) and sigma_hat.sum() == k:
+        np.testing.assert_allclose(got, sigma_hat, atol=1e-15)
 
 
 def test_capped_simplex_errors():
@@ -470,3 +496,76 @@ def test_clustered_model_rejects_wrong_intercept_shape():
             task_labels=("t0", "t1", "t2"),
             intercept=np.zeros(2),
         )
+
+
+def _ragged_dataset(rng, sizes, n_features):
+    """Tasks in two planted groups with the given row counts."""
+    u = rng.normal(size=n_features)
+    xs, ys = [], []
+    for t, n in enumerate(sizes):
+        x = rng.normal(size=(n, n_features))
+        xs.append(x)
+        ys.append(x @ (u if t % 2 else -u) + 0.3 * rng.normal(size=n))
+    return _dataset(xs, ys)
+
+
+def test_fit_matches_reference_solve_on_ragged_tasks():
+    # Rows per task below and above J + 1 = 13, so the stacked R factors
+    # are both zero-padded and compressed.
+    n_features = 12
+    ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), n_features)
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
+    cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
+    model = fit_cmtl(ds, params, cfg)
+
+    def split(z):
+        return z[:, :n_features], z[:, n_features:]
+
+    def value(z):
+        w, c = split(z)
+        try:
+            return cmtl_objective(w, c, ds, params)
+        except ValueError:  # eta*I + C is not positive definite
+            return math.inf
+
+    def grad(z):
+        w, c = split(z)
+        grad_c = c - grad_c_step(w, c, params, gamma=1.0)
+        return np.hstack([grad_phi(w, c, ds, params), grad_c])
+
+    def prox(h, step):
+        w, c = split(h)
+        return np.hstack([w, project_spectral(c, params.k).matrix])
+
+    n_tasks = ds.n_tasks
+    z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
+    z_ref, trace_ref = solve(ProximalProblem(value, grad, prox, value), z0, cfg)
+    w_ref, c_ref = split(z_ref)
+
+    assert trace_ref.converged
+    assert model.trace.iterations == trace_ref.iterations
+    np.testing.assert_allclose(model.weights, w_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.cluster_matrix.matrix, c_ref, rtol=0, atol=1e-10)
+
+
+def test_smooth_part_compares_points_by_value():
+    rng = np.random.default_rng(61)
+    ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
+    params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
+    smooth = _SmoothPart(ds, params)
+    cluster = project_spectral(rng.normal(size=(4, 4)), 2)
+    smooth.seed_spectrum(cluster)
+    z = np.hstack([rng.normal(size=(4, 3)), cluster.matrix])
+
+    def expected(z):
+        w, c = z[:, :3], z[:, 3:]
+        return cmtl_objective(w, c, ds, params), grad_phi(w, c, ds, params)
+
+    for mutate in (lambda z: z.__setitem__((0, 0), z[0, 0] + 1.0),
+                   lambda z: z.__setitem__((slice(None), slice(3, None)), np.eye(4) / 2)):
+        before = smooth.value(z)
+        mutate(z)  # same array object, new contents
+        value, grad_w = expected(z)
+        assert smooth.value(z) != before
+        assert smooth.value(z) == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(smooth.grad(z)[:, :3], grad_w, rtol=1e-10, atol=1e-12)

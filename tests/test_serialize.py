@@ -158,3 +158,47 @@ def test_rejects_missing_key(tmp_path, key):
     (tmp_path / "m.json").write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"m.json: missing key '{key}'"):
         load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.__setitem__("feature_names", ["f0", 1, "f2", "f3"]),
+         "feature_names: expected a string, got 1"),
+        (lambda d: d["weights"][0].__setitem__(0, True), "weights: expected a number, got True"),
+        (lambda d: d["weights"][1].__setitem__(2, "0.5"), "weights: expected a number, got '0.5'"),
+        (lambda d: d["weights"].__setitem__(0, 0.0), "weights: expected a list of numbers, got 0.0"),
+        (lambda d: d["weights"][0].pop(), "weights: rows differ in length"),
+        (lambda d: d.__setitem__("intercept", 0.0), "intercept: expected a list of numbers, got 0.0"),
+        (lambda d: d.__setitem__("lam", None), "lam: expected a number, got None"),
+        (lambda d: d.__setitem__("scaling", 5), "scaling: expected an object or null, got 5"),
+        (lambda d: d.__setitem__("scaling", {"feature_min": [0.0] * 4, "feature_max": "1"}),
+         "feature_max: expected a list of numbers, got '1'"),
+        (lambda d: d.__setitem__("stl_setting", 3), "stl_setting: expected a string or null, got 3"),
+        (lambda d: d.__setitem__("format_version", True), "unsupported model format_version True"),
+    ],
+    ids=[
+        "string-list-item", "bool-number", "string-number", "row-not-list", "ragged-rows",
+        "intercept-scalar", "lam-null", "scaling-scalar", "scaling-field", "stl-setting-int",
+        "bool-version",
+    ],
+)
+def test_rejects_wrongly_typed_field(tmp_path, edit, message):
+    ds = _dataset(seed=101)
+    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    data = json.loads((tmp_path / "m.json").read_text())
+    edit(data)
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        load_model(tmp_path / "m.json")
+    assert str(info.value) == f"{tmp_path / 'm.json'}: {message}"
+
+
+def test_rejects_non_integral_kmeans_seed(tmp_path):
+    ds = _dataset(seed=102)
+    save_model(fit_cmtl(ds, CmtlParams(rho1=0.5, rho2=0.5, k=1)), tmp_path / "c.json")
+    data = json.loads((tmp_path / "c.json").read_text())
+    data["kmeans_seed"] = 1.5
+    (tmp_path / "c.json").write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"c\.json: kmeans_seed: expected an integer, got 1\.5"):
+        load_model(tmp_path / "c.json")
