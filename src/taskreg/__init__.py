@@ -24,7 +24,9 @@ _EXPORTS = {
     "TaskData": "dataset",
     "MultiTaskDataset": "dataset",
     "ScalingParams": "dataset",
+    "TaskFactors": "dataset",
     "load_csv": "dataset",
+    "load_factors": "dataset",
     "write_csv": "dataset",
     "minmax_scale": "dataset",
     "apply_scale": "dataset",

@@ -15,11 +15,12 @@ of per-task values is available via ``total_mode``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -41,8 +42,8 @@ class StlSpec:
             raise ValueError(f"setting must be one of {_SETTINGS}, got {self.setting!r}")
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.penalty == "none" and self.lam != 0:
             raise ValueError("penalty 'none' requires lam = 0")
 
@@ -94,8 +95,12 @@ def _make_prox(penalty: str, lam: float):
     return prox
 
 
-def _fit_single(x: np.ndarray, y: np.ndarray, spec: StlSpec, cfg: SolverConfig | None):
-    """One least-squares fit with the requested penalty; returns (w, trace)."""
+def _fit_single(r: np.ndarray, spec: StlSpec, cfg: SolverConfig | None):
+    """One least-squares fit with the requested penalty; returns (w, trace).
+
+    ``r`` is an R factor [A | b] of the rows [X | y]; ||Xw - y|| = ||Aw - b||.
+    """
+    x, y = r[:, :-1], r[:, -1]
     n_features = x.shape[1]
     penalty_prox = _make_prox(spec.penalty, spec.lam)
 
@@ -119,7 +124,7 @@ def _fit_single(x: np.ndarray, y: np.ndarray, spec: StlSpec, cfg: SolverConfig |
 
 
 def fit_stl(
-    ds: MultiTaskDataset,
+    ds: MultiTaskDataset | TaskFactors,
     spec: StlSpec,
     cfg: SolverConfig | None = None,
     *,
@@ -132,29 +137,22 @@ def fit_stl(
     fitted and copied to every task row. Individual setting: each task
     is fitted on its own data with no coupling. The trace is a single
     solver trace for global fits and one per task for individual fits.
+
+    Like :func:`taskreg.mtl.fit_mtl`, the fits run on each task's R factor,
+    and the pooled fit on the R factor of the stacked task factors.
+    ``ds`` is already in the units of the fit: ``scaling`` is only
+    recorded in the model.
     """
-    n_tasks, n_features = ds.n_tasks, ds.n_features
-
-    def design(x):
-        if fit_intercept:
-            return np.hstack([x, np.ones((x.shape[0], 1))])
-        return x
-
-    width = n_features + 1 if fit_intercept else n_features
+    factors = as_factors(ds)
+    n_tasks, n_features = factors.n_tasks, factors.n_features
+    design = factors.design(intercept=fit_intercept)
     if spec.setting == "global":
-        x = np.vstack([design(t.X) for t in ds.tasks])
-        y = np.concatenate([t.Y for t in ds.tasks])
-        w, trace = _fit_single(x, y, spec, cfg)
+        w, trace = _fit_single(np.linalg.qr(np.vstack(design), mode="r"), spec, cfg)
         weights_full = np.tile(w, (n_tasks, 1))
     else:
-        rows = np.empty((n_tasks, width))
-        traces = []
-        for t, task in enumerate(ds.tasks):
-            w, tr = _fit_single(design(task.X), task.Y, spec, cfg)
-            rows[t] = w
-            traces.append(tr)
-        weights_full = rows
-        trace = tuple(traces)
+        fits = [_fit_single(r, spec, cfg) for r in design]
+        weights_full = np.array([w for w, _ in fits])
+        trace = tuple(tr for _, tr in fits)
 
     if fit_intercept:
         weights, intercept = weights_full[:, :n_features], weights_full[:, n_features]
@@ -163,8 +161,8 @@ def fit_stl(
     return MtlModel(
         weights=weights,
         lam=spec.lam,
-        feature_names=ds.feature_names,
-        task_labels=ds.task_labels,
+        feature_names=factors.feature_names,
+        task_labels=factors.task_labels,
         intercept=intercept,
         scaling=scaling,
         trace=trace,

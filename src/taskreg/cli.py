@@ -325,17 +325,16 @@ def cmd_train(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
-    ds = dataset.load_csv(args.input, args.task_column, args.outcome_column)
+    factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     if args.no_scale:
         params = None
-        ds_fit = ds
     else:
-        ds_fit, params = dataset.minmax_scale(ds, scale_outcome=args.scale_outcome)
+        factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
     cfg = _solver_config(args)
 
     if args.model == "mtl":
         lam = 0.1 if args.lam is None else args.lam
-        model = mtl.fit_mtl(ds_fit, lam, cfg, fit_intercept=args.intercept, scaling=params)
+        model = mtl.fit_mtl(factors, lam, cfg, fit_intercept=args.intercept, scaling=params)
     elif args.model == "cmtl":
         if args.intercept:
             raise ValueError("--intercept is not supported with the cmtl model")
@@ -343,7 +342,7 @@ def cmd_train(args) -> int:
             raise ValueError("--k is required for the cmtl model")
         cmtl_params = cmtl.CmtlParams(rho1=args.rho1, rho2=args.rho2, k=args.k)
         model = cmtl.fit_cmtl(
-            ds_fit, cmtl_params, cfg, kmeans_seed=args.kmeans_seed, scaling=params
+            factors, cmtl_params, cfg, kmeans_seed=args.kmeans_seed, scaling=params
         )
     else:
         lam = args.lam
@@ -351,15 +350,24 @@ def cmd_train(args) -> int:
             lam = 0.0 if args.penalty == "none" else 0.1
         spec = baselines.StlSpec(setting=args.setting, penalty=args.penalty, lam=lam)
         model = baselines.fit_stl(
-            ds_fit, spec, cfg, fit_intercept=args.intercept, scaling=params
+            factors, spec, cfg, fit_intercept=args.intercept, scaling=params
         )
 
     serialize.save_model(model, args.out)
     print(
-        f"trained {args.model} on {ds.n_tasks} tasks, {ds.n_features} features "
+        f"trained {args.model} on {factors.n_tasks} tasks, {factors.n_features} features "
         f"-> {args.out}"
     )
     print(_trace_line(model.trace))
+    traces = model.trace if isinstance(model.trace, tuple) else (model.trace,)
+    stopped = sum(not t.converged for t in traces)
+    if stopped:
+        which = "the solver" if len(traces) == 1 else f"{stopped} of {len(traces)} fits"
+        print(
+            f"warning: {which} stopped at the iteration cap (--max-iters {args.max_iters}) "
+            "before converging; raise --max-iters or --tol",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
 _SYMMETRY_TOL = 1e-10
@@ -39,8 +39,10 @@ class CmtlParams:
     k: int
 
     def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError(f"rho1 and rho2 must be >= 0, got {self.rho1}, {self.rho2}")
+        for name in ("rho1", "rho2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.rho1 == 0 and self.rho2 != 0:
             raise ValueError("rho1 = 0 requires rho2 = 0 (eta would be infinite)")
         if not isinstance(self.k, int) or isinstance(self.k, bool):
@@ -304,11 +306,12 @@ def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
 class _SmoothPart:
     """The smooth part of the cmtl objective on the stacked [W | C].
 
-    Each task's data enters through the R factor of qr([X_t | y_t]),
-    since ||X_t w - y_t|| = ||R_t [w; -1]||. The factors are stacked with
-    zero rows as padding into one (T, min(max n_t, J+1), J+1) array, so
-    the data term of a value or a gradient is one batched matmul; the
-    true row counts n_t are kept apart.
+    Each task's data enters through its design factor R_t of [X_t | y_t]
+    (:meth:`TaskFactors.design`), since ||X_t w - y_t|| = ||R_t [w; -1]||.
+    The factors are stacked with zero rows as padding into one
+    (T, min(max n_t, J+1), J+1) array, so the data term of a value or a
+    gradient is one batched matmul; it is divided by the true row counts
+    n_t, which the factors' shapes do not show.
 
     The last evaluated point is remembered by value (a stored copy
     compared with ``np.array_equal``), with its value, (eta*I + C)^{-1} W
@@ -318,16 +321,15 @@ class _SmoothPart:
     whose C block is that matrix uses them instead of a new ``eigh``.
     """
 
-    def __init__(self, ds: MultiTaskDataset, params: CmtlParams):
-        n_features = ds.n_features
-        rows = min(max(task.n for task in ds.tasks), n_features + 1)
-        r = np.zeros((ds.n_tasks, rows, n_features + 1))
-        for t, task in enumerate(ds.tasks):
-            r_t = np.linalg.qr(np.column_stack([task.X, task.Y]), mode="r")
+    def __init__(self, factors: TaskFactors, params: CmtlParams):
+        design = factors.design(intercept=False)
+        rows = max(r_t.shape[0] for r_t in design)
+        r = np.zeros((factors.n_tasks, rows, factors.n_features + 1))
+        for t, r_t in enumerate(design):
             r[t, : r_t.shape[0]] = r_t
         self._r = r
-        self._counts = np.array([task.n for task in ds.tasks], dtype=np.float64)
-        self._n_features = n_features
+        self._counts = np.array(factors.counts, dtype=np.float64)
+        self._n_features = factors.n_features
         self._eta = params.eta
         self._coupling = params.coupling
         # The last evaluated point and what was computed there.
@@ -375,7 +377,7 @@ class _SmoothPart:
 
 
 def fit_cmtl(
-    ds: MultiTaskDataset,
+    ds: MultiTaskDataset | TaskFactors,
     params: CmtlParams,
     cfg: SolverConfig | None = None,
     *,
@@ -395,13 +397,18 @@ def fit_cmtl(
     ``on_project``, when given, is called with every
     :class:`RelaxedClusterMatrix` the projection produces (diagnostics
     hook; projections from rejected backtracking candidates included).
+
+    The data term runs on each task's R factor (:class:`TaskFactors`);
+    rows are reduced to factors first. ``ds`` is already in the units of
+    the fit: ``scaling`` is only recorded in the model.
     """
     if params.rho1 <= 0 or params.rho2 <= 0:
         raise ValueError("fitting requires rho1 > 0 and rho2 > 0")
-    n_tasks, n_features = ds.n_tasks, ds.n_features
+    factors = as_factors(ds)
+    n_tasks, n_features = factors.n_tasks, factors.n_features
     if not 1 <= params.k < n_tasks:
         raise ValueError(f"k must be in [1, {n_tasks - 1}], got {params.k}")
-    smooth = _SmoothPart(ds, params)
+    smooth = _SmoothPart(factors, params)
 
     def split(z):
         return z[:, :n_features], z[:, n_features:]
@@ -431,8 +438,8 @@ def fit_cmtl(
         params=params,
         assignments=assignments,
         kmeans_seed=kmeans_seed,
-        feature_names=ds.feature_names,
-        task_labels=ds.task_labels,
+        feature_names=factors.feature_names,
+        task_labels=factors.task_labels,
         scaling=scaling,
         trace=trace,
     )

@@ -5,11 +5,16 @@ row belongs to, one column holds the numeric outcome, and every remaining
 column is a numeric feature shared by all tasks. Rows are grouped by task
 value (in order of first appearance) into :class:`TaskData` blocks,
 preserving file order within each task.
+
+:func:`load_factors` reads the same files in fixed-size chunks and keeps
+only one small QR factor per task (:class:`TaskFactors`), which is all a
+least-squares fit needs of the rows.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTaskError, ParseError, SchemaError
+
+# Body lines load_factors parses and folds at a time. Peak memory grows
+# with it (a 512-line chunk of 90 features is a 0.4 MB table), while the
+# per-chunk overhead of np.loadtxt and the QR updates shrinks.
+_CHUNK_LINES = 512
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -179,6 +189,156 @@ class ScalingParams:
         return y * (self.outcome_max - self.outcome_min) + self.outcome_min
 
 
+def _augmented(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows [X | 1 | y] whose R factor :class:`TaskFactors` keeps."""
+    return np.column_stack([x, np.ones(y.shape[0]), y])
+
+
+def _fold(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The R factor of [r; rows]: one TSQR step (Demmel et al., SIAM J. Sci. Comput. 2012)."""
+    return np.linalg.qr(np.vstack([r, rows]), mode="r")
+
+
+@dataclass(frozen=True)
+class TaskFactors:
+    """Each task's rows reduced to what a least-squares fit needs of them.
+
+    ``factors[t]`` is the upper-triangular R of a QR factorization of the
+    rows [X_t | 1 | y_t], with at most J+2 rows. R_t^T R_t is the Gram
+    matrix of those columns, so ||X_t w + b - y_t|| = ||R_t [w; b; -1]||
+    for any w and b, and a fit can run on R_t in place of the rows.
+    ``counts`` holds the true row counts n_t, which the shape of R_t does
+    not show once n_t > J+2. The feature and outcome ranges cover every
+    row, for min-max scaling; ``dropped_rows`` is as in
+    :class:`MultiTaskDataset`.
+    """
+
+    task_labels: tuple[str, ...]
+    feature_names: tuple[str, ...]
+    factors: tuple[np.ndarray, ...]
+    counts: tuple[int, ...]
+    feature_min: np.ndarray
+    feature_max: np.ndarray
+    outcome_min: float
+    outcome_max: float
+    dropped_rows: int = 0
+
+    def __post_init__(self):
+        labels = tuple(self.task_labels)
+        names = tuple(self.feature_names)
+        counts = tuple(int(n) for n in self.counts)
+        if not labels or len(self.factors) != len(labels) or len(counts) != len(labels):
+            raise ValueError("need one factor and one row count per task, and at least one task")
+        if len(set(labels)) != len(labels) or len(set(names)) != len(names):
+            raise ValueError("task labels and feature names must be unique")
+        width = len(names) + 2
+        factors = []
+        for label, r, n in zip(labels, self.factors, counts):
+            r = _frozen_array(r)
+            if r.ndim != 2 or r.shape[1] != width or r.shape[0] > min(n, width) or n < 1:
+                raise ValueError(
+                    f"task {label!r}: factor of shape {r.shape} does not fit {n} row(s) "
+                    f"of width {width}"
+                )
+            factors.append(r)
+        lo = _frozen_array(self.feature_min)
+        hi = _frozen_array(self.feature_max)
+        if lo.shape != (len(names),) or hi.shape != lo.shape:
+            raise ValueError(f"feature_min and feature_max must have shape ({len(names)},)")
+        object.__setattr__(self, "task_labels", labels)
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "feature_min", lo)
+        object.__setattr__(self, "feature_max", hi)
+        object.__setattr__(self, "outcome_min", float(self.outcome_min))
+        object.__setattr__(self, "outcome_max", float(self.outcome_max))
+
+    @classmethod
+    def from_dataset(cls, ds: MultiTaskDataset) -> "TaskFactors":
+        rows = [_augmented(t.X, t.Y) for t in ds.tasks]
+        lo = np.min([r.min(axis=0) for r in rows], axis=0)
+        hi = np.max([r.max(axis=0) for r in rows], axis=0)
+        j = ds.n_features
+        return cls(
+            task_labels=ds.task_labels,
+            feature_names=ds.feature_names,
+            factors=tuple(_fold(np.empty((0, j + 2)), r) for r in rows),
+            counts=tuple(t.n for t in ds.tasks),
+            feature_min=lo[:j],
+            feature_max=hi[:j],
+            outcome_min=lo[j + 1],
+            outcome_max=hi[j + 1],
+            dropped_rows=ds.dropped_rows,
+        )
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.task_labels)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
+
+    def minmax_scaled(self, *, scale_outcome: bool = False) -> tuple["TaskFactors", ScalingParams]:
+        """What :func:`minmax_scale` does to the rows, done on the factors.
+
+        The params are the ones :func:`minmax_scale` fits to the same rows.
+        Scaling is affine, [X | 1 | y] maps to [X~ | 1 | y~] = [X | 1 | y] A
+        for one (J+2)-square A, so each scaled factor is qr(R_t A).
+        """
+        params = ScalingParams(
+            feature_min=self.feature_min,
+            feature_max=self.feature_max,
+            outcome_min=self.outcome_min if scale_outcome else None,
+            outcome_max=self.outcome_max if scale_outcome else None,
+        )
+        j = self.n_features
+        # A constant column has span 0 and maps to 0, as in ScalingParams.
+        span = self.feature_max - self.feature_min
+        inverse = np.divide(1.0, span, out=np.zeros(j), where=span > 0)
+        a = np.eye(j + 2)
+        a[:j, :j] = np.diag(inverse)
+        a[j, :j] = -self.feature_min * inverse
+        outcome_range = np.array([self.outcome_min, self.outcome_max])
+        if scale_outcome:
+            span_y = self.outcome_max - self.outcome_min
+            inverse_y = 1.0 / span_y if span_y > 0 else 0.0
+            a[j + 1, j + 1] = inverse_y
+            a[j, j + 1] = -self.outcome_min * inverse_y
+            outcome_range = params.transform_outcome(outcome_range)
+        feature_range = params.transform_features(np.vstack([self.feature_min, self.feature_max]))
+        scaled = TaskFactors(
+            task_labels=self.task_labels,
+            feature_names=self.feature_names,
+            factors=tuple(np.linalg.qr(r @ a, mode="r") for r in self.factors),
+            counts=self.counts,
+            feature_min=feature_range[0],
+            feature_max=feature_range[1],
+            outcome_min=outcome_range[0],
+            outcome_max=outcome_range[1],
+            dropped_rows=self.dropped_rows,
+        )
+        return scaled, params
+
+    def design(self, *, intercept: bool) -> tuple[np.ndarray, ...]:
+        """Each task's R factor of its fit design [X_t | 1 | y_t].
+
+        Without ``intercept`` the ones column is left out. The last column
+        holds the outcome, so with R_t = [A_t | b_t] the residual norm
+        ||X_t w - y_t|| of a weight vector w is ||A_t w - b_t||.
+        """
+        if intercept:
+            return self.factors
+        keep = [*range(self.n_features), self.n_features + 1]
+        return tuple(np.linalg.qr(r[:, keep], mode="r") for r in self.factors)
+
+
+def as_factors(data: MultiTaskDataset | TaskFactors) -> TaskFactors:
+    """``data`` as :class:`TaskFactors`, built with ``from_dataset`` when it is rows."""
+    return data if isinstance(data, TaskFactors) else TaskFactors.from_dataset(data)
+
+
 def load_csv(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
     """Read a CSV file into a MultiTaskDataset.
 
@@ -204,47 +364,15 @@ def _load_table(path, task_column: str, outcome_column: str) -> MultiTaskDataset
     a kept row, a non-finite outcome, or a task whose rows were all dropped.
     """
     codes: dict[str, int] = {}
-    body_lines = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if (
-            header is None
-            or len(set(header)) != len(header)
-            or task_column not in header
-            or outcome_column not in header
-            or task_column == outcome_column
-            or len(header) < 3
-        ):
+        layout = _read_header(fh, task_column, outcome_column)
+        if layout is None:
             return None
-        task_idx = header.index(task_column)
-        outcome_idx = header.index(outcome_column)
-
-        def body():
-            nonlocal body_lines
-            for body_lines, line in enumerate(fh, start=1):
-                yield line
-
-        def task_code(text: str) -> int:
-            return codes.setdefault(text, len(codes))
-
-        try:
-            with warnings.catch_warnings():
-                # An all-blank body is caught by the line count below.
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(
-                    body(),
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    converters={task_idx: task_code, outcome_idx: _outcome_cell},
-                )
-        except ValueError:
-            return None
-    if table.shape != (body_lines, len(header)):
+        header, task_idx, outcome_idx, feature_idx = layout
+        table = _parse_lines(fh, len(header), task_idx, outcome_idx, codes)
+    if table is None:
         return None
 
-    feature_idx = [i for i in range(len(header)) if i not in (task_idx, outcome_idx)]
     task_of_row = table[:, task_idx]
     outcome = table[:, outcome_idx]
     kept = ~np.isnan(outcome)
@@ -258,8 +386,140 @@ def _load_table(path, task_column: str, outcome_column: str) -> MultiTaskDataset
     return MultiTaskDataset(
         tasks=tuple(tasks),
         feature_names=tuple(header[i] for i in feature_idx),
-        dropped_rows=int(body_lines - np.count_nonzero(kept)),
+        dropped_rows=int(table.shape[0] - np.count_nonzero(kept)),
     )
+
+
+def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
+    """Read a CSV file into :class:`TaskFactors` without holding its rows.
+
+    The body is parsed :data:`_CHUNK_LINES` lines at a time, and each
+    task's kept rows of a chunk are folded into its factor, so memory
+    does not grow with the row count. Whenever a chunk cannot be shown to
+    parse as :func:`load_csv` would read it, the whole file goes through
+    the per-cell reader instead, so the errors, the kept rows and
+    ``dropped_rows`` are those of :func:`load_csv`.
+    """
+    factors = _stream_factors(path, task_column, outcome_column)
+    if factors is None:
+        factors = TaskFactors.from_dataset(_load_cells(path, task_column, outcome_column))
+    return factors
+
+
+def _stream_factors(path, task_column: str, outcome_column: str) -> TaskFactors | None:
+    """The chunked reader behind :func:`load_factors`, or None to defer to :func:`_load_cells`.
+
+    Each chunk must pass :func:`_load_table`'s checks. Besides, a chunk
+    may not end inside a quoted field: ``loadtxt`` would close that field
+    at the chunk's end and read its rest as a new record of the next one.
+    (A quoted field that runs on within a chunk already makes the chunk's
+    record count differ from its line count.)
+    """
+    codes: dict[str, int] = {}
+    factors: list[np.ndarray] = []
+    counts: list[int] = []
+    lines_read = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        layout = _read_header(fh, task_column, outcome_column)
+        if layout is None:
+            return None
+        header, task_idx, outcome_idx, feature_idx = layout
+        width = len(feature_idx) + 2
+        lo = np.full(width, np.inf)
+        hi = np.full(width, -np.inf)
+        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+            table = _parse_lines(lines, len(header), task_idx, outcome_idx, codes)
+            if table is None or _ends_inside_quotes(lines[-1]):
+                return None
+            lines_read += len(lines)
+            outcome = table[:, outcome_idx]
+            kept = ~np.isnan(outcome)
+            rows = _augmented(table[np.ix_(kept, feature_idx)], outcome[kept])
+            if not np.isfinite(rows).all():
+                return None
+            if rows.shape[0]:
+                lo = np.minimum(lo, rows.min(axis=0))
+                hi = np.maximum(hi, rows.max(axis=0))
+            new_tasks = len(codes) - len(factors)
+            factors += [np.empty((0, width))] * new_tasks
+            counts += [0] * new_tasks
+            task_of_row = table[kept, task_idx]
+            for code in np.unique(task_of_row).astype(int):
+                block = rows[task_of_row == code]
+                factors[code] = _fold(factors[code], block)
+                counts[code] += block.shape[0]
+    if not counts or 0 in counts:
+        return None
+    j = len(feature_idx)
+    return TaskFactors(
+        task_labels=tuple(codes),
+        feature_names=tuple(header[i] for i in feature_idx),
+        factors=tuple(factors),
+        counts=tuple(counts),
+        feature_min=lo[:j],
+        feature_max=hi[:j],
+        outcome_min=lo[j + 1],
+        outcome_max=hi[j + 1],
+        dropped_rows=lines_read - sum(counts),
+    )
+
+
+def _read_header(fh, task_column: str, outcome_column: str):
+    """(header, task index, outcome index, feature indices), or None on any header problem."""
+    header = next(csv.reader(fh), None)
+    if (
+        header is None
+        or len(set(header)) != len(header)
+        or task_column not in header
+        or outcome_column not in header
+        or task_column == outcome_column
+        or len(header) < 3
+    ):
+        return None
+    task_idx = header.index(task_column)
+    outcome_idx = header.index(outcome_column)
+    feature_idx = [i for i in range(len(header)) if i not in (task_idx, outcome_idx)]
+    return header, task_idx, outcome_idx, feature_idx
+
+
+def _parse_lines(lines, width: int, task_idx: int, outcome_idx: int, codes: dict[str, int]):
+    """``np.loadtxt`` over body lines: one row of ``width`` values per line, or None.
+
+    A task cell becomes its label's code in ``codes``, which numbers
+    labels in order of first appearance and is extended in place. An
+    outcome cell goes through :func:`_outcome_cell`.
+    """
+    line_count = 0
+
+    def counted():
+        nonlocal line_count
+        for line_count, line in enumerate(lines, start=1):
+            yield line
+
+    def task_code(text: str) -> int:
+        return codes.setdefault(text, len(codes))
+
+    try:
+        with warnings.catch_warnings():
+            # An all-blank body is caught by the line count below.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                counted(),
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                converters={task_idx: task_code, outcome_idx: _outcome_cell},
+            )
+    except ValueError:
+        return None
+    return table if table.shape == (line_count, width) else None
+
+
+def _ends_inside_quotes(line: str) -> bool:
+    """Whether a CSV line ends inside a quoted field, so that its record runs on."""
+    fields = next(csv.reader([line]), [])
+    return bool(fields) and fields[-1].endswith(("\n", "\r"))
 
 
 def _outcome_cell(text: str) -> float:

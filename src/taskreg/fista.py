@@ -70,12 +70,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if self.gamma0 <= 0:
-            raise ValueError(f"gamma0 must be > 0, got {self.gamma0}")
-        if self.backtrack_factor <= 1:
-            raise ValueError(f"backtrack_factor must be > 1, got {self.backtrack_factor}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ValueError(f"gamma0 must be finite and > 0, got {self.gamma0}")
+        if not (math.isfinite(self.backtrack_factor) and self.backtrack_factor > 1):
+            raise ValueError(
+                f"backtrack_factor must be finite and > 1, got {self.backtrack_factor}"
+            )
         if self.max_backtracks < 1:
             raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.momentum not in _MOMENTUM_MODES:

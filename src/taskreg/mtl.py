@@ -8,11 +8,12 @@ are selected for all tasks or none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
 
@@ -139,7 +140,7 @@ class MtlModel:
 
 
 def fit_mtl(
-    ds: MultiTaskDataset,
+    ds: MultiTaskDataset | TaskFactors,
     lam: float,
     cfg: SolverConfig | None = None,
     *,
@@ -151,16 +152,20 @@ def fit_mtl(
     Starts from zero weights; each proximal step shrinks feature columns
     with threshold lam/gamma. With ``fit_intercept`` a ones column is
     appended per task and kept out of both the penalty and the prox.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    n_tasks, n_features = ds.n_tasks, ds.n_features
 
-    if fit_intercept:
-        xs = [np.hstack([t.X, np.ones((t.n, 1))]) for t in ds.tasks]
-    else:
-        xs = [t.X for t in ds.tasks]
-    ys = [t.Y for t in ds.tasks]
+    The data term runs on each task's R factor (:class:`TaskFactors`), so
+    an iteration's cost does not depend on the row count; rows are
+    reduced to factors first. ``ds`` is already in the units of the fit:
+    ``scaling`` is only recorded in the model.
+    """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    factors = as_factors(ds)
+    n_tasks, n_features = factors.n_tasks, factors.n_features
+    # ||X_t w - y_t|| = ||A_t w - b_t|| for the factor R_t = [A_t | b_t].
+    design = factors.design(intercept=fit_intercept)
+    xs = [r[:, :-1] for r in design]
+    ys = [r[:, -1] for r in design]
     width = n_features + (1 if fit_intercept else 0)
 
     def smooth_value(w):
@@ -199,8 +204,8 @@ def fit_mtl(
     return MtlModel(
         weights=w_hat[:, :n_features],
         lam=lam,
-        feature_names=ds.feature_names,
-        task_labels=ds.task_labels,
+        feature_names=factors.feature_names,
+        task_labels=factors.task_labels,
         intercept=intercept,
         scaling=scaling,
         trace=trace,

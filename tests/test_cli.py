@@ -353,3 +353,60 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc_info.value.code == 0
     assert "taskreg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--model", "mtl", "--tol", "nan"), "rel_tol must be finite and >= 0, got nan"),
+        (("--model", "mtl", "--tol", "inf"), "rel_tol must be finite and >= 0, got inf"),
+        (("--model", "mtl", "--lambda", "nan"), "lambda must be finite and >= 0, got nan"),
+        (("--model", "mtl", "--lambda", "inf"), "lambda must be finite and >= 0, got inf"),
+        (("--model", "stl", "--penalty", "ridge", "--lambda", "nan"),
+         "lam must be finite and >= 0, got nan"),
+        (("--model", "stl", "--penalty", "lasso", "--lambda", "inf"),
+         "lam must be finite and >= 0, got inf"),
+        (("--model", "cmtl", "--k", "2", "--rho1", "nan"), "rho1 must be finite and >= 0, got nan"),
+        (("--model", "cmtl", "--k", "2", "--rho1", "inf"), "rho1 must be finite and >= 0, got inf"),
+        (("--model", "cmtl", "--k", "2", "--rho2", "nan"), "rho2 must be finite and >= 0, got nan"),
+        (("--model", "cmtl", "--k", "2", "--rho2", "inf"), "rho2 must be finite and >= 0, got inf"),
+    ],
+    ids=["tol-nan", "tol-inf", "mtl-lambda-nan", "mtl-lambda-inf", "stl-lambda-nan",
+         "stl-lambda-inf", "rho1-nan", "rho1-inf", "rho2-nan", "rho2-inf"],
+)
+def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, options, message):
+    train = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    code = cli.main(["train", str(train), *options, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert code == 2
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_train_warns_when_a_fit_does_not_converge(tmp_path, capsys):
+    train = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    code = cli.main(["train", str(train), "--model", "mtl", "--max-iters", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == [
+        f"trained mtl on 3 tasks, 5 features -> {out}",
+        "solver: 3 iterations, converged=False",
+    ]
+    assert captured.err == (
+        "warning: the solver stopped at the iteration cap (--max-iters 3) before "
+        "converging; raise --max-iters or --tol\n"
+    )
+
+
+def test_train_converged_fit_writes_nothing_to_stderr(tmp_path, capsys):
+    train = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    code = cli.main(["train", str(train), "--model", "stl", "--penalty", "ridge",
+                     "--lambda", "0.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "converged=True" in captured.out
+    assert captured.err == ""

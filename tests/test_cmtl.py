@@ -21,7 +21,7 @@ from taskreg.cmtl import (
     grad_phi,
     project_spectral,
 )
-from taskreg.dataset import MultiTaskDataset, TaskData
+from taskreg.dataset import MultiTaskDataset, TaskData, TaskFactors, load_factors, write_csv
 from taskreg.fista import ProximalProblem, SolverConfig, solve
 
 from oracles import capped_simplex_grid, central_difference_grad, dykstra_spectral_project
@@ -548,11 +548,27 @@ def test_fit_matches_reference_solve_on_ragged_tasks():
     np.testing.assert_allclose(model.cluster_matrix.matrix, c_ref, rtol=0, atol=1e-10)
 
 
+def test_fit_on_streamed_factors_matches_fit_on_rows(tmp_path):
+    # The ragged fixture above, written out and read back by load_factors.
+    ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), 12)
+    path = tmp_path / "ragged.csv"
+    write_csv(ds, path, "task", "y")
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
+    cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
+    streamed = fit_cmtl(load_factors(path, "task", "y"), params, cfg)
+    rows = fit_cmtl(ds, params, cfg)
+    assert streamed.trace.iterations == rows.trace.iterations
+    np.testing.assert_allclose(streamed.weights, rows.weights, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        streamed.cluster_matrix.matrix, rows.cluster_matrix.matrix, rtol=0, atol=1e-10
+    )
+
+
 def test_smooth_part_compares_points_by_value():
     rng = np.random.default_rng(61)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
-    smooth = _SmoothPart(ds, params)
+    smooth = _SmoothPart(TaskFactors.from_dataset(ds), params)
     cluster = project_spectral(rng.normal(size=(4, 4)), 2)
     smooth.seed_spectrum(cluster)
     z = np.hstack([rng.normal(size=(4, 3)), cluster.matrix])

@@ -14,11 +14,13 @@ from taskreg import (
     TaskData,
     apply_scale,
     load_csv,
+    load_factors,
     minmax_scale,
     stratified_split,
     write_csv,
 )
-from taskreg.dataset import _load_cells, _load_table
+from taskreg import dataset
+from taskreg.dataset import TaskFactors, _load_cells, _load_table, _stream_factors
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -356,3 +358,140 @@ def test_dataset_validation():
     ds = MultiTaskDataset(tasks=(t,), feature_names=("x", "y"))
     with pytest.raises(ValueError):
         ds.tasks[0].X[0, 0] = 1.0
+
+
+def _chunked_panel(seed, chunk, *, newline):
+    """A CSV whose chunks of ``chunk`` body lines split tasks, blanks and labels awkwardly.
+
+    The "bulk" task has far more rows than J+2 = 5 and straddles every
+    chunk boundary; "pair" has two rows, fewer than J+2; "late" first
+    appears in the last chunk; outcome cells on the lines either side of
+    a boundary are often blank; quoted labels hold commas and quotes, and
+    some cells are -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    labels = ["bulk", '"rural, north"', '"say ""hi"", east"', "pair"]
+    n_lines = 4 * chunk + chunk // 2 + 1
+    task_of_line = rng.choice([0, 0, 1, 2], size=n_lines)
+    task_of_line[rng.choice(n_lines - chunk, size=2, replace=False)] = 3
+    lines = ["site,f0,f1,f2,outcome"]
+    for i, task in enumerate(task_of_line):
+        label = "late" if i >= n_lines - 3 else labels[task]
+        values = rng.normal(size=4) * 10.0 ** rng.integers(-2, 3, size=4)
+        values[rng.random(4) < 0.1] = -0.0
+        cells = [repr(float(v)) for v in values]
+        at_boundary = i % chunk in (0, chunk - 1)
+        if task in (0, 1) and at_boundary and rng.random() < 0.5:
+            cells[-1] = ""
+        lines.append(",".join([label, *cells]))
+    return newline.join(lines) + newline
+
+
+def _gram(r):
+    return r.T @ r
+
+
+@pytest.mark.parametrize("chunk", [4, 7, None], ids=["chunk4", "chunk7", "default"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_streamed_factors_match_loaded_rows(tmp_path, monkeypatch, seed, newline, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    text = _chunked_panel(seed, dataset._CHUNK_LINES, newline=newline)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _stream_factors(path, "site", "outcome") is not None  # no fallback
+    streamed = load_factors(path, "site", "outcome")
+    ds = load_csv(path, "site", "outcome")
+    ref = TaskFactors.from_dataset(ds)
+    assert streamed.task_labels == ref.task_labels
+    assert streamed.task_labels[-1] == "late"
+    assert {"rural, north", 'say "hi", east'} <= set(streamed.task_labels)
+    assert streamed.feature_names == ref.feature_names
+    assert streamed.counts == ref.counts == tuple(t.n for t in ds.tasks)
+    assert streamed.counts[streamed.task_labels.index("pair")] == 2
+    assert streamed.dropped_rows == ref.dropped_rows == ds.dropped_rows > 0
+    np.testing.assert_array_equal(streamed.feature_min, ref.feature_min)
+    np.testing.assert_array_equal(streamed.feature_max, ref.feature_max)
+    assert (streamed.outcome_min, streamed.outcome_max) == (ref.outcome_min, ref.outcome_max)
+    for a, b in zip(streamed.factors, ref.factors):
+        assert a.shape[0] <= 5 and a.shape == b.shape
+        scale = np.abs(_gram(b)).max()
+        np.testing.assert_allclose(_gram(a), _gram(b), rtol=0, atol=1e-12 * scale)
+
+
+def _fallback_cases():
+    header = "task,b,y\n"
+    # With 3-line chunks, the second chunk starts at body line 4.
+    return [
+        ("ragged-row", header + "x,1,3\nx,2,4\nx,1,3\nx,1\n"),
+        ("blank-feature", header + "x,1,3\nx,2,4\nx,1,3\nx, ,4\n"),
+        ("inf-feature", header + "x,1,3\nx,2,4\nx,1,3\nx,inf,4\n"),
+        ("nan-outcome", header + "x,1,3\nx,2,4\nx,1,3\nx,2,nan\n"),
+        ("blank-line", header + "x,1,3\nx,2,4\nx,1,3\n\nx,2,4\n"),
+        ("task-all-dropped", header + "a,1,2\nq,1,\nq,2,\na,3,4\nq,5,\n"),
+        ("quoted-newline", header + 'x,1,3\nx,"2\n5",4\nx,1,3\n'),
+        # The record has 5 fields. Cut after '"3', each half has 3 and would parse.
+        ("quoted-newline-at-boundary", header + 'x,1,3\nx,2,4\nx,1,"3\n5",2,7\nx,1,3\n'),
+        ("no-data-rows", header),
+    ]
+
+
+@pytest.mark.parametrize("name, text", _fallback_cases(), ids=[c[0] for c in _fallback_cases()])
+def test_streamed_fallback_keeps_load_csv_errors(tmp_path, monkeypatch, name, text):
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", 3)
+    path = _write(tmp_path, text)
+    assert _stream_factors(path, "task", "y") is None
+    with pytest.raises(Exception) as expected:
+        load_csv(path, "task", "y")
+    with pytest.raises(type(expected.value)) as got:
+        load_factors(path, "task", "y")
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("line", [2, 3], ids=["inside-chunk", "across-boundary"])
+def test_quoted_newline_in_label_falls_back(tmp_path, monkeypatch, line):
+    # A quoted label may hold a newline; wherever it falls, the file goes to
+    # the per-cell reader, which reads it.
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", line)
+    body = ["a,1,2", "a,2,3", "a,3,5"]
+    body.insert(line - 1, '"a\nb",4,1')
+    path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
+    assert _stream_factors(path, "task", "y") is None
+    factors = load_factors(path, "task", "y")
+    assert factors.task_labels == ("a", "a\nb")
+    assert factors.counts == (3, 1)
+
+
+def test_streamed_reader_accepts_what_float_accepts(tmp_path):
+    path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
+    factors = load_factors(path, "task", "y")
+    ref = TaskFactors.from_dataset(load_csv(path, "task", "y"))
+    np.testing.assert_array_equal(factors.feature_max, [10.0])
+    assert factors.outcome_max == 40.0
+    np.testing.assert_allclose(_gram(factors.factors[0]), _gram(ref.factors[0]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("scale_outcome", [False, True])
+def test_factor_scaling_matches_minmax_scale(scale_outcome):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(2.0, 9.0, size=(30, 3))
+    x[:, 1] = 4.0  # a constant column maps to 0
+    ds = _toy(x, labels=("a", "b"), outcomes=50.0 + 20.0 * rng.random(30))
+    scaled_rows, params = minmax_scale(ds, scale_outcome=scale_outcome)
+    scaled, factor_params = TaskFactors.from_dataset(ds).minmax_scaled(
+        scale_outcome=scale_outcome
+    )
+    ref = TaskFactors.from_dataset(scaled_rows)
+    for name in ("feature_min", "feature_max"):
+        np.testing.assert_array_equal(getattr(factor_params, name), getattr(params, name))
+    assert (factor_params.outcome_min, factor_params.outcome_max) == (
+        params.outcome_min,
+        params.outcome_max,
+    )
+    np.testing.assert_array_equal(scaled.feature_min, ref.feature_min)
+    np.testing.assert_array_equal(scaled.feature_max, ref.feature_max)
+    assert scaled.outcome_min == pytest.approx(ref.outcome_min, abs=1e-15)
+    assert scaled.outcome_max == pytest.approx(ref.outcome_max, abs=1e-15)
+    for a, b in zip(scaled.factors, ref.factors):
+        np.testing.assert_allclose(_gram(a), _gram(b), rtol=0, atol=1e-12 * np.abs(_gram(b)).max())

@@ -1,5 +1,7 @@
 """Solver loop: surrogate, line search, momentum, and stopping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,10 @@ def test_config_validation():
         SolverConfig(backtrack_factor=1.0)
     with pytest.raises(ValueError, match="momentum"):
         SolverConfig(momentum="nesterov")
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "gamma0", "backtrack_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and .*, got {value}$"):
+        SolverConfig(**{field: value})

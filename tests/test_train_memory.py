@@ -1,0 +1,57 @@
+"""`taskreg train` holds per-task factors, not rows, so its memory does not grow with the file.
+
+Each run is a child process whose peak RSS comes from ``os.wait4``. On
+Linux a child's ``ru_maxrss`` starts from the peak of the process whose
+memory it was started from, so the test process (which holds numpy and
+pytest) starts a bare interpreter, and that interpreter starts ``train``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import taskreg
+
+_SRC = Path(taskreg.__file__).resolve().parents[1]
+
+# Runs argv[1:] as a child and prints its exit code and peak RSS in KiB.
+_MEASURE = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _write_panel(path, n_rows, n_features=40, n_tasks=4, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n_rows, n_features))
+    y = x @ rng.normal(size=n_features) + 0.1 * rng.normal(size=n_rows)
+    task = rng.integers(n_tasks, size=n_rows)
+    header = "task," + ",".join(f"f{j}" for j in range(n_features)) + ",outcome"
+    table = np.column_stack([task, x, y])
+    fmt = ["t%d"] + ["%.4f"] * (n_features + 1)
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def _train_peak_mb(tmp_path, n_rows):
+    path = tmp_path / f"rows{n_rows}.csv"
+    _write_panel(path, n_rows)
+    env = dict(os.environ, PYTHONPATH=str(_SRC), TASKREG_NUM_THREADS="1")
+    argv = [sys.executable, "-c", _MEASURE, "-m", "taskreg.cli", "train", str(path),
+            "--model", "mtl", "--out", str(tmp_path / "model.json")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    code, peak_kib = result.stdout.split()[-2:]
+    assert code == "0", result.stderr
+    return int(peak_kib) / 1024.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_train_peak_memory_does_not_grow_with_rows(tmp_path):
+    small = _train_peak_mb(tmp_path, 3_000)
+    large = _train_peak_mb(tmp_path, 12_000)
+    assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
