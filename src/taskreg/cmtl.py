@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, check_model_axes
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
 _SYMMETRY_TOL = 1e-10
@@ -126,6 +126,7 @@ class ClusteredModel:
         t, j = w.shape
         if len(self.task_labels) != t or len(self.feature_names) != j:
             raise ValueError("weights shape inconsistent with names/labels")
+        check_model_axes(self.task_labels, self.feature_names, self.scaling)
         if self.cluster_matrix.n_tasks != t:
             raise ValueError("cluster matrix size does not match task count")
         assignments = tuple(int(a) for a in self.assignments)

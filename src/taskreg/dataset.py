@@ -14,10 +14,11 @@ least-squares fit needs of the rows.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,11 +29,36 @@ from .errors import DegenerateTaskError, ParseError, SchemaError
 # per-chunk overhead of np.loadtxt and the QR updates shrinks.
 _CHUNK_LINES = 512
 
+# Rows write_csv formats at a time. Each distinct double of a block is
+# formatted once; a larger block finds more repeats but holds more
+# strings (128 rows of 90 features add about 1 MB to peak memory).
+_WRITE_BLOCK_ROWS = 128
+
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _value_eq(self, other):
+    """``==`` for the dataclasses below: arrays by ``np.array_equal``, the rest by ``==``.
+
+    Fields declared with ``compare=False`` are left out.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare
+    )
 
 
 @dataclass(frozen=True)
@@ -42,6 +68,8 @@ class TaskData:
     label: str
     X: np.ndarray
     Y: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         x = _frozen_array(self.X)
@@ -76,7 +104,9 @@ class MultiTaskDataset:
 
     tasks: tuple[TaskData, ...]
     feature_names: tuple[str, ...]
-    dropped_rows: int = 0
+    dropped_rows: int = field(default=0, compare=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         tasks = tuple(self.tasks)
@@ -129,6 +159,8 @@ class ScalingParams:
     feature_max: np.ndarray
     outcome_min: float | None = None
     outcome_max: float | None = None
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         lo = _frozen_array(self.feature_min)
@@ -189,6 +221,24 @@ class ScalingParams:
         return y * (self.outcome_max - self.outcome_min) + self.outcome_min
 
 
+def check_model_axes(task_labels, feature_names, scaling: ScalingParams | None) -> None:
+    """Raise ValueError unless a model's labels and names are unique and its scaling fits them.
+
+    Fitted models call this when they are built, so a model file that
+    breaks it does not load.
+    """
+    for what, names in (("task labels", task_labels), ("feature names", feature_names)):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ValueError(f"{what} must be unique, {name!r} repeats")
+            seen.add(name)
+    if scaling is not None and scaling.n_features != len(feature_names):
+        raise ValueError(
+            f"scaling covers {scaling.n_features} features, the model has {len(feature_names)}"
+        )
+
+
 def _augmented(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The rows [X | 1 | y] whose R factor :class:`TaskFactors` keeps."""
     return np.column_stack([x, np.ones(y.shape[0]), y])
@@ -221,7 +271,9 @@ class TaskFactors:
     feature_max: np.ndarray
     outcome_min: float
     outcome_max: float
-    dropped_rows: int = 0
+    dropped_rows: int = field(default=0, compare=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         labels = tuple(self.task_labels)
@@ -686,6 +738,8 @@ def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str)
     """Write a dataset back to CSV (task column first, outcome last).
 
     Floats are written with repr so a write/load round trip is exact.
+    Rows go out in blocks of :data:`_WRITE_BLOCK_ROWS`; the bytes are those
+    of writing each row with ``csv.writer``.
     """
     if task_column in ds.feature_names or outcome_column in ds.feature_names:
         raise ValueError("task/outcome column names collide with feature names")
@@ -693,7 +747,27 @@ def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([task_column, *ds.feature_names, outcome_column])
         for t in ds.tasks:
-            for i in range(t.n):
-                writer.writerow(
-                    [t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))]
-                )
+            prefix = _label_prefix(t.label)
+            for start in range(0, t.n, _WRITE_BLOCK_ROWS):
+                rows = slice(start, start + _WRITE_BLOCK_ROWS)
+                fh.write(_format_rows(prefix, np.column_stack([t.X[rows], t.Y[rows]])))
+
+
+def _label_prefix(label: str) -> str:
+    """The start of a row as ``csv.writer`` writes it: the label, quoted as needed, and a comma."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[:-1]
+
+
+def _format_rows(prefix: str, block: np.ndarray) -> str:
+    """CSV lines for the rows of ``block``, each after ``prefix``, as ``csv.writer`` writes them.
+
+    Each distinct double is formatted by ``repr`` once, told apart by its
+    bits so that -0.0 and 0.0 stay distinct. No cell needs quoting: a float
+    repr holds no comma, quote or line break.
+    """
+    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    rows = text[inverse].reshape(block.shape).tolist()
+    return prefix + ("\n" + prefix).join(map(",".join, rows)) + "\n"

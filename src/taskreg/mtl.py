@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, check_model_axes
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
 
@@ -114,6 +114,7 @@ class MtlModel:
                 f"weights shape {w.shape} inconsistent with {len(self.task_labels)} "
                 f"labels / {len(self.feature_names)} feature names"
             )
+        check_model_axes(self.task_labels, self.feature_names, self.scaling)
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         w.setflags(write=False)

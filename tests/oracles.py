@@ -13,9 +13,13 @@ evidence rather than tautology:
 - ``dykstra_spectral_project``: Dykstra's alternating projections onto
   the trace hyperplane and the eigenvalue box, run entirely in matrix
   space.
+- ``write_csv_rows``: the CSV writer one ``csv.writer`` row at a time,
+  every cell formatted on its own.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -144,3 +148,15 @@ def dykstra_spectral_project(a: np.ndarray, k: int, iters: int = 2000) -> np.nda
         if moved < 1e-13:
             break
     return x
+
+
+def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
+    """Write a dataset as CSV one ``csv.writer`` row at a time, each cell by ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([task_column, *ds.feature_names, outcome_column])
+        for t in ds.tasks:
+            for i in range(t.n):
+                writer.writerow(
+                    [t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))]
+                )

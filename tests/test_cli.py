@@ -410,3 +410,45 @@ def test_train_converged_fit_writes_nothing_to_stderr(tmp_path, capsys):
     assert code == 0
     assert "converged=True" in captured.out
     assert captured.err == ""
+
+
+def _repeat_first(names):
+    return [names[0], names[0], *names[2:]]
+
+
+def _narrow_scaling(scaling):
+    return {**scaling, "feature_min": scaling["feature_min"][:-1],
+            "feature_max": scaling["feature_max"][:-1]}
+
+
+_INCONSISTENT_MODELS = [
+    ("feature_names", _repeat_first, "feature names must be unique, 'f0' repeats"),
+    ("task_labels", _repeat_first, "task labels must be unique, 'task0' repeats"),
+    ("scaling", _narrow_scaling, "scaling covers 4 features, the model has 5"),
+]
+
+
+@pytest.mark.parametrize("command", ["riskfactors", "evaluate"])
+@pytest.mark.parametrize("model_args", [("mtl",), ("cmtl", "--k", "2")], ids=["mtl", "cmtl"])
+@pytest.mark.parametrize(
+    "key, corrupt, message", _INCONSISTENT_MODELS, ids=[c[0] for c in _INCONSISTENT_MODELS]
+)
+def test_inconsistent_model_json_is_an_error(
+    tmp_path, capsys, command, model_args, key, corrupt, message
+):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", *model_args)
+    data = json.loads(model.read_text())
+    data[key] = corrupt(data[key])
+    model.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    if command == "riskfactors":
+        argv = ["riskfactors", "--model", str(model), "--out-json", str(tmp_path / "rf.json"),
+                "--out-csv", str(out)]
+    else:
+        argv = ["evaluate", str(test), "--model", str(model), "--out", str(out)]
+    code = cli.main(argv)
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert code == 2
+    assert not out.exists()

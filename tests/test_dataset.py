@@ -19,7 +19,8 @@ from taskreg import (
     stratified_split,
     write_csv,
 )
-from taskreg import dataset
+from oracles import write_csv_rows
+from taskreg import cli, dataset
 from taskreg.dataset import TaskFactors, _load_cells, _load_table, _stream_factors
 
 
@@ -495,3 +496,116 @@ def test_factor_scaling_matches_minmax_scale(scale_outcome):
     assert scaled.outcome_max == pytest.approx(ref.outcome_max, abs=1e-15)
     for a, b in zip(scaled.factors, ref.factors):
         np.testing.assert_allclose(_gram(a), _gram(b), rtol=0, atol=1e-12 * np.abs(_gram(b)).max())
+
+
+def _copied(ds, *, dropped_rows):
+    tasks = tuple(TaskData(label=t.label, X=t.X.copy(), Y=t.Y.copy()) for t in ds.tasks)
+    return MultiTaskDataset(tasks=tasks, feature_names=ds.feature_names, dropped_rows=dropped_rows)
+
+
+def test_dataset_types_compare_by_value():
+    ds = _split_ds(5)
+    same = _copied(ds, dropped_rows=7)
+    assert same == ds  # dropped_rows is not part of the value
+    assert not same != ds
+    assert same.tasks[1] == ds.tasks[1]
+    assert ds.tasks[0] != ds.tasks[1]
+    t = ds.tasks[0]
+    assert t != TaskData(label=t.label, X=t.X, Y=t.Y + 1.0)
+    assert t != TaskData(label="other", X=t.X, Y=t.Y)
+    assert ds != MultiTaskDataset(tasks=ds.tasks[:2], feature_names=ds.feature_names)
+    assert ds != MultiTaskDataset(tasks=ds.tasks, feature_names=("a", "b", "z"))
+    assert ds != "not a dataset" and t != ds
+
+    assert TaskFactors.from_dataset(same) == TaskFactors.from_dataset(ds)
+    scaled, params = minmax_scale(ds, scale_outcome=True)
+    assert TaskFactors.from_dataset(scaled) != TaskFactors.from_dataset(ds)
+    _, params_again = TaskFactors.from_dataset(ds).minmax_scaled(scale_outcome=True)
+    assert params_again == params
+    assert params != ScalingParams(feature_min=params.feature_min, feature_max=params.feature_max)
+    wider = ScalingParams(feature_min=params.feature_min, feature_max=params.feature_max + 1.0)
+    assert wider != ScalingParams(feature_min=params.feature_min, feature_max=params.feature_max)
+
+
+_WRITER_LABELS = ("", "a,b", 'q"t', "x\ny", "cr\r", " sp ", "é")
+_WRITER_VALUES = (
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 1e16,
+    9007199254740993.0, -1.5e300, 3.0, -42.0, 0.1,
+)
+
+
+# csv.writer leaves a lone CR unquoted under the "\n" line terminator, and
+# a reader takes it for a line end, so this label does not load back.
+_UNREADABLE_LABEL = "cr\r"
+
+
+def _writer_panel(seed=0, sizes=(1, 127, 128, 129, 1000, 128, 129), labels=_WRITER_LABELS):
+    """Tasks named by awkward labels, sized around the writer's block, with edge-case cells.
+
+    Column f0 repeats the edge values, f1 is all distinct, f2 holds
+    integral floats and f3 signed zeros; the outcome is all distinct.
+    """
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for label, n in zip(labels, sizes):
+        x = np.column_stack([
+            rng.choice(_WRITER_VALUES, size=n),
+            rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n),
+            rng.integers(-5, 6, size=n).astype(float),
+            np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        ])
+        tasks.append(TaskData(label=label, X=x, Y=rng.normal(size=n) * 1e3))
+    return MultiTaskDataset(tasks=tuple(tasks), feature_names=("f0", "f1", "f2", "f3"))
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block1", "block7", "default"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_write_csv_matches_row_writer(tmp_path, monkeypatch, seed, block):
+    if block is None:
+        assert dataset._WRITE_BLOCK_ROWS == 128  # the panel's task sizes straddle it
+    else:
+        monkeypatch.setattr(dataset, "_WRITE_BLOCK_ROWS", block)
+    ds = _writer_panel(seed)
+    write_csv(ds, tmp_path / "blocks.csv", "task", "outcome")
+    write_csv_rows(ds, tmp_path / "rows.csv", "task", "outcome")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _readable_panel(seed=0, sizes=(1, 127, 128, 129, 1000, 128)):
+    labels = tuple(x for x in _WRITER_LABELS if x != _UNREADABLE_LABEL)
+    return _writer_panel(seed, sizes, labels)
+
+
+def test_write_csv_round_trip_equals_dataset(tmp_path):
+    ds = _readable_panel()
+    path = tmp_path / "round.csv"
+    write_csv(ds, path, "task", "outcome")
+    back = load_csv(path, "task", "outcome")
+    assert back == ds
+    # The bits survive too, -0.0 included, which np.array_equal does not check.
+    for a, b in zip(ds.tasks, back.tasks):
+        assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+
+
+def test_write_csv_rejects_colliding_columns(tmp_path):
+    with pytest.raises(ValueError, match="collide"):
+        write_csv(_writer_panel(), tmp_path / "x.csv", "f1", "outcome")
+
+
+@pytest.mark.parametrize("scale", [(), ("--scale-full", "--scale-outcome")], ids=["raw", "scaled"])
+def test_split_writes_row_writer_bytes(tmp_path, scale):
+    source = tmp_path / "panel.csv"
+    # A 0.6 split of these sizes gives sides of 1, 127, 128, 129 and 128 rows, and more.
+    write_csv_rows(_readable_panel(2, (2, 212, 213, 215, 1000, 320)), source, "task", "outcome")
+    out = {name: tmp_path / f"{name}.csv" for name in ("train", "test")}
+    argv = ["split", str(source), "--seed", "5", "--train-out", str(out["train"]),
+            "--test-out", str(out["test"]), "--manifest", str(tmp_path / "m.json"), *scale]
+    assert cli.main(argv) == 0
+    ds = load_csv(source, "task", "outcome")
+    if scale:
+        ds, _ = minmax_scale(ds, scale_outcome=True)
+    sides = dict(zip(("train", "test"), stratified_split(ds, 0.6, seed=5)))
+    for name, side in sides.items():
+        expected = tmp_path / f"expected_{name}.csv"
+        write_csv_rows(side, expected, "task", "outcome")
+        assert out[name].read_bytes() == expected.read_bytes()
