@@ -68,12 +68,13 @@ class MaeReport:
             raise ValueError("per_task and counts must cover the same tasks")
 
 
-def _penalty_value(w: np.ndarray, penalty: str, lam: float) -> float:
+def _penalty_value(w: np.ndarray, penalty: str, lam: float) -> np.ndarray:
+    """The penalty of each weight vector along the last axis of w."""
     if penalty == "ridge":
-        return lam * float(w @ w)
+        return lam * np.einsum("...j,...j->...", w, w)
     if penalty == "lasso":
-        return lam * float(np.abs(w).sum())
-    return 0.0
+        return lam * np.abs(w).sum(axis=-1)
+    return np.zeros(w.shape[:-1])
 
 
 def _make_prox(penalty: str, lam: float):
@@ -95,32 +96,36 @@ def _make_prox(penalty: str, lam: float):
     return prox
 
 
-def _fit_single(r: np.ndarray, spec: StlSpec, cfg: SolverConfig | None):
-    """One least-squares fit with the requested penalty; returns (w, trace).
+def _stl_problem(r: np.ndarray, spec: StlSpec) -> ProximalProblem:
+    """Penalized least squares on an R factor [A | b] of the rows [X | y].
 
-    ``r`` is an R factor [A | b] of the rows [X | y]; ||Xw - y|| = ||Aw - b||.
+    ||Xw - y|| = ||Aw - b||. ``r`` is one factor, fitted by one weight
+    vector, or a (T, rows, width) stack of them
+    (:meth:`TaskFactors.design_stack`), fitted by a (T, width - 1) weight
+    matrix as T blocks of one solve: each value is then a vector over the
+    tasks and each value or gradient one batched matmul.
     """
-    x, y = r[:, :-1], r[:, -1]
-    n_features = x.shape[1]
-    penalty_prox = _make_prox(spec.penalty, spec.lam)
+    a, b = r[..., :-1], r[..., -1]
+
+    def residual(w):
+        return np.matmul(a, w[..., None])[..., 0] - b
 
     def smooth_value(w):
-        r = x @ w - y
-        return 0.5 * float(r @ r)
+        res = residual(w)
+        return 0.5 * np.einsum("...i,...i->...", res, res)
 
     def smooth_grad(w):
-        return x.T @ (x @ w - y)
+        return np.matmul(residual(w)[..., None, :], a)[..., 0, :]
 
     def full_objective(w):
         return smooth_value(w) + _penalty_value(w, spec.penalty, spec.lam)
 
-    problem = ProximalProblem(
+    return ProximalProblem(
         smooth_value=smooth_value,
         smooth_grad=smooth_grad,
-        prox=penalty_prox,
+        prox=_make_prox(spec.penalty, spec.lam),
         full_objective=full_objective,
     )
-    return solve(problem, np.zeros(n_features), cfg)
 
 
 def fit_stl(
@@ -134,9 +139,13 @@ def fit_stl(
     """Fit a single-task baseline and return it as a weight-matrix model.
 
     Global setting: all tasks' rows are pooled, one weight vector is
-    fitted and copied to every task row. Individual setting: each task
-    is fitted on its own data with no coupling. The trace is a single
-    solver trace for global fits and one per task for individual fits.
+    fitted and copied to every task row, and the trace is one solver
+    trace. Individual setting: each task is fitted on its own data with
+    no coupling. All tasks run as the blocks of one blocked solve on the
+    zero-padded stack of their R factors; each keeps its own step size
+    and stopping test, so it takes the iterations its own solve would.
+    The trace is then a :class:`~taskreg.fista.BlockTraces`, one trace
+    per task.
 
     Like :func:`taskreg.mtl.fit_mtl`, the fits run on each task's R factor,
     and the pooled fit on the R factor of the stacked task factors.
@@ -145,14 +154,15 @@ def fit_stl(
     """
     factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
-    design = factors.design(intercept=fit_intercept)
     if spec.setting == "global":
-        w, trace = _fit_single(np.linalg.qr(np.vstack(design), mode="r"), spec, cfg)
+        r = np.linalg.qr(np.vstack(factors.design(intercept=fit_intercept)), mode="r")
+        w, trace = solve(_stl_problem(r, spec), np.zeros(r.shape[1] - 1), cfg)
         weights_full = np.tile(w, (n_tasks, 1))
     else:
-        fits = [_fit_single(r, spec, cfg) for r in design]
-        weights_full = np.array([w for w, _ in fits])
-        trace = tuple(tr for _, tr in fits)
+        r = factors.design_stack(intercept=fit_intercept)
+        weights_full, trace = solve(
+            _stl_problem(r, spec), np.zeros((n_tasks, r.shape[2] - 1)), cfg
+        )
 
     if fit_intercept:
         weights, intercept = weights_full[:, :n_features], weights_full[:, n_features]

@@ -23,6 +23,8 @@ from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 _SYMMETRY_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-8
 _TRACE_TOL = 1e-8
+# The smooth part is +inf unless every eigenvalue of eta*I + C exceeds this.
+_PD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,24 @@ class RelaxedClusterMatrix:
         m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"cluster matrix must be square, got shape {m.shape}")
+        self._settle(m)
+
+    @classmethod
+    def _from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray, k: int) -> "RelaxedClusterMatrix":
+        """The matrix with eigenpairs (eigs, vecs), for eigenpairs already known.
+
+        The checks are those of construction, but the box is checked on
+        ``eigs`` and the trace on the rebuilt matrix, with no new ``eigh``;
+        ``spectrum`` is (eigs, vecs), which holds up to roundoff.
+        """
+        c = (vecs * eigs) @ vecs.T
+        out = object.__new__(cls)
+        object.__setattr__(out, "k", k)
+        out._settle(0.5 * (c + c.T), (eigs, vecs))
+        return out
+
+    def _settle(self, m: np.ndarray, spectrum=None) -> None:
+        """Validate the square matrix m, then store it and its spectrum read-only."""
         t = m.shape[0]
         if not 1 <= self.k <= t:
             raise ValueError(f"k must be in [1, {t}], got {self.k}")
@@ -88,7 +108,7 @@ class RelaxedClusterMatrix:
         trace_err = abs(float(np.trace(m)) - self.k)
         if trace_err > _TRACE_TOL:
             raise ValueError(f"trace differs from k={self.k} by {trace_err:.3g}")
-        eigs, vecs = np.linalg.eigh(0.5 * (m + m.T))
+        eigs, vecs = np.linalg.eigh(0.5 * (m + m.T)) if spectrum is None else spectrum
         if eigs.min() < -_EIGENVALUE_TOL or eigs.max() > 1.0 + _EIGENVALUE_TOL:
             raise ValueError(
                 f"eigenvalues [{eigs.min():.3g}, {eigs.max():.3g}] leave [0, 1]"
@@ -162,16 +182,10 @@ def _as_matrix(c) -> np.ndarray:
     return np.asarray(c, dtype=np.float64)
 
 
-def _coupling_eig(c: np.ndarray, eta: float):
-    """Eigendecomposition of eta*I + sym(C); eigenvalues clipped check."""
-    sym = 0.5 * (c + c.T)
-    vals, vecs = np.linalg.eigh(sym)
-    return vals + eta, vecs
-
-
 def _coupling_solve(c: np.ndarray, eta: float, rhs: np.ndarray) -> np.ndarray:
     """(eta*I + C)^{-1} @ rhs via the symmetric eigendecomposition."""
-    vals, vecs = _coupling_eig(c, eta)
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    vals = vals + eta
     if vals.min() <= 0:
         raise ValueError(
             f"eta*I + C is not positive definite (min eigenvalue {vals.min():.3g})"
@@ -289,7 +303,8 @@ def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
     """Project a symmetric matrix onto the relaxed cluster feasible set.
 
     Symmetrizes, eigendecomposes, projects the spectrum onto the capped
-    simplex, and rebuilds with the same eigenvectors.
+    simplex, and rebuilds with the same eigenvectors. The result is
+    checked on the projected eigenvalues, without decomposing it again.
     """
     g_c = np.asarray(g_c, dtype=np.float64)
     if g_c.ndim != 2 or g_c.shape[0] != g_c.shape[1]:
@@ -299,9 +314,16 @@ def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
         raise ValueError(f"k must be in [1, {t - 1}], got {k}")
     sym = 0.5 * (g_c + g_c.T)
     vals, vecs = np.linalg.eigh(sym)
-    projected = capped_simplex_project(vals, k)
-    c = (vecs * projected) @ vecs.T
-    return RelaxedClusterMatrix(matrix=0.5 * (c + c.T), k=k)
+    return RelaxedClusterMatrix._from_spectrum(capped_simplex_project(vals, k), vecs, k)
+
+
+def _is_positive_definite(m: np.ndarray) -> bool:
+    """Whether the symmetric matrix m has a Cholesky factorization."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class _SmoothPart:
@@ -310,25 +332,24 @@ class _SmoothPart:
     Each task's data enters through its design factor R_t of [X_t | y_t]
     (:meth:`TaskFactors.design`), since ||X_t w - y_t|| = ||R_t [w; -1]||.
     The factors are stacked with zero rows as padding into one
-    (T, min(max n_t, J+1), J+1) array, so the data term of a value or a
-    gradient is one batched matmul; it is divided by the true row counts
-    n_t, which the factors' shapes do not show.
+    (T, min(max n_t, J+1), J+1) array (:meth:`TaskFactors.design_stack`),
+    so the data term of a value or a gradient is one batched matmul; it
+    is divided by the true row counts n_t, which the factors' shapes do
+    not show.
 
-    The last evaluated point is remembered by value (a stored copy
-    compared with ``np.array_equal``), with its value, (eta*I + C)^{-1} W
-    and per-task residuals, so a gradient or objective at that point
-    reuses them. ``seed_spectrum`` hands over the eigenpairs a
-    :class:`RelaxedClusterMatrix` computed to validate itself; a point
-    whose C block is that matrix uses them instead of a new ``eigh``.
+    The value is +inf unless every eigenvalue of eta*I + C exceeds
+    ``_PD_FLOOR``. The last evaluated point is remembered by value (a
+    stored copy compared with ``np.array_equal``), with its value,
+    (eta*I + C)^{-1} W and per-task residuals, so a gradient or objective
+    at that point reuses them. ``seed_spectrum`` hands over the eigenpairs
+    of a projected :class:`RelaxedClusterMatrix`; a point whose C block is
+    that matrix uses them. Any other point, such as a momentum search
+    point, tests the floor with a Cholesky factorization and solves with
+    ``np.linalg.solve``, so the fit decomposes nothing but projections.
     """
 
     def __init__(self, factors: TaskFactors, params: CmtlParams):
-        design = factors.design(intercept=False)
-        rows = max(r_t.shape[0] for r_t in design)
-        r = np.zeros((factors.n_tasks, rows, factors.n_features + 1))
-        for t, r_t in enumerate(design):
-            r[t, : r_t.shape[0]] = r_t
-        self._r = r
+        self._r = factors.design_stack(intercept=False)
         self._counts = np.array(factors.counts, dtype=np.float64)
         self._n_features = factors.n_features
         self._eta = params.eta
@@ -348,12 +369,15 @@ class _SmoothPart:
         spectrum = self._spectrum
         if spectrum is not None and np.array_equal(c, spectrum[0]):
             vals, vecs = spectrum[1] + self._eta, spectrum[2]
+            positive = vals.min() > _PD_FLOOR
+            solved = vecs @ ((vecs.T @ w) / vals[:, None])
         else:
-            vals, vecs = _coupling_eig(c, self._eta)
-        solved = vecs @ ((vecs.T @ w) / vals[:, None])
+            sym, eye = 0.5 * (c + c.T), np.eye(c.shape[0])
+            positive = _is_positive_definite(sym + (self._eta - _PD_FLOOR) * eye)
+            solved = np.linalg.solve(sym + self._eta * eye, w) if positive else None
         augmented = np.column_stack([w, np.full(w.shape[0], -1.0)])
         resid = np.matmul(self._r, augmented[:, :, None])[:, :, 0]
-        if vals.min() <= 1e-12:
+        if not positive:
             value = math.inf
         else:
             value = self._coupling * float(np.vdot(w, solved))

@@ -385,6 +385,18 @@ class TaskFactors:
         keep = [*range(self.n_features), self.n_features + 1]
         return tuple(np.linalg.qr(r[:, keep], mode="r") for r in self.factors)
 
+    def design_stack(self, *, intercept: bool) -> np.ndarray:
+        """:meth:`design` as one (T, rows, width) array for batched matmuls.
+
+        ``rows`` is the tallest factor's; shorter factors are padded with zero
+        rows, which leave every residual norm ||R_t [w; -1]|| unchanged.
+        """
+        design = self.design(intercept=intercept)
+        stack = np.zeros((len(design), max(r.shape[0] for r in design), design[0].shape[1]))
+        for t, r in enumerate(design):
+            stack[t, : r.shape[0]] = r
+        return stack
+
 
 def as_factors(data: MultiTaskDataset | TaskFactors) -> TaskFactors:
     """``data`` as :class:`TaskFactors`, built with ``from_dataset`` when it is rows."""
@@ -739,25 +751,29 @@ def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str)
 
     Floats are written with repr so a write/load round trip is exact.
     Rows go out in blocks of :data:`_WRITE_BLOCK_ROWS`; the bytes are those
-    of writing each row with ``csv.writer``.
+    of writing each row with ``csv.writer`` (see :func:`_csv_line`).
     """
     if task_column in ds.feature_names or outcome_column in ds.feature_names:
         raise ValueError("task/outcome column names collide with feature names")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([task_column, *ds.feature_names, outcome_column])
+        fh.write(_csv_line([task_column, *ds.feature_names, outcome_column]))
         for t in ds.tasks:
-            prefix = _label_prefix(t.label)
+            prefix = _csv_line([t.label, ""])[:-1]
             for start in range(0, t.n, _WRITE_BLOCK_ROWS):
                 rows = slice(start, start + _WRITE_BLOCK_ROWS)
                 fh.write(_format_rows(prefix, np.column_stack([t.X[rows], t.Y[rows]])))
 
 
-def _label_prefix(label: str) -> str:
-    """The start of a row as ``csv.writer`` writes it: the label, quoted as needed, and a comma."""
+def _csv_line(cells) -> str:
+    """One CSV line as ``csv.writer`` writes it, ending in "\\n".
+
+    Under a "\\n" terminator ``csv.writer`` leaves a field with a lone CR
+    unquoted, and a reader takes that CR for a line end; writing with a
+    "\\r\\n" terminator quotes it too, and only the terminator is swapped back.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([label, ""])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def _format_rows(prefix: str, block: np.ndarray) -> str:

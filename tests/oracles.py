@@ -20,6 +20,7 @@ evidence rather than tautology:
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -151,12 +152,19 @@ def dykstra_spectral_project(a: np.ndarray, k: int, iters: int = 2000) -> np.nda
 
 
 def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
-    """Write a dataset as CSV one ``csv.writer`` row at a time, each cell by ``repr``."""
+    """Write a dataset as CSV one ``csv.writer`` row at a time, each cell by ``repr``.
+
+    Rows are written under a "\\r\\n" terminator, so that a field holding a
+    CR is quoted, and each line then ends in "\\n" instead.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([task_column, *ds.feature_names, outcome_column])
+
+        def writerow(cells):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(cells)
+            fh.write(buf.getvalue().removesuffix("\r\n") + "\n")
+
+        writerow([task_column, *ds.feature_names, outcome_column])
         for t in ds.tasks:
             for i in range(t.n):
-                writer.writerow(
-                    [t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))]
-                )
+                writerow([t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))])

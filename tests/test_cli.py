@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from taskreg import cli
+from taskreg.dataset import load_csv
 from taskreg.serialize import load_model
 
 
@@ -82,6 +83,16 @@ def _train(tmp_path, train_csv, out_name, *extra):
     argv = ["train", str(train_csv), "--out", str(out), "--max-iters", "400", *extra]
     assert cli.main(argv) == 0
     return out
+
+
+def test_split_output_with_lone_cr_label_trains(tmp_path):
+    # A quoted label holding a lone CR loads; split must write it so that it loads again.
+    source = _write_csv(tmp_path / "data.csv")
+    source.write_text(source.read_text().replace("task1,", '"cr\r",'), encoding="utf-8")
+    train, test, _ = _split(tmp_path, source)
+    for side in (train, test):
+        assert load_csv(side, "task", "outcome").task_labels == ("task0", "cr\r", "task2")
+    _train(tmp_path, train, "mtl.json", "--model", "mtl", "--lambda", "0.05")
 
 
 def test_train_each_model_kind(tmp_path):

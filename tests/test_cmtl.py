@@ -585,3 +585,73 @@ def test_smooth_part_compares_points_by_value():
         assert smooth.value(z) != before
         assert smooth.value(z) == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(smooth.grad(z)[:, :3], grad_w, rtol=1e-10, atol=1e-12)
+
+
+def test_projection_keeps_a_spectrum_of_its_matrix():
+    # The projection checks and stores its own eigenpairs; they must be those
+    # a validating construction of the same matrix finds, up to roundoff.
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        t = int(rng.integers(2, 9))
+        k = int(rng.integers(1, t))
+        out = project_spectral(rng.normal(scale=2.0, size=(t, t)), k)
+        eigs, vecs = out.spectrum
+        assert not eigs.flags.writeable and not vecs.flags.writeable
+        np.testing.assert_allclose((vecs * eigs) @ vecs.T, out.matrix, rtol=0, atol=1e-13)
+        again = RelaxedClusterMatrix(matrix=out.matrix, k=k)
+        np.testing.assert_allclose(eigs, again.spectrum[0], rtol=0, atol=1e-13)
+
+
+def test_relaxed_cluster_matrix_from_spectrum_checks_box_and_trace():
+    vecs = np.linalg.qr(np.random.default_rng(63).normal(size=(3, 3)))[0]
+    with pytest.raises(ValueError, match="eigenvalue"):
+        RelaxedClusterMatrix._from_spectrum(np.array([-0.5, 0.0, 1.5]), vecs, 1)
+    with pytest.raises(ValueError, match="trace"):
+        RelaxedClusterMatrix._from_spectrum(np.array([0.0, 0.5, 0.9]), vecs, 1)
+
+
+@pytest.mark.parametrize("min_eig, finite", [(1e-13, False), (1e-11, True)])
+def test_smooth_part_is_inf_unless_coupling_is_positive_definite(min_eig, finite):
+    rng = np.random.default_rng(64)
+    ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
+    factors = TaskFactors.from_dataset(ds)
+    w = rng.normal(size=(4, 3))
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+
+    # A point no projection produced: the Cholesky test decides.
+    params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
+    c = (q * np.array([min_eig - params.eta, 0.3, 0.5, 0.9])) @ q.T
+    value = _SmoothPart(factors, params).value(np.hstack([w, 0.5 * (c + c.T)]))
+    assert math.isfinite(value) == finite
+
+    # A projected point: its own eigenvalues decide. With eta = min_eig and a
+    # zero eigenvalue of C, min eig(eta*I + C) is min_eig.
+    params = CmtlParams(rho1=1.0, rho2=min_eig, k=2)
+    cluster = RelaxedClusterMatrix._from_spectrum(np.array([0.0, 0.4, 0.6, 1.0]), q, 2)
+    smooth = _SmoothPart(factors, params)
+    smooth.seed_spectrum(cluster)
+    assert math.isfinite(smooth.value(np.hstack([w, cluster.matrix]))) == finite
+
+
+def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
+    # One eigh per projection, one to validate the fitted C and one to
+    # extract the clusters; search points and the start point take none.
+    from taskreg import cmtl
+
+    counts = {"eigh": 0, "project": 0}
+    eigh, project = np.linalg.eigh, cmtl.project_spectral
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(cmtl, "project_spectral", counted("project", project))
+    ds = _ragged_dataset(np.random.default_rng(65), (5, 13, 40, 30, 8, 20), 6)
+    model = fit_cmtl(ds, CmtlParams(rho1=0.2, rho2=0.3, k=2), SolverConfig(max_iters=200))
+    assert model.trace.iterations > 10
+    assert counts["project"] >= model.trace.iterations
+    assert counts["eigh"] == counts["project"] + 2

@@ -535,7 +535,8 @@ _WRITER_VALUES = (
 
 
 # csv.writer leaves a lone CR unquoted under the "\n" line terminator, and
-# a reader takes it for a line end, so this label does not load back.
+# a reader takes it for a line end; write_csv quotes it, and the panels
+# below that load their output back leave it out.
 _UNREADABLE_LABEL = "cr\r"
 
 

@@ -116,6 +116,46 @@ def test_stl_matches_row_solve(setting, penalty, lam):
     np.testing.assert_allclose(model.weights, ref, rtol=0, atol=ATOL)
 
 
+def _row_solve(task_ds, penalty, lam, cfg):
+    """One task's own fista.solve on its rows, as (w, trace)."""
+    value, prox = _STL_PENALTIES[penalty]
+    problem = ProximalProblem(
+        smooth_value=lambda w: loss(w, task_ds),
+        smooth_grad=lambda w: grad_loss(w, task_ds),
+        prox=lambda h, step: prox(h, step, lam),
+        full_objective=lambda w: loss(w, task_ds) + value(w, lam),
+    )
+    w, trace = solve(problem, np.zeros((1, task_ds.n_features)), cfg)
+    return w[0], trace
+
+
+@pytest.mark.parametrize("momentum", ["delayed", "standard", "none"])
+@pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("ridge", 0.2), ("lasso", 0.2)])
+def test_blocked_individual_stl_matches_one_solve_per_task(penalty, lam, intercept, momentum):
+    # Tasks of 3 and 5 rows have R factors shorter than the padded stack's J+1 or J+2 rows.
+    ds = _ragged(5, sizes=(3, 40, 5, 250, 9))
+    cfg = SolverConfig(max_iters=5000, rel_tol=1e-9, momentum=momentum)
+    model = fit_stl(ds, StlSpec(setting="individual", penalty=penalty, lam=lam), cfg,
+                    fit_intercept=intercept)
+    rows = _with_ones(ds) if intercept else ds
+    assert len(model.trace) == ds.n_tasks
+    for t, task in enumerate(rows.tasks):
+        w, trace = _row_solve(_dataset([task.X], [task.Y]), penalty, lam, cfg)
+        fitted = model.weights[t]
+        if intercept:
+            fitted = np.append(fitted, model.intercept[t])
+        np.testing.assert_allclose(fitted, w, rtol=0, atol=1e-10)
+        blocked = model.trace[t]
+        assert (blocked.iterations, blocked.converged) == (trace.iterations, trace.converged)
+        # Relative on the stopping test's scale max(1, |F|): an unpenalized task
+        # of n_t <= J rows interpolates, F tends to 0, and the factor form
+        # computes it with an absolute error of order eps * ||y||^2.
+        f_blocked, f_rows = blocked.objective_per_iter[-1], trace.objective_per_iter[-1]
+        assert abs(f_blocked - f_rows) <= 1e-12 * max(1.0, abs(f_rows))
+    assert model.trace.iterations == sum(t.iterations for t in model.trace)
+
+
 def _write_panel(path, ds):
     """The rows as a CSV with features in [2, 9] and outcomes near 50."""
     lines = ["task," + ",".join(ds.feature_names) + ",outcome"]

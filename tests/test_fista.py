@@ -1,5 +1,6 @@
 """Solver loop: surrogate, line search, momentum, and stopping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from taskreg.errors import DivergenceError, LineSearchError
 from taskreg.fista import (
+    BlockTraces,
     ProximalProblem,
     SolverConfig,
+    SolveTrace,
     backtracking_step,
     solve,
     surrogate_q,
@@ -310,3 +313,151 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite and .*, got {value}$"):
         SolverConfig(**{field: value})
+
+
+def _blocked_quadratic(curvatures, targets):
+    """Row b: L_b(x) = (c_b/2) * ||x - t_b||^2, no nonsmooth part; one value per row."""
+    c = np.asarray(curvatures, dtype=float)[:, None]
+    t = np.asarray(targets, dtype=float)
+
+    def value(x):
+        d = x - t
+        return 0.5 * c[:, 0] * (d * d).sum(axis=1)
+
+    return ProximalProblem(
+        smooth_value=value,
+        smooth_grad=lambda x: c * (x - t),
+        prox=_identity_prox,
+        full_objective=value,
+    )
+
+
+def _row_problem(problem, b, n_rows):
+    """Block b of a blocked problem as a one-block problem on a vector."""
+
+    def lift(x):
+        full = np.zeros((n_rows, x.size))
+        full[b] = x
+        return full
+
+    return ProximalProblem(
+        smooth_value=lambda x: float(problem.smooth_value(lift(x))[b]),
+        smooth_grad=lambda x: problem.smooth_grad(lift(x))[b],
+        prox=lambda h, step: problem.prox(lift(h), step)[b],
+        full_objective=lambda x: float(problem.full_objective(lift(x))[b]),
+    )
+
+
+def _blocked_lasso(seed, n_blocks, n_features=6, lam=0.4):
+    """One lasso problem per row, each on its own data."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_blocks, 15, n_features)) * rng.uniform(0.5, 4.0, size=(n_blocks, 1, 1))
+    y = rng.normal(size=(n_blocks, 15))
+
+    def resid(w):
+        return np.matmul(a, w[:, :, None])[:, :, 0] - y
+
+    def value(w):
+        r = resid(w)
+        return 0.5 * (r * r).sum(axis=1)
+
+    return ProximalProblem(
+        smooth_value=value,
+        smooth_grad=lambda w: np.matmul(resid(w)[:, None, :], a)[:, 0, :],
+        prox=lambda h, step: np.sign(h) * np.maximum(np.abs(h) - lam * step, 0.0),
+        full_objective=lambda w: value(w) + lam * np.abs(w).sum(axis=1),
+    )
+
+
+def test_blocked_solve_returns_one_trace_per_block():
+    problem = _blocked_lasso(20, n_blocks=3)
+    phi, traces = solve(problem, np.zeros((3, 6)), SolverConfig(max_iters=500, rel_tol=1e-10))
+    assert isinstance(traces, BlockTraces) and len(traces) == 3
+    assert all(isinstance(t, SolveTrace) and t.converged for t in traces)
+    assert traces.iterations == sum(t.iterations for t in traces)
+    assert len({t.iterations for t in traces}) > 1  # the blocks stop at different times
+    assert phi.shape == (3, 6)
+
+
+def test_converged_block_no_longer_moves():
+    # Block 0 is so flat that its objective stops changing, by the relative
+    # test, after one step that leaves it far from its minimum; block 1 goes on.
+    problem = _blocked_quadratic([1e-6, 3.0], [[1.0, -2.0], [0.0, 0.0]])
+    seen = []
+    recorded = dataclasses.replace(
+        problem, full_objective=lambda x: (seen.append(x.copy()), problem.full_objective(x))[1]
+    )
+    phi, traces = solve(recorded, np.array([[0.0, 0.0], [5.0, 4.0]]),
+                        SolverConfig(max_iters=200, rel_tol=1e-9))
+    assert traces[0].iterations == 1 and traces[0].converged
+    assert traces[1].iterations > 10
+    # seen[0] is the start point and seen[l] the iterate accepted in iteration l.
+    stopped = seen[1][0]
+    assert 0 < np.abs(stopped).max() < 1e-5  # one small step, nowhere near (1, -2)
+    for x in seen[2:]:
+        np.testing.assert_array_equal(x[0], stopped)
+    np.testing.assert_array_equal(phi[0], stopped)
+
+
+@pytest.mark.parametrize("momentum", ["delayed", "standard", "none"])
+def test_backtracking_block_leaves_other_gammas_alone(momentum):
+    # Curvatures far apart: from gamma0 = 1 the stiff blocks double their
+    # gamma several times, the flat ones never do.
+    problem = _blocked_lasso(21, n_blocks=4)
+    cfg = SolverConfig(max_iters=400, rel_tol=1e-9, momentum=momentum)
+    phi, traces = solve(problem, np.zeros((4, 6)), cfg)
+    finals = {t.gamma_per_iter[-1] for t in traces}
+    assert len(finals) > 1
+    for b in range(4):
+        w, solo = solve(_row_problem(problem, b, 4), np.zeros(6), cfg)
+        assert traces[b].gamma_per_iter == solo.gamma_per_iter
+        assert (traces[b].iterations, traces[b].converged) == (solo.iterations, solo.converged)
+        np.testing.assert_allclose(traces[b].objective_per_iter, solo.objective_per_iter,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(phi[b], w, rtol=0, atol=1e-12)
+
+
+def test_line_search_error_from_a_blocked_problem():
+    # Block 1's gradient has the wrong sign; block 0 is a plain quadratic.
+    def grad(x):
+        g = 2.0 * x
+        g[1] *= -1.0
+        return g
+
+    value = lambda x: (x * x).sum(axis=1)  # noqa: E731
+    problem = ProximalProblem(value, grad, _identity_prox, value)
+    with pytest.raises(LineSearchError) as exc_info:
+        solve(problem, np.ones((2, 3)), SolverConfig(max_backtracks=30))
+    assert isinstance(exc_info.value.objective_trail, list)
+
+
+def test_divergence_error_from_a_blocked_problem():
+    def smooth(x):
+        return (x * x).sum(axis=1)
+
+    def at_start_inf(x):
+        out = smooth(x)
+        out[1] = np.inf
+        return out
+
+    problem = ProximalProblem(at_start_inf, lambda x: 2.0 * x, _identity_prox, at_start_inf)
+    with pytest.raises(DivergenceError, match="start point"):
+        solve(problem, np.ones((2, 3)))
+
+    # Block 1's full objective turns non-finite at its first iterate.
+    calls = []
+
+    def later_inf(x):
+        calls.append(x)
+        return smooth(x) if len(calls) == 1 else at_start_inf(x)
+
+    problem = ProximalProblem(smooth, lambda x: 2.0 * x, _identity_prox, later_inf)
+    with pytest.raises(DivergenceError, match="iteration 1"):
+        solve(problem, np.ones((2, 3)))
+
+
+def test_blocked_objective_must_have_one_value_per_row():
+    value = lambda x: np.zeros(3)  # noqa: E731
+    problem = ProximalProblem(value, np.zeros_like, _identity_prox, value)
+    with pytest.raises(ValueError, match="one value per row"):
+        solve(problem, np.zeros((2, 3)))
