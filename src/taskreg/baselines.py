@@ -9,7 +9,9 @@ and serialization treat them exactly like the multi-task fits.
 Evaluation aligns features by name, applies whatever scaling the model
 was trained with, and reports per-task MAE plus a TOTAL row. TOTAL is
 the MAE over all test rows pooled together by default; a macro average
-of per-task values is available via ``total_mode``.
+of per-task values is available via ``total_mode``. A test set is scored
+chunk by chunk (:class:`MaeAccumulator`), whether it comes from a file
+or from a dataset.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors
+from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, stream_dataset
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -193,32 +195,101 @@ def mae(pred, actual) -> float:
     return float(np.abs(pred - actual).mean())
 
 
-def _feature_permutation(model, test: MultiTaskDataset) -> np.ndarray:
+def _feature_permutation(model, feature_names) -> np.ndarray:
     """Column order mapping model features onto the test set's columns."""
-    positions = {name: j for j, name in enumerate(test.feature_names)}
+    positions = {name: j for j, name in enumerate(feature_names)}
     missing = [name for name in model.feature_names if name not in positions]
     if missing:
         raise ValueError(f"test data is missing model features: {', '.join(missing)}")
-    extra = [name for name in test.feature_names if name not in set(model.feature_names)]
+    extra = [name for name in feature_names if name not in set(model.feature_names)]
     if extra:
         raise ValueError(f"test data has unknown features: {', '.join(extra)}")
     return np.array([positions[name] for name in model.feature_names])
 
 
-def predictions_for_task(model, x_raw: np.ndarray, row: int) -> np.ndarray:
-    """Predict raw-scale outcomes for one task from raw feature rows.
+def predictions_for_task(model, x_raw: np.ndarray, row) -> np.ndarray:
+    """Predict raw-scale outcomes from raw feature rows.
 
-    Applies the model's stored feature scaling, predicts, and maps the
-    prediction back through the outcome scaling when the model was
-    trained on a scaled outcome.
+    ``row`` is the model row (task index) of every feature row, or an
+    integer array with one per feature row. Applies the model's stored
+    feature scaling, predicts, and maps the prediction back through the
+    outcome scaling when the model was trained on a scaled outcome. Each
+    prediction is a row-wise product over C-ordered rows, so it does not
+    depend on which other rows are predicted with it. (A column-ordered
+    block, such as ``x[:, columns]`` can be, is summed in another order.)
     """
-    x = np.asarray(x_raw, dtype=np.float64)
+    x = np.ascontiguousarray(x_raw, dtype=np.float64)
     if model.scaling is not None:
         x = model.scaling.transform_features(x)
-    pred = x @ model.weights[row] + model.intercept[row]
+    rows = np.broadcast_to(row, x.shape[:1])
+    pred = np.einsum("ij,ij->i", x, model.weights[rows]) + model.intercept[rows]
     if model.scaling is not None and model.scaling.scales_outcome:
         pred = model.scaling.invert_outcome(pred)
     return pred
+
+
+class MaeAccumulator:
+    """Each model's absolute errors on a test set, gathered chunk by chunk.
+
+    A sink for :func:`taskreg.dataset.stream_csv` and
+    :func:`~taskreg.dataset.stream_dataset`. It is built from the test
+    set's feature names, which it aligns to each model's by name, so a
+    mismatch is raised before any row is read. Each chunk is predicted by
+    every model and dropped; per task, only the outcomes and each model's
+    absolute errors are kept, in file order. Once the rows are in,
+    :attr:`outcomes` maps each test task to its outcomes and
+    :meth:`report` gives one model's MAE.
+    """
+
+    def __init__(self, models, feature_names):
+        self.models = tuple(models)
+        self._columns = [_feature_permutation(m, feature_names) for m in self.models]
+        self._rows = [{label: t for t, label in enumerate(m.task_labels)} for m in self.models]
+        self._task_parts: list[np.ndarray] = []
+        self._outcome_parts: list[np.ndarray] = []
+        self._error_parts: list[list[np.ndarray]] = [[] for _ in self.models]
+        self.outcomes: dict[str, np.ndarray] = {}
+        self._errors: list[dict[str, np.ndarray]] = []
+
+    def add(self, labels, task, x, y):
+        self._task_parts.append(task)
+        self._outcome_parts.append(y)
+        for model, columns, rows, parts in zip(
+            self.models, self._columns, self._rows, self._error_parts
+        ):
+            # A task the model lacks is predicted with row 0; report() rejects it.
+            row_of_task = np.array([rows.get(label, 0) for label in labels], dtype=np.intp)
+            pred = predictions_for_task(model, x.take(columns, axis=1), row_of_task[task])
+            parts.append(np.abs(pred - y))
+
+    def finish(self, labels, dropped_rows):
+        task = np.concatenate(self._task_parts)
+        order = np.argsort(task, kind="stable")
+        ends = np.cumsum(np.bincount(task, minlength=len(labels)))[:-1]
+
+        def per_task(parts):
+            return dict(zip(labels, np.split(np.concatenate(parts)[order], ends)))
+
+        self.outcomes = per_task(self._outcome_parts)
+        self._errors = [per_task(parts) for parts in self._error_parts]
+        self._task_parts, self._outcome_parts, self._error_parts = [], [], []
+        return self
+
+    def report(self, index: int = 0, total_mode: str = "pooled") -> MaeReport:
+        """Per-task and total MAE of ``models[index]``; every test task must exist in it."""
+        if total_mode not in _TOTAL_MODES:
+            raise ValueError(f"total_mode must be one of {_TOTAL_MODES}, got {total_mode!r}")
+        for label in self.outcomes:
+            if label not in self._rows[index]:
+                raise ValueError(f"model has no task {label!r}")
+        errors = self._errors[index]
+        per_task = {label: float(e.mean()) for label, e in errors.items()}
+        counts = {label: e.size for label, e in errors.items()}
+        if total_mode == "pooled":
+            total = sum(float(e.sum()) for e in errors.values()) / sum(counts.values())
+        else:
+            total = sum(per_task.values()) / len(per_task)
+        return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
 
 
 def evaluate(model, test: MultiTaskDataset, *, total_mode: str = "pooled") -> MaeReport:
@@ -227,28 +298,8 @@ def evaluate(model, test: MultiTaskDataset, *, total_mode: str = "pooled") -> Ma
     Features are aligned to the model by name, so column order in the
     test file is irrelevant. Every test task must exist in the model.
     """
-    if total_mode not in _TOTAL_MODES:
-        raise ValueError(f"total_mode must be one of {_TOTAL_MODES}, got {total_mode!r}")
-    rows = {label: t for t, label in enumerate(model.task_labels)}
-    perm = _feature_permutation(model, test)
-    per_task: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    abs_sum = 0.0
-    n_total = 0
-    for task in test.tasks:
-        if task.label not in rows:
-            raise ValueError(f"model has no task {task.label!r}")
-        pred = predictions_for_task(model, task.X[:, perm], rows[task.label])
-        errors = np.abs(pred - task.Y)
-        per_task[task.label] = float(errors.mean())
-        counts[task.label] = task.n
-        abs_sum += float(errors.sum())
-        n_total += task.n
-    if total_mode == "pooled":
-        total = abs_sum / n_total
-    else:
-        total = sum(per_task.values()) / len(per_task)
-    return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
+    errors = stream_dataset(test, lambda names: MaeAccumulator([model], names))
+    return errors.report(0, total_mode)
 
 
 def aggregate_reports(reports) -> MaeReport:
@@ -291,18 +342,19 @@ def aggregate_reports(reports) -> MaeReport:
     )
 
 
-def write_mae_table(reports: dict[str, MaeReport], test: MultiTaskDataset, path) -> None:
+def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
     """CSV table: one row per task plus TOTAL, one MAE column per model.
 
-    Each row carries the task's test-set size and the mean and standard
-    deviation of its raw outcome, then the per-model MAE values. Models
-    whose reports carry spreads get an extra ``<name>_sd`` column.
+    ``outcomes`` maps each test task, in table order, to its raw outcomes
+    (as :attr:`MaeAccumulator.outcomes` does). Each row carries the task's
+    test-set size and the mean and standard deviation of its outcomes,
+    then the per-model MAE values. Models whose reports carry spreads get
+    an extra ``<name>_sd`` column.
     """
     if not reports:
         raise ValueError("need at least one report to tabulate")
-    test_labels = list(test.task_labels)
     for name, rep in reports.items():
-        if set(rep.per_task) != set(test_labels):
+        if set(rep.per_task) != set(outcomes):
             raise ValueError(f"report {name!r} does not cover the test tasks")
 
     names = list(reports)
@@ -315,20 +367,15 @@ def write_mae_table(reports: dict[str, MaeReport], test: MultiTaskDataset, path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for task in test.tasks:
-            row = [
-                task.label,
-                task.n,
-                repr(float(task.Y.mean())),
-                repr(float(task.Y.std())),
-            ]
+        for label, y in outcomes.items():
+            row = [label, y.size, repr(float(y.mean())), repr(float(y.std()))]
             for name in names:
                 rep = reports[name]
-                row.append(repr(rep.per_task[task.label]))
+                row.append(repr(rep.per_task[label]))
                 if rep.per_task_sd is not None:
-                    row.append(repr(rep.per_task_sd[task.label]))
+                    row.append(repr(rep.per_task_sd[label]))
             writer.writerow(row)
-        pooled = np.concatenate([t.Y for t in test.tasks])
+        pooled = np.concatenate(list(outcomes.values()))
         total_row = [
             "TOTAL",
             int(pooled.size),

@@ -269,9 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(value: int, option: str) -> None:
+    if value < 0:
+        raise ValueError(f"{option} must be a non-negative integer, got {value}")
+
+
 def cmd_split(args) -> int:
     from . import dataset
 
+    _check_seed(args.seed, "--seed")
     ds = dataset.load_csv(args.input, args.task_column, args.outcome_column)
     dropped = ds.dropped_rows
     if args.scale_full:
@@ -325,6 +331,7 @@ def cmd_train(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
+    _check_seed(args.kmeans_seed, "--kmeans-seed")
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     if args.no_scale:
         params = None
@@ -376,17 +383,24 @@ def cmd_evaluate(args) -> int:
 
     if not args.model:
         raise ValueError("at least one --model is required")
-    test = dataset.load_csv(args.test, args.task_column, args.outcome_column)
-    reports = {}
+    names: list[str] = []
     for path in args.model:
         name = Path(path).stem
         suffix = 2
-        while name in reports:
+        while name in names:
             name = f"{Path(path).stem}_{suffix}"
             suffix += 1
-        model = serialize.load_model(path)
-        reports[name] = baselines.evaluate(model, test, total_mode=args.total)
-    baselines.write_mae_table(reports, test, args.out)
+        names.append(name)
+    models = [serialize.load_model(path) for path in args.model]
+    # The test rows stream past the models: only outcomes and errors are kept.
+    errors = dataset.stream_csv(
+        args.test,
+        args.task_column,
+        args.outcome_column,
+        lambda feature_names: baselines.MaeAccumulator(models, feature_names),
+    )
+    reports = {name: errors.report(k, args.total) for k, name in enumerate(names)}
+    baselines.write_mae_table(reports, errors.outcomes, args.out)
     for name, rep in reports.items():
         print(f"{name}: total MAE {rep.total:.6g} ({args.total})")
     print(f"wrote {args.out}")

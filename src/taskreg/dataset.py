@@ -6,9 +6,12 @@ column is a numeric feature shared by all tasks. Rows are grouped by task
 value (in order of first appearance) into :class:`TaskData` blocks,
 preserving file order within each task.
 
-:func:`load_factors` reads the same files in fixed-size chunks and keeps
-only one small QR factor per task (:class:`TaskFactors`), which is all a
-least-squares fit needs of the rows.
+Every reader parses a file in fixed-size chunks (:func:`stream_csv`) and
+hands each chunk's kept rows to a sink: :func:`load_csv` keeps the rows,
+:func:`load_factors` only one small QR factor per task
+(:class:`TaskFactors`), which is all a least-squares fit needs of the
+rows, and evaluation only the prediction errors
+(:class:`taskreg.baselines.MaeAccumulator`).
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import DegenerateTaskError, ParseError, SchemaError
 
-# Body lines load_factors parses and folds at a time. Peak memory grows
-# with it (a 512-line chunk of 90 features is a 0.4 MB table), while the
-# per-chunk overhead of np.loadtxt and the QR updates shrinks.
+# Body lines stream_csv parses at a time. Peak memory grows with it (a
+# 512-line chunk of 90 features is a 0.4 MB table), while the per-chunk
+# overhead of np.loadtxt and of the sinks shrinks.
 _CHUNK_LINES = 512
 
 # Rows write_csv formats at a time. Each distinct double of a block is
@@ -192,9 +196,9 @@ class ScalingParams:
                 f"expected a matrix with {self.n_features} columns, got shape {x.shape}"
             )
         span = self._span()
-        out = np.zeros_like(x)
-        nz = span > 0
-        out[:, nz] = (x[:, nz] - self.feature_min[nz]) / span[nz]
+        out = np.subtract(x, self.feature_min)
+        np.divide(out, span, out=out, where=span > 0)
+        out[:, span == 0] = 0.0
         return out
 
     def invert_features(self, x: np.ndarray) -> np.ndarray:
@@ -244,9 +248,9 @@ def _augmented(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack([x, np.ones(y.shape[0]), y])
 
 
-def _fold(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The R factor of [r; rows]: one TSQR step (Demmel et al., SIAM J. Sci. Comput. 2012)."""
-    return np.linalg.qr(np.vstack([r, rows]), mode="r")
+def _fold(r: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """The R factor of [r; rows...]: one TSQR step (Demmel et al., SIAM J. Sci. Comput. 2012)."""
+    return np.linalg.qr(np.vstack([r, *rows]), mode="r")
 
 
 @dataclass(frozen=True)
@@ -308,21 +312,7 @@ class TaskFactors:
 
     @classmethod
     def from_dataset(cls, ds: MultiTaskDataset) -> "TaskFactors":
-        rows = [_augmented(t.X, t.Y) for t in ds.tasks]
-        lo = np.min([r.min(axis=0) for r in rows], axis=0)
-        hi = np.max([r.max(axis=0) for r in rows], axis=0)
-        j = ds.n_features
-        return cls(
-            task_labels=ds.task_labels,
-            feature_names=ds.feature_names,
-            factors=tuple(_fold(np.empty((0, j + 2)), r) for r in rows),
-            counts=tuple(t.n for t in ds.tasks),
-            feature_min=lo[:j],
-            feature_max=hi[:j],
-            outcome_min=lo[j + 1],
-            outcome_max=hi[j + 1],
-            dropped_rows=ds.dropped_rows,
-        )
+        return stream_dataset(ds, _FactorSink)
 
     @property
     def n_tasks(self) -> int:
@@ -403,94 +393,190 @@ def as_factors(data: MultiTaskDataset | TaskFactors) -> TaskFactors:
     return data if isinstance(data, TaskFactors) else TaskFactors.from_dataset(data)
 
 
+class RowSink(Protocol):
+    """Where :func:`stream_csv` and :func:`stream_dataset` send the kept rows of a data set."""
+
+    def add(
+        self, labels: tuple[str, ...], task: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> None:
+        """Take one chunk of kept rows, in file order.
+
+        ``labels`` names the tasks seen so far in order of first
+        appearance, and ``task`` holds each row's index into it; ``x``
+        holds the features in the order of the header's feature columns
+        and ``y`` the outcomes. The sink may keep the arrays but not
+        write to them.
+        """
+
+    def finish(self, labels: tuple[str, ...], dropped_rows: int):
+        """The result, once every chunk is in; each task in ``labels`` had a kept row."""
+
+
+def stream_csv(path, task_column: str, outcome_column: str, sink_for: Callable[..., RowSink]):
+    """Feed the kept rows of a CSV file to a sink, and return what it finishes with.
+
+    ``sink_for(feature_names)`` makes the sink once the header is read.
+    The body is parsed :data:`_CHUNK_LINES` lines at a time and each
+    chunk's kept rows go to the sink, so only what the sink keeps grows
+    with the row count. Whenever a chunk cannot be shown to parse as the
+    per-cell reader would read it, the whole file is read cell by cell
+    instead and a new sink takes each task's rows as one chunk, so the
+    errors, the kept rows and ``dropped_rows`` are the same either way.
+    """
+    result = _read_chunks(path, task_column, outcome_column, sink_for)
+    if result is None:
+        result = stream_dataset(_load_cells(path, task_column, outcome_column), sink_for)
+    return result
+
+
+def stream_dataset(ds: MultiTaskDataset, sink_for: Callable[..., RowSink]):
+    """Feed a dataset to a sink as :func:`stream_csv` feeds a file, one task per chunk."""
+    sink = sink_for(ds.feature_names)
+    for code, task in enumerate(ds.tasks):
+        sink.add(ds.task_labels, np.full(task.n, code), task.X, task.Y)
+    return sink.finish(ds.task_labels, ds.dropped_rows)
+
+
 def load_csv(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
     """Read a CSV file into a MultiTaskDataset.
 
     The header row is required. Rows with an empty outcome cell are
     dropped and counted in ``dropped_rows``. An empty or non-numeric
     feature cell is a :class:`ParseError`; there is no imputation.
-
-    The body is parsed in one vectorized pass. Whenever that pass cannot
-    show that its result equals the per-cell reader's, the file is read
-    again cell by cell, so errors and edge cases behave the same either way.
+    The file is read by :func:`stream_csv`.
     """
-    ds = _load_table(path, task_column, outcome_column)
-    return ds if ds is not None else _load_cells(path, task_column, outcome_column)
-
-
-def _load_table(path, task_column: str, outcome_column: str) -> MultiTaskDataset | None:
-    """The vectorized reader: the dataset, or None to defer to :func:`_load_cells`.
-
-    ``np.loadtxt`` reads a subset of what ``float()`` reads and gives the
-    same double for it. Whatever it might read differently returns None:
-    a header problem, a cell only ``float()`` reads (``1_0``), a blank
-    line (which ``loadtxt`` skips), a ragged row, a non-finite feature of
-    a kept row, a non-finite outcome, or a task whose rows were all dropped.
-    """
-    codes: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        layout = _read_header(fh, task_column, outcome_column)
-        if layout is None:
-            return None
-        header, task_idx, outcome_idx, feature_idx = layout
-        table = _parse_lines(fh, len(header), task_idx, outcome_idx, codes)
-    if table is None:
-        return None
-
-    task_of_row = table[:, task_idx]
-    outcome = table[:, outcome_idx]
-    kept = ~np.isnan(outcome)
-    tasks = []
-    for label, code in codes.items():
-        rows = kept & (task_of_row == code)
-        x = table[np.ix_(rows, feature_idx)]
-        if x.shape[0] == 0 or not np.isfinite(x).all():
-            return None
-        tasks.append(TaskData(label=label, X=x, Y=outcome[rows]))
-    return MultiTaskDataset(
-        tasks=tuple(tasks),
-        feature_names=tuple(header[i] for i in feature_idx),
-        dropped_rows=int(table.shape[0] - np.count_nonzero(kept)),
-    )
+    return stream_csv(path, task_column, outcome_column, _RowSink)
 
 
 def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
     """Read a CSV file into :class:`TaskFactors` without holding its rows.
 
-    The body is parsed :data:`_CHUNK_LINES` lines at a time, and each
-    task's kept rows of a chunk are folded into its factor, so memory
-    does not grow with the row count. Whenever a chunk cannot be shown to
-    parse as :func:`load_csv` would read it, the whole file goes through
-    the per-cell reader instead, so the errors, the kept rows and
-    ``dropped_rows`` are those of :func:`load_csv`.
+    The file is read by :func:`stream_csv`, and each task's kept rows are
+    folded into its factor as they come, so memory does not grow with the
+    row count. The kept rows and ``dropped_rows`` are those of :func:`load_csv`.
     """
-    factors = _stream_factors(path, task_column, outcome_column)
-    if factors is None:
-        factors = TaskFactors.from_dataset(_load_cells(path, task_column, outcome_column))
-    return factors
+    return stream_csv(path, task_column, outcome_column, _FactorSink)
 
 
-def _stream_factors(path, task_column: str, outcome_column: str) -> TaskFactors | None:
-    """The chunked reader behind :func:`load_factors`, or None to defer to :func:`_load_cells`.
+class _RowSink:
+    """The rows themselves, for :func:`load_csv`, grouped by task once all are in.
 
-    Each chunk must pass :func:`_load_table`'s checks. Besides, a chunk
-    may not end inside a quoted field: ``loadtxt`` would close that field
-    at the chunk's end and read its rest as a new record of the next one.
-    (A quoted field that runs on within a chunk already makes the chunk's
-    record count differ from its line count.)
+    Chunks are copied into one table [X | y | task] whose capacity doubles
+    as rows come. Holding the chunks themselves would leave the heap full
+    of freed chunk-sized holes once the tasks are built, which the
+    allocator need not return to the system (on the 120k-row panel,
+    ``split`` then peaked 56 MB higher); a table is one block, freed whole.
+    """
+
+    def __init__(self, feature_names):
+        self.feature_names = feature_names
+        self.table = np.empty((0, len(feature_names) + 2))
+        self.rows = 0
+
+    def add(self, labels, task, x, y):
+        end = self.rows + task.size
+        if end > self.table.shape[0]:
+            grown = np.empty((max(end, 2 * self.table.shape[0]), self.table.shape[1]))
+            grown[: self.rows] = self.table[: self.rows]
+            self.table = grown
+        block = self.table[self.rows : end]
+        block[:, :-2], block[:, -2], block[:, -1] = x, y, task
+        self.rows = end
+
+    def finish(self, labels, dropped_rows):
+        table = self.table[: self.rows]
+        self.table = None
+        tasks = []
+        for code, label in enumerate(labels):
+            rows = table[:, -1] == code
+            tasks.append(TaskData(label=label, X=table[rows, :-2], Y=table[rows, -2]))
+        return MultiTaskDataset(
+            tasks=tuple(tasks), feature_names=self.feature_names, dropped_rows=dropped_rows
+        )
+
+
+class _FactorSink:
+    """Each task's R factor (see :class:`TaskFactors`), for :func:`load_factors`.
+
+    A task's rows wait until at least J+2 of them, the height of a full R,
+    have come, and are then folded in with one QR, so that a task whose
+    rows are spread thinly over many chunks is not re-triangularized for
+    each chunk.
+    """
+
+    def __init__(self, feature_names):
+        self.feature_names = feature_names
+        self.width = len(feature_names) + 2
+        self.lo = np.full(self.width, np.inf)
+        self.hi = np.full(self.width, -np.inf)
+        self.factors: list[np.ndarray] = []
+        self.counts: list[int] = []
+        self.waiting: list[list[np.ndarray]] = []
+        self.waiting_rows: list[int] = []
+
+    def add(self, labels, task, x, y):
+        rows = _augmented(x, y)
+        if rows.shape[0]:
+            self.lo = np.minimum(self.lo, rows.min(axis=0))
+            self.hi = np.maximum(self.hi, rows.max(axis=0))
+        new_tasks = len(labels) - len(self.factors)
+        self.factors += [np.empty((0, self.width))] * new_tasks
+        self.counts += [0] * new_tasks
+        self.waiting += [[] for _ in range(new_tasks)]
+        self.waiting_rows += [0] * new_tasks
+        for code in np.unique(task):
+            block = rows[task == code]
+            self.counts[code] += block.shape[0]
+            self.waiting[code].append(block)
+            self.waiting_rows[code] += block.shape[0]
+            if self.waiting_rows[code] >= self.width:
+                self._fold(code)
+
+    def _fold(self, code):
+        self.factors[code] = _fold(self.factors[code], *self.waiting[code])
+        self.waiting[code] = []
+        self.waiting_rows[code] = 0
+
+    def finish(self, labels, dropped_rows):
+        for code, waiting in enumerate(self.waiting):
+            if waiting:
+                self._fold(code)
+        j = len(self.feature_names)
+        return TaskFactors(
+            task_labels=labels,
+            feature_names=self.feature_names,
+            factors=tuple(self.factors),
+            counts=tuple(self.counts),
+            feature_min=self.lo[:j],
+            feature_max=self.hi[:j],
+            outcome_min=self.lo[j + 1],
+            outcome_max=self.hi[j + 1],
+            dropped_rows=dropped_rows,
+        )
+
+
+def _read_chunks(path, task_column: str, outcome_column: str, sink_for):
+    """The chunk loop behind :func:`stream_csv`: the sink's result, or None to defer to :func:`_load_cells`.
+
+    ``np.loadtxt`` reads a subset of what ``float()`` reads and gives the
+    same double for it. Whatever it might read differently returns None:
+    a header problem, a cell only ``float()`` reads (``1_0``), a blank
+    line (which ``loadtxt`` skips), a ragged row, a non-finite feature of
+    a kept row, a non-finite outcome, or a task whose rows were all
+    dropped. So does a chunk that ends inside a quoted field: ``loadtxt``
+    would close that field at the chunk's end and read its rest as a new
+    record of the next one. (A quoted field that runs on within a chunk
+    already makes the chunk's record count differ from its line count.)
     """
     codes: dict[str, int] = {}
-    factors: list[np.ndarray] = []
-    counts: list[int] = []
+    kept_per_task = np.zeros(0, dtype=np.intp)
     lines_read = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         layout = _read_header(fh, task_column, outcome_column)
         if layout is None:
             return None
         header, task_idx, outcome_idx, feature_idx = layout
-        width = len(feature_idx) + 2
-        lo = np.full(width, np.inf)
-        hi = np.full(width, -np.inf)
+        sink = sink_for(tuple(header[i] for i in feature_idx))
         while lines := list(itertools.islice(fh, _CHUNK_LINES)):
             table = _parse_lines(lines, len(header), task_idx, outcome_idx, codes)
             if table is None or _ends_inside_quotes(lines[-1]):
@@ -498,34 +584,21 @@ def _stream_factors(path, task_column: str, outcome_column: str) -> TaskFactors 
             lines_read += len(lines)
             outcome = table[:, outcome_idx]
             kept = ~np.isnan(outcome)
-            rows = _augmented(table[np.ix_(kept, feature_idx)], outcome[kept])
-            if not np.isfinite(rows).all():
+            # Fancy indexing copies, so the sink holds nothing of the table.
+            x = table[np.ix_(kept, feature_idx)]
+            if not np.isfinite(x).all():
                 return None
-            if rows.shape[0]:
-                lo = np.minimum(lo, rows.min(axis=0))
-                hi = np.maximum(hi, rows.max(axis=0))
-            new_tasks = len(codes) - len(factors)
-            factors += [np.empty((0, width))] * new_tasks
-            counts += [0] * new_tasks
-            task_of_row = table[kept, task_idx]
-            for code in np.unique(task_of_row).astype(int):
-                block = rows[task_of_row == code]
-                factors[code] = _fold(factors[code], block)
-                counts[code] += block.shape[0]
-    if not counts or 0 in counts:
+            task = table[kept, task_idx].astype(np.intp)
+            counts = np.bincount(task, minlength=len(codes))
+            counts[: kept_per_task.size] += kept_per_task
+            kept_per_task = counts
+            y = outcome[kept]
+            # The sink holds copies; the chunk's text and table go before it works.
+            del lines, table, outcome
+            sink.add(tuple(codes), task, x, y)
+    if not codes or not kept_per_task.all():
         return None
-    j = len(feature_idx)
-    return TaskFactors(
-        task_labels=tuple(codes),
-        feature_names=tuple(header[i] for i in feature_idx),
-        factors=tuple(factors),
-        counts=tuple(counts),
-        feature_min=lo[:j],
-        feature_max=hi[:j],
-        outcome_min=lo[j + 1],
-        outcome_max=hi[j + 1],
-        dropped_rows=lines_read - sum(counts),
-    )
+    return sink.finish(tuple(codes), lines_read - int(kept_per_task.sum()))
 
 
 def _read_header(fh, task_column: str, outcome_column: str):

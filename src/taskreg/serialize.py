@@ -202,18 +202,23 @@ def _model_from_dict(data: dict):
 def load_model(path):
     """Load a model saved by :func:`save_model`.
 
-    A missing key, a value of the wrong type or shape, or a ``NaN`` or
-    ``Infinity`` (which ``json`` accepts but :func:`save_model` never
-    writes), is a ValueError naming the file.
+    A file that is not UTF-8 JSON text holding an object, a missing key, a
+    value of the wrong type or shape, or a ``NaN`` or ``Infinity`` (which
+    ``json`` accepts but :func:`save_model` never writes), is a ValueError
+    naming the file.
     """
 
     def reject_constant(token: str):
-        raise ValueError(f"{path}: non-finite number {token} is not allowed")
+        raise ValueError(f"non-finite number {token} is not allowed")
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=reject_constant)
+        try:
+            # Text that is not UTF-8 or not JSON is a ValueError too.
+            data = json.load(fh, parse_constant=reject_constant)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError("model file does not contain a JSON object")
+        raise ValueError(f"{path}: model file does not contain a JSON object")
     try:
         return _model_from_dict(data)
     except KeyError as exc:

@@ -304,8 +304,9 @@ def test_write_mae_table(tmp_path):
     ds = _dataset(xs, ys, labels=("young", "old"))
     model = _exact_model(np.zeros((2, 2)), ("young", "old"), ds.feature_names)
     reports = {"zeros": evaluate(model, ds)}
+    outcomes = {t.label: t.Y for t in ds.tasks}
     path = tmp_path / "table.csv"
-    write_mae_table(reports, ds, path)
+    write_mae_table(reports, outcomes, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "task,n,outcome_mean,outcome_sd,zeros"
     assert lines[1].startswith("young,4,")
@@ -319,5 +320,5 @@ def test_write_mae_table(tmp_path):
     assert float(total_fields[4]) == pytest.approx(reports["zeros"].total)
     # Byte-determinism on rewrite.
     again = tmp_path / "table2.csv"
-    write_mae_table(reports, ds, again)
+    write_mae_table(reports, outcomes, again)
     assert again.read_bytes() == path.read_bytes()

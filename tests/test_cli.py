@@ -463,3 +463,165 @@ def test_inconsistent_model_json_is_an_error(
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[1, 2]", "model file does not contain a JSON object"),
+    ],
+    ids=["empty", "not-utf8", "array"],
+)
+@pytest.mark.parametrize("command", ["riskfactors", "evaluate"])
+def test_unreadable_model_file_is_named(tmp_path, capsys, command, content, message):
+    model = tmp_path / "m.json"
+    model.write_bytes(content)
+    out = tmp_path / "out.csv"
+    if command == "riskfactors":
+        argv = ["riskfactors", "--model", str(model), "--out-json", str(tmp_path / "rf.json"),
+                "--out-csv", str(out)]
+    else:
+        test = _write_csv(tmp_path / "test.csv")
+        argv = ["evaluate", str(test), "--model", str(model), "--out", str(out)]
+    code = cli.main(argv)
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["split", "{missing}", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["train", "{missing}", "--model", "cmtl", "--k", "2", "--kmeans-seed", "-3"],
+         "--kmeans-seed must be a non-negative integer, got -3"),
+    ],
+    ids=["split-seed", "train-kmeans-seed"],
+)
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, argv, message):
+    # The input file does not exist, so reading it first would report that instead.
+    missing = str(tmp_path / "missing.csv")
+    code = cli.main([arg.replace("{missing}", missing) for arg in argv]
+                    + ["--config", str(_config(tmp_path))])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert code == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def _config(tmp_path):
+    # Output paths under tmp_path, so that nothing written goes unnoticed.
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        f"out = {tmp_path / 'model.json'}\ntrain_out = {tmp_path / 'train.csv'}\n"
+        f"test_out = {tmp_path / 'test.csv'}\nmanifest = {tmp_path / 'manifest.json'}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def _interleaved_test_set(tmp_path):
+    """A train CSV and a test CSV whose tasks interleave row by row, plus two fitted models."""
+    csv_path = _write_csv(tmp_path / "data.csv", n_tasks=4, n_rows=40)
+    train, test, _ = _split(tmp_path, csv_path)
+    lines = test.read_text(encoding="utf-8").splitlines()
+    body = lines[1:]
+    order = np.random.default_rng(5).permutation(len(body))
+    test.write_text("\n".join([lines[0], *(body[i] for i in order)]) + "\n", encoding="utf-8")
+    mtl = _train(tmp_path, train, "mtl.json", "--model", "mtl", "--lambda", "0.05")
+    stl = _train(tmp_path, train, "stl.json", "--model", "stl", "--penalty", "ridge",
+                 "--lambda", "0.01", "--intercept", "--scale-outcome")
+    return test, [mtl, stl]
+
+
+def test_evaluate_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys):
+    from taskreg import dataset
+    from taskreg.baselines import evaluate
+
+    test, models = _interleaved_test_set(tmp_path)
+    capsys.readouterr()
+    outputs = []
+    for chunk in (1, 7, 512):
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        out = tmp_path / f"mae{chunk}.csv"
+        argv = ["evaluate", str(test), "--out", str(out)]
+        for model in models:
+            argv += ["--model", str(model)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((out.read_bytes(), printed))
+    assert outputs[1:] == outputs[:1] * 2
+
+    # The library path on the loaded dataset gives the same values, and an
+    # independent x @ w prediction the same MAE to roundoff.
+    ds = load_csv(test, "task", "outcome")
+    table = outputs[0][0].decode().splitlines()
+    assert [line.split(",")[0] for line in table[1:]] == [*ds.task_labels, "TOTAL"]
+    for column, path in enumerate(models, start=4):
+        model = load_model(path)
+        report = evaluate(model, ds)
+        assert [line.split(",")[column] for line in table[1:]] == [
+            *(repr(report.per_task[label]) for label in ds.task_labels), repr(report.total)
+        ]
+        for task in ds.tasks:
+            row = model.task_labels.index(task.label)
+            x = model.scaling.transform_features(task.X)
+            pred = x @ model.weights[row] + model.intercept[row]
+            if model.scaling.scales_outcome:
+                pred = model.scaling.invert_outcome(pred)
+            expected = np.abs(pred - task.Y).mean()
+            assert abs(report.per_task[task.label] - expected) <= 1e-12 * expected
+
+
+def test_evaluate_reads_cells_only_float_reads(tmp_path, capsys):
+    # "1_0" sends the file to the per-cell reader; the table is that of "10".
+    test, models = _interleaved_test_set(tmp_path)
+    lines = test.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "10"
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n", encoding="utf-8")
+    cells[1] = "1_0"
+    underscored = tmp_path / "underscored.csv"
+    underscored.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n",
+                           encoding="utf-8")
+    tables = []
+    for source in (plain, underscored):
+        out = tmp_path / f"mae-{source.stem}.csv"
+        assert cli.main(["evaluate", str(source), "--model", str(models[0]),
+                         "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_evaluate_error_order(tmp_path, capsys):
+    test, models = _interleaved_test_set(tmp_path)
+    lines = test.read_text(encoding="utf-8").splitlines()
+    broken_row = tmp_path / "broken_row.csv"
+    broken_row.write_text("\n".join([lines[0], lines[1] + ",9", *lines[2:]]) + "\n",
+                          encoding="utf-8")
+    broken_model = tmp_path / "broken.json"
+    broken_model.write_text("{", encoding="utf-8")
+    out = str(tmp_path / "x.csv")
+
+    # A malformed model file is reported before a malformed test row.
+    code = cli.main(["evaluate", str(broken_row), "--model", str(models[0]),
+                     "--model", str(broken_model), "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {broken_model}: ")
+
+    # An unknown task is reported only once the body has parsed, so a
+    # malformed row still wins over it.
+    unknown = [lines[0], *lines[1:], "stranger" + lines[1][lines[1].index(","):]]
+    for name, body in (("unknown", unknown), ("unknown_broken", [*unknown, lines[1] + ",9"])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(body) + "\n", encoding="utf-8")
+        assert cli.main(["evaluate", str(path), "--model", str(models[0]), "--out", out]) == 2
+        err = capsys.readouterr().err
+        if name == "unknown":
+            assert err == "error: model has no task 'stranger'\n"
+        else:
+            assert err == f"error: {path}: row {len(body)} has 8 fields, expected 7\n"

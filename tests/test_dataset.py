@@ -21,7 +21,17 @@ from taskreg import (
 )
 from oracles import write_csv_rows
 from taskreg import cli, dataset
-from taskreg.dataset import TaskFactors, _load_cells, _load_table, _stream_factors
+from taskreg.dataset import TaskFactors, _FactorSink, _load_cells, _read_chunks, _RowSink
+
+
+def _chunked_rows(path, task_column, outcome_column):
+    """load_csv's chunk loop alone: the dataset, or None where it defers to the cell reader."""
+    return _read_chunks(path, task_column, outcome_column, _RowSink)
+
+
+def _chunked_factors(path, task_column, outcome_column):
+    """load_factors' chunk loop alone, as :func:`_chunked_rows`."""
+    return _read_chunks(path, task_column, outcome_column, _FactorSink)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -154,7 +164,7 @@ def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newl
     text = _random_panel(seed, newline=newline, final_newline=final_newline, cell=cell)
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = _load_table(path, "site", "outcome")
+    fast = _chunked_rows(path, "site", "outcome")
     assert fast is not None  # the vectorized pass was taken
     slow = _load_cells(path, "site", "outcome")
     assert fast.task_labels == slow.task_labels
@@ -186,7 +196,7 @@ def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newl
 )
 def test_fallback_keeps_cell_reader_messages(tmp_path, body, error, message):
     path = _write(tmp_path, "task,b,y\n" + body)
-    assert _load_table(path, "task", "y") is None
+    assert _chunked_rows(path, "task", "y") is None
     with pytest.raises(error) as excinfo:
         load_csv(path, "task", "y")
     assert str(excinfo.value) == f"{path}: {message}"
@@ -195,7 +205,7 @@ def test_fallback_keeps_cell_reader_messages(tmp_path, body, error, message):
 def test_fallback_accepts_what_float_accepts(tmp_path):
     # float() reads "1_0" as 10.0; np.loadtxt rejects it, so the cell reader decides.
     path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
-    assert _load_table(path, "task", "y") is None
+    assert _chunked_rows(path, "task", "y") is None
     ds = load_csv(path, "task", "y")
     np.testing.assert_array_equal(ds.tasks[0].X.ravel(), [10.0, 3.0])
     np.testing.assert_array_equal(ds.tasks[0].Y, [2.0, 40.0])
@@ -204,7 +214,7 @@ def test_fallback_accepts_what_float_accepts(tmp_path):
 def test_dropped_row_features_are_not_parsed(tmp_path):
     # A dropped row's features never reach a number, on either path.
     parsed = _write(tmp_path, "task,b,y\nx,1,2\nx,inf,\n", name="inf.csv")
-    assert _load_table(parsed, "task", "y") is not None
+    assert _chunked_rows(parsed, "task", "y") is not None
     unparsed = _write(tmp_path, "task,b,y\nx,1,2\nx,oops,\n", name="oops.csv")
     for path in (parsed, unparsed):
         ds = load_csv(path, "task", "y")
@@ -401,7 +411,7 @@ def test_streamed_factors_match_loaded_rows(tmp_path, monkeypatch, seed, newline
     text = _chunked_panel(seed, dataset._CHUNK_LINES, newline=newline)
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _stream_factors(path, "site", "outcome") is not None  # no fallback
+    assert _chunked_factors(path, "site", "outcome") is not None  # no fallback
     streamed = load_factors(path, "site", "outcome")
     ds = load_csv(path, "site", "outcome")
     ref = TaskFactors.from_dataset(ds)
@@ -442,7 +452,7 @@ def _fallback_cases():
 def test_streamed_fallback_keeps_load_csv_errors(tmp_path, monkeypatch, name, text):
     monkeypatch.setattr(dataset, "_CHUNK_LINES", 3)
     path = _write(tmp_path, text)
-    assert _stream_factors(path, "task", "y") is None
+    assert _chunked_factors(path, "task", "y") is None
     with pytest.raises(Exception) as expected:
         load_csv(path, "task", "y")
     with pytest.raises(type(expected.value)) as got:
@@ -458,7 +468,7 @@ def test_quoted_newline_in_label_falls_back(tmp_path, monkeypatch, line):
     body = ["a,1,2", "a,2,3", "a,3,5"]
     body.insert(line - 1, '"a\nb",4,1')
     path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
-    assert _stream_factors(path, "task", "y") is None
+    assert _chunked_factors(path, "task", "y") is None
     factors = load_factors(path, "task", "y")
     assert factors.task_labels == ("a", "a\nb")
     assert factors.counts == (3, 1)
@@ -471,6 +481,44 @@ def test_streamed_reader_accepts_what_float_accepts(tmp_path):
     np.testing.assert_array_equal(factors.feature_max, [10.0])
     assert factors.outcome_max == 40.0
     np.testing.assert_allclose(_gram(factors.factors[0]), _gram(ref.factors[0]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("chunk", [8, None], ids=["chunk8", "default"])
+def test_interleaved_and_grouped_rows_give_the_same_factors(tmp_path, monkeypatch, chunk):
+    # Three tasks whose rows interleave, so a chunk holds fewer than J+2 = 7
+    # rows of a task (at 8 lines) or about 170 (at 512), and the same rows
+    # grouped by task. R is unique only up to row signs: compare R^T R.
+    if chunk is not None:
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    rng = np.random.default_rng(21)
+    n_rows = 1500
+    task = rng.integers(3, size=n_rows)
+    x = rng.normal(size=(n_rows, 5)) * 10.0 ** rng.integers(-2, 3, size=5)
+    y = x @ rng.normal(size=5) + rng.normal(size=n_rows)
+    table = np.column_stack([x, y]).tolist()
+    lines = [",".join([f"t{t}", *map(repr, row)]) for t, row in zip(task, table)]
+    header = "task," + ",".join(f"f{j}" for j in range(5)) + ",y\n"
+    interleaved = _write(tmp_path, header + "\n".join(lines) + "\n", name="interleaved.csv")
+    grouped_lines = [lines[i] for i in np.argsort(task, kind="stable")]
+    grouped = _write(tmp_path, header + "\n".join(grouped_lines) + "\n", name="grouped.csv")
+
+    folded = []
+    fold = dataset._fold
+    monkeypatch.setattr(dataset, "_fold", lambda r, *rows: folded.append(rows) or fold(r, *rows))
+    a = load_factors(interleaved, "task", "y")
+    # Rows wait until J+2 of a task are in; only a task's last fold may take fewer.
+    sizes = [sum(block.shape[0] for block in rows) for rows in folded]
+    assert sum(sizes) == n_rows
+    assert sum(size < 7 for size in sizes) <= 3
+    b = load_factors(grouped, "task", "y")
+    assert sorted(a.task_labels) == list(b.task_labels) == ["t0", "t1", "t2"]
+    for label, r_b, n_b in zip(b.task_labels, b.factors, b.counts):
+        r_a = a.factors[a.task_labels.index(label)]
+        assert a.counts[a.task_labels.index(label)] == n_b
+        gram_a, gram_b = _gram(r_a), _gram(r_b)
+        np.testing.assert_allclose(gram_a, gram_b, rtol=0, atol=1e-12 * np.abs(gram_b).max())
+    np.testing.assert_array_equal(a.feature_min, b.feature_min)
+    np.testing.assert_array_equal(a.feature_max, b.feature_max)
 
 
 @pytest.mark.parametrize("scale_outcome", [False, True])

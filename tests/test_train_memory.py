@@ -1,4 +1,7 @@
-"""`taskreg train` holds per-task factors, not rows, so its memory does not grow with the file.
+"""`taskreg train` and `evaluate` stream the file, so their memory does not grow with it.
+
+`train` holds per-task factors, not rows; `evaluate` holds each test
+row's outcome and absolute error, not its features.
 
 Each run is a child process whose peak RSS comes from ``os.wait4``. On
 Linux a child's ``ru_maxrss`` starts from the peak of the process whose
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import taskreg
+from taskreg import cli
 
 _SRC = Path(taskreg.__file__).resolve().parents[1]
 
@@ -38,20 +42,41 @@ def _write_panel(path, n_rows, n_features=40, n_tasks=4, seed=0):
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
-def _train_peak_mb(tmp_path, n_rows):
-    path = tmp_path / f"rows{n_rows}.csv"
-    _write_panel(path, n_rows)
+def _peak_mb(*args):
+    """Peak RSS of ``taskreg <args>`` run in a grandchild process."""
     env = dict(os.environ, PYTHONPATH=str(_SRC), TASKREG_NUM_THREADS="1")
-    argv = [sys.executable, "-c", _MEASURE, "-m", "taskreg.cli", "train", str(path),
-            "--model", "mtl", "--out", str(tmp_path / "model.json")]
+    argv = [sys.executable, "-c", _MEASURE, "-m", "taskreg.cli", *map(str, args)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     code, peak_kib = result.stdout.split()[-2:]
     assert code == "0", result.stderr
     return int(peak_kib) / 1024.0
 
 
+def _train_peak_mb(tmp_path, n_rows):
+    path = tmp_path / f"rows{n_rows}.csv"
+    _write_panel(path, n_rows)
+    return _peak_mb("train", path, "--model", "mtl", "--out", tmp_path / "model.json")
+
+
+def _evaluate_peak_mb(tmp_path, n_rows, model):
+    path = tmp_path / f"test{n_rows}.csv"
+    _write_panel(path, n_rows, seed=1)
+    return _peak_mb("evaluate", path, "--model", model, "--out", tmp_path / "mae.csv")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_train_peak_memory_does_not_grow_with_rows(tmp_path):
     small = _train_peak_mb(tmp_path, 3_000)
     large = _train_peak_mb(tmp_path, 12_000)
+    assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
+    train = tmp_path / "train.csv"
+    _write_panel(train, 3_000)
+    model = tmp_path / "model.json"
+    assert cli.main(["train", str(train), "--model", "mtl", "--out", str(model)]) == 0
+    small = _evaluate_peak_mb(tmp_path, 3_000, model)
+    large = _evaluate_peak_mb(tmp_path, 12_000, model)
     assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
