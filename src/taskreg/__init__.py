@@ -25,7 +25,9 @@ _EXPORTS = {
     "MultiTaskDataset": "dataset",
     "ScalingParams": "dataset",
     "TaskFactors": "dataset",
+    "RowTable": "dataset",
     "load_csv": "dataset",
+    "read_table": "dataset",
     "load_factors": "dataset",
     "write_csv": "dataset",
     "minmax_scale": "dataset",

@@ -274,17 +274,44 @@ def _check_seed(value: int, option: str) -> None:
         raise ValueError(f"{option} must be a non-negative integer, got {value}")
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(inputs, outputs) -> None:
+    """Raise ValueError if an output names the same file as an input or an earlier output.
+
+    ``inputs`` and ``outputs`` are (name, path) pairs; a path of None is
+    skipped. Commands call this before they write anything.
+    """
+    named = [(name, path) for name, path in inputs if path is not None]
+    for name, path in outputs:
+        if path is None:
+            continue
+        for other, other_path in named:
+            if _same_file(path, other_path):
+                raise ValueError(f"{name} {path} names the same file as {other} {other_path}")
+        named.append((name, path))
+
+
 def cmd_split(args) -> int:
     from . import dataset
 
     _check_seed(args.seed, "--seed")
-    ds = dataset.load_csv(args.input, args.task_column, args.outcome_column)
-    dropped = ds.dropped_rows
+    _check_outputs(
+        [("the input", args.input)],
+        [("--train-out", args.train_out), ("--test-out", args.test_out),
+         ("--manifest", args.manifest)],
+    )
+    rows = dataset.read_table(args.input, args.task_column, args.outcome_column)
     if args.scale_full:
-        ds, _ = dataset.minmax_scale(ds, scale_outcome=args.scale_outcome)
-    train, test = dataset.stratified_split(ds, args.train_fraction, args.seed)
-    dataset.write_csv(train, args.train_out, args.task_column, args.outcome_column)
-    dataset.write_csv(test, args.test_out, args.task_column, args.outcome_column)
+        rows.minmax_scale(scale_outcome=args.scale_outcome)
+    train, test = rows.split(args.train_fraction, args.seed)
+    rows.write_csv(train, args.train_out, args.task_column, args.outcome_column)
+    rows.write_csv(test, args.test_out, args.task_column, args.outcome_column)
     manifest = {
         "command": "split",
         "input": str(args.input),
@@ -294,17 +321,17 @@ def cmd_split(args) -> int:
         "outcome_column": args.outcome_column,
         "scaled_before_split": bool(args.scale_full),
         "scale_outcome": bool(args.scale_full and args.scale_outcome),
-        "dropped_rows": dropped,
+        "dropped_rows": rows.dropped_rows,
         "per_task": {
-            full.label: {"total": full.n, "train": tr.n, "test": te.n}
-            for full, tr, te in zip(ds.tasks, train.tasks, test.tasks)
+            label: {"total": full.size, "train": tr.size, "test": te.size}
+            for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
         },
     }
     with open(args.manifest, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(
-        f"split {ds.n_rows} rows across {ds.n_tasks} tasks "
+        f"split {rows.n_rows} rows across {rows.n_tasks} tasks "
         f"-> {args.train_out}, {args.test_out}"
     )
     return 0
@@ -332,6 +359,7 @@ def cmd_train(args) -> int:
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
     _check_seed(args.kmeans_seed, "--kmeans-seed")
+    _check_outputs([("the input", args.input)], [("--out", args.out)])
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     if args.no_scale:
         params = None
@@ -383,6 +411,10 @@ def cmd_evaluate(args) -> int:
 
     if not args.model:
         raise ValueError("at least one --model is required")
+    _check_outputs(
+        [("the test file", args.test), *(("--model", path) for path in args.model)],
+        [("--out", args.out)],
+    )
     names: list[str] = []
     for path in args.model:
         name = Path(path).stem
@@ -425,6 +457,10 @@ def cmd_riskfactors(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required")
+    _check_outputs(
+        [("--model", args.model), ("--categories", args.categories)],
+        [("--out-json", args.out_json), ("--out-csv", args.out_csv)],
+    )
     model = serialize.load_model(args.model)
     levels = tuple(p.strip() for p in args.levels.split(",") if p.strip())
     if "cluster" in levels and model.model_type != "cmtl":
@@ -452,6 +488,9 @@ def cmd_clusters(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required")
+    _check_outputs(
+        [("--model", args.model)], [("--out", args.out), ("--out-matrix", args.out_matrix)]
+    )
     model = serialize.load_model(args.model)
     if model.model_type != "cmtl":
         raise ValueError("the clusters command requires a cmtl model")

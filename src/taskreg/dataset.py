@@ -7,7 +7,8 @@ value (in order of first appearance) into :class:`TaskData` blocks,
 preserving file order within each task.
 
 Every reader parses a file in fixed-size chunks (:func:`stream_csv`) and
-hands each chunk's kept rows to a sink: :func:`load_csv` keeps the rows,
+hands each chunk's kept rows to a sink: :func:`read_table` keeps the rows
+as one table (:class:`RowTable`), which :func:`load_csv` groups by task,
 :func:`load_factors` only one small QR factor per task
 (:class:`TaskFactors`), which is all a least-squares fit needs of the
 rows, and evaluation only the prediction errors
@@ -33,9 +34,10 @@ from .errors import DegenerateTaskError, ParseError, SchemaError
 # overhead of np.loadtxt and of the sinks shrinks.
 _CHUNK_LINES = 512
 
-# Rows write_csv formats at a time. Each distinct double of a block is
-# formatted once; a larger block finds more repeats but holds more
-# strings (128 rows of 90 features add about 1 MB to peak memory).
+# Rows write_csv formats at a time (and RowTable.minmax_scale gathers at
+# a time). Each distinct double of a block is formatted once; a larger
+# block finds more repeats but holds more strings (128 rows of 90
+# features add about 1 MB to peak memory).
 _WRITE_BLOCK_ROWS = 128
 
 
@@ -189,14 +191,15 @@ class ScalingParams:
     def _span(self) -> np.ndarray:
         return self.feature_max - self.feature_min
 
-    def transform_features(self, x: np.ndarray) -> np.ndarray:
+    def transform_features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The scaled features; ``out=x`` scales ``x`` in place."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(
                 f"expected a matrix with {self.n_features} columns, got shape {x.shape}"
             )
         span = self._span()
-        out = np.subtract(x, self.feature_min)
+        out = np.subtract(x, self.feature_min, out=out)
         np.divide(out, span, out=out, where=span > 0)
         out[:, span == 0] = 0.0
         return out
@@ -209,14 +212,19 @@ class ScalingParams:
             )
         return x * self._span() + self.feature_min
 
-    def transform_outcome(self, y: np.ndarray) -> np.ndarray:
+    def transform_outcome(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The scaled outcomes; ``out=y`` scales ``y`` in place."""
         if not self.scales_outcome:
             raise ValueError("outcome scaling was not fitted")
         y = np.asarray(y, dtype=np.float64)
         span = self.outcome_max - self.outcome_min
         if span > 0:
-            return (y - self.outcome_min) / span
-        return np.zeros_like(y)
+            out = np.subtract(y, self.outcome_min, out=out)
+            return np.divide(out, span, out=out)
+        if out is None:
+            return np.zeros_like(y)
+        out[...] = 0.0
+        return out
 
     def invert_outcome(self, y: np.ndarray) -> np.ndarray:
         if not self.scales_outcome:
@@ -443,9 +451,20 @@ def load_csv(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
     The header row is required. Rows with an empty outcome cell are
     dropped and counted in ``dropped_rows``. An empty or non-numeric
     feature cell is a :class:`ParseError`; there is no imputation.
-    The file is read by :func:`stream_csv`.
+    The file is read by :func:`read_table`.
     """
-    return stream_csv(path, task_column, outcome_column, _RowSink)
+    return read_table(path, task_column, outcome_column).dataset()
+
+
+def read_table(path, task_column: str, outcome_column: str) -> "RowTable":
+    """Read the kept rows of a CSV file, as :func:`load_csv` keeps them, into one :class:`RowTable`.
+
+    The file is read by :func:`stream_csv`. The table is allocated once,
+    for as many rows as the file has line ends, and is never copied to grow.
+    """
+    return stream_csv(
+        path, task_column, outcome_column, lambda names: _TableSink(names, _line_ends(path))
+    )
 
 
 def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
@@ -458,41 +477,144 @@ def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
     return stream_csv(path, task_column, outcome_column, _FactorSink)
 
 
-class _RowSink:
-    """The rows themselves, for :func:`load_csv`, grouped by task once all are in.
+@dataclass(frozen=True, eq=False)
+class RowTable:
+    """The kept rows of a data file as one table, grouped by task through index arrays.
 
-    Chunks are copied into one table [X | y | task] whose capacity doubles
-    as rows come. Holding the chunks themselves would leave the heap full
-    of freed chunk-sized holes once the tasks are built, which the
-    allocator need not return to the system (on the 120k-row panel,
-    ``split`` then peaked 56 MB higher); a table is one block, freed whole.
+    ``table`` holds one row [x | y] per kept row, in file order, and
+    ``task_rows[t]`` the indices of task t's rows in it, in file order.
+    :meth:`dataset`, :meth:`minmax_scale`, :meth:`split` and
+    :meth:`write_csv` do what :class:`MultiTaskDataset`,
+    :func:`minmax_scale`, :func:`stratified_split` and :func:`write_csv`
+    do, without a per-task copy of the rows.
     """
 
-    def __init__(self, feature_names):
+    table: np.ndarray
+    task_rows: tuple[np.ndarray, ...]
+    task_labels: tuple[str, ...]
+    feature_names: tuple[str, ...]
+    dropped_rows: int = 0
+
+    @property
+    def n_rows(self) -> int:
+        return self.table.shape[0]
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.task_labels)
+
+    def dataset(self) -> MultiTaskDataset:
+        tasks = tuple(
+            TaskData(label=label, X=self.table[rows, :-1], Y=self.table[rows, -1])
+            for label, rows in zip(self.task_labels, self.task_rows)
+        )
+        return MultiTaskDataset(
+            tasks=tasks, feature_names=self.feature_names, dropped_rows=self.dropped_rows
+        )
+
+    def minmax_scale(self, *, scale_outcome: bool = False) -> ScalingParams:
+        """Scale the table in place to the bits :func:`minmax_scale` gives, and return its params.
+
+        :func:`minmax_scale` takes the ranges over the rows stacked task by
+        task, and where a column's minimum is zero, the sign of the zero it
+        keeps depends on that order. So the ranges here are folded over the
+        rows in the same order, a block at a time.
+        """
+        grouped = np.concatenate(self.task_rows)
+        lo = hi = None
+        for start in range(0, grouped.size, _WRITE_BLOCK_ROWS):
+            block = self.table[grouped[start : start + _WRITE_BLOCK_ROWS], :-1]
+            block_lo, block_hi = block.min(axis=0), block.max(axis=0)
+            lo = block_lo if lo is None else np.minimum(lo, block_lo)
+            hi = block_hi if hi is None else np.maximum(hi, block_hi)
+        outcome_lo = outcome_hi = None
+        if scale_outcome:
+            y = self.table[grouped, -1]
+            outcome_lo, outcome_hi = float(y.min()), float(y.max())
+        params = ScalingParams(
+            feature_min=lo, feature_max=hi, outcome_min=outcome_lo, outcome_max=outcome_hi
+        )
+        x = self.table[:, :-1]
+        params.transform_features(x, out=x)
+        if scale_outcome:
+            params.transform_outcome(self.table[:, -1], out=self.table[:, -1])
+        return params
+
+    def split(
+        self, train_fraction: float, seed: int
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """:func:`stratified_split` as each side's per-task row indices into the table."""
+        positions = _split_positions(
+            self.task_labels, [rows.size for rows in self.task_rows], train_fraction, seed
+        )
+        train, test = (
+            tuple(rows[p] for rows, p in zip(self.task_rows, side)) for side in positions
+        )
+        return train, test
+
+    def write_csv(self, task_rows, path, task_column: str, outcome_column: str) -> None:
+        """Write the rows ``task_rows[t]`` of each task t as :func:`write_csv` writes them."""
+        _write_tasks(
+            path,
+            task_column,
+            self.feature_names,
+            outcome_column,
+            (
+                (label, rows.size, lambda part, rows=rows: self.table[rows[part]])
+                for label, rows in zip(self.task_labels, task_rows)
+            ),
+        )
+
+
+class _TableSink:
+    """The kept rows as one :class:`RowTable`, for :func:`read_table`.
+
+    The table is allocated once for ``capacity`` rows, a bound on the kept
+    rows, so it is never copied to grow; the rows past the last kept one
+    are never written, so their pages are never touched.
+    """
+
+    def __init__(self, feature_names, capacity: int):
         self.feature_names = feature_names
-        self.table = np.empty((0, len(feature_names) + 2))
+        self.table = np.empty((capacity, len(feature_names) + 1))
+        self.codes = np.empty(capacity, dtype=np.intp)
         self.rows = 0
 
     def add(self, labels, task, x, y):
         end = self.rows + task.size
-        if end > self.table.shape[0]:
-            grown = np.empty((max(end, 2 * self.table.shape[0]), self.table.shape[1]))
-            grown[: self.rows] = self.table[: self.rows]
-            self.table = grown
-        block = self.table[self.rows : end]
-        block[:, :-2], block[:, -2], block[:, -1] = x, y, task
+        self.table[self.rows : end, :-1] = x
+        self.table[self.rows : end, -1] = y
+        self.codes[self.rows : end] = task
         self.rows = end
 
     def finish(self, labels, dropped_rows):
-        table = self.table[: self.rows]
-        self.table = None
-        tasks = []
-        for code, label in enumerate(labels):
-            rows = table[:, -1] == code
-            tasks.append(TaskData(label=label, X=table[rows, :-2], Y=table[rows, -2]))
-        return MultiTaskDataset(
-            tasks=tuple(tasks), feature_names=self.feature_names, dropped_rows=dropped_rows
+        codes = self.codes[: self.rows]
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(labels)))[:-1]
+        return RowTable(
+            table=self.table[: self.rows],
+            task_rows=tuple(np.split(order, ends)),
+            task_labels=labels,
+            feature_names=self.feature_names,
+            dropped_rows=dropped_rows,
         )
+
+
+def _line_ends(path) -> int:
+    """A bound on the body records of a CSV file: its count of line ends.
+
+    A text read with ``newline=""`` ends a line at "\\n", "\\r\\n" or a lone
+    "\\r". The header ends at one, and every body record but the last ends
+    at one, or the file ends. (A "\\r\\n" that straddles two blocks counts
+    twice, which keeps the count a bound.)
+    """
+    ends = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if block.endswith(b"\r"):
+                block += fh.read(1)
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return ends
 
 
 class _FactorSink:
@@ -796,27 +918,34 @@ def stratified_split(
     so both sides stay nonempty) form the train side. The same seed always
     reproduces the same split.
     """
+    positions = _split_positions(ds.task_labels, [t.n for t in ds.tasks], train_fraction, seed)
+    train, test = (
+        MultiTaskDataset(
+            tasks=tuple(TaskData(t.label, t.X[p], t.Y[p]) for t, p in zip(ds.tasks, side)),
+            feature_names=ds.feature_names,
+        )
+        for side in positions
+    )
+    return train, test
+
+
+def _split_positions(labels, counts, train_fraction: float, seed: int):
+    """The split rule of :func:`stratified_split`, as (train, test) positions.
+
+    Each side holds one index array per task, into that task's rows.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    for t in ds.tasks:
-        if t.n < 2:
-            raise DegenerateTaskError(
-                f"task {t.label!r} has {t.n} row(s); need at least 2 to split"
-            )
-    train_tasks = []
-    test_tasks = []
-    for t_index, t in enumerate(ds.tasks):
-        rng = np.random.default_rng([seed, t_index])
-        order = rng.permutation(t.n)
-        n_train = int(math.floor(train_fraction * t.n + 0.5))
-        n_train = min(max(n_train, 1), t.n - 1)
-        train_rows = order[:n_train]
-        test_rows = order[n_train:]
-        train_tasks.append(TaskData(label=t.label, X=t.X[train_rows], Y=t.Y[train_rows]))
-        test_tasks.append(TaskData(label=t.label, X=t.X[test_rows], Y=t.Y[test_rows]))
-    train = MultiTaskDataset(tasks=tuple(train_tasks), feature_names=ds.feature_names)
-    test = MultiTaskDataset(tasks=tuple(test_tasks), feature_names=ds.feature_names)
-    return train, test
+    for label, n in zip(labels, counts):
+        if n < 2:
+            raise DegenerateTaskError(f"task {label!r} has {n} row(s); need at least 2 to split")
+    train, test = [], []
+    for t_index, n in enumerate(counts):
+        order = np.random.default_rng([seed, t_index]).permutation(n)
+        n_train = min(max(int(math.floor(train_fraction * n + 0.5)), 1), n - 1)
+        train.append(order[:n_train])
+        test.append(order[n_train:])
+    return tuple(train), tuple(test)
 
 
 def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str) -> None:
@@ -826,15 +955,32 @@ def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str)
     Rows go out in blocks of :data:`_WRITE_BLOCK_ROWS`; the bytes are those
     of writing each row with ``csv.writer`` (see :func:`_csv_line`).
     """
-    if task_column in ds.feature_names or outcome_column in ds.feature_names:
+    _write_tasks(
+        path,
+        task_column,
+        ds.feature_names,
+        outcome_column,
+        (
+            (t.label, t.n, lambda part, t=t: np.column_stack([t.X[part], t.Y[part]]))
+            for t in ds.tasks
+        ),
+    )
+
+
+def _write_tasks(path, task_column: str, feature_names, outcome_column: str, tasks) -> None:
+    """The block writer behind both ``write_csv``: a header, then each task's rows.
+
+    ``tasks`` yields (label, n, rows) per task, where ``rows(part)`` gives
+    the [x | y] rows ``part`` (a slice) of the task's n rows.
+    """
+    if task_column in feature_names or outcome_column in feature_names:
         raise ValueError("task/outcome column names collide with feature names")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line([task_column, *ds.feature_names, outcome_column]))
-        for t in ds.tasks:
-            prefix = _csv_line([t.label, ""])[:-1]
-            for start in range(0, t.n, _WRITE_BLOCK_ROWS):
-                rows = slice(start, start + _WRITE_BLOCK_ROWS)
-                fh.write(_format_rows(prefix, np.column_stack([t.X[rows], t.Y[rows]])))
+        fh.write(_csv_line([task_column, *feature_names, outcome_column]))
+        for label, n, rows in tasks:
+            prefix = _csv_line([label, ""])[:-1]
+            for start in range(0, n, _WRITE_BLOCK_ROWS):
+                fh.write(_format_rows(prefix, rows(slice(start, start + _WRITE_BLOCK_ROWS))))
 
 
 def _csv_line(cells) -> str:

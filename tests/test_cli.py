@@ -625,3 +625,72 @@ def test_evaluate_error_order(tmp_path, capsys):
             assert err == "error: model has no task 'stranger'\n"
         else:
             assert err == f"error: {path}: row {len(body)} has 8 fields, expected 7\n"
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def collision_dir(tmp_path):
+    """A data file, its split, a cmtl model, a hard link to the data and an empty sub/."""
+    d = tmp_path
+    data = _write_csv(d / "data.csv")
+    train, _, _ = _split(d, data)
+    _train(d, train, "m.json", "--model", "cmtl", "--k", "2")
+    os.link(data, d / "link.csv")
+    (d / "sub").mkdir()
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["split", "{d}/data.csv", "--train-out", "{d}/data.csv"],
+         "--train-out {d}/data.csv names the same file as the input {d}/data.csv"),
+        (["split", "{d}/data.csv", "--train-out", "{d}/x.csv", "--test-out", "{d}/x.csv"],
+         "--test-out {d}/x.csv names the same file as --train-out {d}/x.csv"),
+        (["split", "{d}/data.csv", "--train-out", "{d}/q.csv", "--manifest", "{d}/q.csv"],
+         "--manifest {d}/q.csv names the same file as --train-out {d}/q.csv"),
+        (["split", "{d}/data.csv", "--test-out", "{d}/sub/../data.csv"],
+         "--test-out {d}/sub/../data.csv names the same file as the input {d}/data.csv"),
+        (["split", "{d}/data.csv", "--train-out", "{d}/link.csv"],
+         "--train-out {d}/link.csv names the same file as the input {d}/data.csv"),
+        (["split", "{d}/data.csv", "--train-out", "{d}/new.csv",
+          "--test-out", "{d}/sub/../new.csv"],
+         "--test-out {d}/sub/../new.csv names the same file as --train-out {d}/new.csv"),
+        (["train", "{d}/train.csv", "--model", "mtl", "--out", "{d}/train.csv"],
+         "--out {d}/train.csv names the same file as the input {d}/train.csv"),
+        (["evaluate", "{d}/test.csv", "--model", "{d}/m.json", "--out", "{d}/test.csv"],
+         "--out {d}/test.csv names the same file as the test file {d}/test.csv"),
+        (["evaluate", "{d}/test.csv", "--model", "{d}/m.json", "--out", "{d}/m.json"],
+         "--out {d}/m.json names the same file as --model {d}/m.json"),
+        (["riskfactors", "--model", "{d}/m.json", "--out-json", "{d}/m.json"],
+         "--out-json {d}/m.json names the same file as --model {d}/m.json"),
+        (["riskfactors", "--model", "{d}/m.json", "--out-json", "{d}/r", "--out-csv", "{d}/r"],
+         "--out-csv {d}/r names the same file as --out-json {d}/r"),
+        (["clusters", "--model", "{d}/m.json", "--out", "{d}/c", "--out-matrix", "{d}/c"],
+         "--out-matrix {d}/c names the same file as --out {d}/c"),
+    ],
+    ids=["split-input", "split-sides", "split-manifest", "split-dotdot", "split-hard-link",
+         "split-new-file", "train-input", "evaluate-test", "evaluate-model",
+         "riskfactors-model", "riskfactors-outputs", "clusters-outputs"],
+)
+def test_output_naming_an_input_or_another_output_is_rejected(
+    collision_dir, capsys, argv, message
+):
+    d = str(collision_dir)
+    # Every other output path is a fresh name in the directory, so any write shows.
+    config = collision_dir / "sub" / "run.cfg"
+    config.write_text(
+        "".join(f"{key} = {d}/default_{key}\n"
+                for key in ("train_out", "test_out", "manifest", "out", "out_json", "out_csv")),
+        encoding="utf-8",
+    )
+    before = _files(collision_dir)
+    code = cli.main([arg.replace("{d}", d) for arg in argv] + ["--config", str(config)])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.replace('{d}', d)}\n"
+    assert captured.out == ""
+    assert code == 2
+    assert _files(collision_dir) == before

@@ -1,6 +1,8 @@
 """Loading, scaling, and splitting behavior."""
 
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -21,12 +23,22 @@ from taskreg import (
 )
 from oracles import write_csv_rows
 from taskreg import cli, dataset
-from taskreg.dataset import TaskFactors, _FactorSink, _load_cells, _read_chunks, _RowSink
+from taskreg.dataset import (
+    TaskFactors,
+    _FactorSink,
+    _line_ends,
+    _load_cells,
+    _read_chunks,
+    _TableSink,
+)
 
 
 def _chunked_rows(path, task_column, outcome_column):
     """load_csv's chunk loop alone: the dataset, or None where it defers to the cell reader."""
-    return _read_chunks(path, task_column, outcome_column, _RowSink)
+    table = _read_chunks(
+        path, task_column, outcome_column, lambda names: _TableSink(names, _line_ends(path))
+    )
+    return None if table is None else table.dataset()
 
 
 def _chunked_factors(path, task_column, outcome_column):
@@ -658,3 +670,148 @@ def test_split_writes_row_writer_bytes(tmp_path, scale):
         expected = tmp_path / f"expected_{name}.csv"
         write_csv_rows(side, expected, "task", "outcome")
         assert out[name].read_bytes() == expected.read_bytes()
+
+
+def _split_oracle(source, out, fraction, seed, scale):
+    """What ``split`` writes and prints, by load_csv -> stratified_split -> write_csv."""
+    ds = load_csv(source, "site", "outcome")
+    dropped = ds.dropped_rows
+    if scale:
+        ds, _ = minmax_scale(ds, scale_outcome=True)
+    train, test = stratified_split(ds, fraction, seed)
+    write_csv(train, out / "train.csv", "site", "outcome")
+    write_csv(test, out / "test.csv", "site", "outcome")
+    manifest = {
+        "command": "split", "input": str(source), "seed": seed, "train_fraction": fraction,
+        "task_column": "site", "outcome_column": "outcome", "scaled_before_split": scale,
+        "scale_outcome": scale, "dropped_rows": dropped,
+        "per_task": {
+            full.label: {"total": full.n, "train": tr.n, "test": te.n}
+            for full, tr, te in zip(ds.tasks, train.tasks, test.tasks)
+        },
+    }
+    (out / "split.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    sides = f"{out / 'train.csv'}, {out / 'test.csv'}"
+    return f"split {ds.n_rows} rows across {ds.n_tasks} tasks -> {sides}\n"
+
+
+def _assert_split_matches_oracle(tmp_path, capsys, text, *, fraction=0.6, seed=3, scale=False):
+    source = tmp_path / "panel.csv"
+    source.write_bytes(text.encode("utf-8"))
+    got, expected = tmp_path / "cli", tmp_path / "oracle"
+    got.mkdir()
+    expected.mkdir()
+    argv = ["split", str(source), "--task-column", "site", "--train-fraction", str(fraction),
+            "--seed", str(seed), "--train-out", str(got / "train.csv"),
+            "--test-out", str(got / "test.csv"), "--manifest", str(got / "split.json")]
+    capsys.readouterr()
+    assert cli.main(argv + (["--scale-full", "--scale-outcome"] if scale else [])) == 0
+    printed = capsys.readouterr().out
+    assert printed == _split_oracle(source, expected, fraction, seed, scale).replace(
+        str(expected), str(got))
+    for name in ("train.csv", "test.csv", "split.json"):
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def _float_repr(value):
+    return repr(float(value))
+
+
+def _grouped(text, newline):
+    """The same panel with its body lines sorted by label, so each task's rows are contiguous."""
+    header, *body = text.rstrip(newline).split(newline)
+    return newline.join([header, *sorted(body, key=lambda line: line.rsplit(",", 4)[0])]) + newline
+
+
+@pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("layout", ["interleaved", "grouped"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_matches_library_path(tmp_path, monkeypatch, capsys, seed, newline, layout, chunk,
+                                    scale):
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    text = _random_panel(seed, newline=newline, final_newline=True, cell=_float_repr)
+    if layout == "grouped":
+        text = _grouped(text, newline)
+    _assert_split_matches_oracle(tmp_path, capsys, text, seed=seed, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_split_of_chunked_panel_matches_library_path(tmp_path, monkeypatch, capsys, chunk, scale):
+    # "pair" has two rows, which a 0.9 split clamps to one each side.
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    text = _chunked_panel(4, 7, newline="\n")
+    _assert_split_matches_oracle(tmp_path, capsys, text, fraction=0.9, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("south,", '"cr\rsouth",'),
+        lambda text: text.replace("south,", '"line\nsouth",'),
+        lambda text: text + "\nsouth,1_0,2.5,-0.0,7.0",
+    ],
+    ids=["lone-cr-label", "quoted-newline-label", "underscore-cell"],
+)
+def test_split_through_cell_reader_matches_library_path(tmp_path, capsys, edit, scale):
+    text = edit(_random_panel(0, newline="\n", final_newline=False, cell=_float_repr))
+    source = _write(tmp_path, text, name="edited.csv")
+    assert _chunked_rows(source, "site", "outcome") is None  # the cell reader reads it
+    _assert_split_matches_oracle(tmp_path, capsys, text, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+def test_split_scaling_keeps_the_sign_of_a_zero_minimum(tmp_path, capsys, scale):
+    # f0 and the outcome have minimum 0 and hold both zeros. The last zero
+    # is +0.0 in file order but -0.0 with the rows stacked task by task, as
+    # minmax_scale stacks them, and x - min keeps the sign of -0.0 only
+    # when min is +0.0.
+    text = "site,f0,f1,outcome\na,1.0,2.0,1.0\nb,-0.0,3.0,-0.0\na,0.0,4.0,0.0\nb,1.0,5.0,1.0\n"
+    _assert_split_matches_oracle(tmp_path, capsys, text, scale=scale)
+
+
+@pytest.mark.parametrize(
+    "text, fraction, error",
+    [
+        ("site,f,outcome\na,1,2\na,2,3\nb,3,4\nb,4,\n", 0.6,
+         "task 'b' has 1 row(s); need at least 2 to split"),
+        ("site,f,outcome\na,1,2\na,2,3\n", 1.0, "train_fraction must be in (0, 1), got 1.0"),
+    ],
+    ids=["one-row-task", "fraction"],
+)
+def test_split_errors_keep_their_text(tmp_path, capsys, text, fraction, error):
+    source = _write(tmp_path, text)
+    with pytest.raises((DegenerateTaskError, ValueError), match=r"^" + re.escape(error) + "$"):
+        stratified_split(load_csv(source, "site", "outcome"), fraction, seed=0)
+    argv = ["split", str(source), "--task-column", "site", "--train-fraction", str(fraction),
+            "--train-out", str(tmp_path / "tr.csv"), "--test-out", str(tmp_path / "te.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.parametrize("scale_outcome", [False, True])
+def test_table_scaling_matches_minmax_scale(tmp_path, scale_outcome):
+    source = _write(tmp_path, _chunked_panel(1, 16, newline="\n"))
+    table = dataset.read_table(source, "site", "outcome")
+    params = table.minmax_scale(scale_outcome=scale_outcome)
+    expected, expected_params = minmax_scale(load_csv(source, "site", "outcome"),
+                                             scale_outcome=scale_outcome)
+    assert params == expected_params
+    for a, b in zip(table.dataset().tasks, expected.tasks):
+        assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_line_ends_bound_the_records(tmp_path, newline, final_newline):
+    text = _random_panel(2, newline=newline, final_newline=final_newline, cell=_float_repr)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = sum(1 for _ in fh)
+    assert _line_ends(path) == lines - (not final_newline)

@@ -1,7 +1,9 @@
-"""`taskreg train` and `evaluate` stream the file, so their memory does not grow with it.
+"""How the peak memory of `taskreg train`, `evaluate` and `split` grows with the file.
 
-`train` holds per-task factors, not rows; `evaluate` holds each test
-row's outcome and absolute error, not its features.
+`train` and `evaluate` stream the file, so their memory does not grow
+with it: `train` holds per-task factors, not rows; `evaluate` holds each
+test row's outcome and absolute error, not its features. `split` must
+hold every kept row to shuffle it, and holds them once, in one table.
 
 Each run is a child process whose peak RSS comes from ``os.wait4``. On
 Linux a child's ``ru_maxrss`` starts from the peak of the process whose
@@ -80,3 +82,21 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
     small = _evaluate_peak_mb(tmp_path, 3_000, model)
     large = _evaluate_peak_mb(tmp_path, 12_000, model)
     assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_split_peak_memory_grows_by_one_copy(tmp_path):
+    def split_peak_mb(n_rows):
+        path = tmp_path / f"rows{n_rows}.csv"
+        _write_panel(path, n_rows)
+        return _peak_mb("split", path, "--train-out", tmp_path / "train.csv",
+                        "--test-out", tmp_path / "test.csv", "--manifest", tmp_path / "m.json")
+
+    small = split_peak_mb(3_000)
+    large = split_peak_mb(12_000)
+    # One table row holds 40 features, the outcome and the task: 42 doubles.
+    added_table_mb = (12_000 - 3_000) * 42 * 8 / 2**20
+    assert large - small < 1.25 * added_table_mb, (
+        f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000; "
+        f"the added rows' table is {added_table_mb:.1f} MB"
+    )
