@@ -38,26 +38,21 @@ _EXPORTS = {
     "SolverConfig": "fista",
     "SolveTrace": "fista",
     "solve": "fista",
-    "surrogate_q": "fista",
     "backtracking_step": "fista",
     # joint-sparsity model
     "MtlModel": "mtl",
     "fit_mtl": "mtl",
-    "predict": "mtl",
     "prox_l21": "mtl",
     "lambda_max": "mtl",
     "l21_norm": "mtl",
-    "objective": "mtl",
     # clustered model
     "CmtlParams": "cmtl",
     "RelaxedClusterMatrix": "cmtl",
-    "ClusteredModel": "cmtl",
     "fit_cmtl": "cmtl",
     "extract_clusters": "cmtl",
     "project_spectral": "cmtl",
     "capped_simplex_project": "cmtl",
     "cluster_indicator": "cmtl",
-    "cmtl_objective": "cmtl",
     # rankings
     "RankedFactor": "riskfactors",
     "RiskReport": "riskfactors",

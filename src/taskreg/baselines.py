@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, stream_dataset
+from .dataset import (
+    MultiTaskDataset,
+    ScalingParams,
+    TaskFactors,
+    as_factors,
+    residual_gradient,
+    residuals,
+    stream_dataset,
+)
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -107,17 +115,13 @@ def _stl_problem(r: np.ndarray, spec: StlSpec) -> ProximalProblem:
     matrix as T blocks of one solve: each value is then a vector over the
     tasks and each value or gradient one batched matmul.
     """
-    a, b = r[..., :-1], r[..., -1]
-
-    def residual(w):
-        return np.matmul(a, w[..., None])[..., 0] - b
 
     def smooth_value(w):
-        res = residual(w)
+        res = residuals(r, w)
         return 0.5 * np.einsum("...i,...i->...", res, res)
 
     def smooth_grad(w):
-        return np.matmul(residual(w)[..., None, :], a)[..., 0, :]
+        return residual_gradient(r, residuals(r, w))
 
     def full_objective(w):
         return smooth_value(w) + _penalty_value(w, spec.penalty, spec.lam)
@@ -156,14 +160,15 @@ def fit_stl(
     """
     factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
+    stack = factors.design_stack(intercept=fit_intercept)
     if spec.setting == "global":
-        r = np.linalg.qr(np.vstack(factors.design(intercept=fit_intercept)), mode="r")
+        # The zero padding rows of the stack leave the pooled factor's Gram matrix unchanged.
+        r = np.linalg.qr(stack.reshape(-1, stack.shape[2]), mode="r")
         w, trace = solve(_stl_problem(r, spec), np.zeros(r.shape[1] - 1), cfg)
         weights_full = np.tile(w, (n_tasks, 1))
     else:
-        r = factors.design_stack(intercept=fit_intercept)
         weights_full, trace = solve(
-            _stl_problem(r, spec), np.zeros((n_tasks, r.shape[2] - 1)), cfg
+            _stl_problem(stack, spec), np.zeros((n_tasks, stack.shape[2] - 1)), cfg
         )
 
     if fit_intercept:

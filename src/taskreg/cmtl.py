@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, check_model_axes
-from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
+from .dataset import (
+    MultiTaskDataset,
+    ScalingParams,
+    TaskFactors,
+    as_factors,
+    residual_gradient,
+    residuals,
+)
+from .fista import ProximalProblem, SolverConfig, solve
+from .mtl import MtlModel
 
 _SYMMETRY_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-8
@@ -123,150 +131,10 @@ class RelaxedClusterMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class ClusteredModel:
-    """Fitted clustered multi-task model."""
-
-    weights: np.ndarray
-    cluster_matrix: RelaxedClusterMatrix
-    params: CmtlParams
-    assignments: tuple[int, ...]
-    kmeans_seed: int
-    feature_names: tuple[str, ...]
-    task_labels: tuple[str, ...]
-    scaling: ScalingParams | None = None
-    trace: SolveTrace | None = None
-    model_type: str = "cmtl"
-    intercept: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-        t, j = w.shape
-        if len(self.task_labels) != t or len(self.feature_names) != j:
-            raise ValueError("weights shape inconsistent with names/labels")
-        check_model_axes(self.task_labels, self.feature_names, self.scaling)
-        if self.cluster_matrix.n_tasks != t:
-            raise ValueError("cluster matrix size does not match task count")
-        assignments = tuple(int(a) for a in self.assignments)
-        if len(assignments) != t:
-            raise ValueError(f"need {t} assignments, got {len(assignments)}")
-        used = sorted(set(assignments))
-        if used != list(range(len(used))):
-            raise ValueError(f"cluster ids must be 0..{len(used) - 1} contiguous, got {used}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "task_labels", tuple(self.task_labels))
-        intercept = self.intercept
-        intercept = np.zeros(t) if intercept is None else np.array(intercept, dtype=np.float64)
-        if intercept.shape != (t,):
-            raise ValueError(f"intercept must have shape ({t},), got {intercept.shape}")
-        intercept.setflags(write=False)
-        object.__setattr__(self, "intercept", intercept)
-
-    @property
-    def n_tasks(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
-
 def _as_matrix(c) -> np.ndarray:
     if isinstance(c, RelaxedClusterMatrix):
         return c.matrix
     return np.asarray(c, dtype=np.float64)
-
-
-def _coupling_solve(c: np.ndarray, eta: float, rhs: np.ndarray) -> np.ndarray:
-    """(eta*I + C)^{-1} @ rhs via the symmetric eigendecomposition."""
-    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
-    vals = vals + eta
-    if vals.min() <= 0:
-        raise ValueError(
-            f"eta*I + C is not positive definite (min eigenvalue {vals.min():.3g})"
-        )
-    return vecs @ ((vecs.T @ rhs) / vals[:, None])
-
-
-def cmtl_loss(weights: np.ndarray, ds: MultiTaskDataset) -> float:
-    """Sum over tasks of the per-task mean squared residual (no half)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (ds.n_tasks, ds.n_features):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match dataset "
-            f"{(ds.n_tasks, ds.n_features)}"
-        )
-    total = 0.0
-    for t, task in enumerate(ds.tasks):
-        r = task.X @ weights[t] - task.Y
-        total += float(r @ r) / task.n
-    return total
-
-
-def cmtl_regularizer(weights: np.ndarray, c, params: CmtlParams) -> float:
-    """rho1*eta*(1+eta) * tr(W^T (eta*I + C)^{-1} W), inverse on tasks."""
-    weights = np.asarray(weights, dtype=np.float64)
-    c = _as_matrix(c)
-    if c.shape != (weights.shape[0], weights.shape[0]):
-        raise ValueError(
-            f"C has shape {c.shape}, expected ({weights.shape[0]}, {weights.shape[0]})"
-        )
-    if params.coupling == 0:
-        return 0.0
-    solved = _coupling_solve(c, params.eta, weights)
-    return params.coupling * float(np.vdot(weights, solved))
-
-
-def cmtl_objective(weights: np.ndarray, c, ds: MultiTaskDataset, params: CmtlParams) -> float:
-    return cmtl_loss(weights, ds) + cmtl_regularizer(weights, c, params)
-
-
-def grad_phi(weights: np.ndarray, c, ds: MultiTaskDataset, params: CmtlParams) -> np.ndarray:
-    """Gradient of cmtl_loss + cmtl_regularizer in the weights."""
-    weights = np.asarray(weights, dtype=np.float64)
-    c = _as_matrix(c)
-    g = np.empty_like(weights)
-    for t, task in enumerate(ds.tasks):
-        r = task.X @ weights[t] - task.Y
-        g[t] = (2.0 / task.n) * (task.X.T @ r)
-    if params.coupling != 0:
-        g += 2.0 * params.coupling * _coupling_solve(c, params.eta, weights)
-    return g
-
-
-def _regularizer_grad_c(weights: np.ndarray, c: np.ndarray, params: CmtlParams) -> np.ndarray:
-    """Gradient of the regularizer in C: -coupling * Minv W W^T Minv."""
-    solved = _coupling_solve(c, params.eta, weights)
-    grad = -params.coupling * (solved @ solved.T)
-    return 0.5 * (grad + grad.T)
-
-
-def grad_c_step(phi_s: np.ndarray, c_s: np.ndarray, params: CmtlParams, gamma: float) -> np.ndarray:
-    """The pre-projection gradient step in C from the search point.
-
-    Returns C_S + (rho1*eta*(1+eta)/gamma) * Minv Phi_S Phi_S^T Minv with
-    Minv = (eta*I + C_S)^{-1}, symmetrized. This is the dimensionally
-    consistent derivative of the trace regularizer; its sign and scale are
-    pinned by finite-difference tests.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    phi_s = np.asarray(phi_s, dtype=np.float64)
-    c_s = np.asarray(c_s, dtype=np.float64)
-    if c_s.ndim != 2 or c_s.shape[0] != c_s.shape[1]:
-        raise ValueError(f"C_S must be square, got shape {c_s.shape}")
-    asym = float(np.abs(c_s - c_s.T).max())
-    if asym > 1e-8:
-        raise ValueError(f"C_S asymmetric by {asym:.3g}")
-    if params.coupling == 0 or not phi_s.any():
-        return c_s.copy()
-    step = c_s - (1.0 / gamma) * _regularizer_grad_c(phi_s, c_s, params)
-    return 0.5 * (step + step.T)
 
 
 def capped_simplex_project(sigma_hat: np.ndarray, k: int) -> np.ndarray:
@@ -329,13 +197,14 @@ def _is_positive_definite(m: np.ndarray) -> bool:
 class _SmoothPart:
     """The smooth part of the cmtl objective on the stacked [W | C].
 
-    Each task's data enters through its design factor R_t of [X_t | y_t]
-    (:meth:`TaskFactors.design`), since ||X_t w - y_t|| = ||R_t [w; -1]||.
-    The factors are stacked with zero rows as padding into one
-    (T, min(max n_t, J+1), J+1) array (:meth:`TaskFactors.design_stack`),
-    so the data term of a value or a gradient is one batched matmul; it
-    is divided by the true row counts n_t, which the factors' shapes do
-    not show.
+    Each task's data enters through its design factor R_t = [A_t | b_t] of
+    [X_t | y_t], since ||X_t w - y_t|| = ||A_t w - b_t||. The factors are
+    stacked with zero rows as padding into one (T, min(max n_t, J+1), J+1)
+    array (:meth:`TaskFactors.design_stack`), so the data term of a value
+    or a gradient is one batched matmul (:func:`~taskreg.dataset.residuals`
+    and :func:`~taskreg.dataset.residual_gradient`, shared with the other
+    fits); it is weighted by 2/n_t with the true row counts n_t, which the
+    factors' shapes do not show.
 
     The value is +inf unless every eigenvalue of eta*I + C exceeds
     ``_PD_FLOOR``. The last evaluated point is remembered by value (a
@@ -375,8 +244,7 @@ class _SmoothPart:
             sym, eye = 0.5 * (c + c.T), np.eye(c.shape[0])
             positive = _is_positive_definite(sym + (self._eta - _PD_FLOOR) * eye)
             solved = np.linalg.solve(sym + self._eta * eye, w) if positive else None
-        augmented = np.column_stack([w, np.full(w.shape[0], -1.0)])
-        resid = np.matmul(self._r, augmented[:, :, None])[:, :, 0]
+        resid = residuals(self._r, w)
         if not positive:
             value = math.inf
         else:
@@ -392,8 +260,7 @@ class _SmoothPart:
     def grad(self, z: np.ndarray) -> np.ndarray:
         self._evaluate(z)
         solved = self._solved
-        # Row t is R_t^T r_t = [X_t | y_t]^T (X_t w_t - y_t); its last entry is dropped.
-        gw = np.matmul(self._resid[:, None, :], self._r)[:, 0, : self._n_features]
+        gw = residual_gradient(self._r, self._resid)
         gw *= (2.0 / self._counts)[:, None]
         gw += 2.0 * self._coupling * solved
         gc = -self._coupling * (solved @ solved.T)
@@ -409,11 +276,12 @@ def fit_cmtl(
     kmeans_seed: int = 0,
     scaling: ScalingParams | None = None,
     on_project=None,
-) -> ClusteredModel:
+) -> MtlModel:
     """Jointly fit weights and the relaxed cluster matrix.
 
     Runs the accelerated proximal solver on the stacked variable [W | C]
-    (shape T x (J + T)): the smooth part is cmtl_loss + cmtl_regularizer,
+    (shape T x (J + T)): the smooth part is the mean squared loss plus the
+    coupling regularizer (see the module docstring),
     the prox leaves the weight block alone and spectrally projects the C
     block, and one shared backtracked gamma serves both blocks. Starts
     from W = 0, C = (k/T) I. Hard assignments come from
@@ -457,16 +325,17 @@ def fit_cmtl(
     w_hat, c_hat = split(z_hat)
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
     assignments = extract_clusters(cluster_matrix, params.k, kmeans_seed)
-    return ClusteredModel(
+    return MtlModel(
         weights=w_hat,
-        cluster_matrix=cluster_matrix,
-        params=params,
-        assignments=assignments,
-        kmeans_seed=kmeans_seed,
         feature_names=factors.feature_names,
         task_labels=factors.task_labels,
         scaling=scaling,
         trace=trace,
+        model_type="cmtl",
+        cluster_matrix=cluster_matrix,
+        params=params,
+        assignments=assignments,
+        kmeans_seed=kmeans_seed,
     )
 
 

@@ -371,29 +371,41 @@ class TaskFactors:
         )
         return scaled, params
 
-    def design(self, *, intercept: bool) -> tuple[np.ndarray, ...]:
-        """Each task's R factor of its fit design [X_t | 1 | y_t].
+    def design_stack(self, *, intercept: bool) -> np.ndarray:
+        """Each task's R factor of its fit design [X_t | 1 | y_t], as one array.
 
         Without ``intercept`` the ones column is left out. The last column
         holds the outcome, so with R_t = [A_t | b_t] the residual norm
-        ||X_t w - y_t|| of a weight vector w is ||A_t w - b_t||.
+        ||X_t w - y_t|| of a weight vector w is ||A_t w - b_t||
+        (:func:`residuals`). The factors are stacked into one
+        (T, rows, width) array for batched matmuls: ``rows`` is the tallest
+        factor's, and shorter factors are padded with zero rows, which
+        leave every residual norm unchanged.
         """
-        if intercept:
-            return self.factors
-        keep = [*range(self.n_features), self.n_features + 1]
-        return tuple(np.linalg.qr(r[:, keep], mode="r") for r in self.factors)
-
-    def design_stack(self, *, intercept: bool) -> np.ndarray:
-        """:meth:`design` as one (T, rows, width) array for batched matmuls.
-
-        ``rows`` is the tallest factor's; shorter factors are padded with zero
-        rows, which leave every residual norm ||R_t [w; -1]|| unchanged.
-        """
-        design = self.design(intercept=intercept)
+        design = self.factors
+        if not intercept:
+            keep = [*range(self.n_features), self.n_features + 1]
+            design = [np.linalg.qr(r[:, keep], mode="r") for r in design]
         stack = np.zeros((len(design), max(r.shape[0] for r in design), design[0].shape[1]))
         for t, r in enumerate(design):
             stack[t, : r.shape[0]] = r
         return stack
+
+
+def residuals(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each task's residual A_t w_t - b_t on a design stack of R_t = [A_t | b_t].
+
+    This and :func:`residual_gradient` are the least-squares data term of
+    every fit. ``stack`` is :meth:`TaskFactors.design_stack`, with one
+    weight vector per task in the rows of ``w``, or a single factor with
+    one weight vector.
+    """
+    return np.matmul(stack[..., :-1], w[..., None])[..., 0] - stack[..., -1]
+
+
+def residual_gradient(stack: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Each task's gradient A_t^T r_t of 0.5 * ||r_t||^2, from its :func:`residuals`."""
+    return np.matmul(residual[..., None, :], stack[..., :-1])[..., 0, :]
 
 
 def as_factors(data: MultiTaskDataset | TaskFactors) -> TaskFactors:

@@ -121,22 +121,6 @@ class BlockTraces(tuple):
         return sum(trace.iterations for trace in self)
 
 
-def surrogate_q(problem: ProximalProblem, s: np.ndarray, phi: np.ndarray, gamma: float) -> float:
-    """Quadratic surrogate of the smooth part around the search point s.
-
-    Returns L(s) + (gamma/2)*||phi - s||_F^2 + <phi - s, grad L(s)>.
-    """
-    if s.shape != phi.shape:
-        raise ValueError(f"shape mismatch: S is {s.shape}, Phi is {phi.shape}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    delta = phi - s
-    value = problem.smooth_value(s)
-    return float(
-        value + 0.5 * gamma * np.vdot(delta, delta) + np.vdot(delta, problem.smooth_grad(s))
-    )
-
-
 # Per-block quantities (values, gammas, masks) are numpy scalars for a
 # one-block problem, where a scalar operation costs a fraction of one on a
 # 0-d array, and arrays with one entry per row of x for a blocked problem.

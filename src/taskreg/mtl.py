@@ -9,40 +9,27 @@ are selected for all tasks or none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, ScalingParams, TaskFactors, as_factors, check_model_axes
+from .dataset import (
+    MultiTaskDataset,
+    ScalingParams,
+    TaskFactors,
+    as_factors,
+    check_model_axes,
+    residual_gradient,
+    residuals,
+)
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
+if TYPE_CHECKING:
+    from .cmtl import CmtlParams, RelaxedClusterMatrix
 
-def _check_weights(weights: np.ndarray, ds: MultiTaskDataset) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    expected = (ds.n_tasks, ds.n_features)
-    if weights.shape != expected:
-        raise ValueError(f"weights shape {weights.shape} does not match dataset {expected}")
-    return weights
-
-
-def loss(weights: np.ndarray, ds: MultiTaskDataset) -> float:
-    """Half the summed squared residual over all tasks."""
-    weights = _check_weights(weights, ds)
-    total = 0.0
-    for t, task in enumerate(ds.tasks):
-        r = task.X @ weights[t] - task.Y
-        total += 0.5 * float(r @ r)
-    return total
-
-
-def grad_loss(weights: np.ndarray, ds: MultiTaskDataset) -> np.ndarray:
-    """Gradient of :func:`loss`; row t is X_t^T (X_t w_t - y_t)."""
-    weights = _check_weights(weights, ds)
-    g = np.empty_like(weights)
-    for t, task in enumerate(ds.tasks):
-        r = task.X @ weights[t] - task.Y
-        g[t] = task.X.T @ r
-    return g
+_MODEL_TYPES = ("mtl", "stl", "cmtl")
+_CLUSTER_FIELDS = ("cluster_matrix", "params", "assignments", "kmeans_seed")
 
 
 def l21_norm(weights: np.ndarray) -> float:
@@ -51,12 +38,6 @@ def l21_norm(weights: np.ndarray) -> float:
     if weights.ndim != 2:
         raise ValueError(f"expected a 2-D weight matrix, got shape {weights.shape}")
     return float(np.linalg.norm(weights, axis=0).sum())
-
-
-def objective(weights: np.ndarray, ds: MultiTaskDataset, lam: float) -> float:
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    return loss(weights, ds) + lam * l21_norm(weights)
 
 
 def prox_l21(h: np.ndarray, threshold: float) -> np.ndarray:
@@ -91,18 +72,30 @@ def lambda_max(ds: MultiTaskDataset) -> float:
 
 @dataclass(frozen=True)
 class MtlModel:
-    """Fitted multi-task linear model (also used for the STL baselines)."""
+    """A fitted multi-task linear model, one weight row per task.
+
+    Every fit returns this type: ``model_type`` is "mtl", "stl" (the
+    single-task baselines) or "cmtl". ``lam`` is the penalty of an mtl
+    or stl fit, and ``stl_setting`` and ``stl_penalty`` describe an stl
+    fit. The cluster fields ``cluster_matrix``, ``params``, ``assignments``
+    and ``kmeans_seed`` are set for cmtl and ``None`` for mtl and stl;
+    ``lam`` is ``None`` for cmtl.
+    """
 
     weights: np.ndarray
-    lam: float
     feature_names: tuple[str, ...]
     task_labels: tuple[str, ...]
+    lam: float | None = None
     intercept: np.ndarray | None = None
     scaling: ScalingParams | None = None
     trace: SolveTrace | tuple[SolveTrace, ...] | None = None
     model_type: str = "mtl"
     stl_setting: str | None = None
     stl_penalty: str | None = None
+    cluster_matrix: RelaxedClusterMatrix | None = None
+    params: CmtlParams | None = None
+    assignments: tuple[int, ...] | None = None
+    kmeans_seed: int | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -115,7 +108,29 @@ class MtlModel:
                 f"labels / {len(self.feature_names)} feature names"
             )
         check_model_axes(self.task_labels, self.feature_names, self.scaling)
-        if self.lam < 0:
+        if self.model_type not in _MODEL_TYPES:
+            raise ValueError(f"unknown model_type {self.model_type!r}")
+        clustered = self.model_type == "cmtl"
+        expected = _CLUSTER_FIELDS if clustered else ("lam",)
+        given = tuple(f for f in ("lam", *_CLUSTER_FIELDS) if getattr(self, f) is not None)
+        if sorted(given) != sorted(expected):
+            raise ValueError(
+                f"a model of type {self.model_type!r} sets {', '.join(expected)}, "
+                f"got {', '.join(given) or 'none'}"
+            )
+        if clustered:
+            if self.cluster_matrix.n_tasks != t:
+                raise ValueError("cluster matrix size does not match task count")
+            assignments = tuple(int(a) for a in self.assignments)
+            if len(assignments) != t:
+                raise ValueError(f"need {t} assignments, got {len(assignments)}")
+            used = sorted(set(assignments))
+            if used != list(range(len(used))):
+                raise ValueError(
+                    f"cluster ids must be 0..{len(used) - 1} contiguous, got {used}"
+                )
+            object.__setattr__(self, "assignments", assignments)
+        elif self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -135,9 +150,6 @@ class MtlModel:
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
-
-    def with_scaling(self, scaling: ScalingParams | None) -> "MtlModel":
-        return replace(self, scaling=scaling)
 
 
 def fit_mtl(
@@ -163,25 +175,16 @@ def fit_mtl(
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
-    # ||X_t w - y_t|| = ||A_t w - b_t|| for the factor R_t = [A_t | b_t].
-    design = factors.design(intercept=fit_intercept)
-    xs = [r[:, :-1] for r in design]
-    ys = [r[:, -1] for r in design]
-    width = n_features + (1 if fit_intercept else 0)
+    stack = factors.design_stack(intercept=fit_intercept)
 
     def smooth_value(w):
-        total = 0.0
-        for x, y, row in zip(xs, ys, w):
-            r = x @ row - y
-            total += 0.5 * float(r @ r)
-        return total
+        r = residuals(stack, w)
+        # One dot product per task, summed in task order: this order fixes the
+        # last bits of the objective, which model files record.
+        return 0.5 * sum(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0].tolist())
 
     def smooth_grad(w):
-        g = np.empty_like(w)
-        for t in range(n_tasks):
-            r = xs[t] @ w[t] - ys[t]
-            g[t] = xs[t].T @ r
-        return g
+        return residual_gradient(stack, residuals(stack, w))
 
     def prox(h, step):
         if not fit_intercept:
@@ -199,7 +202,7 @@ def fit_mtl(
         prox=prox,
         full_objective=full_objective,
     )
-    w_hat, trace = solve(problem, np.zeros((n_tasks, width)), cfg)
+    w_hat, trace = solve(problem, np.zeros((n_tasks, stack.shape[2] - 1)), cfg)
 
     intercept = w_hat[:, n_features] if fit_intercept else None
     return MtlModel(
@@ -211,23 +214,3 @@ def fit_mtl(
         scaling=scaling,
         trace=trace,
     )
-
-
-def predict(model, X: np.ndarray, task_index: int) -> np.ndarray:
-    """Linear prediction for one task: X @ w_t + intercept_t.
-
-    X must already be in the model's training feature space (scaled the
-    same way the training data was).
-    """
-    weights = np.asarray(model.weights)
-    n_tasks, n_features = weights.shape
-    if not 0 <= task_index < n_tasks:
-        raise IndexError(f"task_index {task_index} out of range for {n_tasks} tasks")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"X must have shape (n, {n_features}), got {X.shape}")
-    out = X @ weights[task_index]
-    intercept = getattr(model, "intercept", None)
-    if intercept is not None:
-        out = out + intercept[task_index]
-    return out

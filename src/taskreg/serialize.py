@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cmtl import ClusteredModel, CmtlParams, RelaxedClusterMatrix
+from .cmtl import CmtlParams, RelaxedClusterMatrix
 from .dataset import ScalingParams
 from .mtl import MtlModel
 
@@ -125,7 +125,7 @@ def model_to_dict(model) -> dict:
         "scaling": _scaling_to_dict(model.scaling),
         "trace": _trace_summary(model.trace),
     }
-    if isinstance(model, ClusteredModel):
+    if model.model_type == "cmtl":
         common.update(
             {
                 "rho1": model.params.rho1,
@@ -137,8 +137,6 @@ def model_to_dict(model) -> dict:
             }
         )
         return common
-    if not isinstance(model, MtlModel):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
     common["lam"] = model.lam
     if model.model_type == "stl":
         common["stl_setting"] = model.stl_setting
@@ -173,30 +171,27 @@ def _model_from_dict(data: dict):
             matrix=_numbers(data["cluster_matrix"], "cluster_matrix", 2), k=params.k
         )
         assignments = _list(data["assignments"], "assignments", "integers")
-        return ClusteredModel(
-            weights=weights,
-            cluster_matrix=cluster_matrix,
-            params=params,
-            assignments=tuple(_integer(a, "assignments") for a in assignments),
-            kmeans_seed=_integer(data["kmeans_seed"], "kmeans_seed"),
-            feature_names=feature_names,
-            task_labels=task_labels,
-            scaling=scaling,
-            intercept=intercept,
-        )
-    if model_type in ("mtl", "stl"):
-        return MtlModel(
-            weights=weights,
-            lam=_number(data["lam"], "lam"),
-            feature_names=feature_names,
-            task_labels=task_labels,
-            intercept=intercept,
-            scaling=scaling,
-            model_type=model_type,
-            stl_setting=_optional_string(data.get("stl_setting"), "stl_setting"),
-            stl_penalty=_optional_string(data.get("stl_penalty"), "stl_penalty"),
-        )
-    raise ValueError(f"unknown model_type {model_type!r}")
+        fields = {
+            "cluster_matrix": cluster_matrix,
+            "params": params,
+            "assignments": tuple(_integer(a, "assignments") for a in assignments),
+            "kmeans_seed": _integer(data["kmeans_seed"], "kmeans_seed"),
+        }
+    else:
+        fields = {
+            "lam": _number(data["lam"], "lam"),
+            "stl_setting": _optional_string(data.get("stl_setting"), "stl_setting"),
+            "stl_penalty": _optional_string(data.get("stl_penalty"), "stl_penalty"),
+        }
+    return MtlModel(
+        weights=weights,
+        feature_names=feature_names,
+        task_labels=task_labels,
+        intercept=intercept,
+        scaling=scaling,
+        model_type=model_type,
+        **fields,
+    )
 
 
 def load_model(path):

@@ -15,6 +15,13 @@ evidence rather than tautology:
   space.
 - ``write_csv_rows``: the CSV writer one ``csv.writer`` row at a time,
   every cell formatted on its own.
+- ``loss``, ``grad_loss`` and ``objective``: the mtl objective on the raw
+  rows, one task at a time; the fits run on batched QR factors instead.
+- ``cmtl_loss``, ``cmtl_regularizer``, ``cmtl_objective``, ``grad_phi``
+  and ``grad_c_step``: the cmtl objective and its gradient blocks on the
+  raw rows, with (eta*I + C)^{-1} from an eigendecomposition.
+- ``surrogate_q``: the quadratic surrogate of the descent test, from two
+  fresh callback evaluations at the search point.
 """
 
 from __future__ import annotations
@@ -168,3 +175,136 @@ def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
         for t in ds.tasks:
             for i in range(t.n):
                 writerow([t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))])
+
+
+def _check_weights(weights: np.ndarray, ds) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.float64)
+    expected = (ds.n_tasks, ds.n_features)
+    if weights.shape != expected:
+        raise ValueError(f"weights shape {weights.shape} does not match dataset {expected}")
+    return weights
+
+
+def loss(weights: np.ndarray, ds) -> float:
+    """Half the summed squared residual over all tasks."""
+    weights = _check_weights(weights, ds)
+    total = 0.0
+    for t, task in enumerate(ds.tasks):
+        r = task.X @ weights[t] - task.Y
+        total += 0.5 * float(r @ r)
+    return total
+
+
+def grad_loss(weights: np.ndarray, ds) -> np.ndarray:
+    """Gradient of :func:`loss`; row t is X_t^T (X_t w_t - y_t)."""
+    weights = _check_weights(weights, ds)
+    g = np.empty_like(weights)
+    for t, task in enumerate(ds.tasks):
+        r = task.X @ weights[t] - task.Y
+        g[t] = task.X.T @ r
+    return g
+
+
+def objective(weights: np.ndarray, ds, lam: float) -> float:
+    """:func:`loss` plus lam times the sum of the weight-column norms."""
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    return loss(weights, ds) + lam * float(np.linalg.norm(weights, axis=0).sum())
+
+
+def _coupling_solve(c: np.ndarray, eta: float, rhs: np.ndarray) -> np.ndarray:
+    """(eta*I + C)^{-1} @ rhs via the symmetric eigendecomposition."""
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    vals = vals + eta
+    if vals.min() <= 0:
+        raise ValueError(
+            f"eta*I + C is not positive definite (min eigenvalue {vals.min():.3g})"
+        )
+    return vecs @ ((vecs.T @ rhs) / vals[:, None])
+
+
+def cmtl_loss(weights: np.ndarray, ds) -> float:
+    """Sum over tasks of the per-task mean squared residual (no half)."""
+    weights = _check_weights(weights, ds)
+    total = 0.0
+    for t, task in enumerate(ds.tasks):
+        r = task.X @ weights[t] - task.Y
+        total += float(r @ r) / task.n
+    return total
+
+
+def cmtl_regularizer(weights: np.ndarray, c, params) -> float:
+    """rho1*eta*(1+eta) * tr(W^T (eta*I + C)^{-1} W), inverse on tasks."""
+    weights = np.asarray(weights, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (weights.shape[0], weights.shape[0]):
+        raise ValueError(
+            f"C has shape {c.shape}, expected ({weights.shape[0]}, {weights.shape[0]})"
+        )
+    if params.coupling == 0:
+        return 0.0
+    solved = _coupling_solve(c, params.eta, weights)
+    return params.coupling * float(np.vdot(weights, solved))
+
+
+def cmtl_objective(weights: np.ndarray, c, ds, params) -> float:
+    return cmtl_loss(weights, ds) + cmtl_regularizer(weights, c, params)
+
+
+def grad_phi(weights: np.ndarray, c, ds, params) -> np.ndarray:
+    """Gradient of cmtl_loss + cmtl_regularizer in the weights."""
+    weights = np.asarray(weights, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    g = np.empty_like(weights)
+    for t, task in enumerate(ds.tasks):
+        r = task.X @ weights[t] - task.Y
+        g[t] = (2.0 / task.n) * (task.X.T @ r)
+    if params.coupling != 0:
+        g += 2.0 * params.coupling * _coupling_solve(c, params.eta, weights)
+    return g
+
+
+def _regularizer_grad_c(weights: np.ndarray, c: np.ndarray, params) -> np.ndarray:
+    """Gradient of the regularizer in C: -coupling * Minv W W^T Minv."""
+    solved = _coupling_solve(c, params.eta, weights)
+    grad = -params.coupling * (solved @ solved.T)
+    return 0.5 * (grad + grad.T)
+
+
+def grad_c_step(phi_s: np.ndarray, c_s: np.ndarray, params, gamma: float) -> np.ndarray:
+    """The pre-projection gradient step in C from the search point.
+
+    Returns C_S + (rho1*eta*(1+eta)/gamma) * Minv Phi_S Phi_S^T Minv with
+    Minv = (eta*I + C_S)^{-1}, symmetrized. This is the dimensionally
+    consistent derivative of the trace regularizer; its sign and scale are
+    pinned by finite-difference tests.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    phi_s = np.asarray(phi_s, dtype=np.float64)
+    c_s = np.asarray(c_s, dtype=np.float64)
+    if c_s.ndim != 2 or c_s.shape[0] != c_s.shape[1]:
+        raise ValueError(f"C_S must be square, got shape {c_s.shape}")
+    asym = float(np.abs(c_s - c_s.T).max())
+    if asym > 1e-8:
+        raise ValueError(f"C_S asymmetric by {asym:.3g}")
+    if params.coupling == 0 or not phi_s.any():
+        return c_s.copy()
+    step = c_s - (1.0 / gamma) * _regularizer_grad_c(phi_s, c_s, params)
+    return 0.5 * (step + step.T)
+
+
+def surrogate_q(problem, s: np.ndarray, phi: np.ndarray, gamma: float) -> float:
+    """Quadratic surrogate of the smooth part around the search point s.
+
+    Returns L(s) + (gamma/2)*||phi - s||_F^2 + <phi - s, grad L(s)>.
+    """
+    if s.shape != phi.shape:
+        raise ValueError(f"shape mismatch: S is {s.shape}, Phi is {phi.shape}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    delta = phi - s
+    value = problem.smooth_value(s)
+    return float(
+        value + 0.5 * gamma * np.vdot(delta, delta) + np.vdot(delta, problem.smooth_grad(s))
+    )

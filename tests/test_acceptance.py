@@ -12,25 +12,27 @@ import time
 import numpy as np
 import pytest
 
-from taskreg import cli
+from taskreg import baselines, cli, cmtl, mtl
 from taskreg.baselines import StlSpec, evaluate, fit_stl
 from taskreg.cmtl import (
     CmtlParams,
     capped_simplex_project,
     cluster_indicator,
-    cmtl_objective,
     fit_cmtl,
-    grad_phi,
     project_spectral,
 )
 from taskreg.dataset import MultiTaskDataset, TaskData
 from taskreg.fista import SolverConfig
-from taskreg.mtl import fit_mtl, grad_loss, lambda_max, loss, objective, prox_l21
+from taskreg.mtl import fit_mtl, lambda_max, prox_l21
 from taskreg.baselines import mae as mae_of
 
 from oracles import (
     capped_simplex_grid,
     central_difference_grad,
+    cmtl_objective,
+    grad_loss,
+    grad_phi,
+    loss,
     ols_normal_equations,
     prox_l21_projected_subgradient,
 )
@@ -70,8 +72,36 @@ def test_criterion_01_prox_matches_subgradient_oracle():
     assert elapsed < 30.0, f"prox sweep took {elapsed:.1f}s"
 
 
-def test_criterion_02_gradients_match_finite_differences():
-    """grad_loss and grad_phi agree with central differences (rel < 1e-4)."""
+def _fit_problem(monkeypatch, module, fit):
+    """The ProximalProblem that ``fit()`` hands to ``module.solve``.
+
+    The solve it was built for runs one iteration only.
+    """
+    built = []
+    solve = module.solve
+
+    def capture(problem, phi0, cfg=None):
+        built.append(problem)
+        return solve(problem, phi0, SolverConfig(max_iters=1))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "solve", capture)
+        fit()
+    return built[0]
+
+
+def _relative_gap(g, fd):
+    return np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd))
+
+
+def test_criterion_02_gradients_match_finite_differences(monkeypatch):
+    """Gradients agree with central differences (rel < 1e-4).
+
+    Both the raw-row oracles (grad_loss, grad_phi) and the smooth parts
+    the fits actually solve: mtl with and without an intercept, the stl
+    problems (the blocked stack and the pooled factor), and cmtl on
+    [W | C], its W block and its C block each.
+    """
     rng = np.random.default_rng(1002)
     started = time.monotonic()
     for _ in range(50):
@@ -83,7 +113,7 @@ def test_criterion_02_gradients_match_finite_differences():
 
         fd = central_difference_grad(lambda v: loss(v, ds), w)
         g = grad_loss(w, ds)
-        assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) < 1e-4
+        assert _relative_gap(g, fd) < 1e-4
 
         k = int(rng.integers(1, n_tasks))
         c = project_spectral(rng.normal(size=(n_tasks, n_tasks)), k).matrix
@@ -92,7 +122,30 @@ def test_criterion_02_gradients_match_finite_differences():
         )
         fd = central_difference_grad(lambda v: cmtl_objective(v, c, ds, params), w)
         g = grad_phi(w, c, ds, params)
-        assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) < 1e-4
+        assert _relative_gap(g, fd) < 1e-4
+
+        for intercept in (False, True):
+            problem = _fit_problem(
+                monkeypatch, mtl, lambda: fit_mtl(ds, 0.1, fit_intercept=intercept)
+            )
+            v = rng.normal(size=(n_tasks, n_features + intercept))
+            fd = central_difference_grad(problem.smooth_value, v)
+            assert _relative_gap(problem.smooth_grad(v), fd) < 1e-4, intercept
+
+        for setting, shape in (("individual", (n_tasks, n_features)), ("global", (n_features,))):
+            spec = StlSpec(setting=setting, penalty="lasso", lam=0.1)
+            problem = _fit_problem(monkeypatch, baselines, lambda: fit_stl(ds, spec))
+            v = rng.normal(size=shape)
+            # A blocked problem has one value per task; their sum has the stacked gradient.
+            fd = central_difference_grad(lambda u: np.sum(problem.smooth_value(u)), v)
+            assert _relative_gap(problem.smooth_grad(v), fd) < 1e-4, setting
+
+        problem = _fit_problem(monkeypatch, cmtl, lambda: fit_cmtl(ds, params))
+        z = np.hstack([w, c])
+        fd = central_difference_grad(problem.smooth_value, z)
+        g = problem.smooth_grad(z)
+        assert _relative_gap(g[:, :n_features], fd[:, :n_features]) < 1e-4
+        assert _relative_gap(g[:, n_features:], fd[:, n_features:]) < 1e-4
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"gradient sweep took {elapsed:.1f}s"
 

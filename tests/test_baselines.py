@@ -15,7 +15,7 @@ from taskreg.baselines import (
 )
 from taskreg.dataset import MultiTaskDataset, ScalingParams, TaskData, minmax_scale
 from taskreg.fista import SolverConfig
-from taskreg.mtl import MtlModel, fit_mtl, loss
+from taskreg.mtl import MtlModel, fit_mtl
 
 from oracles import ols_normal_equations
 

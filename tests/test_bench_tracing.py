@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from taskreg import baselines, cmtl
+from taskreg import baselines, cmtl, mtl
 from taskreg.dataset import MultiTaskDataset, TaskData
 from taskreg.fista import SolverConfig
 
@@ -59,6 +59,19 @@ def test_cmtl_fit_records_every_traced_layer(tracing):
     assert metrics["cmtl.fit_cmtl_s"] > 0
     assert metrics["cmtl.project_spectral_calls"] == metrics["fista.prox_calls"]
     assert metrics["cmtl.eigh_calls"] > 0
+
+
+def test_mtl_fit_records_solver_callbacks(tracing):
+    fits = []
+    metrics = _metrics(
+        tracing, lambda: fits.append(mtl.fit_mtl(_toy_dataset(), 0.1, SolverConfig(max_iters=20)))
+    )
+    assert metrics["mtl.fit_mtl_s"] > 0
+    assert metrics["fista.solve_calls"] == 1
+    assert metrics["fista.iterations"] == fits[0].trace.iterations > 0
+    for callback in _CALLBACKS:
+        assert metrics[f"fista.{callback}_calls"] > 0, callback
+    assert metrics["cmtl.eigh_calls"] == 0
 
 
 def test_stl_fit_records_solver_callbacks(tracing):

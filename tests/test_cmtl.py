@@ -1,4 +1,9 @@
-"""Clustered multi-task model: regularizer, projections, joint fit, rounding."""
+"""Clustered multi-task model: regularizer, projections, joint fit, rounding.
+
+The raw-row objective and its gradient blocks (``cmtl_loss``,
+``cmtl_regularizer``, ``cmtl_objective``, ``grad_phi``, ``grad_c_step``)
+are test oracles; the fit runs on batched QR factors.
+"""
 
 import math
 
@@ -7,24 +12,28 @@ import pytest
 
 from taskreg.cmtl import (
     _SmoothPart,
-    ClusteredModel,
     CmtlParams,
     RelaxedClusterMatrix,
     capped_simplex_project,
     cluster_indicator,
-    cmtl_loss,
-    cmtl_objective,
-    cmtl_regularizer,
     extract_clusters,
     fit_cmtl,
-    grad_c_step,
-    grad_phi,
     project_spectral,
 )
 from taskreg.dataset import MultiTaskDataset, TaskData, TaskFactors, load_factors, write_csv
 from taskreg.fista import ProximalProblem, SolverConfig, solve
+from taskreg.mtl import MtlModel
 
-from oracles import capped_simplex_grid, central_difference_grad, dykstra_spectral_project
+from oracles import (
+    capped_simplex_grid,
+    central_difference_grad,
+    cmtl_loss,
+    cmtl_objective,
+    cmtl_regularizer,
+    dykstra_spectral_project,
+    grad_c_step,
+    grad_phi,
+)
 
 
 def _dataset(xs, ys):
@@ -460,41 +469,43 @@ def test_sse_trace_identity():
 def test_clustered_model_validation():
     params = CmtlParams(rho1=1.0, rho2=1.0, k=2)
     c = RelaxedClusterMatrix(matrix=np.diag([1.0, 1.0, 0.0]), k=2)
-    with pytest.raises(ValueError, match="contiguous"):
-        ClusteredModel(
-            weights=np.zeros((3, 2)),
-            cluster_matrix=c,
-            params=params,
-            assignments=(0, 2, 2),  # skips id 1
-            kmeans_seed=0,
-            feature_names=("a", "b"),
-            task_labels=("t0", "t1", "t2"),
-        )
-    model = ClusteredModel(
+    fields = dict(
         weights=np.zeros((3, 2)),
-        cluster_matrix=c,
-        params=params,
-        assignments=(0, 1, 1),
-        kmeans_seed=0,
         feature_names=("a", "b"),
         task_labels=("t0", "t1", "t2"),
+        model_type="cmtl",
+        cluster_matrix=c,
+        params=params,
+        kmeans_seed=0,
     )
+    with pytest.raises(ValueError, match="contiguous"):
+        MtlModel(**fields, assignments=(0, 2, 2))  # skips id 1
+    with pytest.raises(ValueError, match="need 3 assignments"):
+        MtlModel(**fields, assignments=(0, 1))
+    # Every cluster field is required for cmtl, and lam is not.
+    with pytest.raises(ValueError, match="sets cluster_matrix, params, assignments, kmeans_seed"):
+        MtlModel(**{**fields, "kmeans_seed": None}, assignments=(0, 1, 1))
+    with pytest.raises(ValueError, match="got lam, cluster_matrix"):
+        MtlModel(**fields, assignments=(0, 1, 1), lam=0.1)
+    model = MtlModel(**fields, assignments=[0, 1, 1])
     assert model.model_type == "cmtl"
+    assert model.assignments == (0, 1, 1) and model.lam is None
     np.testing.assert_array_equal(model.intercept, np.zeros(3))
 
 
 def test_clustered_model_rejects_wrong_intercept_shape():
     c = RelaxedClusterMatrix(matrix=np.diag([1.0, 1.0, 0.0]), k=2)
     with pytest.raises(ValueError, match=r"intercept must have shape \(3,\), got \(2,\)"):
-        ClusteredModel(
+        MtlModel(
             weights=np.zeros((3, 2)),
+            feature_names=("a", "b"),
+            task_labels=("t0", "t1", "t2"),
+            intercept=np.zeros(2),
+            model_type="cmtl",
             cluster_matrix=c,
             params=CmtlParams(rho1=1.0, rho2=1.0, k=2),
             assignments=(0, 1, 1),
             kmeans_seed=0,
-            feature_names=("a", "b"),
-            task_labels=("t0", "t1", "t2"),
-            intercept=np.zeros(2),
         )
 
 

@@ -1,9 +1,9 @@
 """Fits on per-task QR factors agree with solves on the raw rows.
 
 Each reference runs ``fista.solve`` on the rows themselves, with the data
-term built from ``mtl.loss`` and ``mtl.grad_loss``. The fits reduce the
-rows to one R factor per task (``TaskFactors``) and must land within
-1e-10 of the reference.
+term built from the raw-row oracles ``loss`` and ``grad_loss``. The fits
+reduce the rows to one R factor per task (``TaskFactors``) and must land
+within 1e-10 of the reference.
 """
 
 import json
@@ -15,7 +15,9 @@ from taskreg import cli
 from taskreg.baselines import StlSpec, fit_stl
 from taskreg.dataset import MultiTaskDataset, TaskData, load_csv, load_factors, minmax_scale
 from taskreg.fista import ProximalProblem, SolverConfig, solve
-from taskreg.mtl import fit_mtl, grad_loss, l21_norm, loss, prox_l21
+from taskreg.mtl import fit_mtl, l21_norm, prox_l21
+
+from oracles import grad_loss, loss
 
 TIGHT = SolverConfig(max_iters=20000, rel_tol=1e-11)
 ATOL = 1e-10

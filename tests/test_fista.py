@@ -1,4 +1,8 @@
-"""Solver loop: surrogate, line search, momentum, and stopping."""
+"""Solver loop: surrogate, line search, momentum, and stopping.
+
+The surrogate oracle ``surrogate_q`` is pinned by hand-computed values
+below, and the surrogate each solve records is checked against it.
+"""
 
 import dataclasses
 import math
@@ -14,10 +18,9 @@ from taskreg.fista import (
     SolveTrace,
     backtracking_step,
     solve,
-    surrogate_q,
 )
 
-from oracles import ols_normal_equations
+from oracles import ols_normal_equations, surrogate_q
 
 
 def _identity_prox(h, step):
@@ -100,6 +103,37 @@ def test_surrogate_q_errors():
         surrogate_q(problem, np.zeros(2), np.zeros(3), gamma=1.0)
     with pytest.raises(ValueError, match="gamma"):
         surrogate_q(problem, np.zeros(2), np.zeros(2), gamma=0.0)
+
+
+def test_first_step_records_the_oracle_surrogate():
+    # A one-iteration solve searches from its start point, so the surrogate
+    # it records is the oracle's at the start point, the accepted step and
+    # the accepted gamma.
+    rng = np.random.default_rng(11)
+    x_mat = rng.normal(size=(12, 4))
+    y = rng.normal(size=12)
+    phi0 = rng.normal(size=4)
+    for problem in (
+        _quadratic_problem(3.0),
+        _least_squares_problem(x_mat, y),
+        _lasso_problem(x_mat, y, 0.5),
+    ):
+        phi1, trace = solve(problem, phi0, SolverConfig(max_iters=1, gamma0=0.5))
+        assert trace.iterations == 1
+        assert trace.objective_per_iter[0] < problem.full_objective(phi0)  # phi1 is the step
+        expected = surrogate_q(problem, phi0, phi1, trace.gamma_per_iter[0])
+        assert trace.surrogate_per_iter[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_first_step_of_each_block_records_the_oracle_surrogate():
+    problem = _blocked_lasso(21, n_blocks=3)
+    phi0 = np.random.default_rng(12).normal(size=(3, 6))
+    phi1, traces = solve(problem, phi0, SolverConfig(max_iters=1))
+    for b, trace in enumerate(traces):
+        row = _row_problem(problem, b, 3)
+        assert trace.objective_per_iter[0] < row.full_objective(phi0[b])
+        expected = surrogate_q(row, phi0[b], phi1[b], trace.gamma_per_iter[0])
+        assert trace.surrogate_per_iter[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_backtracking_accepts_matching_curvature():

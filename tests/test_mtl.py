@@ -1,23 +1,25 @@
-"""Group-sparse multi-task model: objective pieces, prox, and fitting."""
+"""Group-sparse multi-task model: objective pieces, prox, fitting and prediction.
+
+The raw-row objective pieces (``loss``, ``grad_loss``, ``objective``) are
+test oracles; the fit runs on batched QR factors.
+"""
 
 import numpy as np
 import pytest
 
+from taskreg.baselines import predictions_for_task
 from taskreg.dataset import MultiTaskDataset, TaskData
 from taskreg.fista import SolverConfig
-from taskreg.mtl import (
-    MtlModel,
-    fit_mtl,
+from taskreg.mtl import MtlModel, fit_mtl, l21_norm, lambda_max, prox_l21
+
+from oracles import (
+    central_difference_grad,
     grad_loss,
-    l21_norm,
-    lambda_max,
     loss,
     objective,
-    predict,
-    prox_l21,
+    ols_normal_equations,
+    prox_l21_projected_subgradient,
 )
-
-from oracles import central_difference_grad, ols_normal_equations, prox_l21_projected_subgradient
 
 
 def _dataset(xs, ys, labels=None):
@@ -217,6 +219,14 @@ def test_model_validation():
         MtlModel(weights=np.zeros((1, 2)), lam=0.0, feature_names=("a",), task_labels=("t",))
     with pytest.raises(ValueError, match="lambda"):
         MtlModel(weights=np.zeros((1, 1)), lam=-1.0, feature_names=("a",), task_labels=("t",))
+    # mtl and stl need lam and take no cluster fields; the type must be known.
+    axes = dict(weights=np.zeros((1, 1)), feature_names=("a",), task_labels=("t",))
+    with pytest.raises(ValueError, match="'stl' sets lam, got none"):
+        MtlModel(**axes, model_type="stl")
+    with pytest.raises(ValueError, match="sets lam, got lam, kmeans_seed"):
+        MtlModel(**axes, lam=0.0, kmeans_seed=0)
+    with pytest.raises(ValueError, match="unknown model_type 'forest'"):
+        MtlModel(**axes, lam=0.0, model_type="forest")
     model = MtlModel(weights=np.zeros((1, 1)), lam=0.0, feature_names=("a",), task_labels=("t",))
     np.testing.assert_array_equal(model.intercept, [0.0])
     with pytest.raises(ValueError):
@@ -231,12 +241,13 @@ def test_predict_examples():
         task_labels=("t0", "t1"),
     )
     x = np.array([[1.0, 1.0], [2.0, 0.0]])
-    np.testing.assert_allclose(predict(model, x, 0), [3.0, 2.0])
-    np.testing.assert_allclose(predict(model, x, 1), [-1.0, 0.0])
-    with pytest.raises(IndexError, match="task_index"):
-        predict(model, x, 2)
+    np.testing.assert_allclose(predictions_for_task(model, x, 0), [3.0, 2.0])
+    np.testing.assert_allclose(predictions_for_task(model, x, 1), [-1.0, 0.0])
+    np.testing.assert_allclose(predictions_for_task(model, x, np.array([1, 0])), [-1.0, 2.0])
+    with pytest.raises(IndexError, match="out of bounds"):
+        predictions_for_task(model, x, 2)
     with pytest.raises(ValueError, match="shape"):
-        predict(model, np.ones((2, 3)), 0)
+        predictions_for_task(model, np.ones((2, 3)), 0)
 
 
 def test_predict_with_intercept():
@@ -247,7 +258,7 @@ def test_predict_with_intercept():
         task_labels=("t",),
         intercept=np.array([10.0]),
     )
-    np.testing.assert_allclose(predict(model, np.array([[3.0]]), 0), [16.0])
+    np.testing.assert_allclose(predictions_for_task(model, np.array([[3.0]]), 0), [16.0])
 
 
 def test_sparsity_path_is_monotone_small():
