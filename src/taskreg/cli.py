@@ -12,9 +12,11 @@ mirror the long flag names (hyphens or underscores both work), and keys
 a command does not know are ignored so one file can serve the whole
 pipeline.
 
-Set TASKREG_NUM_THREADS to cap BLAS threading; it is applied before
-numpy loads, which is why the numeric modules are imported inside the
-command handlers rather than at the top.
+BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
+a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
+TASKREG_NUM_THREADS is unset). This is applied before numpy loads, which
+is why the numeric modules are imported inside the command handlers
+rather than at the top.
 """
 
 from __future__ import annotations
@@ -135,8 +137,15 @@ _OPTION_TABLES = {
 
 
 def _configure_threads() -> None:
+    """Set every BLAS thread variable to TASKREG_NUM_THREADS, or those unset to 1.
+
+    The fits multiply matrices of a few hundred rows at most, where one
+    thread is faster than several.
+    """
     value = os.environ.get("TASKREG_NUM_THREADS")
     if value is None:
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, "1")
         return
     try:
         count = int(value)

@@ -21,6 +21,7 @@ from .dataset import (
     MultiTaskDataset,
     ScalingParams,
     TaskFactors,
+    _value_eq,
     as_factors,
     residual_gradient,
     residuals,
@@ -78,12 +79,14 @@ class RelaxedClusterMatrix:
     tr = k, all up to small numerical tolerances. ``spectrum`` keeps the
     read-only (eigenvalues, eigenvectors) of the symmetrized matrix from
     that validation, so a caller that needs them does not decompose the
-    matrix again.
+    matrix again. ``==`` compares the matrix and k by value.
     """
 
     matrix: np.ndarray
     k: int
     spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.float64)
@@ -343,7 +346,8 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     """Round a relaxed cluster matrix to hard task assignments.
 
     Embeds tasks as rows of the top-k eigenvectors of C, then runs
-    k-means (k-means++ seeding, 50 restarts, one fixed PRNG). Labels are
+    k-means (k-means++ seeding, 50 restarts) on the draws of numpy's
+    ``default_rng(seed)`` (made by :class:`taskreg._stream.Stream`). Labels are
     renumbered in first-occurrence order, so task 0 is always in cluster
     0 and outputs are permutation-equivariant for a fixed seed.
     """
@@ -353,13 +357,21 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     t = mat.shape[0]
     if not 1 <= k <= t:
         raise ValueError(f"k must be in [1, {t}], got {k}")
+    from ._stream import Stream
+
     _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     embedding = vecs[:, t - k:]
-    labels = _kmeans_labels(embedding, k, np.random.default_rng(seed), restarts=50)
+    labels = _kmeans_labels(embedding, k, Stream(seed), restarts=50)
     return _canonical_labels(labels)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ centers, drawn by ``rng.integers`` and ``rng.random``.
+
+    A center after the first is drawn with probability proportional to
+    dist2 by the inverse CDF, which is what numpy's ``rng.choice(n, p=p)``
+    does with one ``rng.random()``, so the centers are those of that call.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -369,7 +381,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=dist2 / total))
+            cdf = np.cumsum(dist2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[i] = points[idx]
         dist2 = np.minimum(dist2, ((points - centers[i]) ** 2).sum(axis=1))
     return centers

@@ -925,7 +925,8 @@ def stratified_split(
 ) -> tuple[MultiTaskDataset, MultiTaskDataset]:
     """Split every task into train/test with a per-task seeded shuffle.
 
-    Task t is shuffled by a PRNG seeded from (seed, t); the first
+    Task t is shuffled as numpy's ``default_rng([seed, t]).permutation(n_t)``
+    shuffles it (drawn by :class:`taskreg._stream.Stream`); the first
     round(train_fraction * n_t) shuffled rows (half-up rounding, clamped
     so both sides stay nonempty) form the train side. The same seed always
     reproduces the same split.
@@ -951,9 +952,11 @@ def _split_positions(labels, counts, train_fraction: float, seed: int):
     for label, n in zip(labels, counts):
         if n < 2:
             raise DegenerateTaskError(f"task {label!r} has {n} row(s); need at least 2 to split")
+    from ._stream import Stream
+
     train, test = [], []
     for t_index, n in enumerate(counts):
-        order = np.random.default_rng([seed, t_index]).permutation(n)
+        order = np.array(Stream([seed, t_index]).permutation(n), dtype=np.intp)
         n_train = min(max(int(math.floor(train_fraction * n + 0.5)), 1), n - 1)
         train.append(order[:n_train])
         test.append(order[n_train:])

@@ -131,9 +131,9 @@ def _per_block(v):
     return np.asarray(v, dtype=np.float64)[()]
 
 
-def _rows(v, x: np.ndarray):
-    """Per-block ``v`` broadcast against x."""
-    return v.reshape(v.shape + (1,) * (x.ndim - 1)) if isinstance(v, np.ndarray) else v
+def _rows(v, x):
+    """Per-block ``v`` broadcast against x (an array, or a scalar that broadcasts as is)."""
+    return v.reshape(v.shape + (1,) * (np.ndim(x) - 1)) if isinstance(v, np.ndarray) else v
 
 
 def _where(mask, new, old):

@@ -9,7 +9,7 @@ are selected for all tasks or none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,6 +18,7 @@ from .dataset import (
     MultiTaskDataset,
     ScalingParams,
     TaskFactors,
+    _value_eq,
     as_factors,
     check_model_axes,
     residual_gradient,
@@ -79,7 +80,8 @@ class MtlModel:
     or stl fit, and ``stl_setting`` and ``stl_penalty`` describe an stl
     fit. The cluster fields ``cluster_matrix``, ``params``, ``assignments``
     and ``kmeans_seed`` are set for cmtl and ``None`` for mtl and stl;
-    ``lam`` is ``None`` for cmtl.
+    ``lam`` is ``None`` for cmtl. ``==`` compares values; ``trace``, the
+    solver's diagnostics, which a loaded model does not have, is left out.
     """
 
     weights: np.ndarray
@@ -88,7 +90,7 @@ class MtlModel:
     lam: float | None = None
     intercept: np.ndarray | None = None
     scaling: ScalingParams | None = None
-    trace: SolveTrace | tuple[SolveTrace, ...] | None = None
+    trace: SolveTrace | tuple[SolveTrace, ...] | None = field(default=None, compare=False)
     model_type: str = "mtl"
     stl_setting: str | None = None
     stl_penalty: str | None = None
@@ -96,6 +98,8 @@ class MtlModel:
     params: CmtlParams | None = None
     assignments: tuple[int, ...] | None = None
     kmeans_seed: int | None = None
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)

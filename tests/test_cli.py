@@ -351,6 +351,26 @@ def test_thread_env_applied(tmp_path, monkeypatch):
         assert os.environ[var] == "3"
 
 
+def test_configure_threads_cases(monkeypatch):
+    # Unset: one thread, except where the user set a library's own variable.
+    monkeypatch.delenv("TASKREG_NUM_THREADS", raising=False)
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    cli._configure_threads()
+    assert {var: os.environ[var] for var in cli._THREAD_VARS} == {
+        var: "2" if var == "OPENBLAS_NUM_THREADS" else "1" for var in cli._THREAD_VARS
+    }
+    # Set: it overrides every variable.
+    monkeypatch.setenv("TASKREG_NUM_THREADS", "4")
+    cli._configure_threads()
+    assert all(os.environ[var] == "4" for var in cli._THREAD_VARS)
+    # Invalid: an error, whatever the variables hold.
+    monkeypatch.setenv("TASKREG_NUM_THREADS", "0")
+    with pytest.raises(ValueError, match="TASKREG_NUM_THREADS"):
+        cli._configure_threads()
+
+
 def test_thread_env_invalid(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TASKREG_NUM_THREADS", "several")
     csv_path = _write_csv(tmp_path / "data.csv")

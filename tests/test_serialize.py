@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from taskreg.baselines import StlSpec, evaluate, fit_stl
-from taskreg.cmtl import CmtlParams, fit_cmtl
+from taskreg.cmtl import CmtlParams, RelaxedClusterMatrix, fit_cmtl
 from taskreg.dataset import MultiTaskDataset, TaskData, minmax_scale
 from taskreg.fista import SolverConfig
 from taskreg.mtl import fit_mtl
@@ -70,6 +70,36 @@ def test_cmtl_round_trip(tmp_path):
     assert loaded.assignments == model.assignments
     assert loaded.kmeans_seed == 11
     assert loaded.model_type == "cmtl"
+
+
+def _fitted(kind):
+    ds = _dataset(seed=93, n_tasks=4)
+    if kind == "mtl":
+        scaled, params = minmax_scale(ds, scale_outcome=True)
+        return fit_mtl(scaled, 0.2, fit_intercept=True, scaling=params)
+    if kind == "cmtl":
+        return fit_cmtl(ds, CmtlParams(rho1=0.5, rho2=0.7, k=2), SolverConfig(max_iters=200))
+    return fit_stl(ds, StlSpec(setting=kind, penalty="lasso", lam=0.4))
+
+
+@pytest.mark.parametrize("kind", ["mtl", "individual", "global", "cmtl"])
+def test_loaded_model_equals_saved_model(tmp_path, kind):
+    model = _fitted(kind)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.trace is None and model.trace is not None
+    assert loaded == model
+    weights = model.weights.copy()
+    weights[-1, 0] += 1e-12
+    assert dataclasses.replace(model, weights=weights) != model
+    assert loaded != dataclasses.replace(loaded, task_labels=("a", "b", "c", "d"))
+
+
+def test_cluster_matrix_equality():
+    half = RelaxedClusterMatrix(0.5 * np.eye(4), k=2)
+    assert half == RelaxedClusterMatrix(0.5 * np.eye(4), k=2)
+    assert half != RelaxedClusterMatrix(np.diag([1.0, 1.0, 0.0, 0.0]), k=2)
 
 
 _COMMON_KEYS = {

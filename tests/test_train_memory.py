@@ -1,4 +1,5 @@
-"""How the peak memory of `taskreg train`, `evaluate` and `split` grows with the file.
+"""How the peak memory of `taskreg train`, `evaluate` and `split` grows with the file,
+and which modules the commands load.
 
 `train` and `evaluate` stream the file, so their memory does not grow
 with it: `train` holds per-task factors, not rows; `evaluate` holds each
@@ -100,3 +101,50 @@ def test_split_peak_memory_grows_by_one_copy(tmp_path):
         f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000; "
         f"the added rows' table is {added_table_mb:.1f} MB"
     )
+
+
+# Runs `taskreg argv[1:]` in process and prints its exit code and whether
+# numpy's random package was imported.
+_LOADS_RANDOM = """
+import sys
+from taskreg import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def _loads_numpy_random(*argv):
+    env = dict(os.environ, PYTHONPATH=str(_SRC), TASKREG_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, loaded = result.stdout.split()[-2:]
+    assert code == "0", result.stderr
+    return loaded == "True"
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # split and cmtl's k-means draw numpy's stream without numpy's random
+    # package, whose modules and OpenSSL would add several MB of peak RSS.
+    if _loads_numpy_random("import sys, numpy; print(0, 'numpy.random' in sys.modules)"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    source = tmp_path / "panel.csv"
+    _write_panel(source, 400, n_features=6)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    models = {name: tmp_path / f"{name}.json" for name in ("mtl", "stl", "cmtl")}
+    commands = [
+        ["split", source, "--seed", "3", "--train-out", train, "--test-out", test,
+         "--manifest", tmp_path / "split.json"],
+        ["train", train, "--model", "mtl", "--lambda", "0.5", "--out", models["mtl"]],
+        ["train", train, "--model", "stl", "--penalty", "lasso", "--lambda", "0.5",
+         "--out", models["stl"]],
+        ["train", train, "--model", "cmtl", "--k", "2", "--max-iters", "50",
+         "--out", models["cmtl"]],
+        ["evaluate", test, *(arg for m in models.values() for arg in ("--model", m)),
+         "--out", tmp_path / "mae.csv"],
+        ["clusters", "--model", models["cmtl"], "--out", tmp_path / "clusters.csv"],
+        ["riskfactors", "--model", models["mtl"], "--out-json", tmp_path / "rf.json",
+         "--out-csv", tmp_path / "rf.csv"],
+    ]
+    for argv in commands:
+        assert not _loads_numpy_random(_LOADS_RANDOM, *map(str, argv)), argv[:3]
