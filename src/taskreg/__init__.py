@@ -21,24 +21,19 @@ _EXPORTS = {
     "LineSearchError": "errors",
     "DivergenceError": "errors",
     # dataset
-    "TaskData": "dataset",
-    "MultiTaskDataset": "dataset",
     "ScalingParams": "dataset",
     "TaskFactors": "dataset",
     "RowTable": "dataset",
     "load_csv": "dataset",
-    "read_table": "dataset",
     "load_factors": "dataset",
     "write_csv": "dataset",
     "minmax_scale": "dataset",
-    "apply_scale": "dataset",
     "stratified_split": "dataset",
     # solver
     "ProximalProblem": "fista",
     "SolverConfig": "fista",
     "SolveTrace": "fista",
     "solve": "fista",
-    "backtracking_step": "fista",
     # joint-sparsity model
     "MtlModel": "mtl",
     "fit_mtl": "mtl",

@@ -9,9 +9,8 @@ and serialization treat them exactly like the multi-task fits.
 Evaluation aligns features by name, applies whatever scaling the model
 was trained with, and reports per-task MAE plus a TOTAL row. TOTAL is
 the MAE over all test rows pooled together by default; a macro average
-of per-task values is available via ``total_mode``. A test set is scored
-chunk by chunk (:class:`MaeAccumulator`), whether it comes from a file
-or from a dataset.
+of per-task values is available via ``total_mode``. A test file is
+scored chunk by chunk (:func:`evaluate`, :class:`MaeAccumulator`).
 """
 
 from __future__ import annotations
@@ -22,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    MultiTaskDataset,
-    ScalingParams,
-    TaskFactors,
-    as_factors,
-    residual_gradient,
-    residuals,
-    stream_dataset,
-)
+from .dataset import ScalingParams, TaskFactors, residual_gradient, residuals, stream_csv
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -135,7 +126,7 @@ def _stl_problem(r: np.ndarray, spec: StlSpec) -> ProximalProblem:
 
 
 def fit_stl(
-    ds: MultiTaskDataset | TaskFactors,
+    factors: TaskFactors,
     spec: StlSpec,
     cfg: SolverConfig | None = None,
     *,
@@ -155,10 +146,9 @@ def fit_stl(
 
     Like :func:`taskreg.mtl.fit_mtl`, the fits run on each task's R factor,
     and the pooled fit on the R factor of the stacked task factors.
-    ``ds`` is already in the units of the fit: ``scaling`` is only
+    ``factors`` are already in the units of the fit: ``scaling`` is only
     recorded in the model.
     """
-    factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
     if spec.setting == "global":
@@ -236,8 +226,7 @@ def predictions_for_task(model, x_raw: np.ndarray, row) -> np.ndarray:
 class MaeAccumulator:
     """Each model's absolute errors on a test set, gathered chunk by chunk.
 
-    A sink for :func:`taskreg.dataset.stream_csv` and
-    :func:`~taskreg.dataset.stream_dataset`. It is built from the test
+    A sink for :func:`taskreg.dataset.stream_csv`. It is built from the test
     set's feature names, which it aligns to each model's by name, so a
     mismatch is raised before any row is read. Each chunk is predicted by
     every model and dropped; per task, only the outcomes and each model's
@@ -297,14 +286,18 @@ class MaeAccumulator:
         return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
 
 
-def evaluate(model, test: MultiTaskDataset, *, total_mode: str = "pooled") -> MaeReport:
-    """Per-task and total MAE of one fitted model on raw test data.
+def evaluate(models, path, task_column: str, outcome_column: str) -> MaeAccumulator:
+    """Score fitted models on the raw rows of a test CSV file.
 
-    Features are aligned to the model by name, so column order in the
-    test file is irrelevant. Every test task must exist in the model.
+    The rows stream past the models (:func:`taskreg.dataset.stream_csv`):
+    only the outcomes and each model's absolute errors are kept. Features
+    are aligned to each model by name, so column order in the file is
+    irrelevant. ``report(k, total_mode)`` of the result is the per-task
+    and total MAE of ``models[k]``, which must have every task of the file.
     """
-    errors = stream_dataset(test, lambda names: MaeAccumulator([model], names))
-    return errors.report(0, total_mode)
+    return stream_csv(
+        path, task_column, outcome_column, lambda names: MaeAccumulator(models, names)
+    )
 
 
 def aggregate_reports(reports) -> MaeReport:

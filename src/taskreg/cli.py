@@ -16,7 +16,8 @@ BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
 TASKREG_NUM_THREADS is unset). This is applied before numpy loads, which
 is why the numeric modules are imported inside the command handlers
-rather than at the top.
+rather than at the top. :func:`main` puts the variables back as it found
+them when it returns.
 """
 
 from __future__ import annotations
@@ -315,12 +316,12 @@ def cmd_split(args) -> int:
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
-    rows = dataset.read_table(args.input, args.task_column, args.outcome_column)
+    rows = dataset.load_csv(args.input, args.task_column, args.outcome_column)
     if args.scale_full:
-        rows.minmax_scale(scale_outcome=args.scale_outcome)
-    train, test = rows.split(args.train_fraction, args.seed)
-    rows.write_csv(train, args.train_out, args.task_column, args.outcome_column)
-    rows.write_csv(test, args.test_out, args.task_column, args.outcome_column)
+        dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
+    train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
+    dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
+    dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
     manifest = {
         "command": "split",
         "input": str(args.input),
@@ -416,7 +417,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import baselines, dataset, serialize
+    from . import baselines, serialize
 
     if not args.model:
         raise ValueError("at least one --model is required")
@@ -433,13 +434,7 @@ def cmd_evaluate(args) -> int:
             suffix += 1
         names.append(name)
     models = [serialize.load_model(path) for path in args.model]
-    # The test rows stream past the models: only outcomes and errors are kept.
-    errors = dataset.stream_csv(
-        args.test,
-        args.task_column,
-        args.outcome_column,
-        lambda feature_names: baselines.MaeAccumulator(models, feature_names),
-    )
+    errors = baselines.evaluate(models, args.test, args.task_column, args.outcome_column)
     reports = {name: errors.report(k, args.total) for k, name in enumerate(names)}
     baselines.write_mae_table(reports, errors.outcomes, args.out)
     for name, rep in reports.items():
@@ -523,6 +518,8 @@ def cmd_clusters(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The thread variables are set for this run only: a caller keeps its own.
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
     try:
         _configure_threads()
         config = _load_config(args.config) if args.config else {}
@@ -535,6 +532,12 @@ def main(argv=None) -> int:
             formatted = ", ".join(f"{v:.6g}" for v in tail)
             print(f"last objective values: {formatted}", file=sys.stderr)
         return 2
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (
-    MultiTaskDataset,
-    ScalingParams,
-    TaskFactors,
-    _value_eq,
-    as_factors,
-    residual_gradient,
-    residuals,
-)
+from .dataset import ScalingParams, TaskFactors, _value_eq, residual_gradient, residuals
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -272,13 +264,12 @@ class _SmoothPart:
 
 
 def fit_cmtl(
-    ds: MultiTaskDataset | TaskFactors,
+    factors: TaskFactors,
     params: CmtlParams,
     cfg: SolverConfig | None = None,
     *,
     kmeans_seed: int = 0,
     scaling: ScalingParams | None = None,
-    on_project=None,
 ) -> MtlModel:
     """Jointly fit weights and the relaxed cluster matrix.
 
@@ -290,17 +281,12 @@ def fit_cmtl(
     from W = 0, C = (k/T) I. Hard assignments come from
     :func:`extract_clusters` with ``kmeans_seed``.
 
-    ``on_project``, when given, is called with every
-    :class:`RelaxedClusterMatrix` the projection produces (diagnostics
-    hook; projections from rejected backtracking candidates included).
-
-    The data term runs on each task's R factor (:class:`TaskFactors`);
-    rows are reduced to factors first. ``ds`` is already in the units of
-    the fit: ``scaling`` is only recorded in the model.
+    The data term runs on each task's R factor (:class:`TaskFactors`).
+    ``factors`` are already in the units of the fit: ``scaling`` is only
+    recorded in the model.
     """
     if params.rho1 <= 0 or params.rho2 <= 0:
         raise ValueError("fitting requires rho1 > 0 and rho2 > 0")
-    factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
     if not 1 <= params.k < n_tasks:
         raise ValueError(f"k must be in [1, {n_tasks - 1}], got {params.k}")
@@ -312,8 +298,6 @@ def fit_cmtl(
     def prox(h, step):
         w_part, c_part = split(h)
         projected = project_spectral(c_part, params.k)
-        if on_project is not None:
-            on_project(projected)
         smooth.seed_spectrum(projected)
         return np.hstack([w_part, projected.matrix])
 

@@ -3,15 +3,16 @@
 A data file holds one observation per row. One column names the task the
 row belongs to, one column holds the numeric outcome, and every remaining
 column is a numeric feature shared by all tasks. Rows are grouped by task
-value (in order of first appearance) into :class:`TaskData` blocks,
-preserving file order within each task.
+value (in order of first appearance), preserving file order within each
+task.
 
 Every reader parses a file in fixed-size chunks (:func:`stream_csv`) and
-hands each chunk's kept rows to a sink: :func:`read_table` keeps the rows
-as one table (:class:`RowTable`), which :func:`load_csv` groups by task,
-:func:`load_factors` only one small QR factor per task
-(:class:`TaskFactors`), which is all a least-squares fit needs of the
-rows, and evaluation only the prediction errors
+hands each chunk's kept rows to a sink: :func:`load_csv` keeps the rows
+as one table (:class:`RowTable`), which :func:`minmax_scale` scales in
+place and :func:`stratified_split` and :func:`write_csv` address through
+per-task index arrays; :func:`load_factors` keeps only one small QR
+factor per task (:class:`TaskFactors`), which is all a least-squares fit
+needs of the rows; and evaluation keeps only the prediction errors
 (:class:`taskreg.baselines.MaeAccumulator`).
 """
 
@@ -34,8 +35,8 @@ from .errors import DegenerateTaskError, ParseError, SchemaError
 # overhead of np.loadtxt and of the sinks shrinks.
 _CHUNK_LINES = 512
 
-# Rows write_csv formats at a time (and RowTable.minmax_scale gathers at
-# a time). Each distinct double of a block is formatted once; a larger
+# Rows write_csv formats at a time (and minmax_scale gathers at a
+# time). Each distinct double of a block is formatted once; a larger
 # block finds more repeats but holds more strings (128 rows of 90
 # features add about 1 MB to peak memory).
 _WRITE_BLOCK_ROWS = 128
@@ -65,91 +66,6 @@ def _value_eq(self, other):
     return all(
         _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare
     )
-
-
-@dataclass(frozen=True)
-class TaskData:
-    """One task's design matrix and outcome vector."""
-
-    label: str
-    X: np.ndarray
-    Y: np.ndarray
-
-    __eq__ = _value_eq
-
-    def __post_init__(self):
-        x = _frozen_array(self.X)
-        y = _frozen_array(self.Y)
-        if x.ndim != 2:
-            raise ValueError(f"task {self.label!r}: X must be 2-D, got shape {x.shape}")
-        if y.ndim != 1:
-            raise ValueError(f"task {self.label!r}: Y must be 1-D, got shape {y.shape}")
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"task {self.label!r}: X has {x.shape[0]} rows but Y has {y.shape[0]}"
-            )
-        if x.shape[0] < 1:
-            raise ValueError(f"task {self.label!r} has no rows")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError(f"task {self.label!r} contains non-finite values")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
-@dataclass(frozen=True)
-class MultiTaskDataset:
-    """An ordered collection of tasks sharing one feature space.
-
-    ``dropped_rows`` counts rows discarded at load time for a missing
-    outcome; it is informational and not part of the value semantics.
-    """
-
-    tasks: tuple[TaskData, ...]
-    feature_names: tuple[str, ...]
-    dropped_rows: int = field(default=0, compare=False)
-
-    __eq__ = _value_eq
-
-    def __post_init__(self):
-        tasks = tuple(self.tasks)
-        names = tuple(self.feature_names)
-        if not tasks:
-            raise ValueError("dataset needs at least one task")
-        if not names:
-            raise ValueError("dataset needs at least one feature")
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
-        j = len(names)
-        for task in tasks:
-            if task.X.shape[1] != j:
-                raise ValueError(
-                    f"task {task.label!r} has {task.X.shape[1]} features, expected {j}"
-                )
-        labels = [t.label for t in tasks]
-        if len(set(labels)) != len(labels):
-            raise ValueError("task labels must be unique")
-        object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "feature_names", names)
-
-    @property
-    def task_labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.tasks)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(t.n for t in self.tasks)
 
 
 @dataclass(frozen=True)
@@ -271,8 +187,8 @@ class TaskFactors:
     for any w and b, and a fit can run on R_t in place of the rows.
     ``counts`` holds the true row counts n_t, which the shape of R_t does
     not show once n_t > J+2. The feature and outcome ranges cover every
-    row, for min-max scaling; ``dropped_rows`` is as in
-    :class:`MultiTaskDataset`.
+    row, for min-max scaling. ``dropped_rows`` counts the rows dropped at
+    load time for a blank outcome; it is not part of the value.
     """
 
     task_labels: tuple[str, ...]
@@ -317,10 +233,6 @@ class TaskFactors:
         object.__setattr__(self, "feature_max", hi)
         object.__setattr__(self, "outcome_min", float(self.outcome_min))
         object.__setattr__(self, "outcome_max", float(self.outcome_max))
-
-    @classmethod
-    def from_dataset(cls, ds: MultiTaskDataset) -> "TaskFactors":
-        return stream_dataset(ds, _FactorSink)
 
     @property
     def n_tasks(self) -> int:
@@ -408,13 +320,8 @@ def residual_gradient(stack: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return np.matmul(residual[..., None, :], stack[..., :-1])[..., 0, :]
 
 
-def as_factors(data: MultiTaskDataset | TaskFactors) -> TaskFactors:
-    """``data`` as :class:`TaskFactors`, built with ``from_dataset`` when it is rows."""
-    return data if isinstance(data, TaskFactors) else TaskFactors.from_dataset(data)
-
-
 class RowSink(Protocol):
-    """Where :func:`stream_csv` and :func:`stream_dataset` send the kept rows of a data set."""
+    """Where :func:`stream_csv` sends the kept rows of a data set."""
 
     def add(
         self, labels: tuple[str, ...], task: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -445,34 +352,18 @@ def stream_csv(path, task_column: str, outcome_column: str, sink_for: Callable[.
     """
     result = _read_chunks(path, task_column, outcome_column, sink_for)
     if result is None:
-        result = stream_dataset(_load_cells(path, task_column, outcome_column), sink_for)
+        result = _load_cells(path, task_column, outcome_column, sink_for)
     return result
 
 
-def stream_dataset(ds: MultiTaskDataset, sink_for: Callable[..., RowSink]):
-    """Feed a dataset to a sink as :func:`stream_csv` feeds a file, one task per chunk."""
-    sink = sink_for(ds.feature_names)
-    for code, task in enumerate(ds.tasks):
-        sink.add(ds.task_labels, np.full(task.n, code), task.X, task.Y)
-    return sink.finish(ds.task_labels, ds.dropped_rows)
-
-
-def load_csv(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
-    """Read a CSV file into a MultiTaskDataset.
+def load_csv(path, task_column: str, outcome_column: str) -> "RowTable":
+    """Read the kept rows of a CSV file into one :class:`RowTable`.
 
     The header row is required. Rows with an empty outcome cell are
     dropped and counted in ``dropped_rows``. An empty or non-numeric
-    feature cell is a :class:`ParseError`; there is no imputation.
-    The file is read by :func:`read_table`.
-    """
-    return read_table(path, task_column, outcome_column).dataset()
-
-
-def read_table(path, task_column: str, outcome_column: str) -> "RowTable":
-    """Read the kept rows of a CSV file, as :func:`load_csv` keeps them, into one :class:`RowTable`.
-
-    The file is read by :func:`stream_csv`. The table is allocated once,
-    for as many rows as the file has line ends, and is never copied to grow.
+    feature cell is a :class:`ParseError`; there is no imputation. The
+    file is read by :func:`stream_csv`. The table is allocated once, for
+    as many rows as the file has line ends, and is never copied to grow.
     """
     return stream_csv(
         path, task_column, outcome_column, lambda names: _TableSink(names, _line_ends(path))
@@ -495,10 +386,6 @@ class RowTable:
 
     ``table`` holds one row [x | y] per kept row, in file order, and
     ``task_rows[t]`` the indices of task t's rows in it, in file order.
-    :meth:`dataset`, :meth:`minmax_scale`, :meth:`split` and
-    :meth:`write_csv` do what :class:`MultiTaskDataset`,
-    :func:`minmax_scale`, :func:`stratified_split` and :func:`write_csv`
-    do, without a per-task copy of the rows.
     """
 
     table: np.ndarray
@@ -515,71 +402,9 @@ class RowTable:
     def n_tasks(self) -> int:
         return len(self.task_labels)
 
-    def dataset(self) -> MultiTaskDataset:
-        tasks = tuple(
-            TaskData(label=label, X=self.table[rows, :-1], Y=self.table[rows, -1])
-            for label, rows in zip(self.task_labels, self.task_rows)
-        )
-        return MultiTaskDataset(
-            tasks=tasks, feature_names=self.feature_names, dropped_rows=self.dropped_rows
-        )
-
-    def minmax_scale(self, *, scale_outcome: bool = False) -> ScalingParams:
-        """Scale the table in place to the bits :func:`minmax_scale` gives, and return its params.
-
-        :func:`minmax_scale` takes the ranges over the rows stacked task by
-        task, and where a column's minimum is zero, the sign of the zero it
-        keeps depends on that order. So the ranges here are folded over the
-        rows in the same order, a block at a time.
-        """
-        grouped = np.concatenate(self.task_rows)
-        lo = hi = None
-        for start in range(0, grouped.size, _WRITE_BLOCK_ROWS):
-            block = self.table[grouped[start : start + _WRITE_BLOCK_ROWS], :-1]
-            block_lo, block_hi = block.min(axis=0), block.max(axis=0)
-            lo = block_lo if lo is None else np.minimum(lo, block_lo)
-            hi = block_hi if hi is None else np.maximum(hi, block_hi)
-        outcome_lo = outcome_hi = None
-        if scale_outcome:
-            y = self.table[grouped, -1]
-            outcome_lo, outcome_hi = float(y.min()), float(y.max())
-        params = ScalingParams(
-            feature_min=lo, feature_max=hi, outcome_min=outcome_lo, outcome_max=outcome_hi
-        )
-        x = self.table[:, :-1]
-        params.transform_features(x, out=x)
-        if scale_outcome:
-            params.transform_outcome(self.table[:, -1], out=self.table[:, -1])
-        return params
-
-    def split(
-        self, train_fraction: float, seed: int
-    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """:func:`stratified_split` as each side's per-task row indices into the table."""
-        positions = _split_positions(
-            self.task_labels, [rows.size for rows in self.task_rows], train_fraction, seed
-        )
-        train, test = (
-            tuple(rows[p] for rows, p in zip(self.task_rows, side)) for side in positions
-        )
-        return train, test
-
-    def write_csv(self, task_rows, path, task_column: str, outcome_column: str) -> None:
-        """Write the rows ``task_rows[t]`` of each task t as :func:`write_csv` writes them."""
-        _write_tasks(
-            path,
-            task_column,
-            self.feature_names,
-            outcome_column,
-            (
-                (label, rows.size, lambda part, rows=rows: self.table[rows[part]])
-                for label, rows in zip(self.task_labels, task_rows)
-            ),
-        )
-
 
 class _TableSink:
-    """The kept rows as one :class:`RowTable`, for :func:`read_table`.
+    """The kept rows as one :class:`RowTable`, for :func:`load_csv`.
 
     The table is allocated once for ``capacity`` rows, a bound on the kept
     rows, so it is never copied to grow; the rows past the last kept one
@@ -804,8 +629,12 @@ def _outcome_cell(text: str) -> float:
     return value
 
 
-def _load_cells(path, task_column: str, outcome_column: str) -> MultiTaskDataset:
-    """The per-cell reader behind :func:`load_csv`; it owns every error message."""
+def _load_cells(path, task_column: str, outcome_column: str, sink_for):
+    """The per-cell reader behind :func:`stream_csv`; it owns every error message.
+
+    Once the whole file is read, the sink made by ``sink_for`` takes each
+    task's rows as one chunk, and its result is returned.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -851,22 +680,18 @@ def _load_cells(path, task_column: str, outcome_column: str) -> MultiTaskDataset
 
     if not rows_by_task:
         raise SchemaError(f"{path}: no data rows")
-    tasks = []
-    for label in rows_by_task:
+    labels = tuple(rows_by_task)
+    for label in labels:
         if not rows_by_task[label]:
             raise DegenerateTaskError(
                 f"{path}: task {label!r} has no rows left after dropping missing outcomes"
             )
-        tasks.append(
-            TaskData(
-                label=label,
-                X=np.asarray(rows_by_task[label], dtype=np.float64),
-                Y=np.asarray(outcomes_by_task[label], dtype=np.float64),
-            )
-        )
-    return MultiTaskDataset(
-        tasks=tuple(tasks), feature_names=tuple(feature_names), dropped_rows=dropped
-    )
+    sink = sink_for(tuple(feature_names))
+    for code, label in enumerate(labels):
+        x = np.asarray(rows_by_task[label], dtype=np.float64)
+        y = np.asarray(outcomes_by_task[label], dtype=np.float64)
+        sink.add(labels, np.full(y.size, code), x, y)
+    return sink.finish(labels, dropped)
 
 
 def _parse_cell(text: str, path, line_no: int, column: str) -> float:
@@ -883,119 +708,86 @@ def _parse_cell(text: str, path, line_no: int, column: str) -> float:
     return value
 
 
-def minmax_scale(
-    ds: MultiTaskDataset, *, scale_outcome: bool = False
-) -> tuple[MultiTaskDataset, ScalingParams]:
-    """Map each feature column to [0, 1], pooled across all tasks.
+def minmax_scale(table: RowTable, *, scale_outcome: bool = False) -> ScalingParams:
+    """Map each feature column of the table to [0, 1] in place, pooled across all tasks.
 
     Constant columns map to 0. When ``scale_outcome`` is set the outcome
-    is scaled the same way and the range is stored in the params.
+    is scaled the same way and the range is stored in the params. The
+    ranges are folded over the rows task by task, a block at a time.
+    Where a column's minimum is zero, its sign (+0.0 or -0.0), and so the
+    sign of each scaled zero, depends on that order, which does not
+    depend on how the tasks' rows interleave in the file.
     """
-    stacked = np.vstack([t.X for t in ds.tasks])
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
+    grouped = np.concatenate(table.task_rows)
+    lo = hi = None
+    for start in range(0, grouped.size, _WRITE_BLOCK_ROWS):
+        block = table.table[grouped[start : start + _WRITE_BLOCK_ROWS], :-1]
+        block_lo, block_hi = block.min(axis=0), block.max(axis=0)
+        lo = block_lo if lo is None else np.minimum(lo, block_lo)
+        hi = block_hi if hi is None else np.maximum(hi, block_hi)
     outcome_lo = outcome_hi = None
     if scale_outcome:
-        all_y = np.concatenate([t.Y for t in ds.tasks])
-        outcome_lo = float(all_y.min())
-        outcome_hi = float(all_y.max())
+        y = table.table[grouped, -1]
+        outcome_lo, outcome_hi = float(y.min()), float(y.max())
     params = ScalingParams(
         feature_min=lo, feature_max=hi, outcome_min=outcome_lo, outcome_max=outcome_hi
     )
-    return apply_scale(ds, params), params
-
-
-def apply_scale(ds: MultiTaskDataset, params: ScalingParams) -> MultiTaskDataset:
-    """Apply stored scaling to a dataset (test values may leave [0, 1])."""
-    if params.n_features != ds.n_features:
-        raise ValueError(
-            f"params cover {params.n_features} features, dataset has {ds.n_features}"
-        )
-    tasks = []
-    for t in ds.tasks:
-        y = params.transform_outcome(t.Y) if params.scales_outcome else t.Y
-        tasks.append(TaskData(label=t.label, X=params.transform_features(t.X), Y=y))
-    return MultiTaskDataset(
-        tasks=tuple(tasks), feature_names=ds.feature_names, dropped_rows=ds.dropped_rows
-    )
+    x = table.table[:, :-1]
+    params.transform_features(x, out=x)
+    if scale_outcome:
+        params.transform_outcome(table.table[:, -1], out=table.table[:, -1])
+    return params
 
 
 def stratified_split(
-    ds: MultiTaskDataset, train_fraction: float, seed: int
-) -> tuple[MultiTaskDataset, MultiTaskDataset]:
+    table: RowTable, train_fraction: float, seed: int
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Split every task into train/test with a per-task seeded shuffle.
 
-    Task t is shuffled as numpy's ``default_rng([seed, t]).permutation(n_t)``
-    shuffles it (drawn by :class:`taskreg._stream.Stream`); the first
+    Returns (train, test), each with one array per task of row indices
+    into the table. Task t is shuffled as numpy's
+    ``default_rng([seed, t]).permutation(n_t)`` shuffles it (drawn by
+    :class:`taskreg._stream.Stream`); the first
     round(train_fraction * n_t) shuffled rows (half-up rounding, clamped
     so both sides stay nonempty) form the train side. The same seed always
     reproduces the same split.
     """
-    positions = _split_positions(ds.task_labels, [t.n for t in ds.tasks], train_fraction, seed)
-    train, test = (
-        MultiTaskDataset(
-            tasks=tuple(TaskData(t.label, t.X[p], t.Y[p]) for t, p in zip(ds.tasks, side)),
-            feature_names=ds.feature_names,
-        )
-        for side in positions
-    )
-    return train, test
-
-
-def _split_positions(labels, counts, train_fraction: float, seed: int):
-    """The split rule of :func:`stratified_split`, as (train, test) positions.
-
-    Each side holds one index array per task, into that task's rows.
-    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    for label, n in zip(labels, counts):
-        if n < 2:
-            raise DegenerateTaskError(f"task {label!r} has {n} row(s); need at least 2 to split")
+    for label, rows in zip(table.task_labels, table.task_rows):
+        if rows.size < 2:
+            raise DegenerateTaskError(
+                f"task {label!r} has {rows.size} row(s); need at least 2 to split"
+            )
     from ._stream import Stream
 
     train, test = [], []
-    for t_index, n in enumerate(counts):
-        order = np.array(Stream([seed, t_index]).permutation(n), dtype=np.intp)
+    for t_index, rows in enumerate(table.task_rows):
+        n = rows.size
+        order = rows[np.array(Stream([seed, t_index]).permutation(n), dtype=np.intp)]
         n_train = min(max(int(math.floor(train_fraction * n + 0.5)), 1), n - 1)
         train.append(order[:n_train])
         test.append(order[n_train:])
     return tuple(train), tuple(test)
 
 
-def write_csv(ds: MultiTaskDataset, path, task_column: str, outcome_column: str) -> None:
-    """Write a dataset back to CSV (task column first, outcome last).
+def write_csv(table: RowTable, task_rows, path, task_column: str, outcome_column: str) -> None:
+    """Write the rows ``task_rows[t]`` of each task t to CSV (task column first, outcome last).
 
     Floats are written with repr so a write/load round trip is exact.
     Rows go out in blocks of :data:`_WRITE_BLOCK_ROWS`; the bytes are those
     of writing each row with ``csv.writer`` (see :func:`_csv_line`).
     """
-    _write_tasks(
-        path,
-        task_column,
-        ds.feature_names,
-        outcome_column,
-        (
-            (t.label, t.n, lambda part, t=t: np.column_stack([t.X[part], t.Y[part]]))
-            for t in ds.tasks
-        ),
-    )
-
-
-def _write_tasks(path, task_column: str, feature_names, outcome_column: str, tasks) -> None:
-    """The block writer behind both ``write_csv``: a header, then each task's rows.
-
-    ``tasks`` yields (label, n, rows) per task, where ``rows(part)`` gives
-    the [x | y] rows ``part`` (a slice) of the task's n rows.
-    """
-    if task_column in feature_names or outcome_column in feature_names:
+    names = table.feature_names
+    if task_column in names or outcome_column in names:
         raise ValueError("task/outcome column names collide with feature names")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line([task_column, *feature_names, outcome_column]))
-        for label, n, rows in tasks:
+        fh.write(_csv_line([task_column, *names, outcome_column]))
+        for label, rows in zip(table.task_labels, task_rows):
             prefix = _csv_line([label, ""])[:-1]
-            for start in range(0, n, _WRITE_BLOCK_ROWS):
-                fh.write(_format_rows(prefix, rows(slice(start, start + _WRITE_BLOCK_ROWS))))
+            for start in range(0, rows.size, _WRITE_BLOCK_ROWS):
+                block = table.table[rows[start : start + _WRITE_BLOCK_ROWS]]
+                fh.write(_format_rows(prefix, block))
 
 
 def _csv_line(cells) -> str:

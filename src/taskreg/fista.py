@@ -191,27 +191,6 @@ def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, cfg, records):
     )
 
 
-def backtracking_step(
-    problem: ProximalProblem, s: np.ndarray, gamma_prev: float, cfg: SolverConfig
-) -> tuple[np.ndarray, float]:
-    """One backtracked proximal step from search point s.
-
-    Finds the smallest gamma = backtrack_factor^j * gamma_prev such that
-    L(next) <= Q_gamma(s, next) with next = prox(s - grad/gamma, 1/gamma),
-    and returns (next, gamma).
-    """
-    if gamma_prev <= 0:
-        raise ValueError(f"gamma_prev must be > 0, got {gamma_prev}")
-    smooth_s = _per_block(problem.smooth_value(s))
-    grad_s = problem.smooth_grad(s)
-    if grad_s.shape != s.shape:
-        raise ValueError(f"gradient shape {grad_s.shape} does not match input {s.shape}")
-    gamma = _per_block(np.full(np.shape(smooth_s), float(gamma_prev)))
-    pending = np.ones(np.shape(smooth_s), dtype=bool)[()]
-    candidate, gamma, _, _ = _backtrack(problem, s, smooth_s, grad_s, gamma, pending, cfg, [])
-    return candidate, gamma
-
-
 def _d_next(d):
     return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * d * d))
 

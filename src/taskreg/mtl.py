@@ -15,11 +15,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import (
-    MultiTaskDataset,
     ScalingParams,
     TaskFactors,
     _value_eq,
-    as_factors,
     check_model_axes,
     residual_gradient,
     residuals,
@@ -61,13 +59,16 @@ def prox_l21(h: np.ndarray, threshold: float) -> np.ndarray:
     return h * scale
 
 
-def lambda_max(ds: MultiTaskDataset) -> float:
-    """Smallest penalty at which the fitted weights are identically zero.
+def lambda_max(factors: TaskFactors) -> float:
+    """Smallest penalty at which the fitted weights (without intercept) are identically zero.
 
-    Equals the largest column norm of the loss gradient at zero, i.e. of
-    the task-stacked X_t^T y_t matrix.
+    Equals the largest column norm of the loss gradient at zero, the
+    task-stacked -X_t^T y_t matrix, taken as :func:`fit_mtl` takes it:
+    from the residuals on the design stack. So the first proximal step of
+    a fit at this penalty zeroes every column exactly.
     """
-    g0 = np.vstack([task.X.T @ task.Y for task in ds.tasks])
+    stack = factors.design_stack(intercept=False)
+    g0 = residual_gradient(stack, residuals(stack, np.zeros((factors.n_tasks, factors.n_features))))
     return float(np.linalg.norm(g0, axis=0).max())
 
 
@@ -157,7 +158,7 @@ class MtlModel:
 
 
 def fit_mtl(
-    ds: MultiTaskDataset | TaskFactors,
+    factors: TaskFactors,
     lam: float,
     cfg: SolverConfig | None = None,
     *,
@@ -171,13 +172,12 @@ def fit_mtl(
     appended per task and kept out of both the penalty and the prox.
 
     The data term runs on each task's R factor (:class:`TaskFactors`), so
-    an iteration's cost does not depend on the row count; rows are
-    reduced to factors first. ``ds`` is already in the units of the fit:
-    ``scaling`` is only recorded in the model.
+    an iteration's cost does not depend on the row count. ``factors`` are
+    already in the units of the fit: ``scaling`` is only recorded in the
+    model.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    factors = as_factors(ds)
     n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
 

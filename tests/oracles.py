@@ -22,14 +22,32 @@ evidence rather than tautology:
   raw rows, with (eta*I + C)^{-1} from an eigendecomposition.
 - ``surrogate_q``: the quadratic surrogate of the descent test, from two
   fresh callback evaluations at the search point.
+- ``MultiTaskDataset`` (of ``TaskData``): each task's rows as their own
+  copy. ``minmax_scale``, ``stratified_split`` (with numpy's own
+  ``default_rng``) and ``write_csv_rows`` scale, split and write it task
+  by task, where the package works on one table through index arrays.
+  ``stream_dataset`` feeds it to a sink one task per chunk, which gives
+  ``factors`` and ``evaluate``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from taskreg.baselines import MaeAccumulator
+from taskreg.dataset import (
+    RowTable,
+    ScalingParams,
+    _FactorSink,
+    _frozen_array,
+    _TableSink,
+    _value_eq,
+)
 
 
 def _soc_project(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,3 +326,168 @@ def surrogate_q(problem, s: np.ndarray, phi: np.ndarray, gamma: float) -> float:
     return float(
         value + 0.5 * gamma * np.vdot(delta, delta) + np.vdot(delta, problem.smooth_grad(s))
     )
+
+
+@dataclass(frozen=True)
+class TaskData:
+    """One task's design matrix and outcome vector."""
+
+    label: str
+    X: np.ndarray
+    Y: np.ndarray
+
+    __eq__ = _value_eq
+
+    def __post_init__(self):
+        x = _frozen_array(self.X)
+        y = _frozen_array(self.Y)
+        if x.ndim != 2:
+            raise ValueError(f"task {self.label!r}: X must be 2-D, got shape {x.shape}")
+        if y.ndim != 1:
+            raise ValueError(f"task {self.label!r}: Y must be 1-D, got shape {y.shape}")
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(
+                f"task {self.label!r}: X has {x.shape[0]} rows but Y has {y.shape[0]}"
+            )
+        if x.shape[0] < 1:
+            raise ValueError(f"task {self.label!r} has no rows")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"task {self.label!r} contains non-finite values")
+        object.__setattr__(self, "X", x)
+        object.__setattr__(self, "Y", y)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+
+@dataclass(frozen=True)
+class MultiTaskDataset:
+    """An ordered collection of tasks sharing one feature space.
+
+    ``dropped_rows`` counts rows discarded at load time for a missing
+    outcome; it is informational and not part of the value semantics.
+    """
+
+    tasks: tuple[TaskData, ...]
+    feature_names: tuple[str, ...]
+    dropped_rows: int = field(default=0, compare=False)
+
+    __eq__ = _value_eq
+
+    def __post_init__(self):
+        tasks = tuple(self.tasks)
+        names = tuple(self.feature_names)
+        if not tasks:
+            raise ValueError("dataset needs at least one task")
+        if not names:
+            raise ValueError("dataset needs at least one feature")
+        if len(set(names)) != len(names):
+            raise ValueError("feature names must be unique")
+        for task in tasks:
+            if task.X.shape[1] != len(names):
+                raise ValueError(
+                    f"task {task.label!r} has {task.X.shape[1]} features, expected {len(names)}"
+                )
+        labels = [t.label for t in tasks]
+        if len(set(labels)) != len(labels):
+            raise ValueError("task labels must be unique")
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "feature_names", names)
+
+    @classmethod
+    def from_table(cls, table: RowTable) -> "MultiTaskDataset":
+        """The rows of a :class:`~taskreg.dataset.RowTable`, one copy per task."""
+        tasks = tuple(
+            TaskData(label=label, X=table.table[rows, :-1], Y=table.table[rows, -1])
+            for label, rows in zip(table.task_labels, table.task_rows)
+        )
+        return cls(tasks=tasks, feature_names=table.feature_names, dropped_rows=table.dropped_rows)
+
+    @property
+    def task_labels(self) -> tuple[str, ...]:
+        return tuple(t.label for t in self.tasks)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
+
+    @property
+    def n_rows(self) -> int:
+        return sum(t.n for t in self.tasks)
+
+
+def stream_dataset(ds: MultiTaskDataset, sink_for):
+    """Feed a dataset to a sink as ``stream_csv`` feeds a file, one task per chunk."""
+    sink = sink_for(ds.feature_names)
+    for code, task in enumerate(ds.tasks):
+        sink.add(ds.task_labels, np.full(task.n, code), task.X, task.Y)
+    return sink.finish(ds.task_labels, ds.dropped_rows)
+
+
+def factors(ds: MultiTaskDataset):
+    """The dataset's :class:`~taskreg.dataset.TaskFactors`, as ``load_factors`` builds them."""
+    return stream_dataset(ds, _FactorSink)
+
+
+def row_table(ds: MultiTaskDataset) -> RowTable:
+    """The dataset's rows as one writable :class:`~taskreg.dataset.RowTable`, task after task."""
+    return stream_dataset(ds, lambda names: _TableSink(names, ds.n_rows))
+
+
+def evaluate(model, ds: MultiTaskDataset, total_mode: str = "pooled"):
+    """One model's per-task and total MAE on a dataset's raw rows, as ``evaluate`` scores a file."""
+    return stream_dataset(ds, lambda names: MaeAccumulator([model], names)).report(0, total_mode)
+
+
+def minmax_scale(
+    ds: MultiTaskDataset, *, scale_outcome: bool = False
+) -> tuple[MultiTaskDataset, ScalingParams]:
+    """Each feature column mapped to [0, 1] over the rows stacked task by task, and the params."""
+    stacked = np.vstack([t.X for t in ds.tasks])
+    outcome_lo = outcome_hi = None
+    if scale_outcome:
+        all_y = np.concatenate([t.Y for t in ds.tasks])
+        outcome_lo, outcome_hi = float(all_y.min()), float(all_y.max())
+    params = ScalingParams(
+        feature_min=stacked.min(axis=0),
+        feature_max=stacked.max(axis=0),
+        outcome_min=outcome_lo,
+        outcome_max=outcome_hi,
+    )
+    tasks = tuple(
+        TaskData(
+            label=t.label,
+            X=params.transform_features(t.X),
+            Y=params.transform_outcome(t.Y) if scale_outcome else t.Y,
+        )
+        for t in ds.tasks
+    )
+    scaled = MultiTaskDataset(
+        tasks=tasks, feature_names=ds.feature_names, dropped_rows=ds.dropped_rows
+    )
+    return scaled, params
+
+
+def stratified_split(
+    ds: MultiTaskDataset, train_fraction: float, seed: int
+) -> tuple[MultiTaskDataset, MultiTaskDataset]:
+    """Train and test sides: each task shuffled by ``default_rng([seed, t]).permutation``.
+
+    The first round(train_fraction * n_t) shuffled rows (half up, clamped
+    so both sides keep a row) train.
+    """
+    sides = ([], [])
+    for t_index, task in enumerate(ds.tasks):
+        order = np.random.default_rng([seed, t_index]).permutation(task.n)
+        n_train = min(max(int(math.floor(train_fraction * task.n + 0.5)), 1), task.n - 1)
+        for side, part in zip(sides, (order[:n_train], order[n_train:])):
+            side.append(TaskData(task.label, task.X[part], task.Y[part]))
+    train, test = (
+        MultiTaskDataset(tasks=tuple(side), feature_names=ds.feature_names) for side in sides
+    )
+    return train, test

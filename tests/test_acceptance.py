@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from taskreg import baselines, cli, cmtl, mtl
-from taskreg.baselines import StlSpec, evaluate, fit_stl
+from taskreg.baselines import StlSpec, fit_stl
 from taskreg.cmtl import (
     CmtlParams,
     capped_simplex_project,
@@ -21,15 +21,18 @@ from taskreg.cmtl import (
     fit_cmtl,
     project_spectral,
 )
-from taskreg.dataset import MultiTaskDataset, TaskData
 from taskreg.fista import SolverConfig
 from taskreg.mtl import fit_mtl, lambda_max, prox_l21
 from taskreg.baselines import mae as mae_of
 
 from oracles import (
+    MultiTaskDataset,
+    TaskData,
     capped_simplex_grid,
     central_difference_grad,
     cmtl_objective,
+    evaluate,
+    factors,
     grad_loss,
     grad_phi,
     loss,
@@ -124,9 +127,10 @@ def test_criterion_02_gradients_match_finite_differences(monkeypatch):
         g = grad_phi(w, c, ds, params)
         assert _relative_gap(g, fd) < 1e-4
 
+        data = factors(ds)
         for intercept in (False, True):
             problem = _fit_problem(
-                monkeypatch, mtl, lambda: fit_mtl(ds, 0.1, fit_intercept=intercept)
+                monkeypatch, mtl, lambda: fit_mtl(data, 0.1, fit_intercept=intercept)
             )
             v = rng.normal(size=(n_tasks, n_features + intercept))
             fd = central_difference_grad(problem.smooth_value, v)
@@ -134,13 +138,13 @@ def test_criterion_02_gradients_match_finite_differences(monkeypatch):
 
         for setting, shape in (("individual", (n_tasks, n_features)), ("global", (n_features,))):
             spec = StlSpec(setting=setting, penalty="lasso", lam=0.1)
-            problem = _fit_problem(monkeypatch, baselines, lambda: fit_stl(ds, spec))
+            problem = _fit_problem(monkeypatch, baselines, lambda: fit_stl(data, spec))
             v = rng.normal(size=shape)
             # A blocked problem has one value per task; their sum has the stacked gradient.
             fd = central_difference_grad(lambda u: np.sum(problem.smooth_value(u)), v)
             assert _relative_gap(problem.smooth_grad(v), fd) < 1e-4, setting
 
-        problem = _fit_problem(monkeypatch, cmtl, lambda: fit_cmtl(ds, params))
+        problem = _fit_problem(monkeypatch, cmtl, lambda: fit_cmtl(data, params))
         z = np.hstack([w, c])
         fd = central_difference_grad(problem.smooth_value, z)
         g = problem.smooth_grad(z)
@@ -157,10 +161,10 @@ def test_criterion_03_unpenalized_fits_match_normal_equations():
     for _ in range(20):
         x = rng.normal(size=(60, 5))
         y = rng.normal(size=60)
-        ds = _dataset([x], [y])
+        data = factors(_dataset([x], [y]))
         w_ols = ols_normal_equations(x, y)
-        w_mtl = fit_mtl(ds, 0.0, cfg).weights[0]
-        w_stl = fit_stl(ds, StlSpec(setting="individual", penalty="none"), cfg).weights[0]
+        w_mtl = fit_mtl(data, 0.0, cfg).weights[0]
+        w_stl = fit_stl(data, StlSpec(setting="individual", penalty="none"), cfg).weights[0]
         assert np.abs(w_mtl - w_ols).max() < 1e-5
         assert np.abs(w_stl - w_ols).max() < 1e-5
 
@@ -179,11 +183,11 @@ def test_criterion_04_momentum_accelerates_over_plain_descent():
     for trial in range(10):
         xs = [_conditioned_design(rng, 40, 20) for _ in range(3)]
         ys = [x @ rng.normal(size=20) + 0.1 * rng.normal(size=40) for x in xs]
-        ds = _dataset(xs, ys)
-        lam = 0.05 * lambda_max(ds)
+        data = factors(_dataset(xs, ys))
+        lam = 0.05 * lambda_max(data)
         cfg = dict(max_iters=4000, rel_tol=0.0)
-        fista = fit_mtl(ds, lam, SolverConfig(momentum="delayed", **cfg))
-        ista = fit_mtl(ds, lam, SolverConfig(momentum="none", **cfg))
+        fista = fit_mtl(data, lam, SolverConfig(momentum="delayed", **cfg))
+        ista = fit_mtl(data, lam, SolverConfig(momentum="none", **cfg))
 
         f_best_fista = min(fista.trace.objective_per_iter)
         f_best_ista = min(ista.trace.objective_per_iter)
@@ -204,18 +208,18 @@ def test_criterion_04_momentum_accelerates_over_plain_descent():
 def test_criterion_05_sparsity_grows_monotonically_with_lambda():
     """Zero-column count is non-decreasing over the lambda grid, J at the top."""
     rng = np.random.default_rng(1005)
-    ds = _random_dataset(rng, n_tasks=3, n_features=12, n_rows=30)
-    lmax = lambda_max(ds)
+    data = factors(_random_dataset(rng, n_tasks=3, n_features=12, n_rows=30))
+    lmax = lambda_max(data)
     cfg = SolverConfig(max_iters=4000, rel_tol=1e-12)
     counts = []
     for frac in np.linspace(0.0, 1.0, 10):
-        model = fit_mtl(ds, float(frac) * lmax, cfg)
+        model = fit_mtl(data, float(frac) * lmax, cfg)
         counts.append(int((np.linalg.norm(model.weights, axis=0) < 1e-8).sum()))
     assert counts == sorted(counts), f"non-monotone zero-column counts: {counts}"
     assert counts[-1] == 12, f"expected all columns zero at lambda_max, got {counts[-1]}"
 
 
-def test_criterion_06_every_projection_in_a_fit_is_feasible():
+def test_criterion_06_every_projection_in_a_fit_is_feasible(monkeypatch):
     """All C projections during fit_cmtl satisfy the constraint set."""
     rng = np.random.default_rng(1006)
     n_tasks, k = 6, 2
@@ -226,12 +230,15 @@ def test_criterion_06_every_projection_in_a_fit_is_feasible():
         x = rng.normal(size=(30, 8))
         xs.append(x)
         ys.append(x @ w + 0.1 * rng.normal(size=30))
+    # Every projection the prox makes, rejected backtracking candidates included.
     seen = []
+    monkeypatch.setattr(
+        cmtl, "project_spectral", lambda c, k: seen.append(project_spectral(c, k)) or seen[-1]
+    )
     fit_cmtl(
-        _dataset(xs, ys),
+        factors(_dataset(xs, ys)),
         CmtlParams(rho1=0.3, rho2=0.6, k=k),
         SolverConfig(max_iters=150, rel_tol=0.0),
-        on_project=seen.append,
     )
     assert len(seen) >= 150
     for projected in seen:
@@ -259,7 +266,7 @@ def test_criterion_07_planted_clusters_recovered_across_seeds():
             xs.append(x)
             ys.append(x @ w + 0.1 * rng.normal(size=50))
         model = fit_cmtl(
-            _dataset(xs, ys),
+            factors(_dataset(xs, ys)),
             CmtlParams(rho1=0.1, rho2=0.1, k=2),
             SolverConfig(max_iters=400, rel_tol=1e-10),
         )
@@ -281,9 +288,10 @@ def _lasso_grid_mae(train, val, setting, fractions, cfg):
         y = np.concatenate([t.Y for t in train.tasks])
         scale = float(np.abs(x.T @ y).max())
     best = None
+    data = factors(train)
     for frac in fractions:
         spec = StlSpec(setting=setting, penalty="lasso", lam=float(frac) * scale)
-        model = fit_stl(train, spec, cfg)
+        model = fit_stl(data, spec, cfg)
         score = evaluate(model, val).total
         if best is None or score < best[0]:
             best = (score, model)
@@ -312,10 +320,11 @@ def test_criterion_08_joint_sparsity_beats_single_task_lasso():
 
         train, val, test = make_split(25), make_split(25), make_split(200)
 
-        lmax = lambda_max(train)
+        data = factors(train)
+        lmax = lambda_max(data)
         best_mtl = None
         for frac in fractions:
-            model = fit_mtl(train, frac * lmax, cfg)
+            model = fit_mtl(data, frac * lmax, cfg)
             score = evaluate(model, val).total
             if best_mtl is None or score < best_mtl[0]:
                 best_mtl = (score, model)

@@ -1,10 +1,11 @@
-"""The benchmark's ``--trace 1`` spans still see the solver and cmtl layers.
+"""The benchmark's ``--trace 1`` spans still see the dataset, solver and cmtl layers.
 
-``bench/tracing.py`` rebinds module attributes by name (the solver's four
-``ProximalProblem`` callbacks, ``cmtl.project_spectral``,
-``numpy.linalg.eigh``). A refactor that stops calling through one of them
-would silently zero its per-layer metric; these toy fits catch that. The
-benchmark file is compiled from source and never written to.
+``bench/tracing.py`` rebinds module attributes by name (the dataset
+functions, ``baselines.evaluate``, the solver's four ``ProximalProblem``
+callbacks, ``cmtl.project_spectral``, ``numpy.linalg.eigh``). A refactor
+that stops calling through one of them would silently zero its per-layer
+metric; these toy fits and a toy pipeline catch that. The benchmark file
+is compiled from source and never written to.
 """
 
 from pathlib import Path
@@ -13,9 +14,10 @@ import types
 import numpy as np
 import pytest
 
-from taskreg import baselines, cmtl, mtl
-from taskreg.dataset import MultiTaskDataset, TaskData
+from taskreg import baselines, cli, cmtl, mtl
 from taskreg.fista import SolverConfig
+
+from oracles import MultiTaskDataset, TaskData, factors
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 _CALLBACKS = ("smooth_value", "smooth_grad", "prox", "full_objective")
@@ -35,7 +37,7 @@ def _toy_dataset():
         TaskData(label=f"t{t}", X=rng.uniform(size=(10, 3)), Y=rng.normal(size=10))
         for t in range(4)
     )
-    return MultiTaskDataset(tasks=tasks, feature_names=("a", "b", "c"))
+    return factors(MultiTaskDataset(tasks=tasks, feature_names=("a", "b", "c")))
 
 
 def _metrics(tracing, fit):
@@ -89,3 +91,29 @@ def test_stl_fit_records_solver_callbacks(tracing):
     assert metrics["baselines.fit_stl_s"] > 0
     assert metrics["cmtl.eigh_calls"] == 0
 
+
+
+def test_split_and_evaluate_record_dataset_and_scoring_layers(tracing, tmp_path):
+    # split reads, splits and writes through the traced dataset functions and
+    # evaluate scores through baselines.evaluate; blank outcomes are dropped rows.
+    rng = np.random.default_rng(71)
+    lines, blanks = ["task,a,b,c,outcome"], 0
+    for i in range(60):
+        outcome = "" if i % 9 == 4 else repr(float(rng.normal()))
+        blanks += outcome == ""
+        lines.append(",".join([f"t{i % 3}", *map(repr, rng.uniform(size=3).tolist()), outcome]))
+    source = tmp_path / "panel.csv"
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    train, test, model = (tmp_path / name for name in ("train.csv", "test.csv", "mtl.json"))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main(["split", str(source), "--train-out", str(train), "--test-out",
+                         str(test), "--manifest", str(tmp_path / "split.json")]) == 0
+        assert cli.main(["train", str(train), "--model", "mtl", "--out", str(model)]) == 0
+        assert cli.main(["evaluate", str(test), "--model", str(model),
+                         "--out", str(tmp_path / "mae.csv")]) == 0
+    metrics = tracing.layer_metrics(tracer.spans)
+    for name in ("dataset.load_csv_s", "dataset.stratified_split_s", "dataset.write_csv_s",
+                 "baselines.evaluate_s"):
+        assert metrics[name] > 0, name
+    assert metrics["dataset.rows_dropped"] == blanks > 0

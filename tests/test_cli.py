@@ -10,6 +10,8 @@ from taskreg import cli
 from taskreg.dataset import load_csv
 from taskreg.serialize import load_model
 
+from oracles import MultiTaskDataset, evaluate
+
 
 def _write_csv(path, n_tasks=3, n_rows=10, n_features=5, seed=100, task_col="task", outcome_col="outcome"):
     rng = np.random.default_rng(seed)
@@ -345,10 +347,30 @@ def test_thread_env_applied(tmp_path, monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.setenv(var, "sentinel")
     monkeypatch.setenv("TASKREG_NUM_THREADS", "3")
+    seen = []
+    split = cli.cmd_split
+    monkeypatch.setattr(
+        cli, "cmd_split", lambda args: seen.append(dict(os.environ)) or split(args)
+    )
     csv_path = _write_csv(tmp_path / "data.csv")
     _split(tmp_path, csv_path)
     for var in cli._THREAD_VARS:
-        assert os.environ[var] == "3"
+        assert seen[0][var] == "3"
+        assert os.environ[var] == "sentinel"
+
+
+def test_main_restores_thread_env(monkeypatch, capsys):
+    # main sets the variables for its own run only, whether it succeeds or fails.
+    monkeypatch.delenv("TASKREG_NUM_THREADS", raising=False)
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "5")
+    assert cli.main(["split", "/nonexistent.csv"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert {var: os.environ.get(var) for var in cli._THREAD_VARS} == {
+        var: "5" if var == "MKL_NUM_THREADS" else None for var in cli._THREAD_VARS
+    }
 
 
 def test_configure_threads_cases(monkeypatch):
@@ -559,7 +581,6 @@ def _interleaved_test_set(tmp_path):
 
 def test_evaluate_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys):
     from taskreg import dataset
-    from taskreg.baselines import evaluate
 
     test, models = _interleaved_test_set(tmp_path)
     capsys.readouterr()
@@ -575,9 +596,9 @@ def test_evaluate_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, ca
         outputs.append((out.read_bytes(), printed))
     assert outputs[1:] == outputs[:1] * 2
 
-    # The library path on the loaded dataset gives the same values, and an
+    # The dataset fed one task per chunk gives the same values, and an
     # independent x @ w prediction the same MAE to roundoff.
-    ds = load_csv(test, "task", "outcome")
+    ds = MultiTaskDataset.from_table(load_csv(test, "task", "outcome"))
     table = outputs[0][0].decode().splitlines()
     assert [line.split(",")[0] for line in table[1:]] == [*ds.task_labels, "TOTAL"]
     for column, path in enumerate(models, start=4):

@@ -20,19 +20,23 @@ from taskreg.cmtl import (
     fit_cmtl,
     project_spectral,
 )
-from taskreg.dataset import MultiTaskDataset, TaskData, TaskFactors, load_factors, write_csv
+from taskreg.dataset import load_factors
 from taskreg.fista import ProximalProblem, SolverConfig, solve
 from taskreg.mtl import MtlModel
 
 from oracles import (
+    MultiTaskDataset,
+    TaskData,
     capped_simplex_grid,
     central_difference_grad,
     cmtl_loss,
     cmtl_objective,
     cmtl_regularizer,
     dykstra_spectral_project,
+    factors,
     grad_c_step,
     grad_phi,
+    write_csv_rows,
 )
 
 
@@ -373,7 +377,7 @@ def test_fit_identical_tasks_couples_fully():
     y = x @ np.array([1.0, -0.5, 2.0]) + 0.01 * rng.normal(size=20)
     ds = _dataset([x, x], [y, y])
     params = CmtlParams(rho1=0.5, rho2=0.5, k=1)
-    model = fit_cmtl(ds, params, SolverConfig(max_iters=3000, rel_tol=1e-13))
+    model = fit_cmtl(factors(ds), params, SolverConfig(max_iters=3000, rel_tol=1e-13))
     np.testing.assert_allclose(model.cluster_matrix.matrix, np.full((2, 2), 0.5), atol=1e-3)
 
 
@@ -381,18 +385,21 @@ def test_fit_recovers_planted_clusters():
     rng = np.random.default_rng(52)
     ds, truth = _planted_dataset(rng)
     params = CmtlParams(rho1=0.1, rho2=0.1, k=2)
-    model = fit_cmtl(ds, params, SolverConfig(max_iters=1500, rel_tol=1e-10))
+    model = fit_cmtl(factors(ds), params, SolverConfig(max_iters=1500, rel_tol=1e-10))
     assert model.assignments == truth
 
 
-def test_fit_envelope_and_projection_feasibility():
+def test_fit_envelope_and_projection_feasibility(monkeypatch):
+    from taskreg import cmtl
+
     rng = np.random.default_rng(53)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_rows=15)
     seen = []
-    params = CmtlParams(rho1=0.3, rho2=0.6, k=2)
-    model = fit_cmtl(
-        ds, params, SolverConfig(max_iters=50, rel_tol=0.0), on_project=seen.append
+    monkeypatch.setattr(
+        cmtl, "project_spectral", lambda c, k: seen.append(project_spectral(c, k)) or seen[-1]
     )
+    params = CmtlParams(rho1=0.3, rho2=0.6, k=2)
+    model = fit_cmtl(factors(ds), params, SolverConfig(max_iters=50, rel_tol=0.0))
     assert seen, "projection hook never called"
     for mat in seen:
         assert isinstance(mat, RelaxedClusterMatrix)
@@ -404,9 +411,9 @@ def test_fit_parameter_errors():
     rng = np.random.default_rng(54)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_rows=10)
     with pytest.raises(ValueError, match="k must be"):
-        fit_cmtl(ds, CmtlParams(rho1=1.0, rho2=1.0, k=4))
+        fit_cmtl(factors(ds), CmtlParams(rho1=1.0, rho2=1.0, k=4))
     with pytest.raises(ValueError, match="rho1 > 0"):
-        fit_cmtl(ds, CmtlParams(rho1=0.0, rho2=0.0, k=2))
+        fit_cmtl(factors(ds), CmtlParams(rho1=0.0, rho2=0.0, k=2))
 
 
 def test_extract_clusters_block_diagonal():
@@ -527,7 +534,7 @@ def test_fit_matches_reference_solve_on_ragged_tasks():
     ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), n_features)
     params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
     cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
-    model = fit_cmtl(ds, params, cfg)
+    model = fit_cmtl(factors(ds), params, cfg)
 
     def split(z):
         return z[:, :n_features], z[:, n_features:]
@@ -563,11 +570,11 @@ def test_fit_on_streamed_factors_matches_fit_on_rows(tmp_path):
     # The ragged fixture above, written out and read back by load_factors.
     ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), 12)
     path = tmp_path / "ragged.csv"
-    write_csv(ds, path, "task", "y")
+    write_csv_rows(ds, path, "task", "y")
     params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
     cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
     streamed = fit_cmtl(load_factors(path, "task", "y"), params, cfg)
-    rows = fit_cmtl(ds, params, cfg)
+    rows = fit_cmtl(factors(ds), params, cfg)
     assert streamed.trace.iterations == rows.trace.iterations
     np.testing.assert_allclose(streamed.weights, rows.weights, rtol=0, atol=1e-10)
     np.testing.assert_allclose(
@@ -579,7 +586,7 @@ def test_smooth_part_compares_points_by_value():
     rng = np.random.default_rng(61)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
-    smooth = _SmoothPart(TaskFactors.from_dataset(ds), params)
+    smooth = _SmoothPart(factors(ds), params)
     cluster = project_spectral(rng.normal(size=(4, 4)), 2)
     smooth.seed_spectrum(cluster)
     z = np.hstack([rng.normal(size=(4, 3)), cluster.matrix])
@@ -625,21 +632,21 @@ def test_relaxed_cluster_matrix_from_spectrum_checks_box_and_trace():
 def test_smooth_part_is_inf_unless_coupling_is_positive_definite(min_eig, finite):
     rng = np.random.default_rng(64)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
-    factors = TaskFactors.from_dataset(ds)
+    data = factors(ds)
     w = rng.normal(size=(4, 3))
     q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
 
     # A point no projection produced: the Cholesky test decides.
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
     c = (q * np.array([min_eig - params.eta, 0.3, 0.5, 0.9])) @ q.T
-    value = _SmoothPart(factors, params).value(np.hstack([w, 0.5 * (c + c.T)]))
+    value = _SmoothPart(data, params).value(np.hstack([w, 0.5 * (c + c.T)]))
     assert math.isfinite(value) == finite
 
     # A projected point: its own eigenvalues decide. With eta = min_eig and a
     # zero eigenvalue of C, min eig(eta*I + C) is min_eig.
     params = CmtlParams(rho1=1.0, rho2=min_eig, k=2)
     cluster = RelaxedClusterMatrix._from_spectrum(np.array([0.0, 0.4, 0.6, 1.0]), q, 2)
-    smooth = _SmoothPart(factors, params)
+    smooth = _SmoothPart(data, params)
     smooth.seed_spectrum(cluster)
     assert math.isfinite(smooth.value(np.hstack([w, cluster.matrix]))) == finite
 
@@ -662,7 +669,9 @@ def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(cmtl, "project_spectral", counted("project", project))
     ds = _ragged_dataset(np.random.default_rng(65), (5, 13, 40, 30, 8, 20), 6)
-    model = fit_cmtl(ds, CmtlParams(rho1=0.2, rho2=0.3, k=2), SolverConfig(max_iters=200))
+    model = fit_cmtl(
+        factors(ds), CmtlParams(rho1=0.2, rho2=0.3, k=2), SolverConfig(max_iters=200)
+    )
     assert model.trace.iterations > 10
     assert counts["project"] >= model.trace.iterations
     assert counts["eigh"] == counts["project"] + 2

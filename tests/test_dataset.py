@@ -1,5 +1,6 @@
 """Loading, scaling, and splitting behavior."""
 
+import dataclasses
 import io
 import json
 import re
@@ -7,24 +8,21 @@ import re
 import numpy as np
 import pytest
 
+import oracles
+from oracles import MultiTaskDataset, TaskData, factors, row_table, write_csv_rows
 from taskreg import (
     DegenerateTaskError,
-    MultiTaskDataset,
     ParseError,
     ScalingParams,
     SchemaError,
-    TaskData,
-    apply_scale,
     load_csv,
     load_factors,
     minmax_scale,
     stratified_split,
     write_csv,
 )
-from oracles import write_csv_rows
 from taskreg import cli, dataset
 from taskreg.dataset import (
-    TaskFactors,
     _FactorSink,
     _line_ends,
     _load_cells,
@@ -33,12 +31,41 @@ from taskreg.dataset import (
 )
 
 
+def _table_sink(path):
+    return lambda names: _TableSink(names, _line_ends(path))
+
+
+def _rows(path, task_column, outcome_column):
+    """The table load_csv reads, one copy per task."""
+    return MultiTaskDataset.from_table(load_csv(path, task_column, outcome_column))
+
+
 def _chunked_rows(path, task_column, outcome_column):
     """load_csv's chunk loop alone: the dataset, or None where it defers to the cell reader."""
-    table = _read_chunks(
-        path, task_column, outcome_column, lambda names: _TableSink(names, _line_ends(path))
+    table = _read_chunks(path, task_column, outcome_column, _table_sink(path))
+    return None if table is None else MultiTaskDataset.from_table(table)
+
+
+def _minmax_scale(ds, **options):
+    """The package's minmax_scale on a dataset's rows: the scaled rows and the params."""
+    table = row_table(ds)
+    params = minmax_scale(table, **options)
+    return MultiTaskDataset.from_table(table), params
+
+
+def _stratified_split(ds, train_fraction, seed):
+    """The package's stratified_split of a dataset's rows, as (train, test) datasets."""
+    table = row_table(ds)
+    return tuple(
+        MultiTaskDataset.from_table(dataclasses.replace(table, task_rows=side))
+        for side in stratified_split(table, train_fraction, seed)
     )
-    return None if table is None else table.dataset()
+
+
+def _write_csv(ds, path, task_column, outcome_column):
+    """The package's write_csv of every row of a dataset."""
+    table = row_table(ds)
+    write_csv(table, table.task_rows, path, task_column, outcome_column)
 
 
 def _chunked_factors(path, task_column, outcome_column):
@@ -62,7 +89,7 @@ b,5,6,
 
 
 def test_load_basic_shapes(tmp_path):
-    ds = load_csv(_write(tmp_path, BASIC), "task", "outcome")
+    ds = _rows(_write(tmp_path, BASIC), "task", "outcome")
     assert ds.task_labels == ("a", "b")
     assert ds.feature_names == ("age", "bmi")
     assert ds.n_tasks == 2
@@ -75,7 +102,7 @@ def test_load_basic_shapes(tmp_path):
 
 
 def test_load_minimal_one_row(tmp_path):
-    ds = load_csv(_write(tmp_path, "t,x,y\nonly,5,7\n"), "t", "y")
+    ds = _rows(_write(tmp_path, "t,x,y\nonly,5,7\n"), "t", "y")
     assert ds.n_tasks == 1
     assert ds.n_features == 1
     assert ds.tasks[0].n == 1
@@ -91,10 +118,10 @@ def test_load_fhs_shaped(tmp_path):
     values = rng.random((n_rows, n_feat + 1))
     for label, row in zip(labels, values):
         lines.append(label + "," + ",".join(f"{v:.4f}" for v in row))
-    ds = load_csv(_write(tmp_path, "\n".join(lines) + "\n"), "task", "y")
-    assert ds.n_tasks == 4
-    assert ds.n_features == 79
-    assert ds.n_rows == 633
+    table = load_csv(_write(tmp_path, "\n".join(lines) + "\n"), "task", "y")
+    assert table.n_tasks == 4
+    assert len(table.feature_names) == 79
+    assert table.n_rows == 633
 
 
 def test_load_brfss_shaped(tmp_path):
@@ -111,11 +138,11 @@ def test_load_brfss_shaped(tmp_path):
             np.savetxt(buf, block, fmt="%.3f", delimiter=",")
             label = f"age{t}"
             fh.writelines(f"{label},{line}\n" for line in buf.getvalue().splitlines())
-    ds = load_csv(path, "age_group", "y")
-    assert ds.n_tasks == 6
-    assert ds.n_features == 90
-    assert ds.n_rows == 119_929
-    assert [t.n for t in ds.tasks] == counts
+    table = load_csv(path, "age_group", "y")
+    assert table.n_tasks == 6
+    assert len(table.feature_names) == 90
+    assert table.n_rows == 119_929
+    assert [rows.size for rows in table.task_rows] == counts
 
 
 def test_load_errors(tmp_path):
@@ -178,7 +205,7 @@ def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newl
     path.write_bytes(text.encode("utf-8"))
     fast = _chunked_rows(path, "site", "outcome")
     assert fast is not None  # the vectorized pass was taken
-    slow = _load_cells(path, "site", "outcome")
+    slow = MultiTaskDataset.from_table(_load_cells(path, "site", "outcome", _table_sink(path)))
     assert fast.task_labels == slow.task_labels
     assert fast.feature_names == slow.feature_names
     assert fast.dropped_rows == slow.dropped_rows > 0
@@ -218,7 +245,7 @@ def test_fallback_accepts_what_float_accepts(tmp_path):
     # float() reads "1_0" as 10.0; np.loadtxt rejects it, so the cell reader decides.
     path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
     assert _chunked_rows(path, "task", "y") is None
-    ds = load_csv(path, "task", "y")
+    ds = _rows(path, "task", "y")
     np.testing.assert_array_equal(ds.tasks[0].X.ravel(), [10.0, 3.0])
     np.testing.assert_array_equal(ds.tasks[0].Y, [2.0, 40.0])
 
@@ -246,47 +273,46 @@ def _toy(columns, labels=("a",), outcomes=None):
 
 def test_minmax_scale_examples():
     ds = _toy([[2.0], [4.0], [6.0]])
-    scaled, params = minmax_scale(ds)
+    scaled, params = _minmax_scale(ds)
     np.testing.assert_allclose(scaled.tasks[0].X.ravel(), [0.0, 0.5, 1.0])
     assert params.feature_min[0] == 2.0 and params.feature_max[0] == 6.0
 
-    const, _ = minmax_scale(_toy([[7.0], [7.0]]))
+    const, _ = _minmax_scale(_toy([[7.0], [7.0]]))
     np.testing.assert_array_equal(const.tasks[0].X.ravel(), [0.0, 0.0])
 
     unit = _toy([[0.0], [0.25], [1.0]])
-    scaled_unit, _ = minmax_scale(unit)
+    scaled_unit, _ = _minmax_scale(unit)
     np.testing.assert_allclose(scaled_unit.tasks[0].X, unit.tasks[0].X, atol=1e-15)
 
 
 def test_minmax_round_trip():
     rng = np.random.default_rng(7)
     ds = _toy(rng.uniform(-5, 9, size=(20, 4)))
-    scaled, params = minmax_scale(ds)
+    scaled, params = _minmax_scale(ds)
     back = params.invert_features(scaled.tasks[0].X)
     np.testing.assert_allclose(back, ds.tasks[0].X, atol=1e-12)
 
 
 def test_outcome_scaling():
     ds = _toy([[1.0], [2.0]], outcomes=[10.0, 30.0])
-    scaled, params = minmax_scale(ds, scale_outcome=True)
+    scaled, params = _minmax_scale(ds, scale_outcome=True)
     np.testing.assert_allclose(scaled.tasks[0].Y, [0.0, 1.0])
     np.testing.assert_allclose(params.invert_outcome(scaled.tasks[0].Y), [10.0, 30.0])
     assert params.scales_outcome
 
 
 def test_apply_scale_examples():
+    # Stored params map new rows, which may leave [0, 1].
     params = ScalingParams(feature_min=np.array([0.0]), feature_max=np.array([10.0]))
-    ds = _toy([[5.0], [12.0]])
-    out = apply_scale(ds, params)
-    np.testing.assert_allclose(out.tasks[0].X.ravel(), [0.5, 1.2])
+    x = np.array([[5.0], [12.0]])
+    np.testing.assert_allclose(params.transform_features(x).ravel(), [0.5, 1.2])
 
     const = ScalingParams(feature_min=np.array([3.0]), feature_max=np.array([3.0]))
-    out = apply_scale(_toy([[99.0]]), const)
-    assert out.tasks[0].X[0, 0] == 0.0
+    assert const.transform_features(np.array([[99.0]]))[0, 0] == 0.0
 
     wide = ScalingParams(feature_min=np.zeros(2), feature_max=np.ones(2))
-    with pytest.raises(ValueError, match="features"):
-        apply_scale(ds, wide)
+    with pytest.raises(ValueError, match="2 columns"):
+        wide.transform_features(x)
 
 
 def test_scaling_params_validation():
@@ -312,21 +338,21 @@ def _split_ds(n_per_task=10, n_tasks=3, seed=5):
 
 
 def test_split_sixty_forty():
-    train, test = stratified_split(_split_ds(10), 0.6, seed=0)
+    train, test = _stratified_split(_split_ds(10), 0.6, seed=0)
     assert all(t.n == 6 for t in train.tasks)
     assert all(t.n == 4 for t in test.tasks)
 
 
 def test_split_two_rows():
-    train, test = stratified_split(_split_ds(2), 0.5, seed=0)
+    train, test = _stratified_split(_split_ds(2), 0.5, seed=0)
     assert all(t.n == 1 for t in train.tasks)
     assert all(t.n == 1 for t in test.tasks)
 
 
 def test_split_deterministic_and_conserving():
     ds = _split_ds(13)
-    first = stratified_split(ds, 0.6, seed=9)
-    second = stratified_split(ds, 0.6, seed=9)
+    first = _stratified_split(ds, 0.6, seed=9)
+    second = _stratified_split(ds, 0.6, seed=9)
     for a, b in zip(first[0].tasks, second[0].tasks):
         np.testing.assert_array_equal(a.X, b.X)
     # Row multisets of train + test partition the original rows.
@@ -334,7 +360,7 @@ def test_split_deterministic_and_conserving():
         assert tr.n + te.n == orig.n
         combined = np.vstack([tr.X, te.X])
         assert sorted(map(tuple, combined.tolist())) == sorted(map(tuple, orig.X.tolist()))
-    third = stratified_split(ds, 0.6, seed=10)
+    third = _stratified_split(ds, 0.6, seed=10)
     assert any(
         not np.array_equal(a.X, b.X) for a, b in zip(first[0].tasks, third[0].tasks)
     )
@@ -342,19 +368,19 @@ def test_split_deterministic_and_conserving():
 
 def test_split_errors():
     with pytest.raises(DegenerateTaskError):
-        stratified_split(_split_ds(1), 0.5, seed=0)
+        _stratified_split(_split_ds(1), 0.5, seed=0)
     with pytest.raises(ValueError, match="train_fraction"):
-        stratified_split(_split_ds(4), 1.0, seed=0)
+        _stratified_split(_split_ds(4), 1.0, seed=0)
     with pytest.raises(ValueError, match="train_fraction"):
-        stratified_split(_split_ds(4), 0.0, seed=0)
+        _stratified_split(_split_ds(4), 0.0, seed=0)
 
 
 def test_write_load_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     ds = _split_ds(6)
     path = tmp_path / "round.csv"
-    write_csv(ds, path, "task", "outcome")
-    back = load_csv(path, "task", "outcome")
+    _write_csv(ds, path, "task", "outcome")
+    back = _rows(path, "task", "outcome")
     assert back.task_labels == ds.task_labels
     assert back.feature_names == ds.feature_names
     for a, b in zip(ds.tasks, back.tasks):
@@ -425,8 +451,8 @@ def test_streamed_factors_match_loaded_rows(tmp_path, monkeypatch, seed, newline
     path.write_bytes(text.encode("utf-8"))
     assert _chunked_factors(path, "site", "outcome") is not None  # no fallback
     streamed = load_factors(path, "site", "outcome")
-    ds = load_csv(path, "site", "outcome")
-    ref = TaskFactors.from_dataset(ds)
+    ds = _rows(path, "site", "outcome")
+    ref = factors(ds)
     assert streamed.task_labels == ref.task_labels
     assert streamed.task_labels[-1] == "late"
     assert {"rural, north", 'say "hi", east'} <= set(streamed.task_labels)
@@ -481,18 +507,18 @@ def test_quoted_newline_in_label_falls_back(tmp_path, monkeypatch, line):
     body.insert(line - 1, '"a\nb",4,1')
     path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
     assert _chunked_factors(path, "task", "y") is None
-    factors = load_factors(path, "task", "y")
-    assert factors.task_labels == ("a", "a\nb")
-    assert factors.counts == (3, 1)
+    loaded = load_factors(path, "task", "y")
+    assert loaded.task_labels == ("a", "a\nb")
+    assert loaded.counts == (3, 1)
 
 
 def test_streamed_reader_accepts_what_float_accepts(tmp_path):
     path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
-    factors = load_factors(path, "task", "y")
-    ref = TaskFactors.from_dataset(load_csv(path, "task", "y"))
-    np.testing.assert_array_equal(factors.feature_max, [10.0])
-    assert factors.outcome_max == 40.0
-    np.testing.assert_allclose(_gram(factors.factors[0]), _gram(ref.factors[0]), rtol=1e-15)
+    streamed = load_factors(path, "task", "y")
+    ref = factors(_rows(path, "task", "y"))
+    np.testing.assert_array_equal(streamed.feature_max, [10.0])
+    assert streamed.outcome_max == 40.0
+    np.testing.assert_allclose(_gram(streamed.factors[0]), _gram(ref.factors[0]), rtol=1e-15)
 
 
 @pytest.mark.parametrize("chunk", [8, None], ids=["chunk8", "default"])
@@ -539,11 +565,9 @@ def test_factor_scaling_matches_minmax_scale(scale_outcome):
     x = rng.uniform(2.0, 9.0, size=(30, 3))
     x[:, 1] = 4.0  # a constant column maps to 0
     ds = _toy(x, labels=("a", "b"), outcomes=50.0 + 20.0 * rng.random(30))
-    scaled_rows, params = minmax_scale(ds, scale_outcome=scale_outcome)
-    scaled, factor_params = TaskFactors.from_dataset(ds).minmax_scaled(
-        scale_outcome=scale_outcome
-    )
-    ref = TaskFactors.from_dataset(scaled_rows)
+    scaled_rows, params = oracles.minmax_scale(ds, scale_outcome=scale_outcome)
+    scaled, factor_params = factors(ds).minmax_scaled(scale_outcome=scale_outcome)
+    ref = factors(scaled_rows)
     for name in ("feature_min", "feature_max"):
         np.testing.assert_array_equal(getattr(factor_params, name), getattr(params, name))
     assert (factor_params.outcome_min, factor_params.outcome_max) == (
@@ -577,10 +601,10 @@ def test_dataset_types_compare_by_value():
     assert ds != MultiTaskDataset(tasks=ds.tasks, feature_names=("a", "b", "z"))
     assert ds != "not a dataset" and t != ds
 
-    assert TaskFactors.from_dataset(same) == TaskFactors.from_dataset(ds)
-    scaled, params = minmax_scale(ds, scale_outcome=True)
-    assert TaskFactors.from_dataset(scaled) != TaskFactors.from_dataset(ds)
-    _, params_again = TaskFactors.from_dataset(ds).minmax_scaled(scale_outcome=True)
+    assert factors(same) == factors(ds)
+    scaled, params = oracles.minmax_scale(ds, scale_outcome=True)
+    assert factors(scaled) != factors(ds)
+    _, params_again = factors(ds).minmax_scaled(scale_outcome=True)
     assert params_again == params
     assert params != ScalingParams(feature_min=params.feature_min, feature_max=params.feature_max)
     wider = ScalingParams(feature_min=params.feature_min, feature_max=params.feature_max + 1.0)
@@ -627,7 +651,7 @@ def test_write_csv_matches_row_writer(tmp_path, monkeypatch, seed, block):
     else:
         monkeypatch.setattr(dataset, "_WRITE_BLOCK_ROWS", block)
     ds = _writer_panel(seed)
-    write_csv(ds, tmp_path / "blocks.csv", "task", "outcome")
+    _write_csv(ds, tmp_path / "blocks.csv", "task", "outcome")
     write_csv_rows(ds, tmp_path / "rows.csv", "task", "outcome")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -640,8 +664,8 @@ def _readable_panel(seed=0, sizes=(1, 127, 128, 129, 1000, 128)):
 def test_write_csv_round_trip_equals_dataset(tmp_path):
     ds = _readable_panel()
     path = tmp_path / "round.csv"
-    write_csv(ds, path, "task", "outcome")
-    back = load_csv(path, "task", "outcome")
+    _write_csv(ds, path, "task", "outcome")
+    back = _rows(path, "task", "outcome")
     assert back == ds
     # The bits survive too, -0.0 included, which np.array_equal does not check.
     for a, b in zip(ds.tasks, back.tasks):
@@ -650,7 +674,7 @@ def test_write_csv_round_trip_equals_dataset(tmp_path):
 
 def test_write_csv_rejects_colliding_columns(tmp_path):
     with pytest.raises(ValueError, match="collide"):
-        write_csv(_writer_panel(), tmp_path / "x.csv", "f1", "outcome")
+        _write_csv(_writer_panel(), tmp_path / "x.csv", "f1", "outcome")
 
 
 @pytest.mark.parametrize("scale", [(), ("--scale-full", "--scale-outcome")], ids=["raw", "scaled"])
@@ -662,10 +686,10 @@ def test_split_writes_row_writer_bytes(tmp_path, scale):
     argv = ["split", str(source), "--seed", "5", "--train-out", str(out["train"]),
             "--test-out", str(out["test"]), "--manifest", str(tmp_path / "m.json"), *scale]
     assert cli.main(argv) == 0
-    ds = load_csv(source, "task", "outcome")
+    ds = _rows(source, "task", "outcome")
     if scale:
-        ds, _ = minmax_scale(ds, scale_outcome=True)
-    sides = dict(zip(("train", "test"), stratified_split(ds, 0.6, seed=5)))
+        ds, _ = oracles.minmax_scale(ds, scale_outcome=True)
+    sides = dict(zip(("train", "test"), oracles.stratified_split(ds, 0.6, seed=5)))
     for name, side in sides.items():
         expected = tmp_path / f"expected_{name}.csv"
         write_csv_rows(side, expected, "task", "outcome")
@@ -673,14 +697,14 @@ def test_split_writes_row_writer_bytes(tmp_path, scale):
 
 
 def _split_oracle(source, out, fraction, seed, scale):
-    """What ``split`` writes and prints, by load_csv -> stratified_split -> write_csv."""
-    ds = load_csv(source, "site", "outcome")
+    """What ``split`` writes and prints, by the per-task scale -> split -> write of the oracles."""
+    ds = _rows(source, "site", "outcome")
     dropped = ds.dropped_rows
     if scale:
-        ds, _ = minmax_scale(ds, scale_outcome=True)
-    train, test = stratified_split(ds, fraction, seed)
-    write_csv(train, out / "train.csv", "site", "outcome")
-    write_csv(test, out / "test.csv", "site", "outcome")
+        ds, _ = oracles.minmax_scale(ds, scale_outcome=True)
+    train, test = oracles.stratified_split(ds, fraction, seed)
+    write_csv_rows(train, out / "train.csv", "site", "outcome")
+    write_csv_rows(test, out / "test.csv", "site", "outcome")
     manifest = {
         "command": "split", "input": str(source), "seed": seed, "train_fraction": fraction,
         "task_column": "site", "outcome_column": "outcome", "scaled_before_split": scale,
@@ -797,12 +821,12 @@ def test_split_errors_keep_their_text(tmp_path, capsys, text, fraction, error):
 @pytest.mark.parametrize("scale_outcome", [False, True])
 def test_table_scaling_matches_minmax_scale(tmp_path, scale_outcome):
     source = _write(tmp_path, _chunked_panel(1, 16, newline="\n"))
-    table = dataset.read_table(source, "site", "outcome")
-    params = table.minmax_scale(scale_outcome=scale_outcome)
-    expected, expected_params = minmax_scale(load_csv(source, "site", "outcome"),
-                                             scale_outcome=scale_outcome)
+    table = load_csv(source, "site", "outcome")
+    params = minmax_scale(table, scale_outcome=scale_outcome)
+    expected, expected_params = oracles.minmax_scale(_rows(source, "site", "outcome"),
+                                                     scale_outcome=scale_outcome)
     assert params == expected_params
-    for a, b in zip(table.dataset().tasks, expected.tasks):
+    for a, b in zip(MultiTaskDataset.from_table(table).tasks, expected.tasks):
         assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
 
 

@@ -13,11 +13,11 @@ import pytest
 
 from taskreg import cli
 from taskreg.baselines import StlSpec, fit_stl
-from taskreg.dataset import MultiTaskDataset, TaskData, load_csv, load_factors, minmax_scale
+from taskreg.dataset import load_csv, load_factors
 from taskreg.fista import ProximalProblem, SolverConfig, solve
 from taskreg.mtl import fit_mtl, l21_norm, prox_l21
 
-from oracles import grad_loss, loss
+from oracles import MultiTaskDataset, TaskData, factors, grad_loss, loss, minmax_scale
 
 TIGHT = SolverConfig(max_iters=20000, rel_tol=1e-11)
 ATOL = 1e-10
@@ -101,7 +101,7 @@ def _stl_reference(ds, setting, penalty, lam):
 def test_mtl_matches_row_solve(intercept):
     ds = _ragged(1)
     lam = 0.3
-    model = fit_mtl(ds, lam, TIGHT, fit_intercept=intercept)
+    model = fit_mtl(factors(ds), lam, TIGHT, fit_intercept=intercept)
     ref = _mtl_reference(ds, lam, intercept)
     np.testing.assert_allclose(model.weights, ref[:, : ds.n_features], rtol=0, atol=ATOL)
     if intercept:
@@ -113,7 +113,7 @@ def test_mtl_matches_row_solve(intercept):
 def test_stl_matches_row_solve(setting, penalty, lam):
     # Five and more rows per task, so the unpenalized individual fits are determined.
     ds = _ragged(2, sizes=(8, 12, 40, 250))
-    model = fit_stl(ds, StlSpec(setting=setting, penalty=penalty, lam=lam), TIGHT)
+    model = fit_stl(factors(ds), StlSpec(setting=setting, penalty=penalty, lam=lam), TIGHT)
     ref = _stl_reference(ds, setting, penalty, lam)
     np.testing.assert_allclose(model.weights, ref, rtol=0, atol=ATOL)
 
@@ -138,7 +138,7 @@ def test_blocked_individual_stl_matches_one_solve_per_task(penalty, lam, interce
     # Tasks of 3 and 5 rows have R factors shorter than the padded stack's J+1 or J+2 rows.
     ds = _ragged(5, sizes=(3, 40, 5, 250, 9))
     cfg = SolverConfig(max_iters=5000, rel_tol=1e-9, momentum=momentum)
-    model = fit_stl(ds, StlSpec(setting="individual", penalty=penalty, lam=lam), cfg,
+    model = fit_stl(factors(ds), StlSpec(setting="individual", penalty=penalty, lam=lam), cfg,
                     fit_intercept=intercept)
     rows = _with_ones(ds) if intercept else ds
     assert len(model.trace) == ds.n_tasks
@@ -189,7 +189,7 @@ def test_cli_train_matches_row_solve(tmp_path, options):
     assert cli.main(argv) == 0
     model = json.loads(out.read_text())
 
-    rows = load_csv(path, "task", "outcome")
+    rows = MultiTaskDataset.from_table(load_csv(path, "task", "outcome"))
     if "--no-scale" not in options:
         rows, _ = minmax_scale(rows, scale_outcome="--scale-outcome" in options)
     intercept = "--intercept" in options
@@ -210,12 +210,12 @@ def test_fits_take_streamed_factors(tmp_path):
     # Streamed and scaled factors give the fit of the loaded and scaled rows.
     path = tmp_path / "train.csv"
     _write_panel(path, _ragged(4))
-    factors, _ = load_factors(path, "task", "outcome").minmax_scaled()
-    rows, _ = minmax_scale(load_csv(path, "task", "outcome"))
+    streamed, _ = load_factors(path, "task", "outcome").minmax_scaled()
+    rows, _ = minmax_scale(MultiTaskDataset.from_table(load_csv(path, "task", "outcome")))
     for fit in (
         lambda data: fit_mtl(data, 0.3, TIGHT, fit_intercept=True),
         lambda data: fit_stl(data, StlSpec(setting="global", penalty="ridge", lam=0.2), TIGHT),
     ):
-        a, b = fit(factors), fit(rows)
+        a, b = fit(streamed), fit(factors(rows))
         np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=ATOL)
         np.testing.assert_allclose(a.intercept, b.intercept, rtol=0, atol=ATOL)

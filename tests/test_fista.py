@@ -16,7 +16,6 @@ from taskreg.fista import (
     ProximalProblem,
     SolverConfig,
     SolveTrace,
-    backtracking_step,
     solve,
 )
 
@@ -136,44 +135,50 @@ def test_first_step_of_each_block_records_the_oracle_surrogate():
         assert trace.surrogate_per_iter[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def _one_step(problem, x0, gamma0):
+    """One solver iteration from x0, a plain backtracked step: (x1, accepted gamma)."""
+    x1, trace = solve(problem, np.asarray(x0), SolverConfig(max_iters=1, gamma0=gamma0))
+    return x1, trace.gamma_per_iter[0]
+
+
 def test_backtracking_accepts_matching_curvature():
     problem = _quadratic_problem(2.0)
-    step, gamma = backtracking_step(problem, np.array([1.0]), gamma_prev=2.0, cfg=SolverConfig())
+    step, gamma = _one_step(problem, [1.0], gamma0=2.0)
     np.testing.assert_allclose(step, [0.0], atol=1e-12)
     assert gamma == 2.0
 
 
 def test_backtracking_doubles_to_curvature():
-    # Curvature 16 from gamma_prev 1 needs doublings 2, 4, 8, 16.
+    # Curvature 16 from gamma0 = 1 needs doublings 2, 4, 8, 16.
     problem = _quadratic_problem(16.0)
-    _, gamma = backtracking_step(problem, np.array([1.0]), gamma_prev=1.0, cfg=SolverConfig())
+    _, gamma = _one_step(problem, [1.0], gamma0=1.0)
     assert gamma == 16.0
 
 
 def test_backtracking_unit_quadratic_reaches_zero():
     problem = _quadratic_problem(1.0)
-    step, gamma = backtracking_step(problem, np.array([1.0]), gamma_prev=1.0, cfg=SolverConfig())
+    step, gamma = _one_step(problem, [1.0], gamma0=1.0)
     np.testing.assert_allclose(step, [0.0], atol=1e-12)
     assert gamma == 1.0
 
 
 def test_backtracking_applies_prox():
+    # The prox soft-thresholds by 1, the prox of ||x||_1 at step 1; solve
+    # returns the best iterate, so the objective must rank the step first.
     problem = ProximalProblem(
         smooth_value=lambda x: 0.0,
         smooth_grad=lambda x: np.zeros_like(x),
         prox=lambda h, step: np.sign(h) * np.maximum(np.abs(h) - 1.0, 0.0),
-        full_objective=lambda x: 0.0,
+        full_objective=lambda x: float(np.abs(x).sum()),
     )
-    step, gamma = backtracking_step(
-        problem, np.array([3.0, -0.5]), gamma_prev=1.0, cfg=SolverConfig()
-    )
+    step, gamma = _one_step(problem, [3.0, -0.5], gamma0=1.0)
     np.testing.assert_allclose(step, [2.0, 0.0])
     assert gamma == 1.0
 
 
 def test_backtracking_rejects_bad_gamma():
-    with pytest.raises(ValueError, match="gamma_prev"):
-        backtracking_step(_quadratic_problem(1.0), np.zeros(1), gamma_prev=0.0, cfg=SolverConfig())
+    with pytest.raises(ValueError, match="gamma0"):
+        SolverConfig(gamma0=0.0)
 
 
 def test_solve_matches_normal_equations():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from taskreg.baselines import predictions_for_task
-from taskreg.dataset import MultiTaskDataset, TaskData
 from taskreg.fista import SolverConfig
 from taskreg.mtl import MtlModel, fit_mtl, l21_norm, lambda_max, prox_l21
 
 from oracles import (
+    MultiTaskDataset,
+    TaskData,
     central_difference_grad,
+    factors,
     grad_loss,
     loss,
     objective,
@@ -129,18 +131,18 @@ def test_lambda_max_formula():
     rng = np.random.default_rng(25)
     ds = _random_dataset(rng)
     stacked = np.vstack([t.X.T @ t.Y for t in ds.tasks])
-    assert lambda_max(ds) == pytest.approx(np.linalg.norm(stacked, axis=0).max())
+    assert lambda_max(factors(ds)) == pytest.approx(np.linalg.norm(stacked, axis=0).max())
 
 
 def test_fit_is_zero_at_lambda_max():
     rng = np.random.default_rng(26)
     ds = _random_dataset(rng, n_rows=12)
-    lmax = lambda_max(ds)
-    model = fit_mtl(ds, lmax)
+    lmax = lambda_max(factors(ds))
+    model = fit_mtl(factors(ds), lmax)
     np.testing.assert_array_equal(model.weights, np.zeros((3, 4)))
-    above = fit_mtl(ds, 1.01 * lmax)
+    above = fit_mtl(factors(ds), 1.01 * lmax)
     np.testing.assert_array_equal(above.weights, np.zeros((3, 4)))
-    below = fit_mtl(ds, 0.5 * lmax, SolverConfig(max_iters=3000, rel_tol=1e-12))
+    below = fit_mtl(factors(ds), 0.5 * lmax, SolverConfig(max_iters=3000, rel_tol=1e-12))
     assert np.linalg.norm(below.weights) > 0
 
 
@@ -149,7 +151,7 @@ def test_fit_single_task_unpenalized_matches_ols():
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
     ds = _dataset([x], [y])
-    model = fit_mtl(ds, 0.0, SolverConfig(max_iters=5000, rel_tol=1e-14))
+    model = fit_mtl(factors(ds), 0.0, SolverConfig(max_iters=5000, rel_tol=1e-14))
     np.testing.assert_allclose(model.weights[0], ols_normal_equations(x, y), atol=1e-6)
 
 
@@ -159,8 +161,8 @@ def test_fit_optimality_certificate():
     # and zero columns satisfy ||g_j|| <= lam.
     rng = np.random.default_rng(28)
     ds = _random_dataset(rng, n_tasks=3, n_features=8, n_rows=25)
-    lam = 0.3 * lambda_max(ds)
-    model = fit_mtl(ds, lam, SolverConfig(max_iters=20000, rel_tol=1e-15))
+    lam = 0.3 * lambda_max(factors(ds))
+    model = fit_mtl(factors(ds), lam, SolverConfig(max_iters=20000, rel_tol=1e-15))
     g = grad_loss(model.weights, ds)
     norms = np.linalg.norm(model.weights, axis=0)
     for j in range(8):
@@ -174,16 +176,16 @@ def test_fit_optimality_certificate():
 def test_fit_objective_never_worse_than_zero():
     rng = np.random.default_rng(29)
     ds = _random_dataset(rng)
-    lam = 0.2 * lambda_max(ds)
-    model = fit_mtl(ds, lam)
+    lam = 0.2 * lambda_max(factors(ds))
+    model = fit_mtl(factors(ds), lam)
     assert objective(model.weights, ds, lam) <= objective(np.zeros((3, 4)), ds, lam) + 1e-12
 
 
 def test_fit_deterministic():
     rng = np.random.default_rng(30)
     ds = _random_dataset(rng)
-    a = fit_mtl(ds, 0.1)
-    b = fit_mtl(ds, 0.1)
+    a = fit_mtl(factors(ds), 0.1)
+    b = fit_mtl(factors(ds), 0.1)
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
@@ -193,11 +195,13 @@ def test_fit_intercept_absorbs_shift():
     w_true = np.array([1.0, -2.0, 0.5])
     y = x @ w_true + 7.0
     ds = _dataset([x], [y])
-    model = fit_mtl(ds, 0.0, SolverConfig(max_iters=8000, rel_tol=1e-15), fit_intercept=True)
+    model = fit_mtl(
+        factors(ds), 0.0, SolverConfig(max_iters=8000, rel_tol=1e-15), fit_intercept=True
+    )
     assert model.intercept[0] == pytest.approx(7.0, abs=1e-4)
     np.testing.assert_allclose(model.weights[0], w_true, atol=1e-4)
     # Without an intercept the shift leaks into the residual.
-    flat = fit_mtl(ds, 0.0, SolverConfig(max_iters=8000, rel_tol=1e-15))
+    flat = fit_mtl(factors(ds), 0.0, SolverConfig(max_iters=8000, rel_tol=1e-15))
     assert loss(model.weights, ds) > 0  # weights alone do not explain y
     assert np.linalg.norm(flat.weights[0] - w_true) > 1e-3
 
@@ -207,7 +211,7 @@ def test_intercept_is_never_penalized():
     x = rng.normal(size=(30, 2))
     y = x @ np.array([0.1, -0.1]) + 5.0
     ds = _dataset([x], [y])
-    model = fit_mtl(ds, 10.0 * lambda_max(ds), fit_intercept=True)
+    model = fit_mtl(factors(ds), 10.0 * lambda_max(factors(ds)), fit_intercept=True)
     np.testing.assert_array_equal(model.weights, np.zeros((1, 2)))
     assert abs(model.intercept[0]) > 1.0  # shrunk toward nothing, fits the mean
 
@@ -264,10 +268,10 @@ def test_predict_with_intercept():
 def test_sparsity_path_is_monotone_small():
     rng = np.random.default_rng(33)
     ds = _random_dataset(rng, n_tasks=2, n_features=6, n_rows=15)
-    lmax = lambda_max(ds)
+    lmax = lambda_max(factors(ds))
     counts = []
     for frac in np.linspace(0.0, 1.0, 6):
-        model = fit_mtl(ds, frac * lmax, SolverConfig(max_iters=4000, rel_tol=1e-12))
+        model = fit_mtl(factors(ds), frac * lmax, SolverConfig(max_iters=4000, rel_tol=1e-12))
         counts.append(int((np.linalg.norm(model.weights, axis=0) < 1e-8).sum()))
     assert counts == sorted(counts)
     assert counts[-1] == 6

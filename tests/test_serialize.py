@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from taskreg.baselines import StlSpec, evaluate, fit_stl
+from taskreg.baselines import StlSpec, fit_stl
 from taskreg.cmtl import CmtlParams, RelaxedClusterMatrix, fit_cmtl
-from taskreg.dataset import MultiTaskDataset, TaskData, minmax_scale
 from taskreg.fista import SolverConfig
 from taskreg.mtl import fit_mtl
 from taskreg.serialize import FORMAT_VERSION, load_model, model_to_dict, save_model
+
+from oracles import MultiTaskDataset, TaskData, evaluate, factors, minmax_scale
 
 
 def _dataset(seed=90, n_tasks=3, n_rows=12, n_features=4):
@@ -26,7 +27,7 @@ def _dataset(seed=90, n_tasks=3, n_rows=12, n_features=4):
 def test_mtl_round_trip(tmp_path):
     ds = _dataset()
     scaled, params = minmax_scale(ds, scale_outcome=True)
-    model = fit_mtl(scaled, 0.2, fit_intercept=True, scaling=params)
+    model = fit_mtl(factors(scaled), 0.2, fit_intercept=True, scaling=params)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -46,7 +47,7 @@ def test_mtl_round_trip(tmp_path):
 
 def test_stl_round_trip(tmp_path):
     ds = _dataset(seed=91)
-    model = fit_stl(ds, StlSpec(setting="individual", penalty="lasso", lam=0.4))
+    model = fit_stl(factors(ds), StlSpec(setting="individual", penalty="lasso", lam=0.4))
     path = tmp_path / "stl.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -60,7 +61,7 @@ def test_stl_round_trip(tmp_path):
 def test_cmtl_round_trip(tmp_path):
     ds = _dataset(seed=92, n_tasks=4)
     params = CmtlParams(rho1=0.5, rho2=0.7, k=2)
-    model = fit_cmtl(ds, params, SolverConfig(max_iters=200), kmeans_seed=11)
+    model = fit_cmtl(factors(ds), params, SolverConfig(max_iters=200), kmeans_seed=11)
     path = tmp_path / "cmtl.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -76,10 +77,12 @@ def _fitted(kind):
     ds = _dataset(seed=93, n_tasks=4)
     if kind == "mtl":
         scaled, params = minmax_scale(ds, scale_outcome=True)
-        return fit_mtl(scaled, 0.2, fit_intercept=True, scaling=params)
+        return fit_mtl(factors(scaled), 0.2, fit_intercept=True, scaling=params)
     if kind == "cmtl":
-        return fit_cmtl(ds, CmtlParams(rho1=0.5, rho2=0.7, k=2), SolverConfig(max_iters=200))
-    return fit_stl(ds, StlSpec(setting=kind, penalty="lasso", lam=0.4))
+        return fit_cmtl(
+            factors(ds), CmtlParams(rho1=0.5, rho2=0.7, k=2), SolverConfig(max_iters=200)
+        )
+    return fit_stl(factors(ds), StlSpec(setting=kind, penalty="lasso", lam=0.4))
 
 
 @pytest.mark.parametrize("kind", ["mtl", "individual", "global", "cmtl"])
@@ -115,23 +118,25 @@ _STL_KEYS = {"lam", "stl_setting", "stl_penalty"}
     "fit, keys",
     [
         pytest.param(
-            lambda ds: fit_mtl(ds, 0.2, scaling=minmax_scale(ds)[1]), {"lam"}, id="mtl"
+            lambda ds: fit_mtl(factors(ds), 0.2, scaling=minmax_scale(ds)[1]), {"lam"}, id="mtl"
         ),
         pytest.param(
-            lambda ds: fit_stl(ds, StlSpec(setting="individual", penalty="lasso", lam=0.3)),
+            lambda ds: fit_stl(
+                factors(ds), StlSpec(setting="individual", penalty="lasso", lam=0.3)
+            ),
             _STL_KEYS,
             id="stl-individual",
         ),
         pytest.param(
             lambda ds: fit_stl(
-                ds, StlSpec(setting="global", penalty="ridge", lam=0.3), fit_intercept=True
+                factors(ds), StlSpec(setting="global", penalty="ridge", lam=0.3), fit_intercept=True
             ),
             _STL_KEYS,
             id="stl-global",
         ),
         pytest.param(
             lambda ds: fit_cmtl(
-                ds, CmtlParams(rho1=0.5, rho2=0.7, k=2), SolverConfig(max_iters=200)
+                factors(ds), CmtlParams(rho1=0.5, rho2=0.7, k=2), SolverConfig(max_iters=200)
             ),
             {"rho1", "rho2", "k", "cluster_matrix", "assignments", "kmeans_seed"},
             id="cmtl",
@@ -152,7 +157,7 @@ def test_model_keys_and_byte_stable_round_trip(tmp_path, fit, keys):
 
 def test_reloaded_model_evaluates_identically(tmp_path):
     ds = _dataset(seed=93)
-    model = fit_mtl(ds, 0.1)
+    model = fit_mtl(factors(ds), 0.1)
     save_model(model, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
     before = evaluate(model, ds)
@@ -163,14 +168,14 @@ def test_reloaded_model_evaluates_identically(tmp_path):
 
 def test_trace_summary_written(tmp_path):
     ds = _dataset(seed=94)
-    model = fit_mtl(ds, 0.1)
+    model = fit_mtl(factors(ds), 0.1)
     save_model(model, tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     assert data["format_version"] == FORMAT_VERSION
     assert set(data["trace"]) == {"iterations", "converged", "final_objective"}
     assert data["trace"]["iterations"] == model.trace.iterations
     # Individual STL fits store one summary per task.
-    stl = fit_stl(ds, StlSpec(setting="individual", penalty="none"))
+    stl = fit_stl(factors(ds), StlSpec(setting="individual", penalty="none"))
     save_model(stl, tmp_path / "s.json")
     stl_data = json.loads((tmp_path / "s.json").read_text())
     assert isinstance(stl_data["trace"], list) and len(stl_data["trace"]) == 3
@@ -178,7 +183,7 @@ def test_trace_summary_written(tmp_path):
 
 def test_rejects_wrong_version(tmp_path):
     ds = _dataset(seed=95)
-    save_model(fit_mtl(ds, 0.0), tmp_path / "m.json")
+    save_model(fit_mtl(factors(ds), 0.0), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     data["format_version"] = 999
     (tmp_path / "m.json").write_text(json.dumps(data))
@@ -188,7 +193,7 @@ def test_rejects_wrong_version(tmp_path):
 
 def test_rejects_unknown_model_type(tmp_path):
     ds = _dataset(seed=96)
-    save_model(fit_mtl(ds, 0.0), tmp_path / "m.json")
+    save_model(fit_mtl(factors(ds), 0.0), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     data["model_type"] = "forest"
     (tmp_path / "m.json").write_text(json.dumps(data))
@@ -204,7 +209,7 @@ def test_rejects_non_object_json(tmp_path):
 
 def test_file_bytes_deterministic(tmp_path):
     ds = _dataset(seed=97)
-    model = fit_mtl(ds, 0.15)
+    model = fit_mtl(factors(ds), 0.15)
     save_model(model, tmp_path / "a.json")
     save_model(model, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -212,7 +217,7 @@ def test_file_bytes_deterministic(tmp_path):
 
 def test_model_to_dict_is_json_safe():
     ds = _dataset(seed=98)
-    model = fit_mtl(ds, 0.05)
+    model = fit_mtl(factors(ds), 0.05)
     text = json.dumps(model_to_dict(model), allow_nan=False)
     assert "format_version" in text
 
@@ -220,7 +225,7 @@ def test_model_to_dict_is_json_safe():
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_rejects_non_finite_numbers(tmp_path, token):
     ds = _dataset(seed=99)
-    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    save_model(fit_mtl(factors(ds), 0.1), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     data["weights"][0][0] = float(token)  # json.dumps writes it back as the bare token
     (tmp_path / "m.json").write_text(json.dumps(data))
@@ -231,7 +236,7 @@ def test_rejects_non_finite_numbers(tmp_path, token):
 @pytest.mark.parametrize("key", ["lam", "weights", "task_labels"])
 def test_rejects_missing_key(tmp_path, key):
     ds = _dataset(seed=100)
-    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    save_model(fit_mtl(factors(ds), 0.1), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     del data[key]
     (tmp_path / "m.json").write_text(json.dumps(data))
@@ -264,7 +269,7 @@ def test_rejects_missing_key(tmp_path, key):
 )
 def test_rejects_wrongly_typed_field(tmp_path, edit, message):
     ds = _dataset(seed=101)
-    save_model(fit_mtl(ds, 0.1), tmp_path / "m.json")
+    save_model(fit_mtl(factors(ds), 0.1), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
     edit(data)
     (tmp_path / "m.json").write_text(json.dumps(data))
@@ -275,7 +280,7 @@ def test_rejects_wrongly_typed_field(tmp_path, edit, message):
 
 def test_rejects_non_integral_kmeans_seed(tmp_path):
     ds = _dataset(seed=102)
-    save_model(fit_cmtl(ds, CmtlParams(rho1=0.5, rho2=0.5, k=1)), tmp_path / "c.json")
+    save_model(fit_cmtl(factors(ds), CmtlParams(rho1=0.5, rho2=0.5, k=1)), tmp_path / "c.json")
     data = json.loads((tmp_path / "c.json").read_text())
     data["kmeans_seed"] = 1.5
     (tmp_path / "c.json").write_text(json.dumps(data))

@@ -1,11 +1,10 @@
 """taskreg's seeded draws against numpy's own ``default_rng``.
 
 `split` and cmtl's k-means draw from :class:`taskreg._stream.Stream`,
-which must give numpy's PCG64 stream bit for bit. The split tests that
-compare ``RowTable`` with its oracle cannot see a change in the stream,
-since both sides draw from it, so the draws are pinned here against
-numpy and the outputs against digests recorded with numpy's
-``Generator``.
+which must give numpy's PCG64 stream bit for bit. The draws are pinned
+here against numpy, and the outputs against digests recorded with
+numpy's ``Generator``. (The split oracle in ``oracles.py`` draws from
+numpy too.)
 """
 
 import hashlib
@@ -17,7 +16,7 @@ import pytest
 from taskreg import cli
 from taskreg._stream import Stream
 from taskreg.cmtl import _kmeans_labels, extract_clusters
-from taskreg.dataset import _split_positions
+from taskreg.dataset import RowTable, stratified_split
 
 # 2**32 + 5 and 2**64 + 3 take two and three 32-bit words of entropy.
 _SEEDS = (0, 1, 2**32 + 5, 2**64 + 3)
@@ -65,6 +64,11 @@ def test_kmeans_labels_same_with_stream_and_generator(seed):
     np.testing.assert_array_equal(with_stream, with_numpy)
 
 
+_FOUR_ROWS = RowTable(
+    table=np.zeros((4, 2)), task_rows=(np.arange(4),), task_labels=("a",), feature_names=("f",)
+)
+
+
 def test_seed_errors_match_numpy():
     for seed, error in ((-1, ValueError), (1.5, TypeError)):
         with pytest.raises(error):
@@ -72,7 +76,7 @@ def test_seed_errors_match_numpy():
         with pytest.raises(error):
             Stream([seed, 0])
         with pytest.raises(error):
-            _split_positions(("a",), [4], 0.5, seed)
+            stratified_split(_FOUR_ROWS, 0.5, seed)
 
 
 def _write_fixed_csv(path):
