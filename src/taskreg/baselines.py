@@ -23,10 +23,8 @@ import numpy as np
 
 from .dataset import ScalingParams, TaskFactors, residual_gradient, residuals, stream_csv
 from .fista import ProximalProblem, SolverConfig, solve
-from .mtl import MtlModel
+from .mtl import _STL_PENALTIES, _STL_SETTINGS, MtlModel
 
-_SETTINGS = ("global", "individual")
-_PENALTIES = ("none", "ridge", "lasso")
 _TOTAL_MODES = ("pooled", "macro")
 
 
@@ -39,10 +37,10 @@ class StlSpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.setting not in _SETTINGS:
-            raise ValueError(f"setting must be one of {_SETTINGS}, got {self.setting!r}")
-        if self.penalty not in _PENALTIES:
-            raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
+        if self.setting not in _STL_SETTINGS:
+            raise ValueError(f"setting must be one of {_STL_SETTINGS}, got {self.setting!r}")
+        if self.penalty not in _STL_PENALTIES:
+            raise ValueError(f"penalty must be one of {_STL_PENALTIES}, got {self.penalty!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.penalty == "none" and self.lam != 0:

@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DegenerateTaskError, ParseError, SchemaError
 
-# Body lines stream_csv parses at a time. Peak memory grows with it (a
-# 512-line chunk of 90 features is a 0.4 MB table), while the per-chunk
-# overhead of np.loadtxt and of the sinks shrinks.
+# Body lines (or records) stream_csv parses at a time. Peak memory grows
+# with it (a 512-line chunk of 90 features is a 0.4 MB table), while the
+# per-chunk overhead of np.loadtxt and of the sinks shrinks.
 _CHUNK_LINES = 512
 
 # Rows write_csv formats at a time (and minmax_scale gathers at a
@@ -343,17 +343,34 @@ def stream_csv(path, task_column: str, outcome_column: str, sink_for: Callable[.
     """Feed the kept rows of a CSV file to a sink, and return what it finishes with.
 
     ``sink_for(feature_names)`` makes the sink once the header is read.
-    The body is parsed :data:`_CHUNK_LINES` lines at a time and each
-    chunk's kept rows go to the sink, so only what the sink keeps grows
-    with the row count. Whenever a chunk cannot be shown to parse as the
-    per-cell reader would read it, the whole file is read cell by cell
-    instead and a new sink takes each task's rows as one chunk, so the
-    errors, the kept rows and ``dropped_rows`` are the same either way.
+    The body is read in one pass, :data:`_CHUNK_LINES` records at a time
+    (:func:`_body_chunks`), and each chunk's kept rows go to the sink, so
+    only what the sink keeps grows with the row count. A row with a blank
+    outcome is dropped and counted in ``dropped_rows``. Once the body is
+    read, a file with no body record is a :class:`SchemaError`, and a task
+    all of whose rows were dropped a :class:`DegenerateTaskError`.
     """
-    result = _read_chunks(path, task_column, outcome_column, sink_for)
-    if result is None:
-        result = _load_cells(path, task_column, outcome_column, sink_for)
-    return result
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        layout = _read_header(fh, path, task_column, outcome_column)
+        header, _, _, feature_idx = layout
+        sink = sink_for(tuple(header[i] for i in feature_idx))
+        codes: dict[str, int] = {}
+        kept_per_task = np.zeros(0, dtype=np.intp)
+        records = 0
+        for chunk_records, task, x, y in _body_chunks(fh, path, layout, codes):
+            records += chunk_records
+            counts = np.bincount(task, minlength=len(codes))
+            counts[: kept_per_task.size] += kept_per_task
+            kept_per_task = counts
+            sink.add(tuple(codes), task, x, y)
+    if not codes:
+        raise SchemaError(f"{path}: no data rows")
+    for label, kept in zip(codes, kept_per_task):
+        if not kept:
+            raise DegenerateTaskError(
+                f"{path}: task {label!r} has no rows left after dropping missing outcomes"
+            )
+    return sink.finish(tuple(codes), records - int(kept_per_task.sum()))
 
 
 def load_csv(path, task_column: str, outcome_column: str) -> "RowTable":
@@ -514,68 +531,76 @@ class _FactorSink:
         )
 
 
-def _read_chunks(path, task_column: str, outcome_column: str, sink_for):
-    """The chunk loop behind :func:`stream_csv`: the sink's result, or None to defer to :func:`_load_cells`.
-
-    ``np.loadtxt`` reads a subset of what ``float()`` reads and gives the
-    same double for it. Whatever it might read differently returns None:
-    a header problem, a cell only ``float()`` reads (``1_0``), a blank
-    line (which ``loadtxt`` skips), a ragged row, a non-finite feature of
-    a kept row, a non-finite outcome, or a task whose rows were all
-    dropped. So does a chunk that ends inside a quoted field: ``loadtxt``
-    would close that field at the chunk's end and read its rest as a new
-    record of the next one. (A quoted field that runs on within a chunk
-    already makes the chunk's record count differ from its line count.)
-    """
-    codes: dict[str, int] = {}
-    kept_per_task = np.zeros(0, dtype=np.intp)
-    lines_read = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        layout = _read_header(fh, task_column, outcome_column)
-        if layout is None:
-            return None
-        header, task_idx, outcome_idx, feature_idx = layout
-        sink = sink_for(tuple(header[i] for i in feature_idx))
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-            table = _parse_lines(lines, len(header), task_idx, outcome_idx, codes)
-            if table is None or _ends_inside_quotes(lines[-1]):
-                return None
-            lines_read += len(lines)
-            outcome = table[:, outcome_idx]
-            kept = ~np.isnan(outcome)
-            # Fancy indexing copies, so the sink holds nothing of the table.
-            x = table[np.ix_(kept, feature_idx)]
-            if not np.isfinite(x).all():
-                return None
-            task = table[kept, task_idx].astype(np.intp)
-            counts = np.bincount(task, minlength=len(codes))
-            counts[: kept_per_task.size] += kept_per_task
-            kept_per_task = counts
-            y = outcome[kept]
-            # The sink holds copies; the chunk's text and table go before it works.
-            del lines, table, outcome
-            sink.add(tuple(codes), task, x, y)
-    if not codes or not kept_per_task.all():
-        return None
-    return sink.finish(tuple(codes), lines_read - int(kept_per_task.sum()))
-
-
-def _read_header(fh, task_column: str, outcome_column: str):
-    """(header, task index, outcome index, feature indices), or None on any header problem."""
+def _read_header(fh, path, task_column: str, outcome_column: str):
+    """(header, task index, outcome index, feature indices) of the header, or a SchemaError."""
     header = next(csv.reader(fh), None)
-    if (
-        header is None
-        or len(set(header)) != len(header)
-        or task_column not in header
-        or outcome_column not in header
-        or task_column == outcome_column
-        or len(header) < 3
-    ):
-        return None
+    if header is None:
+        raise SchemaError(f"{path}: file is empty, header row required")
+    if len(set(header)) != len(header):
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        raise SchemaError(f"{path}: duplicate column names {dupes}")
+    for required in (task_column, outcome_column):
+        if required not in header:
+            raise SchemaError(f"{path}: missing required column {required!r}")
+    if task_column == outcome_column:
+        raise SchemaError("task column and outcome column must differ")
     task_idx = header.index(task_column)
     outcome_idx = header.index(outcome_column)
     feature_idx = [i for i in range(len(header)) if i not in (task_idx, outcome_idx)]
+    if not feature_idx:
+        raise SchemaError(f"{path}: no feature columns besides task and outcome")
     return header, task_idx, outcome_idx, feature_idx
+
+
+def _body_chunks(fh, path, layout, codes: dict[str, int]):
+    """The body after the header, one chunk at a time: (records, task, x, y) of its kept rows.
+
+    ``codes`` numbers task labels in order of first appearance, and
+    ``task`` holds each kept row's code. Chunks of :data:`_CHUNK_LINES`
+    lines go through ``np.loadtxt`` (:func:`_parse_chunk`) until one cannot
+    be shown to parse as ``float()`` would; from that chunk's first record
+    on, :func:`_cell_chunks` reads the rest of the file cell by cell.
+    """
+    row = 2  # the header is row 1
+    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        chunk = _parse_chunk(lines, layout, codes)
+        if chunk is None:
+            rest = itertools.chain(iter(lines), fh)
+            del lines  # the chunk's text goes once its records are read
+            yield from _cell_chunks(rest, path, layout, codes, row)
+            return
+        row += len(lines)
+        # The sink holds copies; the chunk's text goes before it works.
+        del lines
+        yield chunk
+
+
+def _parse_chunk(lines, layout, codes: dict[str, int]):
+    """A chunk's (records, task, x, y) by ``np.loadtxt``, or None where ``float()`` might differ.
+
+    ``np.loadtxt`` reads a subset of what ``float()`` reads and gives the
+    same double for it. Whatever it might read differently returns None: a
+    cell only ``float()`` reads (``1_0``), a blank line (which ``loadtxt``
+    skips), a ragged row, a non-finite feature of a kept row or a
+    non-finite outcome. So does a chunk that ends inside a quoted field:
+    ``loadtxt`` would close that field at the chunk's end and read its
+    rest as a new record of the next one. (A quoted field that runs on
+    within a chunk already makes the chunk's record count differ from its
+    line count.) The chunk's new labels join ``codes`` only if it parses.
+    """
+    header, task_idx, outcome_idx, feature_idx = layout
+    chunk_codes = dict(codes)
+    table = _parse_lines(lines, len(header), task_idx, outcome_idx, chunk_codes)
+    if table is None or _ends_inside_quotes(lines[-1]):
+        return None
+    outcome = table[:, outcome_idx]
+    kept = ~np.isnan(outcome)
+    # Fancy indexing copies, so the sink holds nothing of the table.
+    x = table[np.ix_(kept, feature_idx)]
+    if not np.isfinite(x).all():
+        return None
+    codes.update(chunk_codes)
+    return len(lines), table[kept, task_idx].astype(np.intp), x, outcome[kept]
 
 
 def _parse_lines(lines, width: int, task_idx: int, outcome_idx: int, codes: dict[str, int]):
@@ -629,69 +654,36 @@ def _outcome_cell(text: str) -> float:
     return value
 
 
-def _load_cells(path, task_column: str, outcome_column: str, sink_for):
-    """The per-cell reader behind :func:`stream_csv`; it owns every error message.
+def _cell_chunks(lines, path, layout, codes: dict[str, int], row: int):
+    """The records of ``lines`` for :func:`_body_chunks`, :data:`_CHUNK_LINES` at a time.
 
-    Once the whole file is read, the sink made by ``sink_for`` takes each
-    task's rows as one chunk, and its result is returned.
+    Each cell is parsed by ``float()``, and ``csv.reader`` reads a quoted
+    field that runs over line ends whole. ``row`` is the first record's
+    row number. A malformed record raises its :class:`ParseError` here.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, header row required") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise SchemaError(f"{path}: duplicate column names {dupes}")
-        for required in (task_column, outcome_column):
-            if required not in header:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        if task_column == outcome_column:
-            raise SchemaError("task column and outcome column must differ")
-        task_idx = header.index(task_column)
-        outcome_idx = header.index(outcome_column)
-        feature_names = [c for c in header if c not in (task_column, outcome_column)]
-        if not feature_names:
-            raise SchemaError(f"{path}: no feature columns besides task and outcome")
-        feature_idx = [header.index(c) for c in feature_names]
-
-        rows_by_task: dict[str, list[list[float]]] = {}
-        outcomes_by_task: dict[str, list[float]] = {}
-        dropped = 0
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    header, task_idx, outcome_idx, feature_idx = layout
+    numbered = enumerate(csv.reader(lines), start=row)
+    while True:
+        records, task, x, y = 0, [], [], []
+        for records, (row, fields) in enumerate(itertools.islice(numbered, _CHUNK_LINES), 1):
+            if len(fields) != len(header):
                 raise ParseError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
+                    f"{path}: row {row} has {len(fields)} fields, expected {len(header)}"
                 )
-            label = row[task_idx]
-            rows_by_task.setdefault(label, [])
-            outcomes_by_task.setdefault(label, [])
-            raw_outcome = row[outcome_idx].strip()
-            if raw_outcome == "":
-                dropped += 1
+            code = codes.setdefault(fields[task_idx], len(codes))
+            outcome = fields[outcome_idx].strip()
+            if outcome == "":
                 continue
-            outcome = _parse_cell(raw_outcome, path, line_no, outcome_column)
-            features = [
-                _parse_cell(row[i].strip(), path, line_no, header[i]) for i in feature_idx
-            ]
-            rows_by_task[label].append(features)
-            outcomes_by_task[label].append(outcome)
-
-    if not rows_by_task:
-        raise SchemaError(f"{path}: no data rows")
-    labels = tuple(rows_by_task)
-    for label in labels:
-        if not rows_by_task[label]:
-            raise DegenerateTaskError(
-                f"{path}: task {label!r} has no rows left after dropping missing outcomes"
-            )
-    sink = sink_for(tuple(feature_names))
-    for code, label in enumerate(labels):
-        x = np.asarray(rows_by_task[label], dtype=np.float64)
-        y = np.asarray(outcomes_by_task[label], dtype=np.float64)
-        sink.add(labels, np.full(y.size, code), x, y)
-    return sink.finish(labels, dropped)
+            y.append(_parse_cell(outcome, path, row, header[outcome_idx]))
+            x.append([_parse_cell(fields[i].strip(), path, row, header[i]) for i in feature_idx])
+            task.append(code)
+        if not records:
+            return
+        x = np.array(x).reshape(len(y), len(feature_idx))
+        chunk = records, np.array(task, dtype=np.intp), x, np.array(y)
+        # The sink holds copies; the chunk's lists go before it works.
+        del task, x, y
+        yield chunk
 
 
 def _parse_cell(text: str, path, line_no: int, column: str) -> float:

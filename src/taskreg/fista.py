@@ -73,7 +73,6 @@ class SolverConfig:
     backtrack_factor: float = 2.0
     max_backtracks: int = 100
     momentum: str = "delayed"
-    restart_on_increase: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -291,15 +290,8 @@ def solve(
         elif cfg.momentum == "standard":
             d_prev = _d_next(d_prev)
 
-        if cfg.restart_on_increase:
-            restart = active & (f_next > f_prev)
-            d_prev_prev = _where(restart, 0.0, d_prev_prev)
-            d_prev = _where(restart, 1.0, d_prev)
-            phi_prev = _where(restart, phi_next, phi_curr)
-        else:
-            phi_prev = phi_curr
         # A stopped block's candidate is its iterate, so it does not move.
-        phi_curr = phi_next
+        phi_prev, phi_curr = phi_curr, phi_next
 
         iterations += active
         stopped = np.abs(f_next - f_prev) / np.maximum(1.0, np.abs(f_prev)) < cfg.rel_tol

@@ -28,6 +28,8 @@ if TYPE_CHECKING:
     from .cmtl import CmtlParams, RelaxedClusterMatrix
 
 _MODEL_TYPES = ("mtl", "stl", "cmtl")
+_STL_SETTINGS = ("global", "individual")
+_STL_PENALTIES = ("none", "ridge", "lasso")
 _CLUSTER_FIELDS = ("cluster_matrix", "params", "assignments", "kmeans_seed")
 
 
@@ -78,11 +80,12 @@ class MtlModel:
 
     Every fit returns this type: ``model_type`` is "mtl", "stl" (the
     single-task baselines) or "cmtl". ``lam`` is the penalty of an mtl
-    or stl fit, and ``stl_setting`` and ``stl_penalty`` describe an stl
-    fit. The cluster fields ``cluster_matrix``, ``params``, ``assignments``
-    and ``kmeans_seed`` are set for cmtl and ``None`` for mtl and stl;
-    ``lam`` is ``None`` for cmtl. ``==`` compares values; ``trace``, the
-    solver's diagnostics, which a loaded model does not have, is left out.
+    or stl fit. ``stl_setting`` and ``stl_penalty`` describe an stl fit
+    and are ``None`` for mtl and cmtl. The cluster fields
+    ``cluster_matrix``, ``params``, ``assignments`` and ``kmeans_seed``
+    are set for cmtl and ``None`` for mtl and stl; ``lam`` is ``None`` for
+    cmtl. ``==`` compares values; ``trace``, the solver's diagnostics,
+    which a loaded model does not have, is left out.
     """
 
     weights: np.ndarray
@@ -137,6 +140,15 @@ class MtlModel:
             object.__setattr__(self, "assignments", assignments)
         elif self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if self.model_type == "stl":
+            for name, choices in (("stl_setting", _STL_SETTINGS), ("stl_penalty", _STL_PENALTIES)):
+                value = getattr(self, name)
+                if value not in choices:
+                    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+        elif (self.stl_setting, self.stl_penalty) != (None, None):
+            raise ValueError(
+                f"a model of type {self.model_type!r} sets no stl_setting or stl_penalty"
+            )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         intercept = self.intercept

@@ -638,6 +638,26 @@ def test_evaluate_reads_cells_only_float_reads(tmp_path, capsys):
     assert tables[0] == tables[1]
 
 
+def test_train_reads_cells_only_float_reads(tmp_path, monkeypatch):
+    # "1_0" hands the file to the per-cell reader from its chunk on; the
+    # chunks and so the folds are those of "10", and so are the model's bytes.
+    from taskreg import dataset
+
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", 7)
+    lines = _write_csv(tmp_path / "data.csv", n_rows=40).read_text(encoding="utf-8").splitlines()
+    cells = lines[60].split(",")
+    models = []
+    for cell in ("10", "1_0"):
+        cells[1] = cell
+        source = tmp_path / f"train-{cell}.csv"
+        source.write_text("\n".join([*lines[:60], ",".join(cells), *lines[61:]]) + "\n",
+                          encoding="utf-8")
+        model = _train(tmp_path, source, f"mtl-{cell}.json", "--model", "mtl", "--lambda", "1",
+                       "--max-iters", "5000")
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+
 def test_evaluate_error_order(tmp_path, capsys):
     test, models = _interleaved_test_set(tmp_path)
     lines = test.read_text(encoding="utf-8").splitlines()

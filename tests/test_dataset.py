@@ -22,17 +22,7 @@ from taskreg import (
     write_csv,
 )
 from taskreg import cli, dataset
-from taskreg.dataset import (
-    _FactorSink,
-    _line_ends,
-    _load_cells,
-    _read_chunks,
-    _TableSink,
-)
-
-
-def _table_sink(path):
-    return lambda names: _TableSink(names, _line_ends(path))
+from taskreg.dataset import _line_ends
 
 
 def _rows(path, task_column, outcome_column):
@@ -40,10 +30,35 @@ def _rows(path, task_column, outcome_column):
     return MultiTaskDataset.from_table(load_csv(path, task_column, outcome_column))
 
 
-def _chunked_rows(path, task_column, outcome_column):
-    """load_csv's chunk loop alone: the dataset, or None where it defers to the cell reader."""
-    table = _read_chunks(path, task_column, outcome_column, _table_sink(path))
+class _CellReaderReached(Exception):
+    """Raised in place of the cell reader, where the loadtxt chunks hand the file to it."""
+
+
+def _loadtxt_only(monkeypatch, load, path, task_column, outcome_column):
+    """``load`` on the loadtxt chunks alone: its result, or None where the cell reader would run."""
+
+    def refuse(*args):
+        raise _CellReaderReached
+
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_cell_chunks", refuse)
+        try:
+            return load(path, task_column, outcome_column)
+        except _CellReaderReached:
+            return None
+
+
+def _chunked_rows(monkeypatch, path, task_column, outcome_column):
+    """load_csv's loadtxt chunks alone: the dataset, or None where the cell reader takes over."""
+    table = _loadtxt_only(monkeypatch, load_csv, path, task_column, outcome_column)
     return None if table is None else MultiTaskDataset.from_table(table)
+
+
+def _cell_rows(monkeypatch, path, task_column, outcome_column):
+    """load_csv with every record read by the cell reader."""
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_parse_lines", lambda *args: None)
+        return _rows(path, task_column, outcome_column)
 
 
 def _minmax_scale(ds, **options):
@@ -68,9 +83,9 @@ def _write_csv(ds, path, task_column, outcome_column):
     write_csv(table, table.task_rows, path, task_column, outcome_column)
 
 
-def _chunked_factors(path, task_column, outcome_column):
-    """load_factors' chunk loop alone, as :func:`_chunked_rows`."""
-    return _read_chunks(path, task_column, outcome_column, _FactorSink)
+def _chunked_factors(monkeypatch, path, task_column, outcome_column):
+    """load_factors' loadtxt chunks alone, as :func:`_chunked_rows`."""
+    return _loadtxt_only(monkeypatch, load_factors, path, task_column, outcome_column)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -199,13 +214,14 @@ def _random_panel(seed, *, newline, final_newline, cell):
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("cell", [lambda v: repr(float(v)), lambda v: f"{v:.3f}"], ids=["repr", "milli"])
-def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newline, cell):
+def test_vectorized_load_matches_cell_reader(tmp_path, monkeypatch, seed, newline, final_newline,
+                                             cell):
     text = _random_panel(seed, newline=newline, final_newline=final_newline, cell=cell)
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = _chunked_rows(path, "site", "outcome")
+    fast = _chunked_rows(monkeypatch, path, "site", "outcome")
     assert fast is not None  # the vectorized pass was taken
-    slow = MultiTaskDataset.from_table(_load_cells(path, "site", "outcome", _table_sink(path)))
+    slow = _cell_rows(monkeypatch, path, "site", "outcome")
     assert fast.task_labels == slow.task_labels
     assert fast.feature_names == slow.feature_names
     assert fast.dropped_rows == slow.dropped_rows > 0
@@ -233,27 +249,32 @@ def test_vectorized_load_matches_cell_reader(tmp_path, seed, newline, final_newl
     ids=["blank-line", "extra-field", "extra-field-every-row", "nan-outcome", "inf-outcome",
          "empty-feature", "inf-feature", "task-all-dropped"],
 )
-def test_fallback_keeps_cell_reader_messages(tmp_path, body, error, message):
+def test_fallback_keeps_cell_reader_messages(tmp_path, monkeypatch, body, error, message):
     path = _write(tmp_path, "task,b,y\n" + body)
-    assert _chunked_rows(path, "task", "y") is None
+    if error is DegenerateTaskError:
+        # Checked once the last chunk is in, so the loadtxt chunks raise it too.
+        with pytest.raises(error, match=re.escape(message)):
+            _chunked_rows(monkeypatch, path, "task", "y")
+    else:
+        assert _chunked_rows(monkeypatch, path, "task", "y") is None
     with pytest.raises(error) as excinfo:
         load_csv(path, "task", "y")
     assert str(excinfo.value) == f"{path}: {message}"
 
 
-def test_fallback_accepts_what_float_accepts(tmp_path):
+def test_fallback_accepts_what_float_accepts(tmp_path, monkeypatch):
     # float() reads "1_0" as 10.0; np.loadtxt rejects it, so the cell reader decides.
     path = _write(tmp_path, "task,b,y\nx,1_0,2\nx,3,4_0\n")
-    assert _chunked_rows(path, "task", "y") is None
+    assert _chunked_rows(monkeypatch, path, "task", "y") is None
     ds = _rows(path, "task", "y")
     np.testing.assert_array_equal(ds.tasks[0].X.ravel(), [10.0, 3.0])
     np.testing.assert_array_equal(ds.tasks[0].Y, [2.0, 40.0])
 
 
-def test_dropped_row_features_are_not_parsed(tmp_path):
+def test_dropped_row_features_are_not_parsed(tmp_path, monkeypatch):
     # A dropped row's features never reach a number, on either path.
     parsed = _write(tmp_path, "task,b,y\nx,1,2\nx,inf,\n", name="inf.csv")
-    assert _chunked_rows(parsed, "task", "y") is not None
+    assert _chunked_rows(monkeypatch, parsed, "task", "y") is not None
     unparsed = _write(tmp_path, "task,b,y\nx,1,2\nx,oops,\n", name="oops.csv")
     for path in (parsed, unparsed):
         ds = load_csv(path, "task", "y")
@@ -449,7 +470,7 @@ def test_streamed_factors_match_loaded_rows(tmp_path, monkeypatch, seed, newline
     text = _chunked_panel(seed, dataset._CHUNK_LINES, newline=newline)
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _chunked_factors(path, "site", "outcome") is not None  # no fallback
+    assert _chunked_factors(monkeypatch, path, "site", "outcome") is not None  # no fallback
     streamed = load_factors(path, "site", "outcome")
     ds = _rows(path, "site", "outcome")
     ref = factors(ds)
@@ -490,12 +511,21 @@ def _fallback_cases():
 def test_streamed_fallback_keeps_load_csv_errors(tmp_path, monkeypatch, name, text):
     monkeypatch.setattr(dataset, "_CHUNK_LINES", 3)
     path = _write(tmp_path, text)
-    assert _chunked_factors(path, "task", "y") is None
     with pytest.raises(Exception) as expected:
         load_csv(path, "task", "y")
+    if name in ("task-all-dropped", "no-data-rows"):
+        # Checked once the last chunk is in, so the loadtxt chunks raise it too.
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            _chunked_factors(monkeypatch, path, "task", "y")
+    else:
+        assert _chunked_factors(monkeypatch, path, "task", "y") is None
     with pytest.raises(type(expected.value)) as got:
         load_factors(path, "task", "y")
     assert str(got.value) == str(expected.value)
+    # Row numbers carry on from the chunks np.loadtxt read.
+    with pytest.raises(type(expected.value)) as cells:
+        _cell_rows(monkeypatch, path, "task", "y")
+    assert str(cells.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("line", [2, 3], ids=["inside-chunk", "across-boundary"])
@@ -506,10 +536,22 @@ def test_quoted_newline_in_label_falls_back(tmp_path, monkeypatch, line):
     body = ["a,1,2", "a,2,3", "a,3,5"]
     body.insert(line - 1, '"a\nb",4,1')
     path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
-    assert _chunked_factors(path, "task", "y") is None
+    assert _chunked_factors(monkeypatch, path, "task", "y") is None
     loaded = load_factors(path, "task", "y")
     assert loaded.task_labels == ("a", "a\nb")
     assert loaded.counts == (3, 1)
+
+
+def test_a_chunk_handed_to_the_cell_reader_adds_no_label(tmp_path, monkeypatch):
+    # The label column comes last, so the chunk's last line, cut inside the
+    # quoted label, has all three fields and parses; its label "b\n" is no
+    # label of the file, which the cell reader reads whole as "b\nc".
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", 2)
+    path = _write(tmp_path, 'f,y,task\n1,2,a\n1,2,"b\nc"\n3,4,a\n')
+    assert _chunked_factors(monkeypatch, path, "task", "y") is None
+    loaded = load_factors(path, "task", "y")
+    assert loaded.task_labels == ("a", "b\nc")
+    assert loaded.counts == (2, 1)
 
 
 def test_streamed_reader_accepts_what_float_accepts(tmp_path):
@@ -780,10 +822,12 @@ def test_split_of_chunked_panel_matches_library_path(tmp_path, monkeypatch, caps
     ],
     ids=["lone-cr-label", "quoted-newline-label", "underscore-cell"],
 )
-def test_split_through_cell_reader_matches_library_path(tmp_path, capsys, edit, scale):
+def test_split_through_cell_reader_matches_library_path(tmp_path, monkeypatch, capsys, edit,
+                                                        scale):
     text = edit(_random_panel(0, newline="\n", final_newline=False, cell=_float_repr))
     source = _write(tmp_path, text, name="edited.csv")
-    assert _chunked_rows(source, "site", "outcome") is None  # the cell reader reads it
+    # The cell reader reads it.
+    assert _chunked_rows(monkeypatch, source, "site", "outcome") is None
     _assert_split_matches_oracle(tmp_path, capsys, text, scale=scale)
 
 

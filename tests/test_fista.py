@@ -282,16 +282,6 @@ def test_trace_invariants():
     assert f_best <= problem.full_objective(phi0)
 
 
-def test_restart_on_increase_still_solves():
-    rng = np.random.default_rng(17)
-    x_mat = rng.normal(size=(25, 5))
-    y = rng.normal(size=25)
-    problem = _least_squares_problem(x_mat, y)
-    cfg = SolverConfig(max_iters=4000, rel_tol=1e-14, restart_on_increase=True)
-    w_hat, _ = solve(problem, np.zeros(5), cfg)
-    np.testing.assert_allclose(w_hat, ols_normal_equations(x_mat, y), atol=1e-6)
-
-
 def test_line_search_error_on_inconsistent_gradient():
     # Gradient with the wrong sign: no amount of curvature doubling can
     # satisfy the descent condition.
@@ -454,24 +444,6 @@ def test_backtracking_block_leaves_other_gammas_alone(momentum):
         np.testing.assert_allclose(traces[b].objective_per_iter, solo.objective_per_iter,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(phi[b], w, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("momentum", ["delayed", "standard"])
-def test_restart_on_increase_blocked_matches_one_block_solves(momentum):
-    problem = _blocked_lasso(22, n_blocks=3)
-    cfg = SolverConfig(max_iters=300, rel_tol=1e-10, momentum=momentum, restart_on_increase=True)
-    phi, traces = solve(problem, np.zeros((3, 6)), cfg)
-    restarted = 0
-    for b in range(3):
-        w, solo = solve(_row_problem(problem, b, 3), np.zeros(6), cfg)
-        assert traces[b].gamma_per_iter == solo.gamma_per_iter
-        assert (traces[b].iterations, traces[b].converged) == (solo.iterations, solo.converged)
-        np.testing.assert_allclose(traces[b].objective_per_iter, solo.objective_per_iter,
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(phi[b], w, rtol=0, atol=1e-12)
-        objectives = np.array(solo.objective_per_iter)
-        restarted += int((objectives[1:] > objectives[:-1]).sum())
-    assert restarted > 0  # the flag acted in some block
 
 
 def test_line_search_error_from_a_blocked_problem():

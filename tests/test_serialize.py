@@ -260,11 +260,17 @@ def test_rejects_missing_key(tmp_path, key):
          "feature_max: expected a list of numbers, got '1'"),
         (lambda d: d.__setitem__("stl_setting", 3), "stl_setting: expected a string or null, got 3"),
         (lambda d: d.__setitem__("format_version", True), "unsupported model format_version True"),
+        (lambda d: d.update(model_type="stl", stl_setting="bogus", stl_penalty="none"),
+         "stl_setting must be one of ('global', 'individual'), got 'bogus'"),
+        (lambda d: d.__setitem__("stl_setting", "global"),
+         "a model of type 'mtl' sets no stl_setting or stl_penalty"),
+        (lambda d: d.__setitem__("model_type", "stl"),
+         "stl_setting must be one of ('global', 'individual'), got None"),
     ],
     ids=[
         "string-list-item", "bool-number", "string-number", "row-not-list", "ragged-rows",
         "intercept-scalar", "lam-null", "scaling-scalar", "scaling-field", "stl-setting-int",
-        "bool-version",
+        "bool-version", "stl-setting-unknown", "mtl-with-stl-setting", "stl-without-setting",
     ],
 )
 def test_rejects_wrongly_typed_field(tmp_path, edit, message):

@@ -75,6 +75,25 @@ def test_train_peak_memory_does_not_grow_with_rows(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_train_peak_memory_holds_when_the_cell_reader_takes_over(tmp_path):
+    # A cell only float() reads, in the last row, hands the last chunk alone
+    # to the cell reader, which feeds the same sink.
+    plain = tmp_path / "plain.csv"
+    _write_panel(plain, 12_000)
+    header, *body = plain.read_text(encoding="utf-8").splitlines()
+    cells = body[-1].split(",")
+    cells[1] = "1_0"
+    underscored = tmp_path / "underscored.csv"
+    underscored.write_text("\n".join([header, *body[:-1], ",".join(cells)]) + "\n",
+                           encoding="utf-8")
+    peaks = [_peak_mb("train", path, "--model", "mtl", "--out", tmp_path / "model.json")
+             for path in (plain, underscored)]
+    assert peaks[1] - peaks[0] < 2.0, (
+        f"peak RSS {peaks[0]:.1f} MB plain, {peaks[1]:.1f} MB with a 1_0 cell"
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
     train = tmp_path / "train.csv"
     _write_panel(train, 3_000)
