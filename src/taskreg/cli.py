@@ -8,9 +8,9 @@ matrix).
 
 Every command accepts ``--config FILE`` with flat ``key=value`` lines;
 explicit flags win over config values, which win over defaults. Keys
-mirror the long flag names (hyphens or underscores both work), and keys
-a command does not know are ignored so one file can serve the whole
-pipeline.
+mirror the long flag names (hyphens or underscores both work, and
+``lambda`` may be written ``lam``), and keys a command does not know are
+ignored so one file can serve the whole pipeline.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
@@ -32,20 +32,6 @@ from pathlib import Path
 from . import __version__
 from .errors import SolverError, TaskregError
 
-_UNSET = object()
-
-
-class _AppendOption(argparse.Action):
-    """append action that tolerates a sentinel default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        current = getattr(namespace, self.dest, _UNSET)
-        if current is _UNSET or current is None:
-            current = []
-            setattr(namespace, self.dest, current)
-        current.append(values)
-
-
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -53,40 +39,17 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-_CONFIG_ALIASES = {"lambda": "lam"}
 
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _choice(*options):
-    def cast(value: str):
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
-        return value
-
-    return cast
-
-
-def _str_list(value) -> list[str]:
-    if isinstance(value, list):
-        return value
-    parts = [p.strip() for p in str(value).split(",")]
-    return [p for p in parts if p]
-
-
+# Each command's options as (name, kind, default). The flag is --name with
+# hyphens and the config key is name with hyphens or underscores. kind is a
+# caster (str, int, float), a tuple of choices, bool (a flag that sets True)
+# or list (a repeatable flag, or a comma list in a config file).
 _COMMON_IO = (
     ("task_column", str, "task"),
     ("outcome_column", str, "outcome"),
 )
 
-_OPTION_TABLES = {
+_OPTIONS = {
     "split": _COMMON_IO
     + (
         ("train_fraction", float, 0.6),
@@ -94,32 +57,32 @@ _OPTION_TABLES = {
         ("train_out", str, "train.csv"),
         ("test_out", str, "test.csv"),
         ("manifest", str, "split_manifest.json"),
-        ("scale_full", _parse_bool, False),
-        ("scale_outcome", _parse_bool, False),
+        ("scale_full", bool, False),
+        ("scale_outcome", bool, False),
     ),
     "train": _COMMON_IO
     + (
-        ("model", _choice("mtl", "cmtl", "stl"), None),
-        ("lam", float, None),
+        ("model", ("mtl", "cmtl", "stl"), None),
+        ("lambda", float, None),
         ("rho1", float, 1.0),
         ("rho2", float, 1.0),
         ("k", int, None),
-        ("setting", _choice("global", "individual"), "individual"),
-        ("penalty", _choice("none", "ridge", "lasso"), "none"),
+        ("setting", ("global", "individual"), "individual"),
+        ("penalty", ("none", "ridge", "lasso"), "none"),
         ("kmeans_seed", int, 0),
         ("max_iters", int, 1000),
         ("tol", float, 1e-6),
-        ("momentum", _choice("delayed", "standard", "none"), "delayed"),
-        ("no_scale", _parse_bool, False),
-        ("scale_outcome", _parse_bool, False),
-        ("intercept", _parse_bool, False),
+        ("momentum", ("delayed", "standard", "none"), "delayed"),
+        ("no_scale", bool, False),
+        ("scale_outcome", bool, False),
+        ("intercept", bool, False),
         ("out", str, "model.json"),
     ),
     "evaluate": _COMMON_IO
     + (
-        ("model", _str_list, None),
+        ("model", list, None),
         ("out", str, "mae_report.csv"),
-        ("total", _choice("pooled", "macro"), "pooled"),
+        ("total", ("pooled", "macro"), "pooled"),
     ),
     "riskfactors": (
         ("model", str, None),
@@ -135,6 +98,30 @@ _OPTION_TABLES = {
         ("out_matrix", str, None),
     ),
 }
+
+# The attribute of an option named by a Python keyword; either is a config key.
+_DESTS = {"lambda": "lam"}
+
+
+def _from_config(kind, text: str):
+    """A config value cast as its option's flag would give it."""
+    if kind is bool:
+        lowered = text.lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
+    if kind is list:
+        items = [item.strip() for item in text.split(",")]
+        if "" in items:
+            raise ValueError(f"expected a comma list of paths, got an empty item in {text!r}")
+        return items
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"expected one of {', '.join(kind)}, got {text!r}")
+        return text
+    return kind(text)
 
 
 def _configure_threads() -> None:
@@ -171,22 +158,23 @@ def _load_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            key = _CONFIG_ALIASES.get(key, key)
-            config[key] = value.strip()
+            config[_DESTS.get(key, key)] = value.strip()
     return config
 
 
 def _resolve_options(args, config: dict[str, str]) -> None:
-    for attr, caster, default in _OPTION_TABLES[args.command]:
-        if getattr(args, attr) is not _UNSET:
+    """Fill each option no flag gave from the config file, or else its default."""
+    for name, kind, default in _OPTIONS[args.command]:
+        dest = _DESTS.get(name, name)
+        if getattr(args, dest) is not None:
             continue
-        if attr in config:
+        if dest in config:
             try:
-                setattr(args, attr, caster(config[attr]))
+                setattr(args, dest, _from_config(kind, config[dest]))
             except ValueError as exc:
-                raise ValueError(f"config key {attr}: {exc}") from None
+                raise ValueError(f"config key {dest}: {exc}") from None
         else:
-            setattr(args, attr, default)
+            setattr(args, dest, default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,86 +184,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def io_flags(p):
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--task-column", dest="task_column", default=_UNSET)
-        p.add_argument("--outcome-column", dest="outcome_column", default=_UNSET)
-
-    p = sub.add_parser("split", help="stratified train/test split of a CSV")
-    p.add_argument("input", help="input CSV path")
-    io_flags(p)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=_UNSET)
-    p.add_argument("--seed", type=int, default=_UNSET)
-    p.add_argument("--train-out", dest="train_out", default=_UNSET)
-    p.add_argument("--test-out", dest="test_out", default=_UNSET)
-    p.add_argument("--manifest", default=_UNSET)
-    p.add_argument(
-        "--scale-full",
-        dest="scale_full",
-        action="store_true",
-        default=_UNSET,
-        help="min-max scale on the full data before splitting",
-    )
-    p.add_argument("--scale-outcome", dest="scale_outcome", action="store_true", default=_UNSET)
-    p.set_defaults(handler=cmd_split)
-
-    p = sub.add_parser("train", help="fit a model and write it as JSON")
-    p.add_argument("input", help="training CSV path")
-    io_flags(p)
-    p.add_argument("--model", choices=("mtl", "cmtl", "stl"), default=_UNSET)
-    p.add_argument("--lambda", dest="lam", type=float, default=_UNSET)
-    p.add_argument("--rho1", type=float, default=_UNSET)
-    p.add_argument("--rho2", type=float, default=_UNSET)
-    p.add_argument("--k", type=int, default=_UNSET, help="cluster count (cmtl)")
-    p.add_argument("--setting", choices=("global", "individual"), default=_UNSET)
-    p.add_argument("--penalty", choices=("none", "ridge", "lasso"), default=_UNSET)
-    p.add_argument("--kmeans-seed", dest="kmeans_seed", type=int, default=_UNSET)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=_UNSET)
-    p.add_argument("--tol", type=float, default=_UNSET)
-    p.add_argument("--momentum", choices=("delayed", "standard", "none"), default=_UNSET)
-    p.add_argument(
-        "--no-scale",
-        dest="no_scale",
-        action="store_true",
-        default=_UNSET,
-        help="train on raw values (e.g. when split already scaled)",
-    )
-    p.add_argument("--scale-outcome", dest="scale_outcome", action="store_true", default=_UNSET)
-    p.add_argument("--intercept", action="store_true", default=_UNSET)
-    p.add_argument("--out", default=_UNSET)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("evaluate", help="MAE table for models on a test CSV")
-    p.add_argument("test", help="test CSV path")
-    io_flags(p)
-    p.add_argument(
-        "--model",
-        action=_AppendOption,
-        default=_UNSET,
-        help="model JSON path; repeat for several models",
-    )
-    p.add_argument("--out", default=_UNSET)
-    p.add_argument("--total", choices=("pooled", "macro"), default=_UNSET)
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("riskfactors", help="ranked risk-factor report from a model")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--model", default=_UNSET, help="model JSON path")
-    p.add_argument("--top", type=int, default=_UNSET)
-    p.add_argument("--levels", default=_UNSET, help="comma list: task,cluster,population")
-    p.add_argument("--out-json", dest="out_json", default=_UNSET)
-    p.add_argument("--out-csv", dest="out_csv", default=_UNSET)
-    p.add_argument("--categories", default=_UNSET, help="CSV mapping feature,category")
-    p.set_defaults(handler=cmd_riskfactors)
-
-    p = sub.add_parser("clusters", help="dump cluster assignments from a cmtl model")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--model", default=_UNSET, help="model JSON path")
-    p.add_argument("--out", default=_UNSET)
-    p.add_argument("--out-matrix", dest="out_matrix", default=_UNSET)
-    p.set_defaults(handler=cmd_clusters)
-
+    for command, summary, positional, handler in (
+        ("split", "stratified train/test split of a CSV", ("input", "input CSV path"),
+         cmd_split),
+        ("train", "fit a model and write it as JSON", ("input", "training CSV path"), cmd_train),
+        ("evaluate", "MAE table for models on a test CSV", ("test", "test CSV path"),
+         cmd_evaluate),
+        ("riskfactors", "ranked risk-factor report from a model", None, cmd_riskfactors),
+        ("clusters", "dump cluster assignments from a cmtl model", None, cmd_clusters),
+    ):
+        p = sub.add_parser(command, help=summary)
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
+        p.add_argument("--config", help="flat key=value config file")
+        # An option no flag gives stays None until _resolve_options fills it.
+        for name, kind, default in _OPTIONS[command]:
+            if kind is bool:
+                how = {"action": "store_true", "default": None}
+            elif kind is list:
+                how = {"action": "append"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            flag = "--" + name.replace("_", "-")
+            shown = None if default is None or kind is bool else f"default: {default}"
+            p.add_argument(flag, dest=_DESTS.get(name, name), help=shown, **how)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -312,7 +247,7 @@ def cmd_split(args) -> int:
 
     _check_seed(args.seed, "--seed")
     _check_outputs(
-        [("the input", args.input)],
+        [("the input", args.input), ("--config", args.config)],
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
@@ -369,7 +304,7 @@ def cmd_train(args) -> int:
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
     _check_seed(args.kmeans_seed, "--kmeans-seed")
-    _check_outputs([("the input", args.input)], [("--out", args.out)])
+    _check_outputs([("the input", args.input), ("--config", args.config)], [("--out", args.out)])
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     if args.no_scale:
         params = None
@@ -422,7 +357,8 @@ def cmd_evaluate(args) -> int:
     if not args.model:
         raise ValueError("at least one --model is required")
     _check_outputs(
-        [("the test file", args.test), *(("--model", path) for path in args.model)],
+        [("the test file", args.test), *(("--model", path) for path in args.model),
+         ("--config", args.config)],
         [("--out", args.out)],
     )
     names: list[str] = []
@@ -462,7 +398,7 @@ def cmd_riskfactors(args) -> int:
     if args.model is None:
         raise ValueError("--model is required")
     _check_outputs(
-        [("--model", args.model), ("--categories", args.categories)],
+        [("--model", args.model), ("--categories", args.categories), ("--config", args.config)],
         [("--out-json", args.out_json), ("--out-csv", args.out_csv)],
     )
     model = serialize.load_model(args.model)
@@ -493,7 +429,8 @@ def cmd_clusters(args) -> int:
     if args.model is None:
         raise ValueError("--model is required")
     _check_outputs(
-        [("--model", args.model)], [("--out", args.out), ("--out-matrix", args.out_matrix)]
+        [("--model", args.model), ("--config", args.config)],
+        [("--out", args.out), ("--out-matrix", args.out_matrix)],
     )
     model = serialize.load_model(args.model)
     if model.model_type != "cmtl":

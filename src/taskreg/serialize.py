@@ -10,6 +10,7 @@ are not reconstructed on load.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -25,10 +26,17 @@ FORMAT_VERSION = 1
 _REAL_TYPES = (int, float)
 
 
+def _finite(number: float, key: str) -> float:
+    # json reads a literal too large for a double, such as 1e400, as inf.
+    if not math.isfinite(number):
+        raise ValueError(f"{key}: expected a finite number, got {number!r}")
+    return number
+
+
 def _number(value, key: str) -> float:
     if type(value) not in _REAL_TYPES:
         raise ValueError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(float(value), key)
 
 
 def _integer(value, key: str) -> int:
@@ -60,9 +68,13 @@ def _numbers(value, key: str, ndim: int) -> np.ndarray:
         bad = next(item for item in items if type(item) not in _REAL_TYPES)
         raise ValueError(f"{key}: expected a number, got {bad!r}")
     try:
-        return np.array(value, dtype=np.float64)
+        array = np.array(value, dtype=np.float64)
     except ValueError:
         raise ValueError(f"{key}: rows differ in length") from None
+    overflowed = array[~np.isfinite(array)]
+    if overflowed.size:
+        _finite(float(overflowed[0]), key)
+    return array
 
 
 def _optional_string(value, key: str) -> str | None:
@@ -198,9 +210,10 @@ def load_model(path):
     """Load a model saved by :func:`save_model`.
 
     A file that is not UTF-8 JSON text holding an object, a missing key, a
-    value of the wrong type or shape, or a ``NaN`` or ``Infinity`` (which
-    ``json`` accepts but :func:`save_model` never writes), is a ValueError
-    naming the file.
+    value of the wrong type or shape, or a non-finite number (a ``NaN`` or
+    ``Infinity`` token, or a literal such as ``1e400`` that overflows a
+    double; :func:`save_model` never writes one), is a ValueError naming the
+    file.
     """
 
     def reject_constant(token: str):

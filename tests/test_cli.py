@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -507,6 +508,47 @@ def test_inconsistent_model_json_is_an_error(
     assert not out.exists()
 
 
+# Each corruption writes the string "1e400"; the test unquotes it, since
+# json.dumps(inf) writes Infinity, which the reader rejects as a token, while
+# a literal 1e400 overflows to inf only as it is read.
+_OVERFLOWING_MODELS = [
+    ("weights", lambda w: [["1e400", *w[0][1:]], *w[1:]],
+     "weights: expected a finite number, got inf"),
+    ("intercept", lambda b: ["-1e400", *b[1:]], "intercept: expected a finite number, got -inf"),
+    ("scaling", lambda s: {**s, "feature_max": ["1e400", *s["feature_max"][1:]]},
+     "feature_max: expected a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["riskfactors", "evaluate"])
+@pytest.mark.parametrize("model_args", [("mtl",), ("cmtl", "--k", "2")], ids=["mtl", "cmtl"])
+@pytest.mark.parametrize(
+    "key, corrupt, message", _OVERFLOWING_MODELS, ids=[c[0] for c in _OVERFLOWING_MODELS]
+)
+def test_overflowing_number_in_model_json_is_an_error(
+    tmp_path, capsys, command, model_args, key, corrupt, message
+):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", *model_args)
+    data = json.loads(model.read_text())
+    data[key] = corrupt(data[key])
+    model.write_text(re.sub(r'"(-?1e400)"', r"\1", json.dumps(data)))
+    outputs = [tmp_path / "rf.json", tmp_path / "rf.csv", tmp_path / "mae.csv"]
+    if command == "riskfactors":
+        argv = ["riskfactors", "--model", str(model), "--out-json", str(outputs[0]),
+                "--out-csv", str(outputs[1])]
+    else:
+        argv = ["evaluate", str(test), "--model", str(model), "--out", str(outputs[2])]
+    capsys.readouterr()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model}: {message}\n"
+    assert captured.out == ""
+    assert code == 2
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -732,10 +774,15 @@ def collision_dir(tmp_path):
          "--out-csv {d}/r names the same file as --out-json {d}/r"),
         (["clusters", "--model", "{d}/m.json", "--out", "{d}/c", "--out-matrix", "{d}/c"],
          "--out-matrix {d}/c names the same file as --out {d}/c"),
+        (["split", "{d}/data.csv", "--train-out", "{d}/sub/run.cfg"],
+         "--train-out {d}/sub/run.cfg names the same file as --config {d}/sub/run.cfg"),
+        (["riskfactors", "--model", "{d}/m.json", "--out-csv", "{d}/sub/../sub/run.cfg"],
+         "--out-csv {d}/sub/../sub/run.cfg names the same file as --config {d}/sub/run.cfg"),
     ],
     ids=["split-input", "split-sides", "split-manifest", "split-dotdot", "split-hard-link",
          "split-new-file", "train-input", "evaluate-test", "evaluate-model",
-         "riskfactors-model", "riskfactors-outputs", "clusters-outputs"],
+         "riskfactors-model", "riskfactors-outputs", "clusters-outputs", "split-config",
+         "riskfactors-config"],
 )
 def test_output_naming_an_input_or_another_output_is_rejected(
     collision_dir, capsys, argv, message
@@ -755,3 +802,67 @@ def test_output_naming_an_input_or_another_output_is_rejected(
     assert captured.out == ""
     assert code == 2
     assert _files(collision_dir) == before
+
+
+_POSITIONALS = {"split": ["data.csv"], "train": ["data.csv"], "evaluate": ["test.csv"]}
+_OPTION_ROWS = [(command, *row) for command, rows in cli._OPTIONS.items() for row in rows]
+
+
+def _flag_and_config_values(flag, kind, default):
+    """Argv words giving an option by its flag, and a config value meaning the same."""
+    if kind is bool:
+        return [flag], "yes"
+    if kind is list:
+        return [flag, "a.json", flag, "b.json"], "a.json, b.json"
+    if isinstance(kind, tuple):
+        value = next(choice for choice in kind if choice != default)
+    else:
+        value = {int: "7", float: "0.25", str: "x.txt"}[kind]
+    return [flag, value], value
+
+
+@pytest.mark.parametrize("spelling", ["flag", "attribute"])
+@pytest.mark.parametrize(
+    "command, name, kind, default", _OPTION_ROWS, ids=[f"{r[0]}-{r[1]}" for r in _OPTION_ROWS]
+)
+def test_config_line_sets_what_its_flag_sets(
+    tmp_path, monkeypatch, command, name, kind, default, spelling
+):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+    dest = cli._DESTS.get(name, name)
+    flag = "--" + name.replace("_", "-")
+    flag_words, text = _flag_and_config_values(flag, kind, default)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:] if spelling == 'flag' else dest} = {text}\n", encoding="utf-8")
+    argv = [command, *_POSITIONALS.get(command, [])]
+    assert cli.main([*argv, *flag_words]) == 0
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    by_flag, by_config = ({k: v for k, v in args.items() if k != "config"} for args in seen)
+    assert by_config == by_flag
+    assert type(by_config[dest]) is type(by_flag[dest])
+    assert by_flag[dest] != default
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("split", "scale-full = maybe", "scale_full: expected a boolean, got 'maybe'"),
+        ("evaluate", "model = a.json,,b.json",
+         "model: expected a comma list of paths, got an empty item in 'a.json,,b.json'"),
+        ("train", "momentum = bogus",
+         "momentum: expected one of delayed, standard, none, got 'bogus'"),
+        ("split", "seed = 1.5", "seed: invalid literal for int() with base 10: '1.5'"),
+        ("train", "lambda = big", "lam: could not convert string to float: 'big'"),
+    ],
+    ids=["bool", "list", "choice", "int", "float"],
+)
+def test_malformed_config_value_is_named(tmp_path, monkeypatch, capsys, command, line, message):
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("handler ran"))
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    code = cli.main([command, *_POSITIONALS.get(command, []), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config key {message}\n"
+    assert captured.out == ""
+    assert code == 2

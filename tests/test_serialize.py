@@ -233,6 +233,19 @@ def test_rejects_non_finite_numbers(tmp_path, token):
         load_model(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("literal, shown", [("1e400", "inf"), ("-1e400", "-inf")])
+def test_rejects_a_number_that_overflows_a_double(tmp_path, literal, shown):
+    # json reads 1e400 as inf without calling parse_constant.
+    ds = _dataset(seed=99)
+    save_model(fit_mtl(factors(ds), 0.1), tmp_path / "m.json")
+    data = json.loads((tmp_path / "m.json").read_text())
+    data["lam"] = "overflow"
+    (tmp_path / "m.json").write_text(json.dumps(data).replace('"overflow"', literal))
+    with pytest.raises(ValueError) as info:
+        load_model(tmp_path / "m.json")
+    assert str(info.value) == f"{tmp_path / 'm.json'}: lam: expected a finite number, got {shown}"
+
+
 @pytest.mark.parametrize("key", ["lam", "weights", "task_labels"])
 def test_rejects_missing_key(tmp_path, key):
     ds = _dataset(seed=100)
