@@ -47,7 +47,6 @@ _EXPORTS = {
     "extract_clusters": "cmtl",
     "project_spectral": "cmtl",
     "capped_simplex_project": "cmtl",
-    "cluster_indicator": "cmtl",
     # rankings
     "RankedFactor": "riskfactors",
     "RiskReport": "riskfactors",
@@ -60,9 +59,7 @@ _EXPORTS = {
     "StlSpec": "baselines",
     "MaeReport": "baselines",
     "fit_stl": "baselines",
-    "mae": "baselines",
     "evaluate": "baselines",
-    "aggregate_reports": "baselines",
     "write_mae_table": "baselines",
     # persistence
     "save_model": "serialize",

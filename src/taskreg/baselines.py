@@ -55,8 +55,6 @@ class MaeReport:
     total: float
     counts: dict[str, int]
     total_mode: str = "pooled"
-    per_task_sd: dict[str, float] | None = None
-    total_sd: float | None = None
 
     def __post_init__(self):
         if self.total_mode not in _TOTAL_MODES:
@@ -177,17 +175,6 @@ def fit_stl(
     )
 
 
-def mae(pred, actual) -> float:
-    """Mean absolute error; lower is better."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    actual = np.asarray(actual, dtype=np.float64).ravel()
-    if pred.size != actual.size:
-        raise ValueError(f"length mismatch: {pred.size} predictions, {actual.size} actuals")
-    if pred.size == 0:
-        raise ValueError("cannot compute MAE of empty vectors")
-    return float(np.abs(pred - actual).mean())
-
-
 def _feature_permutation(model, feature_names) -> np.ndarray:
     """Column order mapping model features onto the test set's columns."""
     positions = {name: j for j, name in enumerate(feature_names)}
@@ -298,54 +285,13 @@ def evaluate(models, path, task_column: str, outcome_column: str) -> MaeAccumula
     )
 
 
-def aggregate_reports(reports) -> MaeReport:
-    """Mean and spread of several reports from repeated seeded splits.
-
-    All reports must cover the same tasks with the same total mode.
-    Counts are taken from the first report; the standard deviations use
-    the sample convention and are zero for a single report.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("need at least one report")
-    labels = list(reports[0].per_task)
-    mode = reports[0].total_mode
-    for rep in reports[1:]:
-        if set(rep.per_task) != set(labels):
-            raise ValueError("reports cover different task sets")
-        if rep.total_mode != mode:
-            raise ValueError("reports mix total modes")
-
-    def spread(values) -> float:
-        if len(values) < 2:
-            return 0.0
-        return float(np.std(values, ddof=1))
-
-    per_task = {}
-    per_task_sd = {}
-    for label in labels:
-        values = [rep.per_task[label] for rep in reports]
-        per_task[label] = float(np.mean(values))
-        per_task_sd[label] = spread(values)
-    totals = [rep.total for rep in reports]
-    return MaeReport(
-        per_task=per_task,
-        total=float(np.mean(totals)),
-        counts=dict(reports[0].counts),
-        total_mode=mode,
-        per_task_sd=per_task_sd,
-        total_sd=spread(totals),
-    )
-
-
 def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
     """CSV table: one row per task plus TOTAL, one MAE column per model.
 
     ``outcomes`` maps each test task, in table order, to its raw outcomes
     (as :attr:`MaeAccumulator.outcomes` does). Each row carries the task's
     test-set size and the mean and standard deviation of its outcomes,
-    then the per-model MAE values. Models whose reports carry spreads get
-    an extra ``<name>_sd`` column.
+    then the per-model MAE values.
     """
     if not reports:
         raise ValueError("need at least one report to tabulate")
@@ -353,24 +299,12 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
         if set(rep.per_task) != set(outcomes):
             raise ValueError(f"report {name!r} does not cover the test tasks")
 
-    names = list(reports)
-    header = ["task", "n", "outcome_mean", "outcome_sd"]
-    for name in names:
-        header.append(name)
-        if reports[name].per_task_sd is not None:
-            header.append(f"{name}_sd")
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(["task", "n", "outcome_mean", "outcome_sd", *reports])
         for label, y in outcomes.items():
             row = [label, y.size, repr(float(y.mean())), repr(float(y.std()))]
-            for name in names:
-                rep = reports[name]
-                row.append(repr(rep.per_task[label]))
-                if rep.per_task_sd is not None:
-                    row.append(repr(rep.per_task_sd[label]))
-            writer.writerow(row)
+            writer.writerow(row + [repr(rep.per_task[label]) for rep in reports.values()])
         pooled = np.concatenate(list(outcomes.values()))
         total_row = [
             "TOTAL",
@@ -378,9 +312,4 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
             repr(float(pooled.mean())),
             repr(float(pooled.std())),
         ]
-        for name in names:
-            rep = reports[name]
-            total_row.append(repr(rep.total))
-            if rep.per_task_sd is not None:
-                total_row.append(repr(rep.total_sd if rep.total_sd is not None else 0.0))
-        writer.writerow(total_row)
+        writer.writerow(total_row + [repr(rep.total) for rep in reports.values()])

@@ -10,7 +10,8 @@ Every command accepts ``--config FILE`` with flat ``key=value`` lines;
 explicit flags win over config values, which win over defaults. Keys
 mirror the long flag names (hyphens or underscores both work, and
 ``lambda`` may be written ``lam``), and keys a command does not know are
-ignored so one file can serve the whole pipeline.
+ignored so one file can serve the whole pipeline. A ``train`` flag that
+the chosen model does not use is an error; such a config key is ignored.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
@@ -102,6 +103,13 @@ _OPTIONS = {
 # The attribute of an option named by a Python keyword; either is a config key.
 _DESTS = {"lambda": "lam"}
 
+# The train options that only some models use, and the models that use each.
+_MODEL_OPTIONS = {
+    **dict.fromkeys(("lambda", "intercept"), ("mtl", "stl")),
+    **dict.fromkeys(("setting", "penalty"), ("stl",)),
+    **dict.fromkeys(("rho1", "rho2", "k", "kmeans_seed"), ("cmtl",)),
+}
+
 
 def _from_config(kind, text: str):
     """A config value cast as its option's flag would give it."""
@@ -162,11 +170,16 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
-def _resolve_options(args, config: dict[str, str]) -> None:
-    """Fill each option no flag gave from the config file, or else its default."""
+def _resolve_options(args, config: dict[str, str]) -> set[str]:
+    """Fill each option no flag gave from the config file, or else its default.
+
+    Returns the names of the options that a flag gave.
+    """
+    given = set()
     for name, kind, default in _OPTIONS[args.command]:
         dest = _DESTS.get(name, name)
         if getattr(args, dest) is not None:
+            given.add(name)
             continue
         if dest in config:
             try:
@@ -175,6 +188,22 @@ def _resolve_options(args, config: dict[str, str]) -> None:
                 raise ValueError(f"config key {dest}: {exc}") from None
         else:
             setattr(args, dest, default)
+    return given
+
+
+def _check_train_flags(args, given: set[str]) -> None:
+    """Raise ValueError for a train flag that the chosen model, or --no-scale, leaves unused.
+
+    Only flags are checked: one config file serves every model, so its
+    keys for another model are ignored, as unknown keys are.
+    """
+    if args.model is None:
+        return  # cmd_train reports it
+    for name, models in _MODEL_OPTIONS.items():
+        if name in given and args.model not in models:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --model {args.model}")
+    if "scale_outcome" in given and args.no_scale:
+        raise ValueError("--scale-outcome does not apply with --no-scale")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,10 +320,12 @@ def _solver_config(args):
 
 
 def _trace_line(trace) -> str:
-    if isinstance(trace, tuple):
-        iters = sum(t.iterations for t in trace)
+    if isinstance(trace, tuple):  # a BlockTraces, one trace per task
         converged = all(t.converged for t in trace)
-        return f"solver: {iters} iterations over {len(trace)} fits, converged={converged}"
+        return (
+            f"solver: {trace.iterations} iterations over {len(trace)} fits, "
+            f"converged={converged}"
+        )
     return f"solver: {trace.iterations} iterations, converged={trace.converged}"
 
 
@@ -388,6 +419,8 @@ def _load_categories(path: str) -> dict[str, str]:
     for row in rows[1:]:
         if len(row) != 2:
             raise ValueError(f"{path}: every row needs exactly feature,category")
+        if row[0] in out:
+            raise ValueError(f"{path}: feature {row[0]!r} is listed twice")
         out[row[0]] = row[1]
     return out
 
@@ -403,6 +436,9 @@ def cmd_riskfactors(args) -> int:
     )
     model = serialize.load_model(args.model)
     levels = tuple(p.strip() for p in args.levels.split(",") if p.strip())
+    for level in levels:
+        if levels.count(level) > 1:
+            raise ValueError(f"--levels names {level!r} twice")
     if "cluster" in levels and model.model_type != "cmtl":
         raise ValueError("the cluster level requires a cmtl model")
     categories = _load_categories(args.categories) if args.categories else None
@@ -460,7 +496,9 @@ def main(argv=None) -> int:
     try:
         _configure_threads()
         config = _load_config(args.config) if args.config else {}
-        _resolve_options(args, config)
+        given = _resolve_options(args, config)
+        if args.command == "train":
+            _check_train_flags(args, given)
         return args.handler(args)
     except (TaskregError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,12 +126,6 @@ class RelaxedClusterMatrix:
         return self.matrix.shape[0]
 
 
-def _as_matrix(c) -> np.ndarray:
-    if isinstance(c, RelaxedClusterMatrix):
-        return c.matrix
-    return np.asarray(c, dtype=np.float64)
-
-
 def capped_simplex_project(sigma_hat: np.ndarray, k: int) -> np.ndarray:
     """Project a vector onto {sigma : sum = k, 0 <= sigma_i <= 1}.
 
@@ -311,7 +305,7 @@ def fit_cmtl(
     z_hat, trace = solve(problem, z0, cfg)
     w_hat, c_hat = split(z_hat)
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
-    assignments = extract_clusters(cluster_matrix, params.k, kmeans_seed)
+    assignments = extract_clusters(cluster_matrix.matrix, params.k, kmeans_seed)
     return MtlModel(
         weights=w_hat,
         feature_names=factors.feature_names,
@@ -327,7 +321,7 @@ def fit_cmtl(
 
 
 def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
-    """Round a relaxed cluster matrix to hard task assignments.
+    """Round the T x T relaxed cluster matrix ``c`` to hard task assignments.
 
     Embeds tasks as rows of the top-k eigenvectors of C, then runs
     k-means (k-means++ seeding, 50 restarts) on the draws of numpy's
@@ -335,7 +329,7 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     renumbered in first-occurrence order, so task 0 is always in cluster
     0 and outputs are permutation-equivariant for a fixed seed.
     """
-    mat = _as_matrix(c)
+    mat = np.asarray(c, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     t = mat.shape[0]
@@ -417,23 +411,3 @@ def _canonical_labels(labels) -> tuple[int, ...]:
             remap[lab] = len(remap)
         out.append(remap[lab])
     return tuple(out)
-
-
-def cluster_indicator(assignments) -> np.ndarray:
-    """Normalized indicator O with O[t, g] = 1/sqrt(n_g) for t in group g.
-
-    Columns are orthonormal; O O^T averages within groups, which is what
-    ties the relaxed matrix C back to a hard clustering.
-    """
-    assignments = [int(a) for a in assignments]
-    if not assignments:
-        raise ValueError("empty assignment list")
-    groups = sorted(set(assignments))
-    if groups != list(range(len(groups))):
-        raise ValueError(f"cluster ids must be 0..{len(groups) - 1} contiguous, got {groups}")
-    t = len(assignments)
-    out = np.zeros((t, len(groups)))
-    counts = np.bincount(assignments)
-    for i, g in enumerate(assignments):
-        out[i, g] = 1.0 / math.sqrt(counts[g])
-    return out

@@ -73,8 +73,7 @@ class ScalingParams:
     """Per-feature (min, max) ranges, plus optional outcome range.
 
     Transforms map x to (x - min) / (max - min). Columns with max = min
-    map to 0 and invert back to min, so a transform/invert round trip is
-    the identity on the fitted data.
+    map to 0.
     """
 
     feature_min: np.ndarray
@@ -104,9 +103,6 @@ class ScalingParams:
     def scales_outcome(self) -> bool:
         return self.outcome_min is not None
 
-    def _span(self) -> np.ndarray:
-        return self.feature_max - self.feature_min
-
     def transform_features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The scaled features; ``out=x`` scales ``x`` in place."""
         x = np.asarray(x, dtype=np.float64)
@@ -114,19 +110,11 @@ class ScalingParams:
             raise ValueError(
                 f"expected a matrix with {self.n_features} columns, got shape {x.shape}"
             )
-        span = self._span()
+        span = self.feature_max - self.feature_min
         out = np.subtract(x, self.feature_min, out=out)
         np.divide(out, span, out=out, where=span > 0)
         out[:, span == 0] = 0.0
         return out
-
-    def invert_features(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected a matrix with {self.n_features} columns, got shape {x.shape}"
-            )
-        return x * self._span() + self.feature_min
 
     def transform_outcome(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The scaled outcomes; ``out=y`` scales ``y`` in place."""
@@ -557,19 +545,16 @@ def _body_chunks(fh, path, layout, codes: dict[str, int]):
 
     ``codes`` numbers task labels in order of first appearance, and
     ``task`` holds each kept row's code. Chunks of :data:`_CHUNK_LINES`
-    lines go through ``np.loadtxt`` (:func:`_parse_chunk`) until one cannot
-    be shown to parse as ``float()`` would; from that chunk's first record
-    on, :func:`_cell_chunks` reads the rest of the file cell by cell.
+    lines go through ``np.loadtxt`` (:func:`_parse_chunk`). A chunk that
+    cannot be shown to parse as ``float()`` would is read cell by cell
+    (:func:`_cell_chunks`), and the next chunk goes back to ``np.loadtxt``.
     """
     row = 2  # the header is row 1
     while lines := list(itertools.islice(fh, _CHUNK_LINES)):
         chunk = _parse_chunk(lines, layout, codes)
         if chunk is None:
-            rest = itertools.chain(iter(lines), fh)
-            del lines  # the chunk's text goes once its records are read
-            yield from _cell_chunks(rest, path, layout, codes, row)
-            return
-        row += len(lines)
+            chunk = _cell_chunks(lines, fh, path, layout, codes, row)
+        row += chunk[0]
         # The sink holds copies; the chunk's text goes before it works.
         del lines
         yield chunk
@@ -654,36 +639,34 @@ def _outcome_cell(text: str) -> float:
     return value
 
 
-def _cell_chunks(lines, path, layout, codes: dict[str, int], row: int):
-    """The records of ``lines`` for :func:`_body_chunks`, :data:`_CHUNK_LINES` at a time.
+def _cell_chunks(lines, fh, path, layout, codes: dict[str, int], row: int):
+    """For :func:`_body_chunks`, the chunk of the records that start in ``lines``, cell by cell.
 
     Each cell is parsed by ``float()``, and ``csv.reader`` reads a quoted
-    field that runs over line ends whole. ``row`` is the first record's
-    row number. A malformed record raises its :class:`ParseError` here.
+    field that runs over line ends whole; one that runs past the last of
+    ``lines`` takes the rest of its lines from ``fh``. ``row`` is the first
+    record's row number. A malformed record raises its :class:`ParseError` here.
     """
     header, task_idx, outcome_idx, feature_idx = layout
-    numbered = enumerate(csv.reader(lines), start=row)
-    while True:
-        records, task, x, y = 0, [], [], []
-        for records, (row, fields) in enumerate(itertools.islice(numbered, _CHUNK_LINES), 1):
-            if len(fields) != len(header):
-                raise ParseError(
-                    f"{path}: row {row} has {len(fields)} fields, expected {len(header)}"
-                )
-            code = codes.setdefault(fields[task_idx], len(codes))
-            outcome = fields[outcome_idx].strip()
-            if outcome == "":
-                continue
-            y.append(_parse_cell(outcome, path, row, header[outcome_idx]))
-            x.append([_parse_cell(fields[i].strip(), path, row, header[i]) for i in feature_idx])
-            task.append(code)
-        if not records:
-            return
-        x = np.array(x).reshape(len(y), len(feature_idx))
-        chunk = records, np.array(task, dtype=np.intp), x, np.array(y)
-        # The sink holds copies; the chunk's lists go before it works.
-        del task, x, y
-        yield chunk
+    reader = csv.reader(itertools.chain(lines, fh))
+    records, task, x, y = 0, [], [], []
+    while reader.line_num < len(lines):
+        fields = next(reader)
+        record = row + records
+        records += 1
+        if len(fields) != len(header):
+            raise ParseError(
+                f"{path}: row {record} has {len(fields)} fields, expected {len(header)}"
+            )
+        code = codes.setdefault(fields[task_idx], len(codes))
+        outcome = fields[outcome_idx].strip()
+        if outcome == "":
+            continue
+        y.append(_parse_cell(outcome, path, record, header[outcome_idx]))
+        x.append([_parse_cell(fields[i].strip(), path, record, header[i]) for i in feature_idx])
+        task.append(code)
+    x = np.array(x).reshape(len(y), len(feature_idx))
+    return records, np.array(task, dtype=np.intp), x, np.array(y)
 
 
 def _parse_cell(text: str, path, line_no: int, column: str) -> float:

@@ -13,6 +13,8 @@ evidence rather than tautology:
 - ``dykstra_spectral_project``: Dykstra's alternating projections onto
   the trace hyperplane and the eigenvalue box, run entirely in matrix
   space.
+- ``cluster_indicator``: the normalized indicator matrix of a hard
+  clustering, whose O O^T ties the relaxed matrix C back to the groups.
 - ``write_csv_rows``: the CSV writer one ``csv.writer`` row at a time,
   every cell formatted on its own.
 - ``loss``, ``grad_loss`` and ``objective``: the mtl objective on the raw
@@ -25,7 +27,8 @@ evidence rather than tautology:
 - ``MultiTaskDataset`` (of ``TaskData``): each task's rows as their own
   copy. ``minmax_scale``, ``stratified_split`` (with numpy's own
   ``default_rng``) and ``write_csv_rows`` scale, split and write it task
-  by task, where the package works on one table through index arrays.
+  by task, where the package works on one table through index arrays;
+  ``invert_features`` undoes the scaling.
   ``stream_dataset`` feeds it to a sink one task per chunk, which gives
   ``factors`` and ``evaluate``.
 """
@@ -174,6 +177,25 @@ def dykstra_spectral_project(a: np.ndarray, k: int, iters: int = 2000) -> np.nda
         if moved < 1e-13:
             break
     return x
+
+
+def cluster_indicator(assignments) -> np.ndarray:
+    """Normalized indicator O with O[t, g] = 1/sqrt(n_g) for t in group g.
+
+    Columns are orthonormal; O O^T averages within groups, which is what
+    ties the relaxed matrix C back to a hard clustering.
+    """
+    assignments = [int(a) for a in assignments]
+    if not assignments:
+        raise ValueError("empty assignment list")
+    groups = sorted(set(assignments))
+    if groups != list(range(len(groups))):
+        raise ValueError(f"cluster ids must be 0..{len(groups) - 1} contiguous, got {groups}")
+    out = np.zeros((len(assignments), len(groups)))
+    counts = np.bincount(assignments)
+    for i, g in enumerate(assignments):
+        out[i, g] = 1.0 / math.sqrt(counts[g])
+    return out
 
 
 def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
@@ -471,6 +493,12 @@ def minmax_scale(
         tasks=tasks, feature_names=ds.feature_names, dropped_rows=ds.dropped_rows
     )
     return scaled, params
+
+
+def invert_features(params: ScalingParams, x: np.ndarray) -> np.ndarray:
+    """Raw features from scaled ones; a constant column maps back to its min."""
+    span = params.feature_max - params.feature_min
+    return np.asarray(x, dtype=np.float64) * span + params.feature_min
 
 
 def stratified_split(

@@ -17,19 +17,18 @@ from taskreg.baselines import StlSpec, fit_stl
 from taskreg.cmtl import (
     CmtlParams,
     capped_simplex_project,
-    cluster_indicator,
     fit_cmtl,
     project_spectral,
 )
 from taskreg.fista import SolverConfig
 from taskreg.mtl import fit_mtl, lambda_max, prox_l21
-from taskreg.baselines import mae as mae_of
 
 from oracles import (
     MultiTaskDataset,
     TaskData,
     capped_simplex_grid,
     central_difference_grad,
+    cluster_indicator,
     cmtl_objective,
     evaluate,
     factors,

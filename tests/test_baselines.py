@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from taskreg.baselines import (
-    MaeReport,
     StlSpec,
-    aggregate_reports,
     evaluate,
     fit_stl,
-    mae,
     predictions_for_task,
     write_mae_table,
 )
@@ -169,25 +166,6 @@ def test_stl_intercept():
     assert model.intercept[0] == pytest.approx(4.0, abs=1e-5)
 
 
-def test_mae_examples():
-    assert mae([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-    assert mae([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5)
-    with pytest.raises(ValueError, match="length mismatch"):
-        mae([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="empty"):
-        mae([], [])
-
-
-def test_mae_translation_bound():
-    rng = np.random.default_rng(79)
-    pred = rng.normal(size=50)
-    actual = rng.normal(size=50)
-    base = mae(pred, actual)
-    for c in (-2.5, 0.1, 3.0):
-        shifted = mae(pred + c, actual)
-        assert abs(shifted - base) <= abs(c) + 1e-12
-
-
 def _exact_model(weights, labels, names):
     return MtlModel(
         weights=np.asarray(weights, float),
@@ -301,23 +279,6 @@ def test_evaluate_inverts_outcome_scaling(tmp_path):
     )
     report = _evaluate(tmp_path, model, train)
     assert report.total == pytest.approx(0.0, abs=1e-5)
-
-
-def test_aggregate_reports():
-    a = MaeReport(per_task={"x": 1.0, "y": 3.0}, total=2.0, counts={"x": 5, "y": 5})
-    b = MaeReport(per_task={"x": 3.0, "y": 5.0}, total=4.0, counts={"x": 5, "y": 5})
-    agg = aggregate_reports([a, b])
-    assert agg.per_task == {"x": 2.0, "y": 4.0}
-    assert agg.total == pytest.approx(3.0)
-    assert agg.per_task_sd["x"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
-    assert agg.total_sd == pytest.approx(np.std([2.0, 4.0], ddof=1))
-    single = aggregate_reports([a])
-    assert single.total_sd == 0.0
-    mismatched = MaeReport(per_task={"z": 1.0}, total=1.0, counts={"z": 2})
-    with pytest.raises(ValueError, match="different task sets"):
-        aggregate_reports([a, mismatched])
-    with pytest.raises(ValueError, match="at least one"):
-        aggregate_reports([])
 
 
 def test_write_mae_table(tmp_path):

@@ -141,6 +141,56 @@ def test_train_error_paths(tmp_path, capsys):
         cli.main(["train", str(train), "--model", "forest"])
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--model", "mtl", "--rho1", "-1"), "--rho1 does not apply to --model mtl"),
+        (("--model", "mtl", "--k", "3"), "--k does not apply to --model mtl"),
+        (("--model", "cmtl", "--k", "2", "--lambda", "5", "--setting", "global"),
+         "--lambda does not apply to --model cmtl"),
+        (("--model", "cmtl", "--k", "2", "--penalty", "lasso"),
+         "--penalty does not apply to --model cmtl"),
+        (("--model", "stl", "--k", "99", "--rho2", "-5"), "--rho2 does not apply to --model stl"),
+        (("--model", "stl", "--kmeans-seed", "1"), "--kmeans-seed does not apply to --model stl"),
+        (("--model", "mtl", "--no-scale", "--scale-outcome"),
+         "--scale-outcome does not apply with --no-scale"),
+    ],
+    ids=["mtl-rho1", "mtl-k", "cmtl-lambda", "cmtl-penalty", "stl-rho2", "stl-kmeans-seed",
+         "no-scale"],
+)
+def test_train_rejects_a_flag_the_model_does_not_use(tmp_path, capsys, options, message):
+    train = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    code = cli.main(["train", str(train), *options, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert code == 2
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_train_ignores_config_keys_the_model_does_not_use(tmp_path, capsys):
+    # One config file serves every model, so another model's keys are no error.
+    train = _write_csv(tmp_path / "data.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "lambda = 0.05\nsetting = global\npenalty = ridge\nrho1 = 0.5\nrho2 = 0.5\n"
+        "k = 2\nkmeans-seed = 4\nscale-outcome = true\n",
+        encoding="utf-8",
+    )
+    for model in ("mtl", "cmtl", "stl"):
+        out = tmp_path / f"{model}.json"
+        argv = ["train", str(train), "--model", model, "--no-scale", "--config", str(config)]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert load_model(out).model_type == model
+    # A config key the fit cannot honour is still refused.
+    config.write_text("intercept = true\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["train", str(train), "--model", "cmtl", "--k", "2", "--config", str(config)]
+    assert cli.main([*argv, "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: --intercept is not supported with the cmtl model\n"
+
+
 def test_evaluate_is_column_order_invariant(tmp_path):
     csv_path = _write_csv(tmp_path / "data.csv")
     train, test, _ = _split(tmp_path, csv_path)
@@ -283,6 +333,34 @@ def test_riskfactors_cluster_level_needs_cmtl(tmp_path, capsys):
     )
     assert code == 2
     assert "cmtl" in capsys.readouterr().err
+
+
+def test_riskfactors_rejects_a_feature_listed_twice_in_categories(tmp_path, capsys):
+    train = _write_csv(tmp_path / "data.csv")
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    categories = tmp_path / "categories.csv"
+    categories.write_text("feature,category\nf0,diet\nf1,sleep\nf0,smoking\n", encoding="utf-8")
+    out_json = tmp_path / "rf.json"
+    code = cli.main(
+        ["riskfactors", "--model", str(model), "--categories", str(categories),
+         "--out-json", str(out_json), "--out-csv", str(tmp_path / "rf.csv")]
+    )
+    assert capsys.readouterr().err == f"error: {categories}: feature 'f0' is listed twice\n"
+    assert code == 2
+    assert not out_json.exists()
+
+
+def test_riskfactors_rejects_a_level_named_twice(tmp_path, capsys):
+    train = _write_csv(tmp_path / "data.csv")
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    out_json = tmp_path / "rf.json"
+    code = cli.main(
+        ["riskfactors", "--model", str(model), "--levels", "task,population, task",
+         "--out-json", str(out_json), "--out-csv", str(tmp_path / "rf.csv")]
+    )
+    assert capsys.readouterr().err == "error: --levels names 'task' twice\n"
+    assert code == 2
+    assert not out_json.exists()
 
 
 def test_clusters_command(tmp_path, capsys):

@@ -15,7 +15,6 @@ from taskreg.cmtl import (
     CmtlParams,
     RelaxedClusterMatrix,
     capped_simplex_project,
-    cluster_indicator,
     extract_clusters,
     fit_cmtl,
     project_spectral,
@@ -29,6 +28,7 @@ from oracles import (
     TaskData,
     capped_simplex_grid,
     central_difference_grad,
+    cluster_indicator,
     cmtl_loss,
     cmtl_objective,
     cmtl_regularizer,

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import MultiTaskDataset, TaskData, factors, row_table, write_csv_rows
+from oracles import (
+    MultiTaskDataset,
+    TaskData,
+    factors,
+    invert_features,
+    row_table,
+    write_csv_rows,
+)
 from taskreg import (
     DegenerateTaskError,
     ParseError,
@@ -310,7 +317,7 @@ def test_minmax_round_trip():
     rng = np.random.default_rng(7)
     ds = _toy(rng.uniform(-5, 9, size=(20, 4)))
     scaled, params = _minmax_scale(ds)
-    back = params.invert_features(scaled.tasks[0].X)
+    back = invert_features(params, scaled.tasks[0].X)
     np.testing.assert_allclose(back, ds.tasks[0].X, atol=1e-12)
 
 
@@ -561,6 +568,33 @@ def test_streamed_reader_accepts_what_float_accepts(tmp_path):
     np.testing.assert_array_equal(streamed.feature_max, [10.0])
     assert streamed.outcome_max == 40.0
     np.testing.assert_allclose(_gram(streamed.factors[0]), _gram(ref.factors[0]), rtol=1e-15)
+
+
+def test_only_the_chunk_that_fails_loadtxt_is_read_cell_by_cell(tmp_path, monkeypatch):
+    # Three 4-line chunks. The first holds a cell only float() reads, the
+    # second a dropped row and the third a new label: the cell reader takes
+    # the first chunk alone, and np.loadtxt reads the other two.
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", 4)
+    body = [f"t{i % 2},{i}.25,{-3 * i}" for i in range(12)]
+    body[0] = "t0,1_0,7"
+    body[5] = "t1,5.5,"
+    body[10] = "t2,0.125,9"
+    path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
+    calls = []
+    parse_lines = dataset._parse_lines
+    monkeypatch.setattr(dataset, "_parse_lines", lambda *a: calls.append(a) or parse_lines(*a))
+    mixed = _rows(path, "task", "y")
+    assert len(calls) == 3
+    cells = _cell_rows(monkeypatch, path, "task", "y")
+    assert mixed.task_labels == cells.task_labels == ("t0", "t1", "t2")
+    assert mixed.dropped_rows == cells.dropped_rows == 1
+    for a, b in zip(mixed.tasks, cells.tasks):
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.Y.tobytes() == b.Y.tobytes()
+    assert mixed.tasks[0].X[0, 0] == 10.0
+    factors_read = load_factors(path, "task", "y")
+    assert len(calls) == 6
+    assert factors_read.counts == (5, 5, 1)
 
 
 @pytest.mark.parametrize("chunk", [8, None], ids=["chunk8", "default"])
