@@ -10,8 +10,9 @@ Every command accepts ``--config FILE`` with flat ``key=value`` lines;
 explicit flags win over config values, which win over defaults. Keys
 mirror the long flag names (hyphens or underscores both work, and
 ``lambda`` may be written ``lam``), and keys a command does not know are
-ignored so one file can serve the whole pipeline. A ``train`` flag that
-the chosen model does not use is an error; such a config key is ignored.
+ignored so one file can serve the whole pipeline. A flag that the other
+options leave unused, such as a ``train`` flag that the chosen model does
+not use, is an error; such a config key is ignored.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
@@ -158,15 +159,18 @@ def _configure_threads() -> None:
 def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            config[_DESTS.get(key, key)] = value.strip()
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                key = key.strip().replace("-", "_")
+                config[_DESTS.get(key, key)] = value.strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return config
 
 
@@ -191,14 +195,17 @@ def _resolve_options(args, config: dict[str, str]) -> set[str]:
     return given
 
 
-def _check_train_flags(args, given: set[str]) -> None:
-    """Raise ValueError for a train flag that the chosen model, or --no-scale, leaves unused.
+def _check_unused_flags(args, given: set[str]) -> None:
+    """Raise ValueError for a flag that the command's other options leave unused.
 
-    Only flags are checked: one config file serves every model, so its
-    keys for another model are ignored, as unknown keys are.
+    Those are split's --scale-outcome without --scale-full, and a train flag
+    that the chosen model, or --no-scale, leaves unused. Only flags are checked:
+    one config file serves every command and model, so its other keys are ignored.
     """
-    if args.model is None:
-        return  # cmd_train reports it
+    if args.command == "split" and "scale_outcome" in given and not args.scale_full:
+        raise ValueError("--scale-outcome does not apply without --scale-full")
+    if args.command != "train" or args.model is None:
+        return  # cmd_train reports a missing --model
     for name, models in _MODEL_OPTIONS.items():
         if name in given and args.model not in models:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to --model {args.model}")
@@ -410,9 +417,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_categories(path: str) -> dict[str, str]:
+def _load_categories(path: str, model) -> dict[str, str]:
+    """The feature -> category rows of a categories CSV, each feature one of the model's."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows or [c.strip().lower() for c in rows[0]] != ["feature", "category"]:
         raise ValueError(f"{path}: expected a CSV with header 'feature,category'")
     out: dict[str, str] = {}
@@ -421,6 +432,8 @@ def _load_categories(path: str) -> dict[str, str]:
             raise ValueError(f"{path}: every row needs exactly feature,category")
         if row[0] in out:
             raise ValueError(f"{path}: feature {row[0]!r} is listed twice")
+        if row[0] not in model.feature_names:
+            raise ValueError(f"{path}: feature {row[0]!r} is not a feature of the model")
         out[row[0]] = row[1]
     return out
 
@@ -441,7 +454,7 @@ def cmd_riskfactors(args) -> int:
             raise ValueError(f"--levels names {level!r} twice")
     if "cluster" in levels and model.model_type != "cmtl":
         raise ValueError("the cluster level requires a cmtl model")
-    categories = _load_categories(args.categories) if args.categories else None
+    categories = _load_categories(args.categories, model) if args.categories else None
     top_k = min(args.top, model.n_features)
     assignments = model.assignments if model.model_type == "cmtl" else None
     report = riskfactors.build_report(
@@ -496,9 +509,7 @@ def main(argv=None) -> int:
     try:
         _configure_threads()
         config = _load_config(args.config) if args.config else {}
-        given = _resolve_options(args, config)
-        if args.command == "train":
-            _check_train_flags(args, given)
+        _check_unused_flags(args, _resolve_options(args, config))
         return args.handler(args)
     except (TaskregError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -334,23 +334,27 @@ def stream_csv(path, task_column: str, outcome_column: str, sink_for: Callable[.
     The body is read in one pass, :data:`_CHUNK_LINES` records at a time
     (:func:`_body_chunks`), and each chunk's kept rows go to the sink, so
     only what the sink keeps grows with the row count. A row with a blank
-    outcome is dropped and counted in ``dropped_rows``. Once the body is
-    read, a file with no body record is a :class:`SchemaError`, and a task
-    all of whose rows were dropped a :class:`DegenerateTaskError`.
+    outcome is dropped and counted in ``dropped_rows``. Text that is not
+    UTF-8 is a ValueError naming the file. Once the body is read, a file
+    with no body record is a :class:`SchemaError`, and a task all of whose
+    rows were dropped a :class:`DegenerateTaskError`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        layout = _read_header(fh, path, task_column, outcome_column)
-        header, _, _, feature_idx = layout
-        sink = sink_for(tuple(header[i] for i in feature_idx))
-        codes: dict[str, int] = {}
-        kept_per_task = np.zeros(0, dtype=np.intp)
-        records = 0
-        for chunk_records, task, x, y in _body_chunks(fh, path, layout, codes):
-            records += chunk_records
-            counts = np.bincount(task, minlength=len(codes))
-            counts[: kept_per_task.size] += kept_per_task
-            kept_per_task = counts
-            sink.add(tuple(codes), task, x, y)
+        try:
+            layout = _read_header(fh, path, task_column, outcome_column)
+            header, _, _, feature_idx = layout
+            sink = sink_for(tuple(header[i] for i in feature_idx))
+            codes: dict[str, int] = {}
+            kept_per_task = np.zeros(0, dtype=np.intp)
+            records = 0
+            for chunk_records, task, x, y in _body_chunks(fh, path, layout, codes):
+                records += chunk_records
+                counts = np.bincount(task, minlength=len(codes))
+                counts[: kept_per_task.size] += kept_per_task
+                kept_per_task = counts
+                sink.add(tuple(codes), task, x, y)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not codes:
         raise SchemaError(f"{path}: no data rows")
     for label, kept in zip(codes, kept_per_task):
@@ -367,12 +371,10 @@ def load_csv(path, task_column: str, outcome_column: str) -> "RowTable":
     The header row is required. Rows with an empty outcome cell are
     dropped and counted in ``dropped_rows``. An empty or non-numeric
     feature cell is a :class:`ParseError`; there is no imputation. The
-    file is read by :func:`stream_csv`. The table is allocated once, for
-    as many rows as the file has line ends, and is never copied to grow.
+    file is read once, by :func:`stream_csv`, and the table grows in place
+    by each chunk's kept rows (:class:`_TableSink`).
     """
-    return stream_csv(
-        path, task_column, outcome_column, lambda names: _TableSink(names, _line_ends(path))
-    )
+    return stream_csv(path, task_column, outcome_column, _TableSink)
 
 
 def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
@@ -411,52 +413,35 @@ class RowTable:
 class _TableSink:
     """The kept rows as one :class:`RowTable`, for :func:`load_csv`.
 
-    The table is allocated once for ``capacity`` rows, a bound on the kept
-    rows, so it is never copied to grow; the rows past the last kept one
-    are never written, so their pages are never touched.
+    The table and the row codes grow in place by each chunk's rows
+    (``ndarray.resize``, a ``realloc``), so the finished table has no spare rows.
     """
 
-    def __init__(self, feature_names, capacity: int):
+    def __init__(self, feature_names):
         self.feature_names = feature_names
-        self.table = np.empty((capacity, len(feature_names) + 1))
-        self.codes = np.empty(capacity, dtype=np.intp)
-        self.rows = 0
+        self.table = np.empty((0, len(feature_names) + 1))
+        self.codes = np.empty(0, dtype=np.intp)
 
     def add(self, labels, task, x, y):
-        end = self.rows + task.size
-        self.table[self.rows : end, :-1] = x
-        self.table[self.rows : end, -1] = y
-        self.codes[self.rows : end] = task
-        self.rows = end
+        start = self.codes.size
+        end = start + task.size
+        # refcheck=False is safe only while nothing holds a view of the table across add.
+        self.table.resize((end, self.table.shape[1]), refcheck=False)
+        self.codes.resize(end, refcheck=False)
+        self.table[start:, :-1] = x
+        self.table[start:, -1] = y
+        self.codes[start:] = task
 
     def finish(self, labels, dropped_rows):
-        codes = self.codes[: self.rows]
-        order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=len(labels)))[:-1]
+        order = np.argsort(self.codes, kind="stable")
+        ends = np.cumsum(np.bincount(self.codes, minlength=len(labels)))[:-1]
         return RowTable(
-            table=self.table[: self.rows],
+            table=self.table,
             task_rows=tuple(np.split(order, ends)),
             task_labels=labels,
             feature_names=self.feature_names,
             dropped_rows=dropped_rows,
         )
-
-
-def _line_ends(path) -> int:
-    """A bound on the body records of a CSV file: its count of line ends.
-
-    A text read with ``newline=""`` ends a line at "\\n", "\\r\\n" or a lone
-    "\\r". The header ends at one, and every body record but the last ends
-    at one, or the file ends. (A "\\r\\n" that straddles two blocks counts
-    twice, which keeps the count a bound.)
-    """
-    ends = 0
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            if block.endswith(b"\r"):
-                block += fh.read(1)
-            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-    return ends
 
 
 class _FactorSink:

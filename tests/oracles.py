@@ -458,7 +458,7 @@ def factors(ds: MultiTaskDataset):
 
 def row_table(ds: MultiTaskDataset) -> RowTable:
     """The dataset's rows as one writable :class:`~taskreg.dataset.RowTable`, task after task."""
-    return stream_dataset(ds, lambda names: _TableSink(names, ds.n_rows))
+    return stream_dataset(ds, _TableSink)
 
 
 def evaluate(model, ds: MultiTaskDataset, total_mode: str = "pooled"):

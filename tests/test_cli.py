@@ -169,6 +169,28 @@ def test_train_rejects_a_flag_the_model_does_not_use(tmp_path, capsys, options, 
     assert not out.exists()
 
 
+def test_split_rejects_scale_outcome_without_scale_full(tmp_path, capsys):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    outputs = [tmp_path / name for name in ("train.csv", "test.csv", "manifest.json")]
+    argv = ["split", str(csv_path), "--train-out", str(outputs[0]), "--test-out", str(outputs[1]),
+            "--manifest", str(outputs[2])]
+    code = cli.main([*argv, "--scale-outcome"])
+    captured = capsys.readouterr()
+    assert captured.err == "error: --scale-outcome does not apply without --scale-full\n"
+    assert code == 2
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+    # --scale-full from the config file makes the flag apply.
+    config = tmp_path / "run.cfg"
+    config.write_text("scale-full = true\n", encoding="utf-8")
+    assert cli.main([*argv, "--scale-outcome", "--config", str(config)]) == 0
+    assert json.loads(outputs[2].read_text())["scale_outcome"] is True
+    # A config key is ignored, as train ignores it under --no-scale.
+    config.write_text("scale-outcome = true\n", encoding="utf-8")
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    assert json.loads(outputs[2].read_text())["scale_outcome"] is False
+
+
 def test_train_ignores_config_keys_the_model_does_not_use(tmp_path, capsys):
     # One config file serves every model, so another model's keys are no error.
     train = _write_csv(tmp_path / "data.csv")
@@ -348,6 +370,24 @@ def test_riskfactors_rejects_a_feature_listed_twice_in_categories(tmp_path, caps
     assert capsys.readouterr().err == f"error: {categories}: feature 'f0' is listed twice\n"
     assert code == 2
     assert not out_json.exists()
+
+
+def test_riskfactors_rejects_a_category_feature_the_model_does_not_have(tmp_path, capsys):
+    train = _write_csv(tmp_path / "data.csv")
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    categories = tmp_path / "categories.csv"
+    categories.write_text("feature,category\nf0,a\nf99,b\n", encoding="utf-8")
+    outputs = [tmp_path / "rf.json", tmp_path / "rf.csv"]
+    capsys.readouterr()
+    code = cli.main(
+        ["riskfactors", "--model", str(model), "--categories", str(categories),
+         "--out-json", str(outputs[0]), "--out-csv", str(outputs[1])]
+    )
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {categories}: feature 'f99' is not a feature of the model\n"
+    assert code == 2
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
 
 
 def test_riskfactors_rejects_a_level_named_twice(tmp_path, capsys):
@@ -653,6 +693,37 @@ def test_unreadable_model_file_is_named(tmp_path, capsys, command, content, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["split", "train", "evaluate", "config", "categories"])
+def test_input_that_is_not_utf8_is_named(tmp_path, capsys, which):
+    data = _write_csv(tmp_path / "data.csv")
+    model = _train(tmp_path, data, "m.json", "--model", "mtl")
+    bad = tmp_path / "bad"
+    good = {"config": "seed = 1\n", "categories": "feature,category\nf0,a\n"}.get(which)
+    text = good.encode("utf-8") if good else data.read_bytes()
+    bad.write_bytes(text[:21] + b"\xff" + text[21:])
+    out = tmp_path / "out"
+    argv = {
+        "split": ["split", str(bad), "--train-out", str(out), "--test-out", str(tmp_path / "o2"),
+                  "--manifest", str(tmp_path / "o3")],
+        "train": ["train", str(bad), "--model", "mtl", "--out", str(out)],
+        "evaluate": ["evaluate", str(bad), "--model", str(model), "--out", str(out)],
+        "config": ["split", str(data), "--config", str(bad), "--train-out", str(out)],
+        "categories": ["riskfactors", "--model", str(model), "--categories", str(bad),
+                       "--out-json", str(out), "--out-csv", str(tmp_path / "o2")],
+    }[which]
+    capsys.readouterr()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    # The position is the codec's, within its read buffer, so only its form is pinned.
+    assert re.fullmatch(
+        re.escape(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+        + r"\d+: invalid start byte\n",
+        captured.err,
+    ), captured.err
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -883,6 +954,8 @@ def test_output_naming_an_input_or_another_output_is_rejected(
 
 
 _POSITIONALS = {"split": ["data.csv"], "train": ["data.csv"], "evaluate": ["test.csv"]}
+# The flags an option applies only with.
+_NEEDS = {("split", "scale_outcome"): ["--scale-full"]}
 _OPTION_ROWS = [(command, *row) for command, rows in cli._OPTIONS.items() for row in rows]
 
 
@@ -913,7 +986,7 @@ def test_config_line_sets_what_its_flag_sets(
     flag_words, text = _flag_and_config_values(flag, kind, default)
     config = tmp_path / "run.cfg"
     config.write_text(f"{flag[2:] if spelling == 'flag' else dest} = {text}\n", encoding="utf-8")
-    argv = [command, *_POSITIONALS.get(command, [])]
+    argv = [command, *_POSITIONALS.get(command, []), *_NEEDS.get((command, name), [])]
     assert cli.main([*argv, *flag_words]) == 0
     assert cli.main([*argv, "--config", str(config)]) == 0
     by_flag, by_config = ({k: v for k, v in args.items() if k != "config"} for args in seen)

@@ -29,7 +29,6 @@ from taskreg import (
     write_csv,
 )
 from taskreg import cli, dataset
-from taskreg.dataset import _line_ends
 
 
 def _rows(path, task_column, outcome_column):
@@ -908,12 +907,30 @@ def test_table_scaling_matches_minmax_scale(tmp_path, scale_outcome):
         assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_csv_opens_its_input_once(tmp_path, monkeypatch):
+    path = _write(tmp_path, _chunked_panel(0, 7, newline="\n"))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+    load_csv(path, "site", "outcome")
+    assert opened == [path]
+
+
 @pytest.mark.parametrize("final_newline", [True, False])
-def test_line_ends_bound_the_records(tmp_path, newline, final_newline):
-    text = _random_panel(2, newline=newline, final_newline=final_newline, cell=_float_repr)
-    path = tmp_path / "panel.csv"
-    path.write_bytes(text.encode("utf-8"))
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = sum(1 for _ in fh)
-    assert _line_ends(path) == lines - (not final_newline)
+def test_split_bytes_do_not_depend_on_line_endings(tmp_path, final_newline):
+    sides = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        source = tmp_path / f"{name}.csv"
+        text = _random_panel(2, newline=newline, final_newline=final_newline, cell=_float_repr)
+        source.write_bytes(text.encode("utf-8"))
+        out = {side: tmp_path / f"{name}_{side}.csv" for side in ("train", "test")}
+        argv = ["split", str(source), "--task-column", "site", "--train-out", str(out["train"]),
+                "--test-out", str(out["test"]), "--manifest", str(tmp_path / f"{name}.json")]
+        assert cli.main(argv) == 0
+        sides[name] = [path.read_bytes() for path in out.values()]
+    assert sides["crlf"] == sides["lf"]
+    assert sides["cr"] == sides["lf"]
