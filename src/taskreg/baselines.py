@@ -74,33 +74,30 @@ def _penalty_value(w: np.ndarray, penalty: str, lam: float) -> np.ndarray:
     return np.zeros(w.shape[:-1])
 
 
-def _make_prox(penalty: str, lam: float):
-    if penalty == "ridge":
+def _make_prox(penalty: str, lam: float, n_features: int):
+    """The prox of the penalty on the first ``n_features`` weights; an intercept after them is kept."""
 
-        def prox(h, step):
-            return h / (1.0 + 2.0 * lam * step)
-
-    elif penalty == "lasso":
-
-        def prox(h, step):
-            return np.sign(h) * np.maximum(np.abs(h) - lam * step, 0.0)
-
-    else:
-
-        def prox(h, step):
-            return h.copy()
+    def prox(h, step):
+        out = h.copy()
+        w = out[..., :n_features]
+        if penalty == "ridge":
+            w /= 1.0 + 2.0 * lam * step
+        elif penalty == "lasso":
+            w[...] = np.sign(w) * np.maximum(np.abs(w) - lam * step, 0.0)
+        return out
 
     return prox
 
 
-def _stl_problem(r: np.ndarray, spec: StlSpec) -> ProximalProblem:
+def _stl_problem(r: np.ndarray, spec: StlSpec, n_features: int) -> ProximalProblem:
     """Penalized least squares on an R factor [A | b] of the rows [X | y].
 
     ||Xw - y|| = ||Aw - b||. ``r`` is one factor, fitted by one weight
     vector, or a (T, rows, width) stack of them
     (:meth:`TaskFactors.design_stack`), fitted by a (T, width - 1) weight
     matrix as T blocks of one solve: each value is then a vector over the
-    tasks and each value or gradient one batched matmul.
+    tasks and each value or gradient one batched matmul. Only the first
+    ``n_features`` weights are penalized; a weight after them is the intercept.
     """
 
     def smooth_value(w):
@@ -111,12 +108,12 @@ def _stl_problem(r: np.ndarray, spec: StlSpec) -> ProximalProblem:
         return residual_gradient(r, residuals(r, w))
 
     def full_objective(w):
-        return smooth_value(w) + _penalty_value(w, spec.penalty, spec.lam)
+        return smooth_value(w) + _penalty_value(w[..., :n_features], spec.penalty, spec.lam)
 
     return ProximalProblem(
         smooth_value=smooth_value,
         smooth_grad=smooth_grad,
-        prox=_make_prox(spec.penalty, spec.lam),
+        prox=_make_prox(spec.penalty, spec.lam, n_features),
         full_objective=full_objective,
     )
 
@@ -150,11 +147,11 @@ def fit_stl(
     if spec.setting == "global":
         # The zero padding rows of the stack leave the pooled factor's Gram matrix unchanged.
         r = np.linalg.qr(stack.reshape(-1, stack.shape[2]), mode="r")
-        w, trace = solve(_stl_problem(r, spec), np.zeros(r.shape[1] - 1), cfg)
+        w, trace = solve(_stl_problem(r, spec, n_features), np.zeros(r.shape[1] - 1), cfg)
         weights_full = np.tile(w, (n_tasks, 1))
     else:
         weights_full, trace = solve(
-            _stl_problem(stack, spec), np.zeros((n_tasks, stack.shape[2] - 1)), cfg
+            _stl_problem(stack, spec, n_features), np.zeros((n_tasks, stack.shape[2] - 1)), cfg
         )
 
     if fit_intercept:

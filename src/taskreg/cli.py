@@ -158,7 +158,7 @@ def _configure_threads() -> None:
 
 def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -419,7 +419,7 @@ def cmd_evaluate(args) -> int:
 
 def _load_categories(path: str, model) -> dict[str, str]:
     """The feature -> category rows of a categories CSV, each feature one of the model's."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:

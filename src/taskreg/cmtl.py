@@ -183,8 +183,8 @@ def _is_positive_definite(m: np.ndarray) -> bool:
     return True
 
 
-class _SmoothPart:
-    """The smooth part of the cmtl objective on the stacked [W | C].
+class _Objective:
+    """The cmtl objective on the stacked [W | C]: its smooth part and its prox.
 
     Each task's data enters through its design factor R_t = [A_t | b_t] of
     [X_t | y_t], since ||X_t w - y_t|| = ||A_t w - b_t||. The factors are
@@ -195,40 +195,46 @@ class _SmoothPart:
     fits); it is weighted by 2/n_t with the true row counts n_t, which the
     factors' shapes do not show.
 
-    The value is +inf unless every eigenvalue of eta*I + C exceeds
-    ``_PD_FLOOR``. The last evaluated point is remembered by value (a
-    stored copy compared with ``np.array_equal``), with its value,
-    (eta*I + C)^{-1} W and per-task residuals, so a gradient or objective
-    at that point reuses them. ``seed_spectrum`` hands over the eigenpairs
-    of a projected :class:`RelaxedClusterMatrix`; a point whose C block is
-    that matrix uses them. Any other point, such as a momentum search
-    point, tests the floor with a Cholesky factorization and solves with
-    ``np.linalg.solve``, so the fit decomposes nothing but projections.
+    The smooth part is +inf unless every eigenvalue of eta*I + C exceeds
+    ``_PD_FLOOR``. The prox leaves W alone and projects C onto the relaxed
+    cluster set (:func:`project_spectral`), then evaluates the smooth part
+    at the point it returns from that projection's eigenpairs. Any other
+    point, such as a momentum search point, tests the floor with a
+    Cholesky factorization and solves with ``np.linalg.solve``, so the fit
+    decomposes nothing but projections. Either way the point is remembered
+    by value (a stored copy compared with ``np.array_equal``), with its
+    value, (eta*I + C)^{-1} W and per-task residuals, so a value or
+    gradient at that point reuses them.
     """
 
     def __init__(self, factors: TaskFactors, params: CmtlParams):
         self._r = factors.design_stack(intercept=False)
         self._counts = np.array(factors.counts, dtype=np.float64)
         self._n_features = factors.n_features
+        self._k = params.k
         self._eta = params.eta
         self._coupling = params.coupling
         # The last evaluated point and what was computed there.
         self._point = self._value = self._solved = self._resid = None
-        # (C block, eigenvalues, eigenvectors) handed over by seed_spectrum.
-        self._spectrum = None
 
-    def seed_spectrum(self, cluster_matrix: RelaxedClusterMatrix) -> None:
-        self._spectrum = (cluster_matrix.matrix, *cluster_matrix.spectrum)
+    def prox(self, h: np.ndarray, step) -> np.ndarray:
+        j = self._n_features
+        # A global lookup, so a wrapper put on cmtl.project_spectral sees every call.
+        projected = project_spectral(h[:, j:], self._k)
+        z = np.hstack([h[:, :j], projected.matrix])
+        eigs, vecs = projected.spectrum
+        vals = eigs + self._eta
+        solved = vecs @ ((vecs.T @ z[:, :j]) / vals[:, None])
+        self._evaluate(z, (vals.min() > _PD_FLOOR, solved))
+        return z
 
-    def _evaluate(self, z: np.ndarray) -> None:
-        if self._point is not None and np.array_equal(z, self._point):
-            return
+    def _evaluate(self, z: np.ndarray, spectral=None) -> None:
+        """Remember z; ``spectral`` is (positive, (eta*I + C)^{-1} W) from C's eigenpairs."""
         w, c = z[:, : self._n_features], z[:, self._n_features :]
-        spectrum = self._spectrum
-        if spectrum is not None and np.array_equal(c, spectrum[0]):
-            vals, vecs = spectrum[1] + self._eta, spectrum[2]
-            positive = vals.min() > _PD_FLOOR
-            solved = vecs @ ((vecs.T @ w) / vals[:, None])
+        if spectral is not None:
+            positive, solved = spectral
+        elif self._point is not None and np.array_equal(z, self._point):
+            return
         else:
             sym, eye = 0.5 * (c + c.T), np.eye(c.shape[0])
             positive = _is_positive_definite(sym + (self._eta - _PD_FLOOR) * eye)
@@ -284,26 +290,16 @@ def fit_cmtl(
     n_tasks, n_features = factors.n_tasks, factors.n_features
     if not 1 <= params.k < n_tasks:
         raise ValueError(f"k must be in [1, {n_tasks - 1}], got {params.k}")
-    smooth = _SmoothPart(factors, params)
-
-    def split(z):
-        return z[:, :n_features], z[:, n_features:]
-
-    def prox(h, step):
-        w_part, c_part = split(h)
-        projected = project_spectral(c_part, params.k)
-        smooth.seed_spectrum(projected)
-        return np.hstack([w_part, projected.matrix])
-
+    objective = _Objective(factors, params)
     z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
     problem = ProximalProblem(
-        smooth_value=smooth.value,
-        smooth_grad=smooth.grad,
-        prox=prox,
-        full_objective=smooth.value,
+        smooth_value=objective.value,
+        smooth_grad=objective.grad,
+        prox=objective.prox,
+        full_objective=objective.value,
     )
     z_hat, trace = solve(problem, z0, cfg)
-    w_hat, c_hat = split(z_hat)
+    w_hat, c_hat = z_hat[:, :n_features], z_hat[:, n_features:]
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
     assignments = extract_clusters(cluster_matrix.matrix, params.k, kmeans_seed)
     return MtlModel(

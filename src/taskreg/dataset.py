@@ -334,12 +334,13 @@ def stream_csv(path, task_column: str, outcome_column: str, sink_for: Callable[.
     The body is read in one pass, :data:`_CHUNK_LINES` records at a time
     (:func:`_body_chunks`), and each chunk's kept rows go to the sink, so
     only what the sink keeps grows with the row count. A row with a blank
-    outcome is dropped and counted in ``dropped_rows``. Text that is not
-    UTF-8 is a ValueError naming the file. Once the body is read, a file
-    with no body record is a :class:`SchemaError`, and a task all of whose
-    rows were dropped a :class:`DegenerateTaskError`.
+    outcome is dropped and counted in ``dropped_rows``. A leading UTF-8
+    byte-order mark is skipped, and text that is not UTF-8 is a ValueError
+    naming the file. Once the body is read, a file with no body record is
+    a :class:`SchemaError`, and a task all of whose rows were dropped a
+    :class:`DegenerateTaskError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             layout = _read_header(fh, path, task_column, outcome_column)
             header, _, _, feature_idx = layout

@@ -34,6 +34,11 @@ _MOMENTUM_MODES = ("delayed", "standard", "none")
 # candidate equal to S can fail L <= Q by one ulp and double gamma forever.
 _DESCENT_SLACK = 1e-12
 
+# The line search starts each block at gamma 1 and doubles it at most 100 times.
+_GAMMA0 = 1.0
+_BACKTRACK_FACTOR = 2.0
+_MAX_BACKTRACKS = 100
+
 
 @dataclass(frozen=True)
 class ProximalProblem:
@@ -69,9 +74,6 @@ class ProximalProblem:
 class SolverConfig:
     max_iters: int = 1000
     rel_tol: float = 1e-6
-    gamma0: float = 1.0
-    backtrack_factor: float = 2.0
-    max_backtracks: int = 100
     momentum: str = "delayed"
 
     def __post_init__(self):
@@ -79,14 +81,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise ValueError(f"gamma0 must be finite and > 0, got {self.gamma0}")
-        if not (math.isfinite(self.backtrack_factor) and self.backtrack_factor > 1):
-            raise ValueError(
-                f"backtrack_factor must be finite and > 1, got {self.backtrack_factor}"
-            )
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
         if self.momentum not in _MOMENTUM_MODES:
             raise ValueError(f"momentum must be one of {_MOMENTUM_MODES}, got {self.momentum!r}")
 
@@ -158,7 +152,7 @@ def _trail(records) -> list:
     return [np.asarray(f).tolist() for f, *_ in records]
 
 
-def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, cfg, records):
+def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, records):
     """Double each pending block's gamma until its descent condition holds.
 
     Returns (candidate, gamma, smooth_at_candidate, surrogate_value). A
@@ -167,7 +161,7 @@ def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, cfg, records):
     blocks = np.shape(gamma)
     candidate, smooth_cand, q = s, smooth_s, smooth_s
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(smooth_s))
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         trial = problem.prox(s - grad_s / _rows(gamma, s), 1.0 / _rows(gamma, s))
         smooth_trial = _per_block(problem.smooth_value(trial))
         delta = trial - s
@@ -181,9 +175,9 @@ def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, cfg, records):
         pending = pending & ~accept
         if not _any(pending):
             return candidate, gamma, smooth_cand, q
-        gamma = _where(pending, gamma * cfg.backtrack_factor, gamma)
+        gamma = _where(pending, gamma * _BACKTRACK_FACTOR, gamma)
     raise LineSearchError(
-        f"no acceptable step after {cfg.max_backtracks} backtracks "
+        f"no acceptable step after {_MAX_BACKTRACKS} backtracks "
         f"(gamma reached {np.max(_where(pending, gamma, 0.0)):.3g}); "
         "smooth gradient may be inconsistent",
         _trail(records),
@@ -238,7 +232,7 @@ def solve(
     # Per iteration: objective, gamma, smooth value and surrogate of each block.
     records: list[tuple[np.ndarray, ...]] = []
 
-    gamma = _per_block(np.full(blocks, cfg.gamma0))
+    gamma = _per_block(np.full(blocks, _GAMMA0))
     d_prev_prev = _per_block(np.zeros(blocks))  # d_{l-2}
     d_prev = _per_block(np.ones(blocks))  # d_{l-1}
     no_momentum = _per_block(np.zeros(blocks))
@@ -274,7 +268,7 @@ def solve(
         grad_s = problem.smooth_grad(s)
 
         phi_next, gamma, smooth_next, q_next = _backtrack(
-            problem, s, smooth_s, grad_s, gamma, active, cfg, records
+            problem, s, smooth_s, grad_s, gamma, active, records
         )
         f_next = _per_block(problem.full_objective(phi_next))
         if _any(active & ~np.isfinite(f_next)):

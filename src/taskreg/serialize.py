@@ -219,7 +219,7 @@ def load_model(path):
     def reject_constant(token: str):
         raise ValueError(f"non-finite number {token} is not allowed")
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             # Text that is not UTF-8 or not JSON is a ValueError too.
             data = json.load(fh, parse_constant=reject_constant)

@@ -724,6 +724,47 @@ def test_input_that_is_not_utf8_is_named(tmp_path, capsys, which):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["split", "train", "evaluate", "config", "categories", "model"])
+def test_input_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path, which):
+    # Spreadsheet programs save "CSV UTF-8" with a leading BOM; every text input skips it.
+    data = _write_csv(tmp_path / "data.csv")
+    files = {
+        "data": data,
+        "model": _train(tmp_path, data, "m.json", "--model", "mtl"),
+        "config": tmp_path / "run.cfg",
+        "categories": tmp_path / "categories.csv",
+    }
+    files["config"].write_text("lambda = 5\n", encoding="utf-8")
+    files["categories"].write_text("feature,category\nf0,a\n", encoding="utf-8")
+    key = which if which in files else "data"
+    bom = tmp_path / "bom"
+    bom.write_bytes(b"\xef\xbb\xbf" + files[key].read_bytes())
+    written = []
+    for source in (files[key], bom):
+        f = {**files, key: source}
+        out = tmp_path / f"out{len(written)}"
+        out.mkdir()
+        riskfactors = ["riskfactors", "--model", str(f["model"]), "--out-json",
+                       str(out / "rf.json"), "--out-csv", str(out / "rf.csv")]
+        argv = {
+            "split": ["split", str(f["data"]), "--train-out", str(out / "train.csv"),
+                      "--test-out", str(out / "test.csv"),
+                      "--manifest", str(tmp_path / f"{out.name}.json")],
+            "train": ["train", str(f["data"]), "--model", "mtl", "--out", str(out / "m.json")],
+            "evaluate": ["evaluate", str(f["data"]), "--model", str(f["model"]),
+                         "--out", str(out / "mae.csv")],
+            "config": ["train", str(f["data"]), "--config", str(f["config"]), "--model", "mtl",
+                       "--out", str(out / "m.json")],
+            "categories": [*riskfactors, "--categories", str(f["categories"])],
+            "model": riskfactors,
+        }[which]
+        assert cli.main(argv) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] == written[1]
+    if which == "config":
+        assert load_model(tmp_path / "out1" / "m.json").lam == 5.0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

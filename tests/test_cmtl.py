@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from taskreg.cmtl import (
-    _SmoothPart,
+    _Objective,
     CmtlParams,
     RelaxedClusterMatrix,
     capped_simplex_project,
@@ -586,23 +586,23 @@ def test_smooth_part_compares_points_by_value():
     rng = np.random.default_rng(61)
     ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
-    smooth = _SmoothPart(factors(ds), params)
-    cluster = project_spectral(rng.normal(size=(4, 4)), 2)
-    smooth.seed_spectrum(cluster)
-    z = np.hstack([rng.normal(size=(4, 3)), cluster.matrix])
+    objective = _Objective(factors(ds), params)
+    # The prox evaluates the point it returns from its projection's eigenpairs.
+    z = objective.prox(rng.normal(size=(4, 7)), 1.0)
 
     def expected(z):
         w, c = z[:, :3], z[:, 3:]
         return cmtl_objective(w, c, ds, params), grad_phi(w, c, ds, params)
 
+    assert objective.value(z) == pytest.approx(expected(z)[0], rel=1e-12)
     for mutate in (lambda z: z.__setitem__((0, 0), z[0, 0] + 1.0),
                    lambda z: z.__setitem__((slice(None), slice(3, None)), np.eye(4) / 2)):
-        before = smooth.value(z)
+        before = objective.value(z)
         mutate(z)  # same array object, new contents
         value, grad_w = expected(z)
-        assert smooth.value(z) != before
-        assert smooth.value(z) == pytest.approx(value, rel=1e-12)
-        np.testing.assert_allclose(smooth.grad(z)[:, :3], grad_w, rtol=1e-10, atol=1e-12)
+        assert objective.value(z) != before
+        assert objective.value(z) == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(objective.grad(z)[:, :3], grad_w, rtol=1e-10, atol=1e-12)
 
 
 def test_projection_keeps_a_spectrum_of_its_matrix():
@@ -639,16 +639,17 @@ def test_smooth_part_is_inf_unless_coupling_is_positive_definite(min_eig, finite
     # A point no projection produced: the Cholesky test decides.
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
     c = (q * np.array([min_eig - params.eta, 0.3, 0.5, 0.9])) @ q.T
-    value = _SmoothPart(data, params).value(np.hstack([w, 0.5 * (c + c.T)]))
+    value = _Objective(data, params).value(np.hstack([w, 0.5 * (c + c.T)]))
     assert math.isfinite(value) == finite
 
-    # A projected point: its own eigenvalues decide. With eta = min_eig and a
-    # zero eigenvalue of C, min eig(eta*I + C) is min_eig.
+    # A point the prox returns: its projection's eigenvalues decide. C is in
+    # the feasible set already, so the projection keeps its zero eigenvalue
+    # (up to roundoff), and with eta = min_eig, min eig(eta*I + C) is min_eig.
     params = CmtlParams(rho1=1.0, rho2=min_eig, k=2)
-    cluster = RelaxedClusterMatrix._from_spectrum(np.array([0.0, 0.4, 0.6, 1.0]), q, 2)
-    smooth = _SmoothPart(data, params)
-    smooth.seed_spectrum(cluster)
-    assert math.isfinite(smooth.value(np.hstack([w, cluster.matrix]))) == finite
+    objective = _Objective(data, params)
+    c = (q * np.array([0.0, 0.4, 0.6, 1.0])) @ q.T
+    z = objective.prox(np.hstack([w, 0.5 * (c + c.T)]), 1.0)
+    assert math.isfinite(objective.value(z)) == finite
 
 
 def test_fit_decomposes_only_projections_and_the_result(monkeypatch):

@@ -83,17 +83,28 @@ _STL_PENALTIES = {
 }
 
 
-def _stl_reference(ds, setting, penalty, lam):
+def _stl_terms(penalty, lam, j):
+    """An stl penalty and its prox on the first j columns: a ones column after them is free."""
     value, prox = _STL_PENALTIES[penalty]
+
+    def prox_j(h, step):
+        out = h.copy()
+        out[..., :j] = prox(h[..., :j], step, lam)
+        return out
+
+    return (lambda w: value(w[..., :j], lam)), prox_j
+
+
+def _stl_reference(ds, setting, penalty, lam, intercept=False):
+    """With ``intercept`` the last column of each fit is the unpenalized intercept."""
+    value, prox = _stl_terms(penalty, lam, ds.n_features)
+    rows = _with_ones(ds) if intercept else ds
     if setting == "global":
-        pooled_x = np.vstack([t.X for t in ds.tasks])
-        blocks = [_dataset([pooled_x], [np.concatenate([t.Y for t in ds.tasks])])]
+        pooled_x = np.vstack([t.X for t in rows.tasks])
+        blocks = [_dataset([pooled_x], [np.concatenate([t.Y for t in rows.tasks])])]
     else:
-        blocks = [_dataset([t.X], [t.Y]) for t in ds.tasks]
-    fits = [
-        _reference(block, lambda w: value(w, lam), lambda h, step: prox(h, step, lam))
-        for block in blocks
-    ]
+        blocks = [_dataset([t.X], [t.Y]) for t in rows.tasks]
+    fits = [_reference(block, value, prox) for block in blocks]
     return np.vstack(fits * ds.n_tasks if setting == "global" else fits)
 
 
@@ -108,24 +119,35 @@ def test_mtl_matches_row_solve(intercept):
         np.testing.assert_allclose(model.intercept, ref[:, -1], rtol=0, atol=ATOL)
 
 
-@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("ridge", 0.2), ("lasso", 0.2)])
-@pytest.mark.parametrize("setting", ["individual", "global"])
-def test_stl_matches_row_solve(setting, penalty, lam):
+@pytest.mark.parametrize(
+    "setting, penalty, lam, intercept",
+    [
+        pytest.param(setting, penalty, lam, intercept,
+                     id=f"{setting}-{penalty}-{lam}" + "-intercept" * intercept)
+        for intercept in (False, True)
+        for setting in ("individual", "global")
+        for penalty, lam in (("none", 0.0), ("ridge", 0.2), ("lasso", 0.2))
+    ],
+)
+def test_stl_matches_row_solve(setting, penalty, lam, intercept):
     # Five and more rows per task, so the unpenalized individual fits are determined.
     ds = _ragged(2, sizes=(8, 12, 40, 250))
-    model = fit_stl(factors(ds), StlSpec(setting=setting, penalty=penalty, lam=lam), TIGHT)
-    ref = _stl_reference(ds, setting, penalty, lam)
-    np.testing.assert_allclose(model.weights, ref, rtol=0, atol=ATOL)
+    model = fit_stl(factors(ds), StlSpec(setting=setting, penalty=penalty, lam=lam), TIGHT,
+                    fit_intercept=intercept)
+    ref = _stl_reference(ds, setting, penalty, lam, intercept)
+    np.testing.assert_allclose(model.weights, ref[:, : ds.n_features], rtol=0, atol=ATOL)
+    expected_intercept = ref[:, ds.n_features] if intercept else 0.0
+    np.testing.assert_allclose(model.intercept, expected_intercept, rtol=0, atol=ATOL)
 
 
-def _row_solve(task_ds, penalty, lam, cfg):
-    """One task's own fista.solve on its rows, as (w, trace)."""
-    value, prox = _STL_PENALTIES[penalty]
+def _row_solve(task_ds, penalty, lam, cfg, j):
+    """One task's own fista.solve on its rows, as (w, trace); columns from j on are free."""
+    value, prox = _stl_terms(penalty, lam, j)
     problem = ProximalProblem(
         smooth_value=lambda w: loss(w, task_ds),
         smooth_grad=lambda w: grad_loss(w, task_ds),
-        prox=lambda h, step: prox(h, step, lam),
-        full_objective=lambda w: loss(w, task_ds) + value(w, lam),
+        prox=prox,
+        full_objective=lambda w: loss(w, task_ds) + value(w),
     )
     w, trace = solve(problem, np.zeros((1, task_ds.n_features)), cfg)
     return w[0], trace
@@ -143,7 +165,7 @@ def test_blocked_individual_stl_matches_one_solve_per_task(penalty, lam, interce
     rows = _with_ones(ds) if intercept else ds
     assert len(model.trace) == ds.n_tasks
     for t, task in enumerate(rows.tasks):
-        w, trace = _row_solve(_dataset([task.X], [task.Y]), penalty, lam, cfg)
+        w, trace = _row_solve(_dataset([task.X], [task.Y]), penalty, lam, cfg, ds.n_features)
         fitted = model.weights[t]
         if intercept:
             fitted = np.append(fitted, model.intercept[t])
@@ -199,7 +221,7 @@ def test_cli_train_matches_row_solve(tmp_path, options):
     else:
         setting = options[options.index("--setting") + 1]
         penalty = options[options.index("--penalty") + 1]
-        ref = _stl_reference(_with_ones(rows) if intercept else rows, setting, penalty, lam)
+        ref = _stl_reference(rows, setting, penalty, lam, intercept)
     j = rows.n_features
     np.testing.assert_allclose(model["weights"], ref[:, :j], rtol=0, atol=ATOL)
     expected_intercept = ref[:, j] if intercept else 0.0

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from taskreg import fista
 from taskreg.errors import DivergenceError, LineSearchError
 from taskreg.fista import (
     BlockTraces,
@@ -117,7 +118,7 @@ def test_first_step_records_the_oracle_surrogate():
         _least_squares_problem(x_mat, y),
         _lasso_problem(x_mat, y, 0.5),
     ):
-        phi1, trace = solve(problem, phi0, SolverConfig(max_iters=1, gamma0=0.5))
+        phi1, trace = solve(problem, phi0, SolverConfig(max_iters=1))
         assert trace.iterations == 1
         assert trace.objective_per_iter[0] < problem.full_objective(phi0)  # phi1 is the step
         expected = surrogate_q(problem, phi0, phi1, trace.gamma_per_iter[0])
@@ -135,29 +136,24 @@ def test_first_step_of_each_block_records_the_oracle_surrogate():
         assert trace.surrogate_per_iter[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def _one_step(problem, x0, gamma0):
+def _one_step(problem, x0):
     """One solver iteration from x0, a plain backtracked step: (x1, accepted gamma)."""
-    x1, trace = solve(problem, np.asarray(x0), SolverConfig(max_iters=1, gamma0=gamma0))
+    x1, trace = solve(problem, np.asarray(x0), SolverConfig(max_iters=1))
     return x1, trace.gamma_per_iter[0]
 
 
-def test_backtracking_accepts_matching_curvature():
-    problem = _quadratic_problem(2.0)
-    step, gamma = _one_step(problem, [1.0], gamma0=2.0)
-    np.testing.assert_allclose(step, [0.0], atol=1e-12)
-    assert gamma == 2.0
-
-
 def test_backtracking_doubles_to_curvature():
-    # Curvature 16 from gamma0 = 1 needs doublings 2, 4, 8, 16.
+    # Curvature 16 from the start gamma 1 needs doublings 2, 4, 8, 16.
     problem = _quadratic_problem(16.0)
-    _, gamma = _one_step(problem, [1.0], gamma0=1.0)
+    _, gamma = _one_step(problem, [1.0])
     assert gamma == 16.0
 
 
 def test_backtracking_unit_quadratic_reaches_zero():
+    # The curvature matches the start gamma 1, so the first candidate is
+    # accepted, and it is the minimum.
     problem = _quadratic_problem(1.0)
-    step, gamma = _one_step(problem, [1.0], gamma0=1.0)
+    step, gamma = _one_step(problem, [1.0])
     np.testing.assert_allclose(step, [0.0], atol=1e-12)
     assert gamma == 1.0
 
@@ -171,14 +167,9 @@ def test_backtracking_applies_prox():
         prox=lambda h, step: np.sign(h) * np.maximum(np.abs(h) - 1.0, 0.0),
         full_objective=lambda x: float(np.abs(x).sum()),
     )
-    step, gamma = _one_step(problem, [3.0, -0.5], gamma0=1.0)
+    step, gamma = _one_step(problem, [3.0, -0.5])
     np.testing.assert_allclose(step, [2.0, 0.0])
     assert gamma == 1.0
-
-
-def test_backtracking_rejects_bad_gamma():
-    with pytest.raises(ValueError, match="gamma0"):
-        SolverConfig(gamma0=0.0)
 
 
 def test_solve_matches_normal_equations():
@@ -282,9 +273,11 @@ def test_trace_invariants():
     assert f_best <= problem.full_objective(phi0)
 
 
-def test_line_search_error_on_inconsistent_gradient():
+def test_line_search_error_on_inconsistent_gradient(monkeypatch):
     # Gradient with the wrong sign: no amount of curvature doubling can
-    # satisfy the descent condition.
+    # satisfy the descent condition. Thirty doublings keep gamma below the
+    # point where the descent slack would accept a step.
+    monkeypatch.setattr(fista, "_MAX_BACKTRACKS", 30)
     problem = ProximalProblem(
         smooth_value=lambda x: float(np.vdot(x, x)),
         smooth_grad=lambda x: -2.0 * x,
@@ -292,7 +285,7 @@ def test_line_search_error_on_inconsistent_gradient():
         full_objective=lambda x: float(np.vdot(x, x)),
     )
     with pytest.raises(LineSearchError) as exc_info:
-        solve(problem, np.array([1.0]), SolverConfig(max_backtracks=30))
+        solve(problem, np.array([1.0]))
     assert isinstance(exc_info.value.objective_trail, list)
 
 
@@ -329,15 +322,16 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         SolverConfig(rel_tol=-1e-9)
-    with pytest.raises(ValueError, match="gamma0"):
-        SolverConfig(gamma0=0.0)
-    with pytest.raises(ValueError, match="backtrack_factor"):
-        SolverConfig(backtrack_factor=1.0)
     with pytest.raises(ValueError, match="momentum"):
         SolverConfig(momentum="nesterov")
 
 
-@pytest.mark.parametrize("field", ["rel_tol", "gamma0", "backtrack_factor"])
+def test_config_holds_the_settings_commands_set():
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert names == ["max_iters", "rel_tol", "momentum"]
+
+
+@pytest.mark.parametrize("field", ["rel_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite and .*, got {value}$"):
@@ -430,7 +424,7 @@ def test_converged_block_no_longer_moves():
 
 @pytest.mark.parametrize("momentum", ["delayed", "standard", "none"])
 def test_backtracking_block_leaves_other_gammas_alone(momentum):
-    # Curvatures far apart: from gamma0 = 1 the stiff blocks double their
+    # Curvatures far apart: from gamma 1 the stiff blocks double their
     # gamma several times, the flat ones never do.
     problem = _blocked_lasso(21, n_blocks=4)
     cfg = SolverConfig(max_iters=400, rel_tol=1e-9, momentum=momentum)
@@ -446,8 +440,9 @@ def test_backtracking_block_leaves_other_gammas_alone(momentum):
         np.testing.assert_allclose(phi[b], w, rtol=0, atol=1e-12)
 
 
-def test_line_search_error_from_a_blocked_problem():
+def test_line_search_error_from_a_blocked_problem(monkeypatch):
     # Block 1's gradient has the wrong sign; block 0 is a plain quadratic.
+    monkeypatch.setattr(fista, "_MAX_BACKTRACKS", 30)
     def grad(x):
         g = 2.0 * x
         g[1] *= -1.0
@@ -456,7 +451,7 @@ def test_line_search_error_from_a_blocked_problem():
     value = lambda x: (x * x).sum(axis=1)  # noqa: E731
     problem = ProximalProblem(value, grad, _identity_prox, value)
     with pytest.raises(LineSearchError) as exc_info:
-        solve(problem, np.ones((2, 3)), SolverConfig(max_backtracks=30))
+        solve(problem, np.ones((2, 3)))
     assert isinstance(exc_info.value.objective_trail, list)
 
 
