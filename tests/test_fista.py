@@ -142,6 +142,16 @@ def _one_step(problem, x0):
     return x1, trace.gamma_per_iter[0]
 
 
+def test_backtracking_accepts_matching_curvature(monkeypatch):
+    # A start gamma equal to the curvature is accepted at once, and the
+    # step lands on the minimum.
+    monkeypatch.setattr(fista, "_GAMMA0", 2.0)
+    problem = _quadratic_problem(2.0)
+    step, gamma = _one_step(problem, [1.0])
+    np.testing.assert_allclose(step, [0.0], atol=1e-12)
+    assert gamma == 2.0
+
+
 def test_backtracking_doubles_to_curvature():
     # Curvature 16 from the start gamma 1 needs doublings 2, 4, 8, 16.
     problem = _quadratic_problem(16.0)
