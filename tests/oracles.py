@@ -22,6 +22,9 @@ evidence rather than tautology:
 - ``cmtl_loss``, ``cmtl_regularizer``, ``cmtl_objective``, ``grad_phi``
   and ``grad_c_step``: the cmtl objective and its gradient blocks on the
   raw rows, with (eta*I + C)^{-1} from an eigendecomposition.
+- ``cmtl_metric_back``: each task's L_t^{-T} of the preconditioned cmtl
+  fit, from a Cholesky factor of the Hessian built on the raw rows, one
+  task at a time; the package builds it from the batched QR factors.
 - ``surrogate_q``: the quadratic surrogate of the descent test, from two
   fresh callback evaluations at the search point.
 - ``MultiTaskDataset`` (of ``TaskData``): each task's rows as their own
@@ -332,6 +335,22 @@ def grad_c_step(phi_s: np.ndarray, c_s: np.ndarray, params, gamma: float) -> np.
         return c_s.copy()
     step = c_s - (1.0 / gamma) * _regularizer_grad_c(phi_s, c_s, params)
     return 0.5 * (step + step.T)
+
+
+def cmtl_metric_back(ds, params) -> np.ndarray:
+    """Each task's L_t^{-T}, stacked, for L_t L_t^T = (2/n_t) X_t^T X_t + delta*I.
+
+    delta = 2*coupling/(1+eta). The package floors delta at 1e-12 times
+    the trace of the task's Hessian; the tests use this oracle where that
+    floor lies below delta.
+    """
+    delta = 2.0 * params.coupling / (1.0 + params.eta)
+    backs = []
+    for task in ds.tasks:
+        eye = np.eye(task.X.shape[1])
+        low = np.linalg.cholesky((2.0 / task.n) * (task.X.T @ task.X) + delta * eye)
+        backs.append(np.linalg.solve(low.T, eye))
+    return np.array(backs)
 
 
 def surrogate_q(problem, s: np.ndarray, phi: np.ndarray, gamma: float) -> float:

@@ -557,6 +557,25 @@ def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, options, mess
     assert not out.exists()
 
 
+def test_train_cmtl_with_tiny_rho(tmp_path, capsys, monkeypatch):
+    # Tasks of 4 rows in 5 features: a weight metric ridged by delta = 2e-300
+    # alone is singular in floating point, so it is floored. A factorization
+    # that fails all the same is an error, not a traceback.
+    from taskreg import cmtl
+
+    train = _write_csv(tmp_path / "data.csv", n_rows=4)
+    out = tmp_path / "m.json"
+    argv = ["train", str(train), "--model", "cmtl", "--k", "2", "--rho1", "1e-300",
+            "--rho2", "1e-300", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "converged=True" in capsys.readouterr().out
+    out.unlink()
+    monkeypatch.setattr(cmtl, "_METRIC_FLOOR", 0.0)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: Matrix is not positive definite\n"
+    assert not out.exists()
+
+
 def test_train_warns_when_a_fit_does_not_converge(tmp_path, capsys):
     train = _write_csv(tmp_path / "data.csv")
     out = tmp_path / "m.json"

@@ -30,6 +30,7 @@ from oracles import (
     central_difference_grad,
     cluster_indicator,
     cmtl_loss,
+    cmtl_metric_back,
     cmtl_objective,
     cmtl_regularizer,
     dykstra_spectral_project,
@@ -527,17 +528,17 @@ def _ragged_dataset(rng, sizes, n_features):
     return _dataset(xs, ys)
 
 
-def test_fit_matches_reference_solve_on_ragged_tasks():
-    # Rows per task below and above J + 1 = 13, so the stacked R factors
-    # are both zero-padded and compressed.
-    n_features = 12
-    ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), n_features)
-    params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
-    cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
-    model = fit_cmtl(factors(ds), params, cfg)
+def _reference_solve(ds, params, cfg, back=None):
+    """FISTA over [W | C] on the oracles' objective, or over [V | C] with w_t = back_t v_t.
+
+    Returns the solution's W and C and the solve's trace.
+    """
+    n_tasks, n_features = ds.n_tasks, ds.n_features
+    if back is None:
+        back = np.broadcast_to(np.eye(n_features), (n_tasks, n_features, n_features))
 
     def split(z):
-        return z[:, :n_features], z[:, n_features:]
+        return np.einsum("tij,tj->ti", back, z[:, :n_features]), z[:, n_features:]
 
     def value(z):
         w, c = split(z)
@@ -548,17 +549,36 @@ def test_fit_matches_reference_solve_on_ragged_tasks():
 
     def grad(z):
         w, c = split(z)
-        grad_c = c - grad_c_step(w, c, params, gamma=1.0)
-        return np.hstack([grad_phi(w, c, ds, params), grad_c])
+        grad_v = np.einsum("tij,ti->tj", back, grad_phi(w, c, ds, params))
+        return np.hstack([grad_v, c - grad_c_step(w, c, params, gamma=1.0)])
 
     def prox(h, step):
-        w, c = split(h)
-        return np.hstack([w, project_spectral(c, params.k).matrix])
+        return np.hstack([h[:, :n_features], project_spectral(h[:, n_features:], params.k).matrix])
 
-    n_tasks = ds.n_tasks
     z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
-    z_ref, trace_ref = solve(ProximalProblem(value, grad, prox, value), z0, cfg)
-    w_ref, c_ref = split(z_ref)
+    z, trace = solve(ProximalProblem(value, grad, prox, value), z0, cfg)
+    return (*split(z), trace)
+
+
+def _mapping_norm(w, c, ds, params):
+    """The unit-step prox-gradient mapping norm at [W | C], in the original variables."""
+    c_step = c - project_spectral(grad_c_step(w, c, params, gamma=1.0), params.k).matrix
+    return math.hypot(np.linalg.norm(grad_phi(w, c, ds, params)), np.linalg.norm(c_step))
+
+
+# Rows per task below and above J + 1 = 13, so the stacked R factors are
+# both zero-padded and compressed.
+_RAGGED_SIZES = (5, 13, 40, 300, 8, 90)
+
+
+def test_fit_matches_reference_solve_on_ragged_tasks():
+    # The reference solve takes the fit's change of variables from the
+    # oracles, so the two follow the same iterates.
+    ds = _ragged_dataset(np.random.default_rng(60), _RAGGED_SIZES, 12)
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
+    cfg = SolverConfig(max_iters=2000, rel_tol=1e-9)
+    model = fit_cmtl(factors(ds), params, cfg)
+    w_ref, c_ref, trace_ref = _reference_solve(ds, params, cfg, cmtl_metric_back(ds, params))
 
     assert trace_ref.converged
     assert model.trace.iterations == trace_ref.iterations
@@ -566,9 +586,39 @@ def test_fit_matches_reference_solve_on_ragged_tasks():
     np.testing.assert_allclose(model.cluster_matrix.matrix, c_ref, rtol=0, atol=1e-10)
 
 
+def test_preconditioned_fit_is_closer_to_the_optimum_than_a_plain_solve():
+    ds = _ragged_dataset(np.random.default_rng(60), _RAGGED_SIZES, 12)
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
+    cfg = SolverConfig(max_iters=2000, rel_tol=1e-6)
+    model = fit_cmtl(factors(ds), params, cfg)
+    w_plain, c_plain, trace_plain = _reference_solve(ds, params, cfg)
+    w, c = model.weights, model.cluster_matrix.matrix
+
+    assert model.trace.converged and trace_plain.converged
+    assert model.trace.iterations < trace_plain.iterations
+    assert cmtl_objective(w, c, ds, params) <= cmtl_objective(w_plain, c_plain, ds, params)
+    assert _mapping_norm(w, c, ds, params) < _mapping_norm(w_plain, c_plain, ds, params)
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1e-300])
+def test_fit_with_tiny_rho_converges(rho):
+    # delta = 2 * rho against Hessians of rank 5 and 8 in 12 features; at
+    # 1e-300 only the floor keeps the metric's Cholesky factorization defined.
+    ds = _ragged_dataset(np.random.default_rng(60), _RAGGED_SIZES, 12)
+    params = CmtlParams(rho1=rho, rho2=rho, k=2)
+    cfg = SolverConfig(max_iters=2000, rel_tol=1e-6)
+    model = fit_cmtl(factors(ds), params, cfg)
+    w_plain, c_plain, _ = _reference_solve(ds, params, cfg)
+
+    assert model.trace.converged
+    assert cmtl_objective(
+        model.weights, model.cluster_matrix.matrix, ds, params
+    ) <= cmtl_objective(w_plain, c_plain, ds, params)
+
+
 def test_fit_on_streamed_factors_matches_fit_on_rows(tmp_path):
     # The ragged fixture above, written out and read back by load_factors.
-    ds = _ragged_dataset(np.random.default_rng(60), (5, 13, 40, 300, 8, 90), 12)
+    ds = _ragged_dataset(np.random.default_rng(60), _RAGGED_SIZES, 12)
     path = tmp_path / "ragged.csv"
     write_csv_rows(ds, path, "task", "y")
     params = CmtlParams(rho1=0.2, rho2=0.3, k=2)
@@ -587,22 +637,25 @@ def test_smooth_part_compares_points_by_value():
     ds, _ = _planted_dataset(rng, n_tasks=4, n_features=3, n_rows=9)
     params = CmtlParams(rho1=0.4, rho2=0.6, k=2)
     objective = _Objective(factors(ds), params)
+    back = cmtl_metric_back(ds, params)
     # The prox evaluates the point it returns from its projection's eigenpairs.
     z = objective.prox(rng.normal(size=(4, 7)), 1.0)
 
     def expected(z):
-        w, c = z[:, :3], z[:, 3:]
-        return cmtl_objective(w, c, ds, params), grad_phi(w, c, ds, params)
+        # The value is F at W = L^{-T} V, and the gradient in V is L^{-1} dF/dW.
+        w, c = np.einsum("tij,tj->ti", back, z[:, :3]), z[:, 3:]
+        grad_w = grad_phi(w, c, ds, params)
+        return cmtl_objective(w, c, ds, params), np.einsum("tij,ti->tj", back, grad_w)
 
     assert objective.value(z) == pytest.approx(expected(z)[0], rel=1e-12)
     for mutate in (lambda z: z.__setitem__((0, 0), z[0, 0] + 1.0),
                    lambda z: z.__setitem__((slice(None), slice(3, None)), np.eye(4) / 2)):
         before = objective.value(z)
         mutate(z)  # same array object, new contents
-        value, grad_w = expected(z)
+        value, grad_v = expected(z)
         assert objective.value(z) != before
         assert objective.value(z) == pytest.approx(value, rel=1e-12)
-        np.testing.assert_allclose(objective.grad(z)[:, :3], grad_w, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(objective.grad(z)[:, :3], grad_v, rtol=1e-10, atol=1e-12)
 
 
 def test_projection_keeps_a_spectrum_of_its_matrix():
