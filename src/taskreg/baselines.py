@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScalingParams, TaskFactors, residual_gradient, residuals, stream_csv
+from .dataset import ScalingParams, TaskFactors, stream_csv
 from .fista import ProximalProblem, SolverConfig, solve
-from .mtl import _STL_PENALTIES, _STL_SETTINGS, MtlModel
+from .mtl import _STL_PENALTIES, _STL_SETTINGS, LeastSquares, MtlModel
 
 _TOTAL_MODES = ("pooled", "macro")
 
@@ -77,13 +77,18 @@ def _penalty_value(w: np.ndarray, penalty: str, lam: float) -> np.ndarray:
 def _make_prox(penalty: str, lam: float, n_features: int):
     """The prox of the penalty on the first ``n_features`` weights; an intercept after them is kept."""
 
-    def prox(h, step):
-        out = h.copy()
-        w = out[..., :n_features]
+    def prox(h, step, rows=None):
+        w = h[..., :n_features]
         if penalty == "ridge":
-            w /= 1.0 + 2.0 * lam * step
+            w = w / (1.0 + 2.0 * lam * step)
         elif penalty == "lasso":
-            w[...] = np.sign(w) * np.maximum(np.abs(w) - lam * step, 0.0)
+            w = np.sign(w) * np.maximum(np.abs(w) - lam * step, 0.0)
+        else:
+            return h.copy()
+        if w.shape == h.shape:
+            return w
+        out = h.copy()
+        out[..., :n_features] = w
         return out
 
     return prox
@@ -96,23 +101,23 @@ def _stl_problem(r: np.ndarray, spec: StlSpec, n_features: int) -> ProximalProbl
     vector, or a (T, rows, width) stack of them
     (:meth:`TaskFactors.design_stack`), fitted by a (T, width - 1) weight
     matrix as T blocks of one solve: each value is then a vector over the
-    tasks and each value or gradient one batched matmul. Only the first
-    ``n_features`` weights are penalized; a weight after them is the intercept.
+    tasks and each value or gradient one batched matmul, and each callback
+    takes the tasks still running as ``rows`` (all of them by default).
+    Only the first ``n_features`` weights are penalized; a weight after
+    them is the intercept.
     """
+    data = LeastSquares(r)
 
-    def smooth_value(w):
-        res = residuals(r, w)
+    def smooth_value(w, rows=None):
+        res = data.residuals(w, rows)
         return 0.5 * np.einsum("...i,...i->...", res, res)
 
-    def smooth_grad(w):
-        return residual_gradient(r, residuals(r, w))
-
-    def full_objective(w):
-        return smooth_value(w) + _penalty_value(w[..., :n_features], spec.penalty, spec.lam)
+    def full_objective(w, rows=None):
+        return smooth_value(w, rows) + _penalty_value(w[..., :n_features], spec.penalty, spec.lam)
 
     return ProximalProblem(
         smooth_value=smooth_value,
-        smooth_grad=smooth_grad,
+        smooth_grad=data.gradient,
         prox=_make_prox(spec.penalty, spec.lam, n_features),
         full_objective=full_objective,
     )

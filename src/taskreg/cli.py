@@ -337,7 +337,7 @@ def _trace_line(trace) -> str:
 
 
 def cmd_train(args) -> int:
-    from . import baselines, cmtl, dataset, mtl, serialize
+    from . import dataset, serialize
 
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
@@ -350,7 +350,10 @@ def cmd_train(args) -> int:
         factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
     cfg = _solver_config(args)
 
+    # Each model loads only its own fitting module.
     if args.model == "mtl":
+        from . import mtl
+
         lam = 0.1 if args.lam is None else args.lam
         model = mtl.fit_mtl(factors, lam, cfg, fit_intercept=args.intercept, scaling=params)
     elif args.model == "cmtl":
@@ -358,11 +361,15 @@ def cmd_train(args) -> int:
             raise ValueError("--intercept is not supported with the cmtl model")
         if args.k is None:
             raise ValueError("--k is required for the cmtl model")
+        from . import cmtl
+
         cmtl_params = cmtl.CmtlParams(rho1=args.rho1, rho2=args.rho2, k=args.k)
         model = cmtl.fit_cmtl(
             factors, cmtl_params, cfg, kmeans_seed=args.kmeans_seed, scaling=params
         )
     else:
+        from . import baselines
+
         lam = args.lam
         if lam is None:
             lam = 0.0 if args.penalty == "none" else 0.1

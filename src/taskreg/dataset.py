@@ -474,7 +474,8 @@ class _FactorSink:
         self.counts += [0] * new_tasks
         self.waiting += [[] for _ in range(new_tasks)]
         self.waiting_rows += [0] * new_tasks
-        for code in np.unique(task):
+        # Not np.unique, which loads numpy.ma on numpy 2.
+        for code in np.flatnonzero(np.bincount(task)):
             block = rows[task == code]
             self.counts[code] += block.shape[0]
             self.waiting[code].append(block)

@@ -15,7 +15,8 @@ momentum entirely (plain proximal gradient, i.e. ISTA).
 
 A problem may also be a stack of independent problems, one per row of x
 (see :func:`solve`). Each row, or block, then runs the same iteration on
-its own: its own gamma, momentum, best iterate and stopping test.
+its own: its own gamma, best iterate and stopping test. A block that
+stops leaves the batch, and the solver goes on with the rest.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ class ProximalProblem:
 
     For a blocked problem ``smooth_value`` and ``full_objective`` return
     one value per row of x, and ``prox`` gets ``step`` as an array with
-    one entry per row, shaped to broadcast against x.
+    one entry per row, shaped to broadcast against x. Each callback of a
+    blocked problem also takes the indices of the rows that x holds as a
+    last argument, ``rows``, and treats a missing one as all rows (see
+    :func:`solve`).
     """
 
     smooth_value: Callable[[np.ndarray], float]
@@ -116,7 +120,7 @@ class BlockTraces(tuple):
 
 # Per-block quantities (values, gammas, masks) are numpy scalars for a
 # one-block problem, where a scalar operation costs a fraction of one on a
-# 0-d array, and arrays with one entry per row of x for a blocked problem.
+# 0-d array, and arrays with one entry per running block for a blocked problem.
 
 
 def _per_block(v):
@@ -131,9 +135,9 @@ def _rows(v, x):
 
 def _where(mask, new, old):
     """``new`` in the blocks where ``mask`` holds, ``old`` in the others."""
-    if isinstance(mask, np.ndarray):
-        return np.where(_rows(mask, new), new, old)
-    return new if mask else old
+    if not isinstance(mask, np.ndarray):
+        return new if mask else old
+    return new if mask.all() else np.where(_rows(mask, new), new, old)
 
 
 def _any(mask) -> bool:
@@ -147,32 +151,77 @@ def _inner(a: np.ndarray, b: np.ndarray, blocks: tuple):
     return np.einsum("ij,ij->i", a.reshape(blocks[0], -1), b.reshape(blocks[0], -1))
 
 
-def _trail(records) -> list:
-    """The objectives so far, for a solver error: per iteration, a float or a list over blocks."""
-    return [np.asarray(f).tolist() for f, *_ in records]
+def _callbacks(problem: ProximalProblem, rows):
+    """The four callbacks, each given ``rows`` last when the problem is blocked (rows not None)."""
+    if rows is None:
+        return problem.smooth_value, problem.smooth_grad, problem.prox, problem.full_objective
+    return (
+        lambda x: problem.smooth_value(x, rows),
+        lambda x: problem.smooth_grad(x, rows),
+        lambda h, step: problem.prox(h, step, rows),
+        lambda x: problem.full_objective(x, rows),
+    )
 
 
-def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, records):
-    """Double each pending block's gamma until its descent condition holds.
+def _trail(segments, n_blocks) -> list:
+    """The objectives so far, for a solver error.
 
-    Returns (candidate, gamma, smooth_at_candidate, surrogate_value). A
-    block not pending keeps s, its gamma and L(s) in all four.
+    Per iteration, a float for one block, or a list over all ``n_blocks``
+    blocks in which a stopped block keeps its objective at its stop.
+    """
+    if n_blocks is None:
+        return [float(rec[0]) for _, records in segments for rec in records]
+    latest = np.full(n_blocks, np.nan)
+    trail = []
+    for rows, records in segments:
+        for f, *_ in records:
+            latest[rows] = f
+            trail.append(latest.tolist())
+    return trail
+
+
+def _history(segments, n_blocks) -> np.ndarray:
+    """The (iterations, 4, blocks) array of the records; what a block did not run is unset."""
+    n_iter = sum(len(records) for _, records in segments)
+    history = np.empty((n_iter, 4, n_blocks or 1))
+    start = 0
+    for rows, records in segments:
+        if records:
+            stop = start + len(records)
+            values = np.array(records).reshape(len(records), 4, -1)
+            history[start:stop, :, slice(None) if rows is None else rows] = values
+            start = stop
+    return history
+
+
+def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, trail):
+    """Double each block's gamma until its descent condition holds.
+
+    Returns (candidate, gamma, smooth_at_candidate, surrogate_value); a
+    block's candidate is its first trial that passes. ``trail()`` gives the
+    objective trail for the error raised when a block never passes.
     """
     blocks = np.shape(gamma)
-    candidate, smooth_cand, q = s, smooth_s, smooth_s
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(smooth_s))
+    pending = None
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = problem.prox(s - grad_s / _rows(gamma, s), 1.0 / _rows(gamma, s))
-        smooth_trial = _per_block(problem.smooth_value(trial))
+        gamma_rows = _rows(gamma, s)
+        trial = prox(s - grad_s / gamma_rows, 1.0 / gamma_rows)
+        smooth_trial = _per_block(smooth_value(trial))
         delta = trial - s
         q_trial = (
             smooth_s + 0.5 * gamma * _inner(delta, delta, blocks) + _inner(delta, grad_s, blocks)
         )
-        accept = pending & (smooth_trial <= q_trial + slack)
-        candidate = _where(accept, trial, candidate)
-        smooth_cand = _where(accept, smooth_trial, smooth_cand)
-        q = _where(accept, q_trial, q)
-        pending = pending & ~accept
+        accept = smooth_trial <= q_trial + slack
+        if pending is None:
+            # The first trial; a block that fails it is overwritten when it passes.
+            candidate, smooth_cand, q, pending = trial, smooth_trial, q_trial, ~accept
+        else:
+            accept = pending & accept
+            candidate = _where(accept, trial, candidate)
+            smooth_cand = _where(accept, smooth_trial, smooth_cand)
+            q = _where(accept, q_trial, q)
+            pending = pending & ~accept
         if not _any(pending):
             return candidate, gamma, smooth_cand, q
         gamma = _where(pending, gamma * _BACKTRACK_FACTOR, gamma)
@@ -180,7 +229,7 @@ def _backtrack(problem, s, smooth_s, grad_s, gamma, pending, records):
         f"no acceptable step after {_MAX_BACKTRACKS} backtracks "
         f"(gamma reached {np.max(_where(pending, gamma, 0.0)):.3g}); "
         "smooth gradient may be inconsistent",
-        _trail(records),
+        trail(),
     )
 
 
@@ -200,10 +249,18 @@ def solve(
 
     When ``full_objective`` returns a scalar the problem is one block and
     the trace a :class:`SolveTrace`. When it returns one value per row of
-    x, each row is an independent block with its own gamma, momentum,
-    best iterate and stopping test; a block that stops is frozen while
-    the others go on, so every row follows the iterates of its own solve.
-    The trace is then a :class:`BlockTraces` with one trace per row.
+    x, each row is an independent block with its own gamma, best iterate
+    and stopping test (the momentum schedule is the same for all), so
+    every row follows the iterates of its own solve. A block that stops
+    leaves the batch: its best iterate goes into the result, and the
+    solver carries on with the rows of the blocks still running. After the
+    first objective, at phi0, it calls each callback of a blocked problem
+    with those rows only and with their indices, an ascending read-only
+    integer array, as the last argument: ``smooth_value(x, rows)``,
+    ``smooth_grad(x, rows)``, ``prox(h, step, rows)`` and
+    ``full_objective(x, rows)``, where row i of x is block ``rows[i]``. A
+    new array is passed whenever blocks stop. The trace is then a
+    :class:`BlockTraces` with one trace per row.
 
     Raises
     ------
@@ -229,53 +286,61 @@ def solve(
     best_phi = phi_curr
     best_f = f_prev
 
-    # Per iteration: objective, gamma, smooth value and surrogate of each block.
-    records: list[tuple[np.ndarray, ...]] = []
+    # The running blocks, and what each block has when it stops: its best
+    # iterate, its iteration count and whether it met the stopping test.
+    n_blocks = blocks[0] if blocks else None
+    rows = None
+    if blocks:
+        rows = np.arange(n_blocks)
+        rows.setflags(write=False)
+        result = np.empty_like(phi_curr)
+        iterations = np.zeros(n_blocks, dtype=int)
+        converged = np.zeros(n_blocks, dtype=bool)
+    smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows)
+
+    # For each stretch of iterations between stops: the running blocks, and per
+    # iteration the objective, gamma, smooth value and surrogate of each.
+    records: list[tuple] = []
+    segments = [(rows, records)]
+
+    def trail():
+        return _trail(segments, n_blocks)
 
     gamma = _per_block(np.full(blocks, _GAMMA0))
-    d_prev_prev = _per_block(np.zeros(blocks))  # d_{l-2}
-    d_prev = _per_block(np.ones(blocks))  # d_{l-1}
-    no_momentum = _per_block(np.zeros(blocks))
-    active = np.ones(blocks, dtype=bool)[()]
-    iterations = np.zeros(blocks, dtype=int)
+    d_prev_prev, d_prev = 0.0, 1.0  # d_{l-2}, d_{l-1}
 
     for l in range(1, cfg.max_iters + 1):
         if cfg.momentum == "none":
-            alpha = no_momentum
+            alpha = 0.0
         elif cfg.momentum == "delayed":
             # (d_{l-2} - 1)/d_{l-1}; the first difference Phi^(1) - Phi^(0)
             # is zero, so alpha_1 is immaterial and recorded as 0.
-            alpha = no_momentum if l == 1 else (d_prev_prev - 1.0) / d_prev
+            alpha = 0.0 if l == 1 else (d_prev_prev - 1.0) / d_prev
         else:  # standard
             alpha = (d_prev - 1.0) / _d_next(d_prev)
-        # A stopped block stays at its iterate.
-        moving = active & (alpha != 0.0)
 
-        if _any(moving):
-            extrapolated = phi_curr + _rows(alpha, phi_curr) * (phi_curr - phi_prev)
-            s = _where(moving, extrapolated, phi_curr)
-        else:
-            s = phi_curr
-        smooth_s = _per_block(problem.smooth_value(s))
-        retreat = moving & ~np.isfinite(smooth_s)
-        if _any(retreat):
-            # Momentum overshot the smooth domain (possible for
-            # constrained problems); retreat to the plain step.
-            s = _where(retreat, phi_curr, s)
-            smooth_s = _where(retreat, _per_block(problem.smooth_value(s)), smooth_s)
-        if _any(active & ~np.isfinite(smooth_s)):
-            raise DivergenceError(f"smooth part non-finite at iteration {l}", _trail(records))
-        grad_s = problem.smooth_grad(s)
+        s = phi_curr if alpha == 0.0 else phi_curr + alpha * (phi_curr - phi_prev)
+        smooth_s = _per_block(smooth_value(s))
+        if not np.isfinite(smooth_s).all():
+            if alpha != 0.0:
+                # Momentum overshot the smooth domain (possible for
+                # constrained problems); retreat to the plain step.
+                retreat = ~np.isfinite(smooth_s)
+                s = _where(retreat, phi_curr, s)
+                smooth_s = _where(retreat, _per_block(smooth_value(s)), smooth_s)
+            if not np.isfinite(smooth_s).all():
+                raise DivergenceError(f"smooth part non-finite at iteration {l}", trail())
+        grad_s = smooth_grad(s)
 
         phi_next, gamma, smooth_next, q_next = _backtrack(
-            problem, s, smooth_s, grad_s, gamma, active, records
+            smooth_value, prox, s, smooth_s, grad_s, gamma, trail
         )
-        f_next = _per_block(problem.full_objective(phi_next))
-        if _any(active & ~np.isfinite(f_next)):
-            raise DivergenceError(f"objective non-finite at iteration {l}", _trail(records))
+        f_next = _per_block(full_objective(phi_next))
+        if not np.isfinite(f_next).all():
+            raise DivergenceError(f"objective non-finite at iteration {l}", trail())
 
         records.append((f_next, gamma, smooth_next, q_next))
-        improved = active & (f_next < best_f)
+        improved = f_next < best_f
         best_f = _where(improved, f_next, best_f)
         best_phi = _where(improved, phi_next, best_phi)
 
@@ -284,26 +349,46 @@ def solve(
         elif cfg.momentum == "standard":
             d_prev = _d_next(d_prev)
 
-        # A stopped block's candidate is its iterate, so it does not move.
         phi_prev, phi_curr = phi_curr, phi_next
-
-        iterations += active
         stopped = np.abs(f_next - f_prev) / np.maximum(1.0, np.abs(f_prev)) < cfg.rel_tol
-        active = active & ~stopped
-        if not _any(active):
-            break
         f_prev = f_next
+        if not _any(stopped):
+            continue
+        if rows is None:
+            break
+        # The stopped blocks leave the batch.
+        done = rows[stopped]
+        result[done] = best_phi[stopped]
+        iterations[done] = l
+        converged[done] = True
+        keep = ~stopped
+        rows = rows[keep]
+        if not rows.size:
+            break
+        rows.setflags(write=False)
+        phi_prev, phi_curr, best_phi = phi_prev[keep], phi_curr[keep], best_phi[keep]
+        gamma, best_f, f_prev = gamma[keep], best_f[keep], f_prev[keep]
+        smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows)
+        records = []
+        segments.append((rows, records))
 
-    history = np.array(records).reshape(len(records), 4, -1)
-    traces = [
-        SolveTrace(
-            objective_per_iter=tuple(history[:n, 0, b].tolist()),
-            gamma_per_iter=tuple(history[:n, 1, b].tolist()),
-            smooth_per_iter=tuple(history[:n, 2, b].tolist()),
-            surrogate_per_iter=tuple(history[:n, 3, b].tolist()),
-            iterations=int(n),
-            converged=not running,
-        )
-        for b, (n, running) in enumerate(zip(iterations.ravel(), np.ravel(active)))
-    ]
-    return best_phi, (BlockTraces(traces) if blocks else traces[0])
+    history = _history(segments, n_blocks)
+    if rows is None:
+        return best_phi, _block_trace(history, 0, l, bool(stopped))
+    if rows.size:  # the blocks still running stopped at the iteration cap
+        result[rows] = best_phi
+        iterations[rows] = l
+    traces = [_block_trace(history, b, n, c) for b, (n, c) in enumerate(zip(iterations, converged))]
+    return result, BlockTraces(traces)
+
+
+def _block_trace(history: np.ndarray, b: int, n: int, converged: bool) -> SolveTrace:
+    """Block b's trace from the (iterations, 4, blocks) records of a solve."""
+    return SolveTrace(
+        objective_per_iter=tuple(history[:n, 0, b].tolist()),
+        gamma_per_iter=tuple(history[:n, 1, b].tolist()),
+        smooth_per_iter=tuple(history[:n, 2, b].tolist()),
+        surrogate_per_iter=tuple(history[:n, 3, b].tolist()),
+        iterations=int(n),
+        converged=bool(converged),
+    )

@@ -74,6 +74,41 @@ def lambda_max(factors: TaskFactors) -> float:
     return float(np.linalg.norm(g0, axis=0).max())
 
 
+class LeastSquares:
+    """The least-squares data term of a design stack, for a solver's callbacks.
+
+    :meth:`residuals` and :meth:`gradient` are
+    :func:`~taskreg.dataset.residuals` and
+    :func:`~taskreg.dataset.residual_gradient` on the stack. The residual
+    at the last point is kept with that point's shape and bytes, so a call
+    at an equal point reuses it: a gradient at the point a value was just
+    taken at, or an objective at the trial a step came from. Points are
+    compared by value, so an array changed in place is a new point.
+
+    ``rows``, when given, is an index array of the tasks a blocked solve
+    still runs (see :func:`taskreg.fista.solve`), and w has one row per
+    such task. The stack's rows for it are gathered once and kept while
+    the same array object is passed, so it must not change in place.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self._stack = self._design = stack
+        self._rows = self._point = self._resid = None
+
+    def residuals(self, w: np.ndarray, rows=None) -> np.ndarray:
+        if rows is not self._rows:
+            self._design = self._stack if rows is None else self._stack[rows]
+            self._rows, self._point = rows, None
+        point = (w.shape, w.tobytes())
+        if point != self._point:
+            self._resid = residuals(self._design, w)
+            self._point = point
+        return self._resid
+
+    def gradient(self, w: np.ndarray, rows=None) -> np.ndarray:
+        return residual_gradient(self._design, self.residuals(w, rows))
+
+
 @dataclass(frozen=True)
 class MtlModel:
     """A fitted multi-task linear model, one weight row per task.
@@ -192,15 +227,13 @@ def fit_mtl(
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
+    data = LeastSquares(stack)
 
     def smooth_value(w):
-        r = residuals(stack, w)
+        r = data.residuals(w)
         # One dot product per task, summed in task order: this order fixes the
         # last bits of the objective, which model files record.
         return 0.5 * sum(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0].tolist())
-
-    def smooth_grad(w):
-        return residual_gradient(stack, residuals(stack, w))
 
     def prox(h, step):
         if not fit_intercept:
@@ -214,7 +247,7 @@ def fit_mtl(
 
     problem = ProximalProblem(
         smooth_value=smooth_value,
-        smooth_grad=smooth_grad,
+        smooth_grad=data.gradient,
         prox=prox,
         full_objective=full_objective,
     )

@@ -15,7 +15,6 @@ from itertools import chain
 
 import numpy as np
 
-from .cmtl import CmtlParams, RelaxedClusterMatrix
 from .dataset import ScalingParams
 from .mtl import MtlModel
 
@@ -174,6 +173,9 @@ def _model_from_dict(data: dict):
     scaling = _scaling_from_dict(data.get("scaling"))
 
     if model_type == "cmtl":
+        # Only a cmtl model loads the clustered model's module.
+        from .cmtl import CmtlParams, RelaxedClusterMatrix
+
         params = CmtlParams(
             rho1=_number(data["rho1"], "rho1"),
             rho2=_number(data["rho2"], "rho2"),

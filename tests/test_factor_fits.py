@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from taskreg import cli
+from taskreg import baselines, cli, mtl
 from taskreg.baselines import StlSpec, fit_stl
 from taskreg.dataset import load_csv, load_factors
 from taskreg.fista import ProximalProblem, SolverConfig, solve
@@ -106,6 +106,42 @@ def _stl_reference(ds, setting, penalty, lam, intercept=False):
         blocks = [_dataset([t.X], [t.Y]) for t in rows.tasks]
     fits = [_reference(block, value, prox) for block in blocks]
     return np.vstack(fits * ds.n_tasks if setting == "global" else fits)
+
+
+def _built_problem(monkeypatch, module, fit):
+    """The ProximalProblem that ``fit()`` hands to ``module.solve``, which returns phi0."""
+    built = []
+
+    def capture(problem, phi0, cfg=None):
+        built.append(problem)
+        return phi0, None
+
+    monkeypatch.setattr(module, "solve", capture)
+    fit()
+    return built[0]
+
+
+@pytest.mark.parametrize("model", ["mtl", "stl"])
+def test_data_term_compares_points_by_value(monkeypatch, model):
+    # The data term reuses the residual of its last point. A point changed in
+    # place after a value was taken there is a new point: its gradient, value
+    # and objective are those of the new contents.
+    ds = _ragged(3)
+    if model == "mtl":
+        problem = _built_problem(monkeypatch, mtl, lambda: fit_mtl(factors(ds), 0.0))
+    else:
+        spec = StlSpec(setting="individual", penalty="none")
+        problem = _built_problem(monkeypatch, baselines, lambda: fit_stl(factors(ds), spec))
+    w = np.random.default_rng(4).normal(size=(ds.n_tasks, ds.n_features))
+    before = np.sum(problem.smooth_value(w))
+    assert before == pytest.approx(loss(w, ds), rel=1e-10)
+    for t in range(ds.n_tasks):
+        w[t, t] += 1.0  # same array object, new contents
+        np.testing.assert_allclose(problem.smooth_grad(w), grad_loss(w, ds), rtol=1e-9, atol=1e-9)
+        for value in (problem.smooth_value(w), problem.full_objective(w)):
+            assert np.sum(value) != before
+            assert np.sum(value) == pytest.approx(loss(w, ds), rel=1e-10)
+        before = np.sum(value)
 
 
 @pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])

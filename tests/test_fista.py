@@ -23,7 +23,7 @@ from taskreg.fista import (
 from oracles import ols_normal_equations, surrogate_q
 
 
-def _identity_prox(h, step):
+def _identity_prox(h, step, rows=None):
     return h
 
 
@@ -130,7 +130,7 @@ def test_first_step_of_each_block_records_the_oracle_surrogate():
     phi0 = np.random.default_rng(12).normal(size=(3, 6))
     phi1, traces = solve(problem, phi0, SolverConfig(max_iters=1))
     for b, trace in enumerate(traces):
-        row = _row_problem(problem, b, 3)
+        row = _row_problem(problem, b)
         assert trace.objective_per_iter[0] < row.full_objective(phi0[b])
         expected = surrogate_q(row, phi0[b], phi1[b], trace.gamma_per_iter[0])
         assert trace.surrogate_per_iter[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -348,36 +348,38 @@ def test_config_rejects_non_finite_values(field, value):
         SolverConfig(**{field: value})
 
 
+def _all_rows(rows, n_rows):
+    """The block indices a callback serves: ``rows``, or every block when it is None."""
+    return np.arange(n_rows) if rows is None else rows
+
+
 def _blocked_quadratic(curvatures, targets):
     """Row b: L_b(x) = (c_b/2) * ||x - t_b||^2, no nonsmooth part; one value per row."""
     c = np.asarray(curvatures, dtype=float)[:, None]
     t = np.asarray(targets, dtype=float)
 
-    def value(x):
-        d = x - t
-        return 0.5 * c[:, 0] * (d * d).sum(axis=1)
+    def value(x, rows=None):
+        rows = _all_rows(rows, len(c))
+        d = x - t[rows]
+        return 0.5 * c[rows, 0] * (d * d).sum(axis=1)
 
-    return ProximalProblem(
-        smooth_value=value,
-        smooth_grad=lambda x: c * (x - t),
-        prox=_identity_prox,
-        full_objective=value,
-    )
+    def grad(x, rows=None):
+        rows = _all_rows(rows, len(c))
+        return c[rows] * (x - t[rows])
+
+    return ProximalProblem(smooth_value=value, smooth_grad=grad, prox=_identity_prox,
+                           full_objective=value)
 
 
-def _row_problem(problem, b, n_rows):
+def _row_problem(problem, b):
     """Block b of a blocked problem as a one-block problem on a vector."""
-
-    def lift(x):
-        full = np.zeros((n_rows, x.size))
-        full[b] = x
-        return full
+    rows = np.array([b])
 
     return ProximalProblem(
-        smooth_value=lambda x: float(problem.smooth_value(lift(x))[b]),
-        smooth_grad=lambda x: problem.smooth_grad(lift(x))[b],
-        prox=lambda h, step: problem.prox(lift(h), step)[b],
-        full_objective=lambda x: float(problem.full_objective(lift(x))[b]),
+        smooth_value=lambda x: float(problem.smooth_value(x[None], rows)[0]),
+        smooth_grad=lambda x: problem.smooth_grad(x[None], rows)[0],
+        prox=lambda h, step: problem.prox(h[None], step, rows)[0],
+        full_objective=lambda x: float(problem.full_objective(x[None], rows)[0]),
     )
 
 
@@ -387,18 +389,22 @@ def _blocked_lasso(seed, n_blocks, n_features=6, lam=0.4):
     a = rng.normal(size=(n_blocks, 15, n_features)) * rng.uniform(0.5, 4.0, size=(n_blocks, 1, 1))
     y = rng.normal(size=(n_blocks, 15))
 
-    def resid(w):
-        return np.matmul(a, w[:, :, None])[:, :, 0] - y
+    def resid(w, rows):
+        rows = _all_rows(rows, n_blocks)
+        return np.matmul(a[rows], w[:, :, None])[:, :, 0] - y[rows]
 
-    def value(w):
-        r = resid(w)
+    def value(w, rows=None):
+        r = resid(w, rows)
         return 0.5 * (r * r).sum(axis=1)
+
+    def grad(w, rows=None):
+        return np.matmul(resid(w, rows)[:, None, :], a[_all_rows(rows, n_blocks)])[:, 0, :]
 
     return ProximalProblem(
         smooth_value=value,
-        smooth_grad=lambda w: np.matmul(resid(w)[:, None, :], a)[:, 0, :],
-        prox=lambda h, step: np.sign(h) * np.maximum(np.abs(h) - lam * step, 0.0),
-        full_objective=lambda w: value(w) + lam * np.abs(w).sum(axis=1),
+        smooth_grad=grad,
+        prox=lambda h, step, rows=None: np.sign(h) * np.maximum(np.abs(h) - lam * step, 0.0),
+        full_objective=lambda w, rows=None: value(w, rows) + lam * np.abs(w).sum(axis=1),
     )
 
 
@@ -413,23 +419,64 @@ def test_blocked_solve_returns_one_trace_per_block():
 
 
 def test_converged_block_no_longer_moves():
+    # A stopped block leaves the batch: no callback sees its row again.
     # Block 0 is so flat that its objective stops changing, by the relative
     # test, after one step that leaves it far from its minimum; block 1 goes on.
     problem = _blocked_quadratic([1e-6, 3.0], [[1.0, -2.0], [0.0, 0.0]])
     seen = []
-    recorded = dataclasses.replace(
-        problem, full_objective=lambda x: (seen.append(x.copy()), problem.full_objective(x))[1]
-    )
-    phi, traces = solve(recorded, np.array([[0.0, 0.0], [5.0, 4.0]]),
+
+    def recorded(x, rows=None):
+        seen.append((x.copy(), rows))
+        return problem.full_objective(x, rows)
+
+    phi, traces = solve(dataclasses.replace(problem, full_objective=recorded),
+                        np.array([[0.0, 0.0], [5.0, 4.0]]),
                         SolverConfig(max_iters=200, rel_tol=1e-9))
     assert traces[0].iterations == 1 and traces[0].converged
     assert traces[1].iterations > 10
-    # seen[0] is the start point and seen[l] the iterate accepted in iteration l.
-    stopped = seen[1][0]
+    # seen[0] is the start point, with every row; seen[l] the iterate accepted in iteration l.
+    assert seen[0][1] is None
+    np.testing.assert_array_equal(seen[1][1], [0, 1])
+    stopped = seen[1][0][0]
     assert 0 < np.abs(stopped).max() < 1e-5  # one small step, nowhere near (1, -2)
-    for x in seen[2:]:
-        np.testing.assert_array_equal(x[0], stopped)
+    for x, rows in seen[2:]:
+        np.testing.assert_array_equal(rows, [1])
+        assert x.shape == (1, 2)
     np.testing.assert_array_equal(phi[0], stopped)
+
+
+def _recording(problem, calls):
+    """``problem`` with each callback's name and rows appended to ``calls`` on every call."""
+
+    def record(name, fn):
+        def recorded(*args):
+            calls.append((name, args[-1] if len(args) > 1 + (name == "prox") else None))
+            return fn(*args)
+
+        return recorded
+
+    return ProximalProblem(
+        **{name: record(name, getattr(problem, name))
+           for name in ("smooth_value", "smooth_grad", "prox", "full_objective")}
+    )
+
+
+@pytest.mark.parametrize("momentum", ["delayed", "standard", "none"])
+def test_no_callback_sees_a_stopped_block(momentum):
+    problem = _blocked_lasso(22, n_blocks=5)
+    calls = []
+    cfg = SolverConfig(max_iters=400, rel_tol=1e-9, momentum=momentum)
+    _, traces = solve(_recording(problem, calls), np.zeros((5, 6)), cfg)
+    assert len({t.iterations for t in traces}) > 1  # the blocks stop at different times
+    assert calls[0] == ("full_objective", None)  # the start point, every block
+    # Block b runs in iterations 1..traces[b].iterations; each ends in a full objective.
+    iteration = 1
+    for name, rows in calls[1:]:
+        running = [b for b, trace in enumerate(traces) if iteration <= trace.iterations]
+        np.testing.assert_array_equal(rows, running, err_msg=f"{name}, iteration {iteration}")
+        iteration += name == "full_objective"
+    grad_rows = sum(len(rows) for name, rows in calls if name == "smooth_grad")
+    assert grad_rows == traces.iterations
 
 
 @pytest.mark.parametrize("momentum", ["delayed", "standard", "none"])
@@ -442,7 +489,7 @@ def test_backtracking_block_leaves_other_gammas_alone(momentum):
     finals = {t.gamma_per_iter[-1] for t in traces}
     assert len(finals) > 1
     for b in range(4):
-        w, solo = solve(_row_problem(problem, b, 4), np.zeros(6), cfg)
+        w, solo = solve(_row_problem(problem, b), np.zeros(6), cfg)
         assert traces[b].gamma_per_iter == solo.gamma_per_iter
         assert (traces[b].iterations, traces[b].converged) == (solo.iterations, solo.converged)
         np.testing.assert_allclose(traces[b].objective_per_iter, solo.objective_per_iter,
@@ -450,42 +497,72 @@ def test_backtracking_block_leaves_other_gammas_alone(momentum):
         np.testing.assert_allclose(phi[b], w, rtol=0, atol=1e-12)
 
 
+def _sum_of_squares(x, rows=None):
+    return (x * x).sum(axis=1)
+
+
 def test_line_search_error_from_a_blocked_problem(monkeypatch):
     # Block 1's gradient has the wrong sign; block 0 is a plain quadratic.
     monkeypatch.setattr(fista, "_MAX_BACKTRACKS", 30)
-    def grad(x):
+    def grad(x, rows=None):
         g = 2.0 * x
         g[1] *= -1.0
         return g
 
-    value = lambda x: (x * x).sum(axis=1)  # noqa: E731
-    problem = ProximalProblem(value, grad, _identity_prox, value)
+    problem = ProximalProblem(_sum_of_squares, grad, _identity_prox, _sum_of_squares)
     with pytest.raises(LineSearchError) as exc_info:
         solve(problem, np.ones((2, 3)))
     assert isinstance(exc_info.value.objective_trail, list)
 
 
-def test_divergence_error_from_a_blocked_problem():
-    def smooth(x):
-        return (x * x).sum(axis=1)
+def test_line_search_error_after_blocks_stopped_keeps_every_block_in_its_trail(monkeypatch):
+    # Block 0 stops after one iteration; block 2's gradient turns to the wrong
+    # sign in its fourth iteration, when only blocks 1 and 2 still run.
+    monkeypatch.setattr(fista, "_MAX_BACKTRACKS", 30)
+    problem = _blocked_quadratic([1e-6, 3.0, 5.0], [[1.0, -2.0], [0.0, 0.0], [1.0, 1.0]])
+    grads = []
 
-    def at_start_inf(x):
-        out = smooth(x)
+    def grad(x, rows=None):
+        grads.append(rows)
+        g = problem.smooth_grad(x, rows)
+        if len(grads) >= 4:
+            g[list(rows).index(2)] *= -1.0
+        return g
+
+    broken = dataclasses.replace(problem, smooth_grad=grad)
+    with pytest.raises(LineSearchError) as exc_info:
+        solve(broken, np.array([[0.0, 0.0], [5.0, 4.0], [-3.0, 2.0]]),
+              SolverConfig(max_iters=200, rel_tol=1e-9))
+    np.testing.assert_array_equal(grads[-1], [1, 2])
+    trail = exc_info.value.objective_trail
+    assert len(trail) == 3  # one entry per finished iteration
+    assert all(len(entry) == 3 and all(map(math.isfinite, entry)) for entry in trail)
+    # A stopped block keeps its objective at its stop.
+    assert trail[2][0] == trail[1][0] == trail[0][0]
+    assert trail[2][1] < trail[1][1] < trail[0][1]
+
+
+def test_divergence_error_from_a_blocked_problem():
+    def at_start_inf(x, rows=None):
+        out = _sum_of_squares(x)
         out[1] = np.inf
         return out
 
-    problem = ProximalProblem(at_start_inf, lambda x: 2.0 * x, _identity_prox, at_start_inf)
+    def grad(x, rows=None):
+        return 2.0 * x
+
+    problem = ProximalProblem(at_start_inf, grad, _identity_prox, at_start_inf)
     with pytest.raises(DivergenceError, match="start point"):
         solve(problem, np.ones((2, 3)))
 
     # Block 1's full objective turns non-finite at its first iterate.
     calls = []
 
-    def later_inf(x):
+    def later_inf(x, rows=None):
         calls.append(x)
-        return smooth(x) if len(calls) == 1 else at_start_inf(x)
+        return _sum_of_squares(x) if len(calls) == 1 else at_start_inf(x)
 
-    problem = ProximalProblem(smooth, lambda x: 2.0 * x, _identity_prox, later_inf)
+    problem = ProximalProblem(_sum_of_squares, grad, _identity_prox, later_inf)
     with pytest.raises(DivergenceError, match="iteration 1"):
         solve(problem, np.ones((2, 3)))
 

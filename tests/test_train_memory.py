@@ -122,48 +122,89 @@ def test_split_peak_memory_grows_by_one_copy(tmp_path):
     )
 
 
-# Runs `taskreg argv[1:]` in process and prints its exit code and whether
-# numpy's random package was imported.
-_LOADS_RANDOM = """
+# Runs `taskreg argv[2:]` in process and prints its exit code and, for each
+# module in the comma list argv[1], whether it was imported.
+_LOADS = """
 import sys
 from taskreg import cli
-code = cli.main(sys.argv[1:])
-print(code, "numpy.random" in sys.modules)
+code = cli.main(sys.argv[2:])
+print(code, *(name in sys.modules for name in sys.argv[1].split(",")))
 """
 
 
-def _loads_numpy_random(*argv):
+def _loaded(modules, *argv) -> dict:
+    """Which of ``modules`` the script ``argv[0]`` run with ``modules, *argv[1:]`` leaves loaded."""
     env = dict(os.environ, PYTHONPATH=str(_SRC), TASKREG_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", argv[0], ",".join(modules), *map(str, argv[1:])],
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    code, loaded = result.stdout.split()[-2:]
+    code, *flags = result.stdout.split()[-1 - len(modules):]
     assert code == "0", result.stderr
-    return loaded == "True"
+    return dict(zip(modules, (flag == "True" for flag in flags)))
+
+
+def _numpy_loads(module) -> bool:
+    """Whether importing numpy alone loads ``module``."""
+    return _loaded([module], "import sys, numpy; print(0, sys.argv[1] in sys.modules)")[module]
+
+
+def _pipeline(tmp_path):
+    """A split panel and the commands of a pipeline on it: (split, trains, evaluate, reports)."""
+    source = tmp_path / "panel.csv"
+    _write_panel(source, 400, n_features=6)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    models = {name: tmp_path / f"{name}.json" for name in ("mtl", "stl", "stl-global", "cmtl")}
+    split = ["split", source, "--seed", "3", "--train-out", train, "--test-out", test,
+             "--manifest", tmp_path / "split.json"]
+    trains = {
+        "mtl": ["train", train, "--model", "mtl", "--lambda", "0.5", "--out", models["mtl"]],
+        "stl": ["train", train, "--model", "stl", "--penalty", "lasso", "--lambda", "0.5",
+                "--out", models["stl"]],
+        "stl-global": ["train", train, "--model", "stl", "--setting", "global",
+                       "--penalty", "ridge", "--lambda", "0.5", "--out", models["stl-global"]],
+        "cmtl": ["train", train, "--model", "cmtl", "--k", "2", "--max-iters", "50",
+                 "--out", models["cmtl"]],
+    }
+    evaluate = ["evaluate", test, *(arg for m in models.values() for arg in ("--model", m)),
+                "--out", tmp_path / "mae.csv"]
+    reports = {
+        "clusters": ["clusters", "--model", models["cmtl"], "--out", tmp_path / "clusters.csv"],
+        "riskfactors": ["riskfactors", "--model", models["mtl"], "--out-json",
+                        tmp_path / "rf.json", "--out-csv", tmp_path / "rf.csv"],
+    }
+    return split, trains, evaluate, reports, models, test
 
 
 def test_no_command_imports_numpy_random(tmp_path):
     # split and cmtl's k-means draw numpy's stream without numpy's random
     # package, whose modules and OpenSSL would add several MB of peak RSS.
-    if _loads_numpy_random("import sys, numpy; print(0, 'numpy.random' in sys.modules)"):
+    if _numpy_loads("numpy.random"):
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    source = tmp_path / "panel.csv"
-    _write_panel(source, 400, n_features=6)
-    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-    models = {name: tmp_path / f"{name}.json" for name in ("mtl", "stl", "cmtl")}
-    commands = [
-        ["split", source, "--seed", "3", "--train-out", train, "--test-out", test,
-         "--manifest", tmp_path / "split.json"],
-        ["train", train, "--model", "mtl", "--lambda", "0.5", "--out", models["mtl"]],
-        ["train", train, "--model", "stl", "--penalty", "lasso", "--lambda", "0.5",
-         "--out", models["stl"]],
-        ["train", train, "--model", "cmtl", "--k", "2", "--max-iters", "50",
-         "--out", models["cmtl"]],
-        ["evaluate", test, *(arg for m in models.values() for arg in ("--model", m)),
-         "--out", tmp_path / "mae.csv"],
-        ["clusters", "--model", models["cmtl"], "--out", tmp_path / "clusters.csv"],
-        ["riskfactors", "--model", models["mtl"], "--out-json", tmp_path / "rf.json",
-         "--out-csv", tmp_path / "rf.csv"],
-    ]
-    for argv in commands:
-        assert not _loads_numpy_random(_LOADS_RANDOM, *map(str, argv)), argv[:3]
+    split, trains, evaluate, reports, _, _ = _pipeline(tmp_path)
+    for argv in [split, *trains.values(), evaluate, *reports.values()]:
+        assert not _loaded(["numpy.random"], _LOADS, *argv)["numpy.random"], argv[:3]
+
+
+def test_train_does_not_import_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma on numpy 2, about 15 ms and 1.3 MB of peak RSS.
+    if _numpy_loads("numpy.ma"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    split, trains, *_ = _pipeline(tmp_path)
+    _loaded(["numpy.ma"], _LOADS, *split)  # only writes the train file here
+    for name, argv in trains.items():
+        assert not _loaded(["numpy.ma"], _LOADS, *argv)["numpy.ma"], name
+
+
+def test_commands_on_other_models_do_not_import_cmtl(tmp_path):
+    # The clustered model's module loads only for a cmtl fit or a cmtl model file.
+    split, trains, _, _, models, test = _pipeline(tmp_path)
+    cmtl = ["taskreg.cmtl"]
+    _loaded(cmtl, _LOADS, *split)
+    for name in ("mtl", "stl", "stl-global"):
+        assert _loaded(cmtl, _LOADS, *trains[name]) == {"taskreg.cmtl": False}, name
+    evaluate = ["evaluate", test, "--model", models["mtl"], "--out", test.with_name("mae.csv")]
+    assert _loaded(cmtl, _LOADS, *evaluate) == {"taskreg.cmtl": False}
+    riskfactors = ["riskfactors", "--model", models["mtl"], "--out-json",
+                   tmp_path / "rf.json", "--out-csv", tmp_path / "rf.csv"]
+    assert _loaded(cmtl, _LOADS, *riskfactors) == {"taskreg.cmtl": False}
+    assert _loaded(cmtl, _LOADS, *trains["cmtl"]) == {"taskreg.cmtl": True}
