@@ -20,7 +20,12 @@ class DegenerateTaskError(TaskregError):
 
 
 class SolverError(TaskregError):
-    """Base class for optimizer failures. Carries the partial objective trace."""
+    """Base class for optimizer failures. Carries the partial objective trace.
+
+    ``objective_trail`` holds one float per finished iteration. For a
+    blocked solve it is the sum over the blocks, in which a block that
+    stopped keeps its objective at its stop.
+    """
 
     def __init__(self, message: str, objective_trail: list[float] | None = None):
         super().__init__(message)

@@ -16,7 +16,9 @@ momentum entirely (plain proximal gradient, i.e. ISTA).
 A problem may also be a stack of independent problems, one per row of x
 (see :func:`solve`). Each row, or block, then runs the same iteration on
 its own: its own gamma, best iterate and stopping test. A block that
-stops leaves the batch, and the solver goes on with the rest.
+stops leaves the batch, and the solver goes on with the rest. There is
+one iteration path: a problem with a scalar objective runs as a stack
+of one row.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ class ProximalProblem:
     one entry per row, shaped to broadcast against x. Each callback of a
     blocked problem also takes the indices of the rows that x holds as a
     last argument, ``rows``, and treats a missing one as all rows (see
-    :func:`solve`).
+    :func:`solve`). A problem whose objective is a scalar takes no
+    ``rows`` and gets a scalar ``step``; the solver runs it as a blocked
+    problem of one row.
     """
 
     smooth_value: Callable[[np.ndarray], float]
@@ -118,78 +122,66 @@ class BlockTraces(tuple):
         return sum(trace.iterations for trace in self)
 
 
-# Per-block quantities (values, gammas, masks) are numpy scalars for a
-# one-block problem, where a scalar operation costs a fraction of one on a
-# 0-d array, and arrays with one entry per running block for a blocked problem.
-
-
-def _per_block(v):
-    """A callback's value(s): a numpy scalar for one block, else one per row."""
-    return np.asarray(v, dtype=np.float64)[()]
-
-
 def _rows(v, x):
-    """Per-block ``v`` broadcast against x (an array, or a scalar that broadcasts as is)."""
-    return v.reshape(v.shape + (1,) * (np.ndim(x) - 1)) if isinstance(v, np.ndarray) else v
+    """Per-block ``v`` shaped to broadcast against x, one block per row."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1))
 
 
 def _where(mask, new, old):
     """``new`` in the blocks where ``mask`` holds, ``old`` in the others."""
-    if not isinstance(mask, np.ndarray):
-        return new if mask else old
     return new if mask.all() else np.where(_rows(mask, new), new, old)
 
 
-def _any(mask) -> bool:
-    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over each block, each summed as one BLAS dot, as ``np.vdot`` sums it."""
+    n = len(a)
+    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
 
 
-def _inner(a: np.ndarray, b: np.ndarray, blocks: tuple):
-    """<a, b> over each block."""
-    if not blocks:
-        return np.vdot(a, b)
-    return np.einsum("ij,ij->i", a.reshape(blocks[0], -1), b.reshape(blocks[0], -1))
-
-
-def _callbacks(problem: ProximalProblem, rows):
-    """The four callbacks, each given ``rows`` last when the problem is blocked (rows not None)."""
-    if rows is None:
-        return problem.smooth_value, problem.smooth_grad, problem.prox, problem.full_objective
-    return (
-        lambda x: problem.smooth_value(x, rows),
-        lambda x: problem.smooth_grad(x, rows),
-        lambda h, step: problem.prox(h, step, rows),
-        lambda x: problem.full_objective(x, rows),
+def _one_block(problem: ProximalProblem) -> ProximalProblem:
+    """A scalar-objective problem as a blocked problem of one row, x[0]."""
+    return ProximalProblem(
+        smooth_value=lambda x, rows: [problem.smooth_value(x[0])],
+        smooth_grad=lambda x, rows: problem.smooth_grad(x[0])[None],
+        prox=lambda h, step, rows: problem.prox(h[0], step.flat[0])[None],
+        full_objective=lambda x, rows: [problem.full_objective(x[0])],
     )
 
 
-def _trail(segments, n_blocks) -> list:
+def _callbacks(problem: ProximalProblem, rows: np.ndarray):
+    """The four callbacks, each given ``rows`` last; values come back as float arrays."""
+    return (
+        lambda x: np.asarray(problem.smooth_value(x, rows), dtype=np.float64),
+        lambda x: problem.smooth_grad(x, rows),
+        lambda h, step: problem.prox(h, step, rows),
+        lambda x: np.asarray(problem.full_objective(x, rows), dtype=np.float64),
+    )
+
+
+def _trail(segments, n_blocks: int) -> list[float]:
     """The objectives so far, for a solver error.
 
-    Per iteration, a float for one block, or a list over all ``n_blocks``
-    blocks in which a stopped block keeps its objective at its stop.
+    One float per iteration: the sum over all ``n_blocks`` blocks, in
+    which a stopped block keeps its objective at its stop.
     """
-    if n_blocks is None:
-        return [float(rec[0]) for _, records in segments for rec in records]
     latest = np.full(n_blocks, np.nan)
     trail = []
     for rows, records in segments:
         for f, *_ in records:
             latest[rows] = f
-            trail.append(latest.tolist())
+            trail.append(float(latest.sum()))
     return trail
 
 
-def _history(segments, n_blocks) -> np.ndarray:
+def _history(segments, n_blocks: int) -> np.ndarray:
     """The (iterations, 4, blocks) array of the records; what a block did not run is unset."""
     n_iter = sum(len(records) for _, records in segments)
-    history = np.empty((n_iter, 4, n_blocks or 1))
+    history = np.empty((n_iter, 4, n_blocks))
     start = 0
     for rows, records in segments:
         if records:
             stop = start + len(records)
-            values = np.array(records).reshape(len(records), 4, -1)
-            history[start:stop, :, slice(None) if rows is None else rows] = values
+            history[start:stop, :, rows] = records
             start = stop
     return history
 
@@ -201,17 +193,14 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, trail):
     block's candidate is its first trial that passes. ``trail()`` gives the
     objective trail for the error raised when a block never passes.
     """
-    blocks = np.shape(gamma)
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(smooth_s))
     pending = None
     for _ in range(_MAX_BACKTRACKS + 1):
         gamma_rows = _rows(gamma, s)
         trial = prox(s - grad_s / gamma_rows, 1.0 / gamma_rows)
-        smooth_trial = _per_block(smooth_value(trial))
+        smooth_trial = smooth_value(trial)
         delta = trial - s
-        q_trial = (
-            smooth_s + 0.5 * gamma * _inner(delta, delta, blocks) + _inner(delta, grad_s, blocks)
-        )
+        q_trial = smooth_s + 0.5 * gamma * _inner(delta, delta) + _inner(delta, grad_s)
         accept = smooth_trial <= q_trial + slack
         if pending is None:
             # The first trial; a block that fails it is overwritten when it passes.
@@ -222,12 +211,12 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, trail):
             smooth_cand = _where(accept, smooth_trial, smooth_cand)
             q = _where(accept, q_trial, q)
             pending = pending & ~accept
-        if not _any(pending):
+        if not np.count_nonzero(pending):
             return candidate, gamma, smooth_cand, q
         gamma = _where(pending, gamma * _BACKTRACK_FACTOR, gamma)
     raise LineSearchError(
         f"no acceptable step after {_MAX_BACKTRACKS} backtracks "
-        f"(gamma reached {np.max(_where(pending, gamma, 0.0)):.3g}); "
+        f"(gamma reached {gamma[pending].max():.3g}); "
         "smooth gradient may be inconsistent",
         trail(),
     )
@@ -247,20 +236,25 @@ def solve(
     iterations. FISTA is not monotone, so the best-objective iterate seen
     is returned rather than the last one.
 
-    When ``full_objective`` returns a scalar the problem is one block and
-    the trace a :class:`SolveTrace`. When it returns one value per row of
-    x, each row is an independent block with its own gamma, best iterate
-    and stopping test (the momentum schedule is the same for all), so
-    every row follows the iterates of its own solve. A block that stops
-    leaves the batch: its best iterate goes into the result, and the
-    solver carries on with the rows of the blocks still running. After the
-    first objective, at phi0, it calls each callback of a blocked problem
-    with those rows only and with their indices, an ascending read-only
+    When ``full_objective`` returns one value per row of x, each row is
+    an independent block with its own gamma, best iterate and stopping
+    test (the momentum schedule is the same for all), so every row
+    follows the iterates of its own solve. A block that stops leaves the
+    batch: its best iterate goes into the result, and the solver carries
+    on with the rows of the blocks still running. After the first
+    objective, at phi0, it calls each callback of a blocked problem with
+    those rows only and with their indices, an ascending read-only
     integer array, as the last argument: ``smooth_value(x, rows)``,
     ``smooth_grad(x, rows)``, ``prox(h, step, rows)`` and
     ``full_objective(x, rows)``, where row i of x is block ``rows[i]``. A
     new array is passed whenever blocks stop. The trace is then a
     :class:`BlockTraces` with one trace per row.
+
+    There is one iteration path: when ``full_objective`` returns a scalar,
+    the problem runs as a blocked problem of one row, and the trace is
+    that row's :class:`SolveTrace`. A solver error's ``objective_trail``
+    has one float per finished iteration, the objective summed over the
+    blocks.
 
     Raises
     ------
@@ -272,30 +266,29 @@ def solve(
     if cfg is None:
         cfg = SolverConfig()
     phi_curr = np.array(phi0, dtype=np.float64)
-    phi_prev = phi_curr
 
-    f_prev = _per_block(problem.full_objective(phi_curr))
-    blocks = np.shape(f_prev)
-    if blocks not in ((), phi_curr.shape[:1]):
+    f_prev = np.asarray(problem.full_objective(phi_curr), dtype=np.float64)
+    if f_prev.shape not in ((), phi_curr.shape[:1]):
         raise ValueError(
-            f"objective of shape {blocks} is neither a scalar nor one value per row of "
+            f"objective of shape {f_prev.shape} is neither a scalar nor one value per row of "
             f"x of shape {phi_curr.shape}"
         )
     if not np.isfinite(f_prev).all():
-        raise DivergenceError(f"objective is non-finite at the start point ({f_prev})")
-    best_phi = phi_curr
+        raise DivergenceError(f"objective is non-finite at the start point ({f_prev[()]})")
+    scalar = f_prev.ndim == 0
+    if scalar:
+        problem, phi_curr, f_prev = _one_block(problem), phi_curr[None], f_prev[None]
+    phi_prev = best_phi = phi_curr
     best_f = f_prev
 
     # The running blocks, and what each block has when it stops: its best
     # iterate, its iteration count and whether it met the stopping test.
-    n_blocks = blocks[0] if blocks else None
-    rows = None
-    if blocks:
-        rows = np.arange(n_blocks)
-        rows.setflags(write=False)
-        result = np.empty_like(phi_curr)
-        iterations = np.zeros(n_blocks, dtype=int)
-        converged = np.zeros(n_blocks, dtype=bool)
+    n_blocks = len(f_prev)
+    rows = np.arange(n_blocks)
+    rows.setflags(write=False)
+    result = np.empty_like(phi_curr)
+    iterations = np.zeros(n_blocks, dtype=int)
+    converged = np.zeros(n_blocks, dtype=bool)
     smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows)
 
     # For each stretch of iterations between stops: the running blocks, and per
@@ -306,7 +299,7 @@ def solve(
     def trail():
         return _trail(segments, n_blocks)
 
-    gamma = _per_block(np.full(blocks, _GAMMA0))
+    gamma = np.full(n_blocks, _GAMMA0)
     d_prev_prev, d_prev = 0.0, 1.0  # d_{l-2}, d_{l-1}
 
     for l in range(1, cfg.max_iters + 1):
@@ -320,14 +313,14 @@ def solve(
             alpha = (d_prev - 1.0) / _d_next(d_prev)
 
         s = phi_curr if alpha == 0.0 else phi_curr + alpha * (phi_curr - phi_prev)
-        smooth_s = _per_block(smooth_value(s))
+        smooth_s = smooth_value(s)
         if not np.isfinite(smooth_s).all():
             if alpha != 0.0:
                 # Momentum overshot the smooth domain (possible for
                 # constrained problems); retreat to the plain step.
                 retreat = ~np.isfinite(smooth_s)
                 s = _where(retreat, phi_curr, s)
-                smooth_s = _where(retreat, _per_block(smooth_value(s)), smooth_s)
+                smooth_s = _where(retreat, smooth_value(s), smooth_s)
             if not np.isfinite(smooth_s).all():
                 raise DivergenceError(f"smooth part non-finite at iteration {l}", trail())
         grad_s = smooth_grad(s)
@@ -335,7 +328,7 @@ def solve(
         phi_next, gamma, smooth_next, q_next = _backtrack(
             smooth_value, prox, s, smooth_s, grad_s, gamma, trail
         )
-        f_next = _per_block(full_objective(phi_next))
+        f_next = full_objective(phi_next)
         if not np.isfinite(f_next).all():
             raise DivergenceError(f"objective non-finite at iteration {l}", trail())
 
@@ -352,10 +345,8 @@ def solve(
         phi_prev, phi_curr = phi_curr, phi_next
         stopped = np.abs(f_next - f_prev) / np.maximum(1.0, np.abs(f_prev)) < cfg.rel_tol
         f_prev = f_next
-        if not _any(stopped):
+        if not np.count_nonzero(stopped):
             continue
-        if rows is None:
-            break
         # The stopped blocks leave the batch.
         done = rows[stopped]
         result[done] = best_phi[stopped]
@@ -372,14 +363,12 @@ def solve(
         records = []
         segments.append((rows, records))
 
-    history = _history(segments, n_blocks)
-    if rows is None:
-        return best_phi, _block_trace(history, 0, l, bool(stopped))
     if rows.size:  # the blocks still running stopped at the iteration cap
         result[rows] = best_phi
         iterations[rows] = l
+    history = _history(segments, n_blocks)
     traces = [_block_trace(history, b, n, c) for b, (n, c) in enumerate(zip(iterations, converged))]
-    return result, BlockTraces(traces)
+    return (result[0], traces[0]) if scalar else (result, BlockTraces(traces))
 
 
 def _block_trace(history: np.ndarray, b: int, n: int, converged: bool) -> SolveTrace:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import importlib
 import json
 import os
 import re
@@ -601,6 +602,41 @@ def test_train_converged_fit_writes_nothing_to_stderr(tmp_path, capsys):
     assert code == 0
     assert "converged=True" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "options, module, penalty",
+    [
+        (("--model", "mtl"), "mtl", "l21_norm"),
+        (("--model", "stl", "--setting", "global"), "baselines", "_penalty_value"),
+        (("--model", "stl", "--setting", "individual"), "baselines", "_penalty_value"),
+    ],
+    ids=["mtl", "stl-global", "stl-individual"],
+)
+def test_train_prints_the_objective_trail_of_a_solver_error(
+    tmp_path, capsys, monkeypatch, options, module, penalty
+):
+    # The penalty turns infinite from its 4th call: the start point and two
+    # iterations finish, and the objective of iteration 3 is non-finite.
+    target = importlib.import_module(f"taskreg.{module}")
+    calls = []
+
+    def broken(*args, _penalty=getattr(target, penalty)):
+        calls.append(args)
+        return _penalty(*args) + (np.inf if len(calls) >= 4 else 0.0)
+
+    monkeypatch.setattr(target, penalty, broken)
+    train = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    code = cli.main(["train", str(train), "--out", str(out), *options])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    first, second = captured.err.splitlines()
+    assert first == "error: objective non-finite at iteration 3"
+    values = re.fullmatch(r"last objective values: (\S+), (\S+)", second).groups()
+    assert all(np.isfinite(float(v)) for v in values)
+    assert not out.exists()
 
 
 def _repeat_first(names):

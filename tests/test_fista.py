@@ -408,6 +408,28 @@ def _blocked_lasso(seed, n_blocks, n_features=6, lam=0.4):
     )
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_scalar_problem_and_its_one_row_block_agree_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    x_mat = rng.normal(size=(60, 40))
+    y = rng.normal(size=60)
+    scalar = _lasso_problem(x_mat, y, lam=1.0)
+    blocked = ProximalProblem(
+        smooth_value=lambda x, rows=None: np.array([scalar.smooth_value(x[0])]),
+        smooth_grad=lambda x, rows=None: scalar.smooth_grad(x[0])[None],
+        prox=lambda h, step, rows=None: scalar.prox(h[0], step.flat[0])[None],
+        full_objective=lambda x, rows=None: np.array([scalar.full_objective(x[0])]),
+    )
+    cfg = SolverConfig(max_iters=300, rel_tol=1e-10)
+    w, trace = solve(scalar, np.zeros(40), cfg)
+    w_rows, (trace_row,) = solve(blocked, np.zeros((1, 40)), cfg)
+    assert np.array_equal(w, w_rows[0])
+    assert trace.iterations == trace_row.iterations
+    assert trace.gamma_per_iter == trace_row.gamma_per_iter
+    assert trace.surrogate_per_iter == trace_row.surrogate_per_iter
+    assert trace.objective_per_iter == trace_row.objective_per_iter
+
+
 def test_blocked_solve_returns_one_trace_per_block():
     problem = _blocked_lasso(20, n_blocks=3)
     phi, traces = solve(problem, np.zeros((3, 6)), SolverConfig(max_iters=500, rel_tol=1e-10))
@@ -530,16 +552,19 @@ def test_line_search_error_after_blocks_stopped_keeps_every_block_in_its_trail(m
         return g
 
     broken = dataclasses.replace(problem, smooth_grad=grad)
+    phi0 = np.array([[0.0, 0.0], [5.0, 4.0], [-3.0, 2.0]])
+    cfg = SolverConfig(max_iters=200, rel_tol=1e-9)
     with pytest.raises(LineSearchError) as exc_info:
-        solve(broken, np.array([[0.0, 0.0], [5.0, 4.0], [-3.0, 2.0]]),
-              SolverConfig(max_iters=200, rel_tol=1e-9))
+        solve(broken, phi0, cfg)
     np.testing.assert_array_equal(grads[-1], [1, 2])
     trail = exc_info.value.objective_trail
     assert len(trail) == 3  # one entry per finished iteration
-    assert all(len(entry) == 3 and all(map(math.isfinite, entry)) for entry in trail)
-    # A stopped block keeps its objective at its stop.
-    assert trail[2][0] == trail[1][0] == trail[0][0]
-    assert trail[2][1] < trail[1][1] < trail[0][1]
+    assert all(isinstance(entry, float) and math.isfinite(entry) for entry in trail)
+    # Each entry sums the blocks' objectives; a stopped block keeps its objective at its stop.
+    _, traces = solve(problem, phi0, cfg)
+    assert traces[0].iterations == 1 < traces[1].iterations
+    for i, entry in enumerate(trail):
+        assert entry == sum(t.objective_per_iter[min(i, t.iterations - 1)] for t in traces)
 
 
 def test_divergence_error_from_a_blocked_problem():
