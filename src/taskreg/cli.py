@@ -25,6 +25,7 @@ them when it returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -255,6 +256,15 @@ def _check_seed(value: int, option: str) -> None:
         raise ValueError(f"{option} must be a non-negative integer, got {value}")
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a ValueError raised in the block with the file it is about."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
@@ -287,9 +297,12 @@ def cmd_split(args) -> int:
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
-    rows = dataset.load_csv(args.input, args.task_column, args.outcome_column)
+    rows = dataset.load_csv(
+        args.input, args.task_column, args.outcome_column, keep_text=not args.scale_full
+    )
     if args.scale_full:
-        dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
+        with _naming(args.input):
+            dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
     train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
     dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
     dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
@@ -347,7 +360,8 @@ def cmd_train(args) -> int:
     if args.no_scale:
         params = None
     else:
-        factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
+        with _naming(args.input):
+            factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
     cfg = _solver_config(args)
 
     # Each model loads only its own fitting module.

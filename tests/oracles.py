@@ -15,8 +15,8 @@ evidence rather than tautology:
   space.
 - ``cluster_indicator``: the normalized indicator matrix of a hard
   clustering, whose O O^T ties the relaxed matrix C back to the groups.
-- ``write_csv_rows``: the CSV writer one ``csv.writer`` row at a time,
-  every cell formatted on its own.
+- ``write_csv_rows``: the CSV writer one ``csv.writer`` row at a time
+  (``csv_record``), every cell formatted on its own.
 - ``loss``, ``grad_loss`` and ``objective``: the mtl objective on the raw
   rows, one task at a time; the fits run on batched QR factors instead.
 - ``cmtl_loss``, ``cmtl_regularizer``, ``cmtl_objective``, ``grad_phi``
@@ -201,23 +201,24 @@ def cluster_indicator(assignments) -> np.ndarray:
     return out
 
 
-def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
-    """Write a dataset as CSV one ``csv.writer`` row at a time, each cell by ``repr``.
+def csv_record(cells) -> str:
+    """One CSV record as ``csv.writer`` writes it, ending in "\\n".
 
-    Rows are written under a "\\r\\n" terminator, so that a field holding a
-    CR is quoted, and each line then ends in "\\n" instead.
+    The record is written under a "\\r\\n" terminator, so that a field
+    holding a CR is quoted, and then ends in "\\n" instead.
     """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue().removesuffix("\r\n") + "\n"
+
+
+def write_csv_rows(ds, path, task_column: str, outcome_column: str) -> None:
+    """Write a dataset as CSV one :func:`csv_record` at a time, each cell by ``repr``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-
-        def writerow(cells):
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\r\n").writerow(cells)
-            fh.write(buf.getvalue().removesuffix("\r\n") + "\n")
-
-        writerow([task_column, *ds.feature_names, outcome_column])
+        fh.write(csv_record([task_column, *ds.feature_names, outcome_column]))
         for t in ds.tasks:
             for i in range(t.n):
-                writerow([t.label, *(repr(v) for v in t.X[i].tolist()), repr(float(t.Y[i]))])
+                fh.write(csv_record([t.label, *map(repr, t.X[i].tolist()), repr(float(t.Y[i]))]))
 
 
 def _check_weights(weights: np.ndarray, ds) -> np.ndarray:

@@ -722,6 +722,89 @@ def test_overflowing_number_in_model_json_is_an_error(
     assert not any(path.exists() for path in outputs)
 
 
+def _write_wide_csv(path, column):
+    """_write_csv's panel with 1e308 and -1e308 in one column: finite cells, a span that is not."""
+    lines = _write_csv(path).read_text(encoding="utf-8").splitlines()
+    for i, value in ((1, "1e308"), (2, "-1e308")):
+        cells = lines[i].split(",")
+        cells[column] = value
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+_WIDE = "[-1e+308, 1e+308]"
+
+
+# Any warning is an error here: each command must fail with its error line alone.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "column, command, message",
+    [
+        (1, ["split", "--scale-full"], f"the range {_WIDE} of feature 0 is too wide to scale"),
+        (1, ["train", "--model", "mtl"], f"the range {_WIDE} of feature 0 is too wide to scale"),
+        (-1, ["train", "--model", "mtl", "--scale-outcome"],
+         f"the outcome range {_WIDE} is too wide to scale"),
+        (-1, ["train", "--model", "stl", "--scale-outcome"],
+         f"the outcome range {_WIDE} is too wide to scale"),
+    ],
+    ids=["split-feature", "train-feature", "mtl-outcome", "stl-outcome"],
+)
+def test_a_range_too_wide_to_scale_is_an_error(tmp_path, capsys, column, command, message):
+    csv_path = _write_wide_csv(tmp_path / "data.csv", column)
+    if command[0] == "split":
+        outputs = [tmp_path / name for name in ("train.csv", "test.csv", "split.json")]
+        argv = [command[0], str(csv_path), *command[1:], "--train-out", str(outputs[0]),
+                "--test-out", str(outputs[1]), "--manifest", str(outputs[2])]
+    else:
+        outputs = [tmp_path / "model.json"]
+        argv = [command[0], str(csv_path), *command[1:], "--out", str(outputs[0])]
+    capsys.readouterr()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {csv_path}: {message}\n"
+    assert captured.out == ""
+    assert code == 2
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["riskfactors", "evaluate"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda s: {**s, "feature_min": [-1e308, *s["feature_min"][1:]],
+                    "feature_max": [1e308, *s["feature_max"][1:]]},
+         f"the range {_WIDE} of feature 0 is too wide to scale"),
+        (lambda s: {**s, "outcome_min": -1e308, "outcome_max": 1e308},
+         f"the outcome range {_WIDE} is too wide to scale"),
+    ],
+    ids=["feature", "outcome"],
+)
+def test_model_whose_scaling_range_is_too_wide_is_an_error(
+    tmp_path, capsys, command, corrupt, message
+):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", "mtl", "--scale-outcome")
+    data = json.loads(model.read_text())
+    data["scaling"] = corrupt(data["scaling"])
+    model.write_text(json.dumps(data))
+    outputs = [tmp_path / "rf.json", tmp_path / "rf.csv", tmp_path / "mae.csv"]
+    if command == "riskfactors":
+        argv = ["riskfactors", "--model", str(model), "--out-json", str(outputs[0]),
+                "--out-csv", str(outputs[1])]
+    else:
+        argv = ["evaluate", str(test), "--model", str(model), "--out", str(outputs[2])]
+    capsys.readouterr()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model}: {message}\n"
+    assert captured.out == ""
+    assert code == 2
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

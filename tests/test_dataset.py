@@ -1,5 +1,6 @@
 """Loading, scaling, and splitting behavior."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -794,7 +795,13 @@ def _split_oracle(source, out, fraction, seed, scale):
     return f"split {ds.n_rows} rows across {ds.n_tasks} tasks -> {sides}\n"
 
 
-def _assert_split_matches_oracle(tmp_path, capsys, text, *, fraction=0.6, seed=3, scale=False):
+def _assert_split_matches_oracle(tmp_path, capsys, text, *, fraction=0.6, seed=3, scale=False,
+                                 copies=False):
+    """``split`` prints and writes what the oracles do.
+
+    With ``copies`` each side is held to :func:`_copied_sides` (every
+    record as the cell reader reads it), and its doubles to the oracles'.
+    """
     source = tmp_path / "panel.csv"
     source.write_bytes(text.encode("utf-8"))
     got, expected = tmp_path / "cli", tmp_path / "oracle"
@@ -808,8 +815,50 @@ def _assert_split_matches_oracle(tmp_path, capsys, text, *, fraction=0.6, seed=3
     printed = capsys.readouterr().out
     assert printed == _split_oracle(source, expected, fraction, seed, scale).replace(
         str(expected), str(got))
-    for name in ("train.csv", "test.csv", "split.json"):
-        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+    assert (got / "split.json").read_bytes() == (expected / "split.json").read_bytes()
+    if not copies:
+        for name in ("train.csv", "test.csv"):
+            assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+        return
+    with open(source, encoding="utf-8-sig", newline="") as fh:
+        header, *body = csv.reader(fh)
+    records = [(fields[0], oracles.csv_record(fields)) for fields in body if fields[-1].strip()]
+    copied = _copied_sides(oracles.csv_record(header), records, fraction, seed)
+    for name, side in zip(("train.csv", "test.csv"), copied):
+        assert (got / name).read_bytes().decode("utf-8") == side, name
+        _assert_same_bits(_rows(got / name, "site", "outcome"),
+                          _rows(expected / name, "site", "outcome"))
+
+
+def _copied_sides(header, records, fraction, seed):
+    """The train and test text of a split that copies each kept record's text.
+
+    ``records`` holds the (label, text) of each kept record in file order;
+    each task's records are shuffled and cut as oracles.stratified_split
+    shuffles and cuts its rows.
+    """
+    texts = {}
+    for label, text in records:
+        texts.setdefault(label, []).append(text)
+    places = MultiTaskDataset(
+        tasks=tuple(
+            TaskData(label, X=np.arange(len(rows), dtype=float)[:, None], Y=np.zeros(len(rows)))
+            for label, rows in texts.items()
+        ),
+        feature_names=("place",),
+    )
+    return tuple(
+        header + "".join(texts[task.label][int(i)] for task in side.tasks for i in task.X[:, 0])
+        for side in oracles.stratified_split(places, fraction, seed)
+    )
+
+
+def _assert_same_bits(got, expected):
+    """Two datasets hold the same labels, names and doubles, bit for bit (signed zeros too)."""
+    assert got.task_labels == expected.task_labels
+    assert got.feature_names == expected.feature_names
+    for a, b in zip(got.tasks, expected.tasks):
+        assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes(), a.label
 
 
 def _float_repr(value):
@@ -861,7 +910,85 @@ def test_split_through_cell_reader_matches_library_path(tmp_path, monkeypatch, c
     source = _write(tmp_path, text, name="edited.csv")
     # The cell reader reads it.
     assert _chunked_rows(monkeypatch, source, "site", "outcome") is None
-    _assert_split_matches_oracle(tmp_path, capsys, text, scale=scale)
+    if scale:
+        _assert_split_matches_oracle(tmp_path, capsys, text, scale=scale)
+        return
+    # Unscaled, split copies each record as the cell reader read it, so a
+    # 1_0 cell stays 1_0; each side still loads to the repr oracle's doubles.
+    _assert_split_matches_oracle(tmp_path, capsys, text, copies=True)
+
+
+def _copy_panel(seed):
+    """A panel and its records: (file text, [(label, output line or None if dropped)]).
+
+    Cells are %.3f text, with -0.0, 5e-324 and 1e16 among them; records
+    end in CRLF after a BOM, the last in nothing; some outcomes are
+    blank. The cell reader must read three records: two whose quoted
+    label holds a lone CR, kept quoted, and one with a 1_0 cell, whose
+    needlessly quoted label is written back unquoted.
+    """
+    rng = np.random.default_rng(seed)
+    labels = {'"rural, north"': "rural, north", "south": "south", "east": "east"}
+    records = []
+    for _ in range(30):
+        label = list(labels)[rng.integers(len(labels))]
+        values = rng.normal(size=3) * 10.0 ** rng.integers(-2, 3, size=3)
+        values[rng.random(3) < 0.1] = -0.0
+        cells = [f"{v:.3f}" for v in values]
+        if rng.random() < 0.15:
+            cells[-1] = rng.choice(["", " "])
+        records.append((label, ",".join([label, *cells])))
+    special = [
+        ("south", "south,-0.0,5e-324,1e16"),
+        ("east", "east,1e16,-0.0,5e-324"),
+        ('"cr\rsouth"', '"cr\rsouth",0.500,-0.000,1.250'),
+        ('"cr\rsouth"', '"cr\rsouth",1.500,2.000,-0.0'),
+        ('"south"', '"south",1_0,0.125,3.000'),
+    ]
+    for record in special:
+        records.insert(rng.integers(len(records)), record)
+    records.append(("east", "east,0.250,0.500,0.750"))
+    text = "\ufeffsite,f0,f1,outcome\r\n" + "\r\n".join(line for _, line in records)
+    parsed = []
+    for label, line in records:
+        label = labels.get(label, label.strip('"'))
+        if not line.rsplit(",", 1)[1].strip():
+            parsed.append((label, None))
+        else:
+            parsed.append((label, line.replace('"south",1_0', "south,1_0") + "\n"))
+    return text, parsed
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_copies_each_kept_record(tmp_path, monkeypatch, seed, chunk):
+    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    text, records = _copy_panel(seed)
+    source = tmp_path / "panel.csv"
+    source.write_bytes(text.encode("utf-8"))
+    sides = [tmp_path / "train.csv", tmp_path / "test.csv"]
+    argv = ["split", str(source), "--task-column", "site", "--seed", str(seed),
+            "--train-out", str(sides[0]), "--test-out", str(sides[1]),
+            "--manifest", str(tmp_path / "split.json")]
+    assert cli.main(argv) == 0
+    # Each kept record's own text, its line end made "\n"; the header without the BOM.
+    kept = [(label, line) for label, line in records if line is not None]
+    expected = _copied_sides("site,f0,f1,outcome\n", kept, 0.6, seed)
+    for path, side in zip(sides, expected):
+        assert path.read_bytes().decode("utf-8") == side
+    # Each side loads to the oracle split's doubles, bit for bit.
+    oracle = oracles.stratified_split(_rows(source, "site", "outcome"), 0.6, seed)
+    for path, side in zip(sides, oracle):
+        _assert_same_bits(_rows(path, "site", "outcome"), side)
+    # train fits the same model to the copied side as to the library's side of doubles.
+    table = load_csv(source, "site", "outcome")
+    library = tmp_path / "library.csv"
+    write_csv(table, stratified_split(table, 0.6, seed)[0], library, "site", "outcome")
+    models = [tmp_path / "copied.json", tmp_path / "library.json"]
+    for path, model in zip((sides[0], library), models):
+        argv = ["train", str(path), "--task-column", "site", "--model", "mtl", "--out", str(model)]
+        assert cli.main(argv) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
 
 
 @pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
