@@ -357,10 +357,11 @@ def cmd_train(args) -> int:
     _check_seed(args.kmeans_seed, "--kmeans-seed")
     _check_outputs([("the input", args.input), ("--config", args.config)], [("--out", args.out)])
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
-    if args.no_scale:
-        params = None
-    else:
-        with _naming(args.input):
+    with _naming(args.input):
+        if args.no_scale:
+            factors.check_finite()
+            params = None
+        else:
             factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
     cfg = _solver_config(args)
 

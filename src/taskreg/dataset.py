@@ -247,6 +247,24 @@ class TaskFactors:
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    def check_finite(self) -> None:
+        """Raise ValueError if a factor is not finite, naming the column of largest magnitude.
+
+        A finite cell near the largest double can overflow the QR fold of
+        its task's rows; no fit can start from such a factor.
+        """
+        for label, r in zip(self.task_labels, self.factors):
+            if not np.isfinite(r).all():
+                lo = np.append(self.feature_min, self.outcome_min)
+                hi = np.append(self.feature_max, self.outcome_max)
+                peak = np.where(np.abs(lo) > np.abs(hi), lo, hi)
+                j = int(np.abs(peak).argmax())
+                names = [f"feature {name!r}" for name in self.feature_names]
+                raise ValueError(
+                    f"{[*names, 'the outcome'][j]} reaches {float(peak[j])!r}, too large in "
+                    f"magnitude to fit task {label!r}"
+                )
+
     def minmax_scaled(self, *, scale_outcome: bool = False) -> tuple["TaskFactors", ScalingParams]:
         """What :func:`minmax_scale` does to the rows, done on the factors.
 
@@ -260,6 +278,7 @@ class TaskFactors:
             outcome_min=self.outcome_min if scale_outcome else None,
             outcome_max=self.outcome_max if scale_outcome else None,
         )
+        self.check_finite()
         j = self.n_features
         # A constant column has span 0 and maps to 0, as in ScalingParams.
         span = self.feature_max - self.feature_min
@@ -332,6 +351,7 @@ class RowSink(Protocol):
     ``sink_for(feature_names, header)`` and its ``add`` also takes the
     chunk's ``text``: ``(text, ends)``, the kept records' text, each
     record ending in "\\n", and the offset in it of each record's end.
+    Its ``x`` and ``y`` are None: the doubles are parsed and checked, not kept.
     """
 
     def add(
@@ -658,7 +678,8 @@ def _body_chunks(fh, path, layout, codes: dict[str, int], keep_text: bool):
 
     ``codes`` numbers task labels in order of first appearance, and
     ``task`` holds each kept row's code. ``text`` is None, or with
-    ``keep_text`` the kept records' ``(text, ends)`` (see :class:`RowSink`).
+    ``keep_text`` the kept records' ``(text, ends)``, and then ``x`` and
+    ``y`` are None (see :class:`RowSink`).
     Chunks of :data:`_CHUNK_LINES` lines go through ``np.loadtxt``
     (:func:`_parse_chunk`). A chunk that cannot be shown to parse as
     ``float()`` would is read cell by cell (:func:`_cell_chunks`), and the
@@ -697,13 +718,16 @@ def _parse_chunk(lines, layout, codes: dict[str, int], keep_text: bool):
         return None
     outcome = table[:, outcome_idx]
     kept = ~np.isnan(outcome)
-    # Fancy indexing copies, so the sink holds nothing of the table.
-    x = table[np.ix_(kept, feature_idx)]
-    if not np.isfinite(x).all():
+    # A kept row's task code and outcome are finite, so this tests its features.
+    if not np.isfinite(table).all(axis=1)[kept].all():
         return None
     codes.update(chunk_codes)
-    text = _line_records(itertools.compress(lines, kept.tolist())) if keep_text else None
-    return len(lines), table[kept, task_idx].astype(np.intp), x, outcome[kept], text
+    task = table[kept, task_idx].astype(np.intp)
+    if keep_text:
+        text = _line_records(itertools.compress(lines, kept.tolist()))
+        return len(lines), task, None, None, text
+    # Fancy indexing copies, so the sink holds nothing of the table.
+    return len(lines), task, table[np.ix_(kept, feature_idx)], outcome[kept], None
 
 
 def _line_records(lines):
@@ -722,18 +746,12 @@ def _line_records(lines):
 
 
 def _parse_lines(lines, width: int, task_idx: int, outcome_idx: int, codes: dict[str, int]):
-    """``np.loadtxt`` over body lines: one row of ``width`` values per line, or None.
+    """``np.loadtxt`` over a list of body lines: one row of ``width`` values per line, or None.
 
     A task cell becomes its label's code in ``codes``, which numbers
     labels in order of first appearance and is extended in place. An
     outcome cell goes through :func:`_outcome_cell`.
     """
-    line_count = 0
-
-    def counted():
-        nonlocal line_count
-        for line_count, line in enumerate(lines, start=1):
-            yield line
 
     def task_code(text: str) -> int:
         return codes.setdefault(text, len(codes))
@@ -743,7 +761,7 @@ def _parse_lines(lines, width: int, task_idx: int, outcome_idx: int, codes: dict
             # An all-blank body is caught by the line count below.
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(
-                counted(),
+                lines,
                 delimiter=",",
                 comments=None,
                 quotechar='"',
@@ -752,7 +770,7 @@ def _parse_lines(lines, width: int, task_idx: int, outcome_idx: int, codes: dict
             )
     except ValueError:
         return None
-    return table if table.shape == (line_count, width) else None
+    return table if table.shape == (len(lines), width) else None
 
 
 def _ends_inside_quotes(line: str) -> bool:
@@ -802,10 +820,11 @@ def _cell_chunks(lines, fh, path, layout, codes: dict[str, int], row: int, keep_
         task.append(code)
         if keep_text:
             text.append(_csv_line(fields))
-    x = np.array(x).reshape(len(y), len(feature_idx))
+    task = np.array(task, dtype=np.intp)
     if keep_text:
-        text = "".join(text), np.cumsum(list(map(len, text)), dtype=np.int64)
-    return records, np.array(task, dtype=np.intp), x, np.array(y), text if keep_text else None
+        ends = np.cumsum(list(map(len, text)), dtype=np.int64)
+        return records, task, None, None, ("".join(text), ends)
+    return records, task, np.array(x).reshape(len(y), len(feature_idx)), np.array(y), None
 
 
 def _parse_cell(text: str, path, line_no: int, column: str) -> float:

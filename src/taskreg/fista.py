@@ -18,7 +18,10 @@ A problem may also be a stack of independent problems, one per row of x
 its own: its own gamma, best iterate and stopping test. A block that
 stops leaves the batch, and the solver goes on with the rest. There is
 one iteration path: a problem with a scalar objective runs as a stack
-of one row.
+of one row. Each iteration leaves one record with every block's
+objective, gamma, smooth value and surrogate, NaN for a block that has
+stopped; the traces and a solver error's objective trail are read from
+these records.
 """
 
 from __future__ import annotations
@@ -138,18 +141,18 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1)).reshape(n)
 
 
-def _one_block(problem: ProximalProblem) -> ProximalProblem:
-    """A scalar-objective problem as a blocked problem of one row, x[0]."""
-    return ProximalProblem(
-        smooth_value=lambda x, rows: [problem.smooth_value(x[0])],
-        smooth_grad=lambda x, rows: problem.smooth_grad(x[0])[None],
-        prox=lambda h, step, rows: problem.prox(h[0], step.flat[0])[None],
-        full_objective=lambda x, rows: [problem.full_objective(x[0])],
-    )
+def _callbacks(problem: ProximalProblem, rows: np.ndarray, scalar: bool):
+    """The four callbacks, each given ``rows`` last; values come back as float arrays.
 
-
-def _callbacks(problem: ProximalProblem, rows: np.ndarray):
-    """The four callbacks, each given ``rows`` last; values come back as float arrays."""
+    A ``scalar`` problem runs as a blocked problem of one row: its callbacks get x[0].
+    """
+    if scalar:
+        return (
+            lambda x: np.array([problem.smooth_value(x[0])], dtype=np.float64),
+            lambda x: problem.smooth_grad(x[0])[None],
+            lambda h, step: problem.prox(h[0], step.flat[0])[None],
+            lambda x: np.array([problem.full_objective(x[0])], dtype=np.float64),
+        )
     return (
         lambda x: np.asarray(problem.smooth_value(x, rows), dtype=np.float64),
         lambda x: problem.smooth_grad(x, rows),
@@ -158,39 +161,24 @@ def _callbacks(problem: ProximalProblem, rows: np.ndarray):
     )
 
 
-def _trail(segments, n_blocks: int) -> list[float]:
+def _trail(records: list[np.ndarray]) -> list[float]:
     """The objectives so far, for a solver error.
 
-    One float per iteration: the sum over all ``n_blocks`` blocks, in
-    which a stopped block keeps its objective at its stop.
+    One float per iteration: the sum over all blocks, in which a stopped
+    block keeps its objective at its stop.
     """
-    latest = np.full(n_blocks, np.nan)
-    trail = []
-    for rows, records in segments:
-        for f, *_ in records:
-            latest[rows] = f
-            trail.append(float(latest.sum()))
+    trail, latest = [], np.nan
+    for f, *_ in records:
+        latest = np.where(np.isnan(f), latest, f)
+        trail.append(float(latest.sum()))
     return trail
 
 
-def _history(segments, n_blocks: int) -> np.ndarray:
-    """The (iterations, 4, blocks) array of the records; what a block did not run is unset."""
-    n_iter = sum(len(records) for _, records in segments)
-    history = np.empty((n_iter, 4, n_blocks))
-    start = 0
-    for rows, records in segments:
-        if records:
-            stop = start + len(records)
-            history[start:stop, :, rows] = records
-            start = stop
-    return history
-
-
-def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, trail):
+def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, records):
     """Double each block's gamma until its descent condition holds.
 
     Returns (candidate, gamma, smooth_at_candidate, surrogate_value); a
-    block's candidate is its first trial that passes. ``trail()`` gives the
+    block's candidate is its first trial that passes. ``records`` give the
     objective trail for the error raised when a block never passes.
     """
     slack = _DESCENT_SLACK * np.maximum(1.0, np.abs(smooth_s))
@@ -218,7 +206,7 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, trail):
         f"no acceptable step after {_MAX_BACKTRACKS} backtracks "
         f"(gamma reached {gamma[pending].max():.3g}); "
         "smooth gradient may be inconsistent",
-        trail(),
+        _trail(records),
     )
 
 
@@ -252,9 +240,15 @@ def solve(
 
     There is one iteration path: when ``full_objective`` returns a scalar,
     the problem runs as a blocked problem of one row, and the trace is
-    that row's :class:`SolveTrace`. A solver error's ``objective_trail``
-    has one float per finished iteration, the objective summed over the
-    blocks.
+    that row's :class:`SolveTrace`.
+
+    Each iteration appends one (4, blocks) record: the objective, gamma,
+    smooth value and surrogate of every block, NaN for a block that has
+    stopped. A block's trace is its column of the stacked records up to
+    its first NaN, so its iteration count is the length of that column. A
+    solver error's ``objective_trail`` has one float per finished
+    iteration, the objective summed over the blocks, a stopped block
+    counting with its objective at its stop.
 
     Raises
     ------
@@ -277,27 +271,22 @@ def solve(
         raise DivergenceError(f"objective is non-finite at the start point ({f_prev[()]})")
     scalar = f_prev.ndim == 0
     if scalar:
-        problem, phi_curr, f_prev = _one_block(problem), phi_curr[None], f_prev[None]
+        phi_curr, f_prev = phi_curr[None], f_prev[None]
     phi_prev = best_phi = phi_curr
     best_f = f_prev
 
     # The running blocks, and what each block has when it stops: its best
-    # iterate, its iteration count and whether it met the stopping test.
+    # iterate and whether it met the stopping test.
     n_blocks = len(f_prev)
     rows = np.arange(n_blocks)
     rows.setflags(write=False)
     result = np.empty_like(phi_curr)
-    iterations = np.zeros(n_blocks, dtype=int)
     converged = np.zeros(n_blocks, dtype=bool)
-    smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows)
+    smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows, scalar)
 
-    # For each stretch of iterations between stops: the running blocks, and per
-    # iteration the objective, gamma, smooth value and surrogate of each.
-    records: list[tuple] = []
-    segments = [(rows, records)]
-
-    def trail():
-        return _trail(segments, n_blocks)
+    # Per iteration, the objective, gamma, smooth value and surrogate of each
+    # block, NaN for a block that has stopped.
+    records: list[np.ndarray] = []
 
     gamma = np.full(n_blocks, _GAMMA0)
     d_prev_prev, d_prev = 0.0, 1.0  # d_{l-2}, d_{l-1}
@@ -322,17 +311,19 @@ def solve(
                 s = _where(retreat, phi_curr, s)
                 smooth_s = _where(retreat, smooth_value(s), smooth_s)
             if not np.isfinite(smooth_s).all():
-                raise DivergenceError(f"smooth part non-finite at iteration {l}", trail())
+                raise DivergenceError(f"smooth part non-finite at iteration {l}", _trail(records))
         grad_s = smooth_grad(s)
 
         phi_next, gamma, smooth_next, q_next = _backtrack(
-            smooth_value, prox, s, smooth_s, grad_s, gamma, trail
+            smooth_value, prox, s, smooth_s, grad_s, gamma, records
         )
         f_next = full_objective(phi_next)
         if not np.isfinite(f_next).all():
-            raise DivergenceError(f"objective non-finite at iteration {l}", trail())
+            raise DivergenceError(f"objective non-finite at iteration {l}", _trail(records))
 
-        records.append((f_next, gamma, smooth_next, q_next))
+        record = np.full((4, n_blocks), np.nan)
+        record[:, rows] = f_next, gamma, smooth_next, q_next
+        records.append(record)
         improved = f_next < best_f
         best_f = _where(improved, f_next, best_f)
         best_phi = _where(improved, phi_next, best_phi)
@@ -350,7 +341,6 @@ def solve(
         # The stopped blocks leave the batch.
         done = rows[stopped]
         result[done] = best_phi[stopped]
-        iterations[done] = l
         converged[done] = True
         keep = ~stopped
         rows = rows[keep]
@@ -359,25 +349,17 @@ def solve(
         rows.setflags(write=False)
         phi_prev, phi_curr, best_phi = phi_prev[keep], phi_curr[keep], best_phi[keep]
         gamma, best_f, f_prev = gamma[keep], best_f[keep], f_prev[keep]
-        smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows)
-        records = []
-        segments.append((rows, records))
+        smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows, scalar)
 
     if rows.size:  # the blocks still running stopped at the iteration cap
         result[rows] = best_phi
-        iterations[rows] = l
-    history = _history(segments, n_blocks)
-    traces = [_block_trace(history, b, n, c) for b, (n, c) in enumerate(zip(iterations, converged))]
+    history = np.array(records).T  # (blocks, 4, iterations)
+    traces = [_block_trace(h, c) for h, c in zip(history, converged.tolist())]
     return (result[0], traces[0]) if scalar else (result, BlockTraces(traces))
 
 
-def _block_trace(history: np.ndarray, b: int, n: int, converged: bool) -> SolveTrace:
-    """Block b's trace from the (iterations, 4, blocks) records of a solve."""
-    return SolveTrace(
-        objective_per_iter=tuple(history[:n, 0, b].tolist()),
-        gamma_per_iter=tuple(history[:n, 1, b].tolist()),
-        smooth_per_iter=tuple(history[:n, 2, b].tolist()),
-        surrogate_per_iter=tuple(history[:n, 3, b].tolist()),
-        iterations=int(n),
-        converged=bool(converged),
-    )
+def _block_trace(history: np.ndarray, converged: bool) -> SolveTrace:
+    """A block's trace from its (4, iterations) records, which are NaN once it has stopped."""
+    n = int(np.count_nonzero(~np.isnan(history[0])))
+    objective, gamma, smooth, surrogate = (tuple(row) for row in history[:, :n].tolist())
+    return SolveTrace(objective, gamma, smooth, surrogate, iterations=n, converged=converged)

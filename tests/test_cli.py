@@ -805,6 +805,63 @@ def test_model_whose_scaling_range_is_too_wide_is_an_error(
     assert not any(path.exists() for path in outputs)
 
 
+def _write_huge_cell_csv(path, value, column=1):
+    """_write_csv's panel at 20 rows per task, with ``value`` in task0's first row and ``column``."""
+    lines = _write_csv(path, n_rows=20).read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[column] = value
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+_SCALED_FITS = [
+    ("--model", "mtl"),
+    ("--model", "stl", "--setting", "individual"),
+    ("--model", "stl", "--setting", "global", "--penalty", "ridge"),
+    ("--model", "cmtl", "--k", "1"),
+]
+_SCALED_FIT_IDS = ["mtl", "stl-individual", "stl-global", "cmtl"]
+
+
+# Any warning is an error here: train must fail with its error line alone.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "column, value, options",
+    [
+        *((1, "1e308", options) for options in _SCALED_FITS),
+        (1, "1e308", ("--model", "mtl", "--no-scale")),
+        (-1, "1.7e308", ("--model", "mtl")),
+    ],
+    ids=[*_SCALED_FIT_IDS, "mtl-no-scale", "outcome"],
+)
+def test_a_cell_too_large_to_fit_is_an_error(tmp_path, capsys, column, value, options):
+    # The cell is finite, but the QR fold of task0's rows overflows on it.
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", value, column)
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    code = cli.main(["train", str(csv_path), *options, "--out", str(out)])
+    captured = capsys.readouterr()
+    what = "feature 'f0'" if column == 1 else "the outcome"
+    assert captured.err == (
+        f"error: {csv_path}: {what} reaches {float(value)!r}, too large in magnitude "
+        "to fit task 'task0'\n"
+    )
+    assert captured.out == ""
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("options", _SCALED_FITS, ids=_SCALED_FIT_IDS)
+def test_a_large_cell_that_folds_still_fits(tmp_path, capsys, options):
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", "1e300")
+    out = tmp_path / "model.json"
+    assert cli.main(["train", str(csv_path), *options, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_model(out).n_tasks == 3
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -440,6 +440,29 @@ def test_blocked_solve_returns_one_trace_per_block():
     assert phi.shape == (3, 6)
 
 
+def _block_alone(problem, b):
+    """Block b of a blocked problem as a blocked problem of one row."""
+    one = np.array([b])
+    return ProximalProblem(
+        smooth_value=lambda x, rows=None: problem.smooth_value(x, one),
+        smooth_grad=lambda x, rows=None: problem.smooth_grad(x, one),
+        prox=lambda h, step, rows=None: problem.prox(h, step, one),
+        full_objective=lambda x, rows=None: problem.full_objective(x, one),
+    )
+
+
+def test_blocks_at_the_cap_beside_a_stopped_block_match_their_own_solves():
+    # Block 1 stops on the test after 58 iterations; blocks 0 and 2 run to the cap.
+    problem = _blocked_lasso(20, n_blocks=3)
+    cfg = SolverConfig(max_iters=60, rel_tol=1e-10)
+    phi, traces = solve(problem, np.zeros((3, 6)), cfg)
+    assert [(t.iterations, t.converged) for t in traces] == [(60, False), (58, True), (60, False)]
+    for b in range(3):
+        w, (alone,) = solve(_block_alone(problem, b), np.zeros((1, 6)), cfg)
+        assert traces[b] == alone
+        assert np.array_equal(phi[b], w[0])
+
+
 def test_converged_block_no_longer_moves():
     # A stopped block leaves the batch: no callback sees its row again.
     # Block 0 is so flat that its objective stops changing, by the relative
