@@ -15,13 +15,12 @@ scored chunk by chunk (:func:`evaluate`, :class:`MaeAccumulator`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScalingParams, TaskFactors, stream_csv
+from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import _STL_PENALTIES, _STL_SETTINGS, LeastSquares, MtlModel
 
@@ -244,12 +243,11 @@ class MaeAccumulator:
             parts.append(np.abs(pred - y))
 
     def finish(self, labels, dropped_rows):
-        task = np.concatenate(self._task_parts)
-        order = np.argsort(task, kind="stable")
-        ends = np.cumsum(np.bincount(task, minlength=len(labels)))[:-1]
+        rows = _task_rows(np.concatenate(self._task_parts), len(labels))
 
         def per_task(parts):
-            return dict(zip(labels, np.split(np.concatenate(parts)[order], ends)))
+            values = np.concatenate(parts)
+            return {label: values[r] for label, r in zip(labels, rows)}
 
         self.outcomes = per_task(self._outcome_parts)
         self._errors = [per_task(parts) for parts in self._error_parts]
@@ -293,7 +291,8 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
     ``outcomes`` maps each test task, in table order, to its raw outcomes
     (as :attr:`MaeAccumulator.outcomes` does). Each row carries the task's
     test-set size and the mean and standard deviation of its outcomes,
-    then the per-model MAE values.
+    then the per-model MAE values, in the CSV dialect of
+    :func:`taskreg.dataset.write_rows`.
     """
     if not reports:
         raise ValueError("need at least one report to tabulate")
@@ -301,17 +300,11 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
         if set(rep.per_task) != set(outcomes):
             raise ValueError(f"report {name!r} does not cover the test tasks")
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "n", "outcome_mean", "outcome_sd", *reports])
-        for label, y in outcomes.items():
-            row = [label, y.size, repr(float(y.mean())), repr(float(y.std()))]
-            writer.writerow(row + [repr(rep.per_task[label]) for rep in reports.values()])
-        pooled = np.concatenate(list(outcomes.values()))
-        total_row = [
-            "TOTAL",
-            int(pooled.size),
-            repr(float(pooled.mean())),
-            repr(float(pooled.std())),
-        ]
-        writer.writerow(total_row + [repr(rep.total) for rep in reports.values()])
+    rows = [["task", "n", "outcome_mean", "outcome_sd", *reports]]
+    for label, y in outcomes.items():
+        row = [label, y.size, repr(float(y.mean())), repr(float(y.std()))]
+        rows.append(row + [repr(rep.per_task[label]) for rep in reports.values()])
+    pooled = np.concatenate(list(outcomes.values()))
+    total_row = ["TOTAL", int(pooled.size), repr(float(pooled.mean())), repr(float(pooled.std()))]
+    rows.append(total_row + [repr(rep.total) for rep in reports.values()])
+    write_rows(rows, path)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -321,9 +320,7 @@ def cmd_split(args) -> int:
             for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
         },
     }
-    with open(args.manifest, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    dataset.write_json(manifest, args.manifest)
     print(
         f"split {rows.n_rows} rows across {rows.n_tasks} tasks "
         f"-> {args.train_out}, {args.test_out}"
@@ -357,12 +354,12 @@ def cmd_train(args) -> int:
     _check_seed(args.kmeans_seed, "--kmeans-seed")
     _check_outputs([("the input", args.input), ("--config", args.config)], [("--out", args.out)])
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
+    params = None
     with _naming(args.input):
-        if args.no_scale:
-            factors.check_finite()
-            params = None
-        else:
+        if not args.no_scale:
             factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
+        # In the units of the fit: an outcome left unscaled can still overflow it.
+        factors.check_finite()
     cfg = _solver_config(args)
 
     # Each model loads only its own fitting module.
@@ -495,7 +492,12 @@ def cmd_riskfactors(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    from . import serialize
+    """Write each task's cluster and, with --out-matrix, the relaxed cluster matrix.
+
+    Both files are CSV in the dialect of :func:`taskreg.dataset.write_rows`;
+    the matrix has one row and one column per task, each value by ``repr``.
+    """
+    from . import dataset, serialize
 
     if args.model is None:
         raise ValueError("--model is required")
@@ -506,18 +508,12 @@ def cmd_clusters(args) -> int:
     model = serialize.load_model(args.model)
     if model.model_type != "cmtl":
         raise ValueError("the clusters command requires a cmtl model")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "cluster"])
-        for label, cluster in zip(model.task_labels, model.assignments):
-            writer.writerow([label, cluster])
+    labels = model.task_labels
+    dataset.write_rows([["task", "cluster"], *zip(labels, model.assignments)], args.out)
     if args.out_matrix is not None:
-        matrix = model.cluster_matrix.matrix
-        with open(args.out_matrix, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["task"] + list(model.task_labels))
-            for label, row in zip(model.task_labels, matrix):
-                writer.writerow([label] + [repr(float(v)) for v in row])
+        matrix = model.cluster_matrix.matrix.tolist()
+        rows = [[label, *map(repr, row)] for label, row in zip(labels, matrix)]
+        dataset.write_rows([["task", *labels], *rows], args.out_matrix)
     n_clusters = len(set(model.assignments))
     print(f"{model.n_tasks} tasks in {n_clusters} clusters -> {args.out}")
     return 0

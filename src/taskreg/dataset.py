@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -247,14 +248,20 @@ class TaskFactors:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def check_finite(self) -> None:
+    def check_finite(self, *, squares: bool = True) -> None:
         """Raise ValueError if a factor is not finite, naming the column of largest magnitude.
 
         A finite cell near the largest double can overflow the QR fold of
-        its task's rows; no fit can start from such a factor.
+        its task's rows, and with ``squares`` one past about 1.3e154 the
+        running sum of squares that bounds each fit's data term. The task
+        named is the first such one; no fit can start from it.
         """
+        total = 0.0
         for label, r in zip(self.task_labels, self.factors):
-            if not np.isfinite(r).all():
+            if squares:
+                with np.errstate(over="ignore"):
+                    total += float(np.vdot(r, r))
+            if not (np.isfinite(r).all() and math.isfinite(total)):
                 lo = np.append(self.feature_min, self.outcome_min)
                 hi = np.append(self.feature_max, self.outcome_max)
                 peak = np.where(np.abs(lo) > np.abs(hi), lo, hi)
@@ -278,7 +285,7 @@ class TaskFactors:
             outcome_min=self.outcome_min if scale_outcome else None,
             outcome_max=self.outcome_max if scale_outcome else None,
         )
-        self.check_finite()
+        self.check_finite(squares=False)
         j = self.n_features
         # A constant column has span 0 and maps to 0, as in ScalingParams.
         span = self.feature_max - self.feature_min
@@ -931,6 +938,25 @@ def write_csv(table: RowTable, task_rows, path, task_column: str, outcome_column
             for start in range(0, rows.size, _WRITE_BLOCK_ROWS):
                 block = table.table[rows[start : start + _WRITE_BLOCK_ROWS]]
                 fh.write(_format_rows(prefix, block))
+
+
+def write_rows(rows, path) -> None:
+    """Write each row of ``rows``, a list of cells, to ``path`` as one CSV line.
+
+    This is the dialect of every CSV file taskreg writes: UTF-8, "\\n"
+    line ends and ``csv`` quoting, with a field that holds a CR or an LF
+    quoted (:func:`_csv_line`), so the file reads back through
+    ``csv.reader`` row for row.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(map(_csv_line, rows))
+
+
+def write_json(data, path) -> None:
+    """Write ``data`` to ``path`` as JSON: indent 2, a final newline, no NaN or infinity."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(data, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _csv_line(cells) -> str:

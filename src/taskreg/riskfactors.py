@@ -12,12 +12,12 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .dataset import write_json, write_rows
 
 _LEVELS = ("task", "cluster", "population")
 
@@ -273,43 +273,29 @@ def report_to_dict(report: RiskReport) -> dict:
 
 
 def write_report_json(report: RiskReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def write_report_csv(report: RiskReport, path) -> None:
-    """Flat CSV with one row per (level, group, feature).
+    """Flat CSV with one row per (level, group, feature), in the dialect of :func:`write_rows`.
 
     Columns are level, group, feature, value; value holds the score at
     task level, the share count at population level, and the subset
     size at cluster level. A category column is appended when the
     report carries a category map.
     """
-    with_categories = report.categories is not None
-    header = ["level", "group", "feature", "value"]
-    if with_categories:
-        header.append("category")
-
-    def finish(row, name):
-        if with_categories:
-            row.append(report.categories.get(name, ""))
-        return row
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if report.per_task is not None:
-            for label, factors in report.per_task.items():
-                for f in factors:
-                    writer.writerow(
-                        finish(["task", label, f.feature_name, repr(f.score)], f.feature_name)
-                    )
-        if report.per_cluster is not None:
-            for key, names in report.per_cluster.items():
-                group = "+".join(str(c) for c in key)
-                for name in names:
-                    writer.writerow(finish(["cluster", group, name, len(key)], name))
-        if report.population is not None:
-            for name, count in report.population:
-                writer.writerow(finish(["population", "", name, count], name))
+    rows = [["level", "group", "feature", "value"]]
+    if report.per_task is not None:
+        for label, factors in report.per_task.items():
+            rows += (["task", label, f.feature_name, repr(f.score)] for f in factors)
+    if report.per_cluster is not None:
+        for key, names in report.per_cluster.items():
+            group = "+".join(str(c) for c in key)
+            rows += (["cluster", group, name, len(key)] for name in names)
+    if report.population is not None:
+        rows += (["population", "", name, count] for name, count in report.population)
+    if report.categories is not None:
+        rows[0].append("category")
+        for row in rows[1:]:
+            row.append(report.categories.get(row[2], ""))
+    write_rows(rows, path)

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import ScalingParams
+from .dataset import ScalingParams, write_json
 from .mtl import MtlModel
 
 FORMAT_VERSION = 1
@@ -156,9 +156,7 @@ def model_to_dict(model) -> dict:
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def _model_from_dict(data: dict):

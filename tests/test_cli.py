@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import csv
 import importlib
+import io
 import json
 import os
 import re
@@ -97,6 +99,55 @@ def test_split_output_with_lone_cr_label_trains(tmp_path):
     for side in (train, test):
         assert load_csv(side, "task", "outcome").task_labels == ("task0", "cr\r", "task2")
     _train(tmp_path, train, "mtl.json", "--model", "mtl", "--lambda", "0.05")
+
+
+def _report_outputs(tmp_path, label):
+    """Each CSV report of a panel whose task1 is ``label`` and whose f0 is named 'f,"0'.
+
+    The riskfactors report also files f0 under the category ``label``.
+    Returns output name -> (path, expected row width).
+    """
+    source = _write_csv(tmp_path / "data.csv", n_rows=20)
+    quoted = '"{}",'.format(label.replace('"', '""'))
+    text = source.read_text().replace("task1,", quoted)
+    source.write_text(text.replace(",f0,", ',"f,""0",', 1), encoding="utf-8")
+    mtl = _train(tmp_path, source, "mtl.json", "--model", "mtl")
+    cmtl = _train(tmp_path, source, "cmtl.json", "--model", "cmtl", "--k", "2")
+    categories = tmp_path / "categories.csv"
+    with open(categories, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["feature", "category"], ['f,"0', label], ["f1", "b"]])
+    d = {name: tmp_path / name for name in ("c.csv", "m.csv", "mae.csv", "rf.csv")}
+    runs = [
+        ["clusters", "--model", cmtl, "--out", d["c.csv"], "--out-matrix", d["m.csv"]],
+        ["evaluate", source, "--model", mtl, "--model", cmtl, "--out", d["mae.csv"]],
+        ["riskfactors", "--model", cmtl, "--levels", "task,cluster,population",
+         "--categories", categories, "--out-json", tmp_path / "rf.json", "--out-csv", d["rf.csv"]],
+    ]
+    for argv in runs:
+        assert cli.main([str(a) for a in argv]) == 0
+    return {"clusters": (d["c.csv"], 2), "matrix": (d["m.csv"], 4),
+            "mae": (d["mae.csv"], 6), "riskfactors": (d["rf.csv"], 5)}
+
+
+@pytest.mark.parametrize("label", ["cr\r", 'q,"t'], ids=["cr", "comma-quote"])
+@pytest.mark.parametrize("output", ["clusters", "matrix", "mae", "riskfactors"])
+def test_every_csv_output_reads_back(tmp_path, label, output):
+    path, width = _report_outputs(tmp_path, label)[output]
+    data = path.read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(data, newline="")))
+    assert {len(row) for row in rows} == {width}
+    labels = [row[1] for row in rows] if output == "riskfactors" else [row[0] for row in rows]
+    assert label in labels
+    if output == "matrix":
+        assert rows[0] == ["task", "task0", label, "task2"]
+    if output == "riskfactors":
+        assert ["feature", "category"] == rows[0][2::2]
+        assert ['f,"0', label] in [row[2::2] for row in rows]
+    if "\r" not in label:
+        # The bytes of the csv.writer rendering every report had before.
+        old = io.StringIO()
+        csv.writer(old, lineterminator="\n").writerows(rows)
+        assert data == old.getvalue()
 
 
 def test_train_each_model_kind(tmp_path):
@@ -805,12 +856,13 @@ def test_model_whose_scaling_range_is_too_wide_is_an_error(
     assert not any(path.exists() for path in outputs)
 
 
-def _write_huge_cell_csv(path, value, column=1):
-    """_write_csv's panel at 20 rows per task, with ``value`` in task0's first row and ``column``."""
+def _write_huge_cell_csv(path, value, column=1, task=0):
+    """_write_csv's panel at 20 rows per task, ``value`` in ``column`` of ``task``'s first row."""
     lines = _write_csv(path, n_rows=20).read_text(encoding="utf-8").splitlines()
-    cells = lines[1].split(",")
+    row = 1 + 20 * task
+    cells = lines[row].split(",")
     cells[column] = value
-    lines[1] = ",".join(cells)
+    lines[row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -858,6 +910,39 @@ def test_a_large_cell_that_folds_still_fits(tmp_path, capsys, options):
     csv_path = _write_huge_cell_csv(tmp_path / "data.csv", "1e300")
     out = tmp_path / "model.json"
     assert cli.main(["train", str(csv_path), *options, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_model(out).n_tasks == 3
+
+
+_HUGE_OUTCOME_FITS = [*_SCALED_FITS[:3], ("--model", "cmtl", "--k", "2")]
+
+
+# The factors are finite, but the squared norm of task1's outcome column overflows.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [(), ("--no-scale",)], ids=["scaled", "no-scale"])
+@pytest.mark.parametrize("options", _HUGE_OUTCOME_FITS, ids=_SCALED_FIT_IDS)
+def test_an_outcome_too_large_to_square_is_an_error(tmp_path, capsys, options, scale):
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", "1e200", column=-1, task=1)
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    code = cli.main(["train", str(csv_path), *options, *scale, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {csv_path}: the outcome reaches 1e+200, too large in magnitude "
+        "to fit task 'task1'\n"
+    )
+    assert captured.out == ""
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("options", _HUGE_OUTCOME_FITS, ids=_SCALED_FIT_IDS)
+def test_a_huge_outcome_fits_once_scaled(tmp_path, capsys, options):
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", "1e200", column=-1, task=1)
+    out = tmp_path / "model.json"
+    argv = ["train", str(csv_path), *options, "--scale-outcome", "--out", str(out)]
+    assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
     assert load_model(out).n_tasks == 3
 

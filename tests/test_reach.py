@@ -12,8 +12,8 @@ The commands cover every model kind, every STL setting and penalty, the
 intercept, scaling on and off, every momentum rule, pooled and macro
 totals, every riskfactors level with categories, ``clusters
 --out-matrix``, a config file, a cell only ``float()`` reads (``1_0``),
-and error inputs that reach whole functions: a diverging fit and a model
-file holding ``NaN``.
+and error inputs that reach whole functions: a fit whose line search
+fails and a model file holding ``NaN``.
 """
 
 import ast
@@ -86,7 +86,7 @@ def _runs(d: Path):
 
     _write_panel(d / "panel.csv", 4, 12, 3, 0, blank_outcome=True)
     _write_panel(d / "odd.csv", 4, 12, 3, 1, cell="1_0")
-    _write_panel(d / "huge.csv", 2, 6, 2, 2, cell="1e200")
+    _write_panel(d / "huge.csv", 2, 6, 2, 2, cell="1e20")
     (d / "categories.csv").write_text("feature,category\nf0,a\nf1,b\nf2,a\n")
     (d / "run.cfg").write_text("# one file for the pipeline\ntask-column = task\nlam = 0.05\n")
     (d / "nan.json").write_text('{"weights": NaN}')
@@ -124,8 +124,8 @@ def _runs(d: Path):
          "--out-csv", f("rf2.csv")],
         ["clusters", "--model", f("cmtl.json"), "--out", f("clusters.csv"),
          "--out-matrix", f("cmat.csv")],
-        # Error inputs: a cell of 1e200 makes the unscaled fit diverge, and a
-        # model file holding NaN is rejected by the JSON reader.
+        # Error inputs: a cell of 1e20 makes the unscaled fit's line search
+        # fail, and a model file holding NaN is rejected by the JSON reader.
         ["train", f("huge.csv"), "--model", "mtl", "--no-scale", "--out", f("bad.json")],
         ["clusters", "--model", f("nan.json"), "--out", f("c2.csv")],
     ]
