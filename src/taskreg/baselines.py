@@ -73,53 +73,34 @@ def _penalty_value(w: np.ndarray, penalty: str, lam: float) -> np.ndarray:
     return np.zeros(w.shape[:-1])
 
 
-def _make_prox(penalty: str, lam: float, n_features: int):
-    """The prox of the penalty on the first ``n_features`` weights; an intercept after them is kept."""
-
-    def prox(h, step, rows=None):
-        w = h[..., :n_features]
-        if penalty == "ridge":
-            w = w / (1.0 + 2.0 * lam * step)
-        elif penalty == "lasso":
-            w = np.sign(w) * np.maximum(np.abs(w) - lam * step, 0.0)
-        else:
-            return h.copy()
-        if w.shape == h.shape:
-            return w
-        out = h.copy()
-        out[..., :n_features] = w
-        return out
-
-    return prox
+def _shrink(w: np.ndarray, step, penalty: str, lam: float) -> np.ndarray:
+    """The prox of :func:`_penalty_value` with step ``step`` at each weight vector of w."""
+    if penalty == "ridge":
+        return w / (1.0 + 2.0 * lam * step)
+    if penalty == "lasso":
+        return np.sign(w) * np.maximum(np.abs(w) - lam * step, 0.0)
+    return w
 
 
 def _stl_problem(r: np.ndarray, spec: StlSpec, n_features: int) -> ProximalProblem:
-    """Penalized least squares on an R factor [A | b] of the rows [X | y].
+    """The :class:`~taskreg.mtl.LeastSquares` problem on an R factor [A | b] of the rows [X | y].
 
     ||Xw - y|| = ||Aw - b||. ``r`` is one factor, fitted by one weight
-    vector, or a (T, rows, width) stack of them
+    vector (the pooled fit), or a (T, rows, width) stack of them
     (:meth:`TaskFactors.design_stack`), fitted by a (T, width - 1) weight
     matrix as T blocks of one solve: each value is then a vector over the
     tasks and each value or gradient one batched matmul, and each callback
     takes the tasks still running as ``rows`` (all of them by default).
-    Only the first ``n_features`` weights are penalized; a weight after
-    them is the intercept.
+    The penalty is :func:`_penalty_value` of ``spec``, on the first
+    ``n_features`` weights; a weight after them is the intercept.
     """
-    data = LeastSquares(r)
-
-    def smooth_value(w, rows=None):
-        res = data.residuals(w, rows)
-        return 0.5 * np.einsum("...i,...i->...", res, res)
-
-    def full_objective(w, rows=None):
-        return smooth_value(w, rows) + _penalty_value(w[..., :n_features], spec.penalty, spec.lam)
-
-    return ProximalProblem(
-        smooth_value=smooth_value,
-        smooth_grad=data.gradient,
-        prox=_make_prox(spec.penalty, spec.lam, n_features),
-        full_objective=full_objective,
-    )
+    return LeastSquares(
+        r,
+        n_features,
+        lambda w: _penalty_value(w, spec.penalty, spec.lam),
+        lambda h, step: _shrink(h, step, spec.penalty, spec.lam),
+        blocked=r.ndim == 3,
+    ).problem()
 
 
 def fit_stl(

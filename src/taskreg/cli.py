@@ -12,7 +12,8 @@ mirror the long flag names (hyphens or underscores both work, and
 ``lambda`` may be written ``lam``), and keys a command does not know are
 ignored so one file can serve the whole pipeline. A flag that the other
 options leave unused, such as a ``train`` flag that the chosen model does
-not use, is an error; such a config key is ignored.
+not use, is an error; such a config key is ignored, except ``intercept =
+true`` with ``--model cmtl``, which is refused as ``--intercept`` is.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when

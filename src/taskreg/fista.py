@@ -186,9 +186,11 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, records):
     for _ in range(_MAX_BACKTRACKS + 1):
         gamma_rows = _rows(gamma, s)
         trial = prox(s - grad_s / gamma_rows, 1.0 / gamma_rows)
-        smooth_trial = smooth_value(trial)
-        delta = trial - s
-        q_trial = smooth_s + 0.5 * gamma * _inner(delta, delta) + _inner(delta, grad_s)
+        # A trial that overflows fails the descent test, and its gamma doubles.
+        with np.errstate(over="ignore", invalid="ignore"):
+            smooth_trial = smooth_value(trial)
+            delta = trial - s
+            q_trial = smooth_s + 0.5 * gamma * _inner(delta, delta) + _inner(delta, grad_s)
         accept = smooth_trial <= q_trial + slack
         if pending is None:
             # The first trial; a block that fails it is overwritten when it passes.

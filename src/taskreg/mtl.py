@@ -75,7 +75,18 @@ def lambda_max(factors: TaskFactors) -> float:
 
 
 class LeastSquares:
-    """The least-squares data term of a design stack, for a solver's callbacks.
+    """The penalized least-squares objective of every mtl and stl fit, on a design stack.
+
+    Half of each task's squared residual,
+    ``np.einsum("...i,...i->...", r, r)``, plus ``penalty(w)``.
+    ``penalty`` and its prox ``shrink(h, step)`` see only the first
+    ``n_features`` weights of each row; a weight after them, the
+    intercept, is neither penalized nor shrunk. With ``blocked`` each
+    value and objective has one entry per task, a block of a blocked solve
+    (the individual stl fits); without it the tasks' values are summed
+    (mtl, and the pooled stl fit on one factor). :meth:`problem` gives
+    :meth:`value`, :meth:`gradient`, :meth:`prox` and :meth:`objective`
+    as a :class:`~taskreg.fista.ProximalProblem`.
 
     :meth:`residuals` and :meth:`gradient` are
     :func:`~taskreg.dataset.residuals` and
@@ -91,8 +102,10 @@ class LeastSquares:
     the same array object is passed, so it must not change in place.
     """
 
-    def __init__(self, stack: np.ndarray):
+    def __init__(self, stack: np.ndarray, n_features: int, penalty, shrink, *, blocked=False):
         self._stack = self._design = stack
+        self._n_features, self._penalty, self._shrink = n_features, penalty, shrink
+        self._blocked = blocked
         self._rows = self._point = self._resid = None
 
     def residuals(self, w: np.ndarray, rows=None) -> np.ndarray:
@@ -105,8 +118,24 @@ class LeastSquares:
             self._point = point
         return self._resid
 
+    def value(self, w: np.ndarray, rows=None):
+        r = self.residuals(w, rows)
+        per_task = 0.5 * np.einsum("...i,...i->...", r, r)
+        return per_task if self._blocked else per_task.sum()
+
     def gradient(self, w: np.ndarray, rows=None) -> np.ndarray:
         return residual_gradient(self._design, self.residuals(w, rows))
+
+    def prox(self, h: np.ndarray, step, rows=None) -> np.ndarray:
+        out = h.copy()
+        out[..., : self._n_features] = self._shrink(h[..., : self._n_features], step)
+        return out
+
+    def objective(self, w: np.ndarray, rows=None):
+        return self.value(w, rows) + self._penalty(w[..., : self._n_features])
+
+    def problem(self) -> ProximalProblem:
+        return ProximalProblem(self.value, self.gradient, self.prox, self.objective)
 
 
 @dataclass(frozen=True)
@@ -214,9 +243,12 @@ def fit_mtl(
 ) -> MtlModel:
     """Fit the group-sparse multi-task model by accelerated proximal descent.
 
-    Starts from zero weights; each proximal step shrinks feature columns
-    with threshold lam/gamma. With ``fit_intercept`` a ones column is
-    appended per task and kept out of both the penalty and the prox.
+    The objective is :class:`LeastSquares`, summed over the tasks, with
+    the penalty ``lam * l21_norm`` and its prox :func:`prox_l21`; at
+    lam = 0 it is the sum of the individual stl fits' objectives, bit for
+    bit. Starts from zero weights; each proximal step shrinks feature
+    columns with threshold lam/gamma. With ``fit_intercept`` a ones column
+    is appended per task and kept out of both the penalty and the prox.
 
     The data term runs on each task's R factor (:class:`TaskFactors`), so
     an iteration's cost does not depend on the row count. ``factors`` are
@@ -227,31 +259,10 @@ def fit_mtl(
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
-    data = LeastSquares(stack)
-
-    def smooth_value(w):
-        r = data.residuals(w)
-        # One dot product per task, summed in task order: this order fixes the
-        # last bits of the objective, which model files record.
-        return 0.5 * sum(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0].tolist())
-
-    def prox(h, step):
-        if not fit_intercept:
-            return prox_l21(h, lam * step)
-        out = h.copy()
-        out[:, :n_features] = prox_l21(h[:, :n_features], lam * step)
-        return out
-
-    def full_objective(w):
-        return smooth_value(w) + lam * l21_norm(w[:, :n_features])
-
-    problem = ProximalProblem(
-        smooth_value=smooth_value,
-        smooth_grad=data.gradient,
-        prox=prox,
-        full_objective=full_objective,
+    objective = LeastSquares(
+        stack, n_features, lambda w: lam * l21_norm(w), lambda h, step: prox_l21(h, lam * step)
     )
-    w_hat, trace = solve(problem, np.zeros((n_tasks, stack.shape[2] - 1)), cfg)
+    w_hat, trace = solve(objective.problem(), np.zeros((n_tasks, stack.shape[2] - 1)), cfg)
 
     intercept = w_hat[:, n_features] if fit_intercept else None
     return MtlModel(

@@ -947,6 +947,36 @@ def test_a_huge_outcome_fits_once_scaled(tmp_path, capsys, options):
     assert load_model(out).n_tasks == 3
 
 
+# Just under the square-overflow cutoff the factors pass check_finite, but the
+# line search's trial points overflow; they fail the descent test, silently.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e154", "1.3e154"])
+@pytest.mark.parametrize("scale", [(), ("--no-scale",)], ids=["scaled", "no-scale"])
+@pytest.mark.parametrize("options", _SCALED_FITS[:3], ids=_SCALED_FIT_IDS[:3])
+def test_an_outcome_near_the_square_cutoff_fits_without_warnings(
+    tmp_path, capsys, options, scale, value
+):
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", value, column=-1, task=1)
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main(["train", str(csv_path), *options, *scale, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_model(out).n_tasks == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_unscaled_large_feature_is_the_line_search_error_alone(tmp_path, capsys):
+    csv_path = _write_huge_cell_csv(tmp_path / "data.csv", "1e100")
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    argv = ["train", str(csv_path), "--model", "mtl", "--no-scale", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no acceptable step ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -145,6 +145,27 @@ def test_data_term_compares_points_by_value(monkeypatch, model):
 
 
 @pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
+def test_mtl_and_stl_share_one_objective(monkeypatch, intercept):
+    # Unpenalized, mtl's objective is the sum of the individual stl fits'
+    # objectives, to the last bit: both are one least-squares definition.
+    ds = _ragged(7, sizes=(9, 30, 14, 60, 21), n_features=12)
+    ds = _dataset([t.X for t in ds.tasks], [30.0 * t.Y for t in ds.tasks])
+    data = factors(ds)
+    spec = StlSpec(setting="individual", penalty="none")
+    joint = _built_problem(
+        monkeypatch, mtl, lambda: fit_mtl(data, 0.0, fit_intercept=intercept)
+    )
+    single = _built_problem(
+        monkeypatch, baselines, lambda: fit_stl(data, spec, fit_intercept=intercept)
+    )
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        w = rng.normal(size=(ds.n_tasks, ds.n_features + intercept))
+        assert joint.smooth_value(w) == np.sum(single.smooth_value(w))
+        assert joint.full_objective(w) == np.sum(single.full_objective(w))
+
+
+@pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
 def test_mtl_matches_row_solve(intercept):
     ds = _ragged(1)
     lam = 0.3
