@@ -30,6 +30,7 @@ import contextlib
 import csv
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -297,15 +298,17 @@ def cmd_split(args) -> int:
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
-    rows = dataset.load_csv(
-        args.input, args.task_column, args.outcome_column, keep_text=not args.scale_full
-    )
-    if args.scale_full:
-        with _naming(args.input):
-            dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
-    train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
-    dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
-    dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
+    # Unless it scales, split keeps the kept records' text in an unnamed
+    # temporary file, which every exit from the block closes and so deletes.
+    with contextlib.ExitStack() as stack:
+        spool = None if args.scale_full else stack.enter_context(tempfile.TemporaryFile())
+        rows = dataset.load_csv(args.input, args.task_column, args.outcome_column, spool=spool)
+        if args.scale_full:
+            with _naming(args.input):
+                dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
+        train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
+        dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
+        dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
     manifest = {
         "command": "split",
         "input": str(args.input),

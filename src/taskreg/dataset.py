@@ -14,9 +14,10 @@ per-task index arrays; :func:`load_factors` keeps only one small QR
 factor per task (:class:`TaskFactors`), which is all a least-squares fit
 needs of the rows; and evaluation keeps only the prediction errors
 (:class:`taskreg.baselines.MaeAccumulator`). ``load_csv(...,
-keep_text=True)``, which ``taskreg split`` reads with unless it scales,
-keeps each kept record's text in place of its doubles
-(:class:`Records`), and :func:`write_csv` then copies the records: cells
+spool=file)``, which ``taskreg split`` reads with unless it scales,
+writes each kept record's text to the spool file in place of keeping its
+doubles, and keeps only where each record ends (:class:`Records`);
+:func:`write_csv` then copies the records back from the spool: cells
 keep their text and columns their order, line ends become "\\n", and a
 byte-order mark is dropped.
 """
@@ -28,6 +29,7 @@ import io
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, Protocol
@@ -357,8 +359,9 @@ class RowSink(Protocol):
     A sink made for ``stream_csv(..., keep_text=True)`` is made as
     ``sink_for(feature_names, header)`` and its ``add`` also takes the
     chunk's ``text``: ``(text, ends)``, the kept records' text, each
-    record ending in "\\n", and the offset in it of each record's end.
-    Its ``x`` and ``y`` are None: the doubles are parsed and checked, not kept.
+    record ending in "\\n", and the offset in it of each record's end
+    (in characters). Its ``x`` and ``y`` are None: the doubles are parsed
+    and checked, not kept; :class:`_RecordSink` writes the text to a spool.
     """
 
     def add(
@@ -429,7 +432,9 @@ def stream_csv(
     return sink.finish(tuple(codes), records - int(kept_per_task.sum()))
 
 
-def load_csv(path, task_column: str, outcome_column: str, *, keep_text: bool = False) -> "RowTable":
+def load_csv(
+    path, task_column: str, outcome_column: str, *, spool: io.BufferedIOBase | None = None
+) -> "RowTable":
     """Read the kept rows of a CSV file into one :class:`RowTable`.
 
     The header row is required. Rows with an empty outcome cell are
@@ -438,13 +443,19 @@ def load_csv(path, task_column: str, outcome_column: str, *, keep_text: bool = F
     file is read once, by :func:`stream_csv`, and the table grows in place
     by each chunk's kept rows (:class:`_TableSink`).
 
-    With ``keep_text`` the table holds each kept record's text
-    (:class:`Records`, kept by :class:`_RecordSink`) in place of its
-    doubles. Every cell is still parsed, so the errors and the dropped
-    rows are the same, and :func:`write_csv` then copies the records.
+    With a ``spool``, an empty file open for binary reading and writing,
+    each kept record's text goes to the spool in place of its doubles, and
+    the table holds only where each record ends there (:class:`Records`,
+    kept by :class:`_RecordSink`). Every cell is still parsed, so the
+    errors and the dropped rows are the same, and :func:`write_csv` then
+    copies the records. The caller owns the spool and closes it once the
+    table is written; memory then does not grow with the records' text.
     """
-    if keep_text:
-        return stream_csv(path, task_column, outcome_column, _RecordSink, keep_text=True)
+    if spool is not None:
+        def sink_for(feature_names, header):
+            return _RecordSink(feature_names, header, spool)
+
+        return stream_csv(path, task_column, outcome_column, sink_for, keep_text=True)
     return stream_csv(path, task_column, outcome_column, _TableSink)
 
 
@@ -460,29 +471,31 @@ def load_factors(path, task_column: str, outcome_column: str) -> TaskFactors:
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """The kept records of a data file as text, in file order, one block per chunk.
+    """The kept records of a data file as UTF-8 text in a spool file, in file order.
 
-    ``blocks[b]`` holds records ``first[b]`` on, one after another and
-    each ending in "\\n", up to the next block's first; ``ends[i]`` is
-    the offset of record i's end in its block. ``header`` is the header
-    line. No record is a Python object of its own.
+    ``spool`` holds the records one after another from offset 0, each
+    ending in "\\n"; ``ends[i]`` is the byte offset of record i's end
+    there. ``header`` is the header line. Only the ends are in memory.
     """
 
-    header: str
-    blocks: tuple[str, ...]
-    first: np.ndarray
+    header: bytes
+    spool: io.BufferedIOBase
     ends: np.ndarray
 
     def __len__(self) -> int:
         return self.ends.size
 
-    def take(self, rows: np.ndarray) -> str:
-        """The records ``rows`` names, in that order, as one text."""
-        block = np.searchsorted(self.first, rows, side="right") - 1
-        # A block's first record starts at 0, any other where the one before it ends.
-        starts = np.where(rows == self.first[block], 0, self.ends[rows - 1])
-        spans = zip(block.tolist(), starts.tolist(), self.ends[rows].tolist())
-        return "".join([self.blocks[b][start:end] for b, start, end in spans])
+    def take(self, rows: np.ndarray) -> bytes:
+        """The records ``rows`` names, in that order, read back from the spool.
+
+        Each record is one ``os.pread``, which leaves the file position
+        alone and maps no page of the spool into memory.
+        """
+        # The first record starts at 0, any other where the one before it ends.
+        starts = np.where(rows == 0, 0, self.ends[rows - 1])
+        fd = self.spool.fileno()
+        spans = zip(starts.tolist(), self.ends[rows].tolist())
+        return b"".join([os.pread(fd, end - start, start) for start, end in spans])
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,9 +503,9 @@ class RowTable:
     """The kept rows of a data file as one table, grouped by task through index arrays.
 
     ``table`` holds one row [x | y] per kept row, in file order, or, from
-    ``load_csv(..., keep_text=True)``, each kept record's text
-    (:class:`Records`). ``task_rows[t]`` holds the indices of task t's
-    rows in it, in file order.
+    ``load_csv(..., spool=file)``, where each kept record's text ends in
+    the spool (:class:`Records`). ``task_rows[t]`` holds the indices of
+    task t's rows in it, in file order.
     """
 
     table: np.ndarray | Records
@@ -559,36 +572,38 @@ class _TableSink:
 
 
 class _RecordSink:
-    """The kept records' text as one :class:`RowTable`, for ``load_csv(..., keep_text=True)``.
+    """The kept records' text in a spool, as a :class:`RowTable`, for ``load_csv(..., spool=f)``.
 
-    Each chunk's text is kept as it comes, as one block; the record ends
-    and the row codes grow in place (:func:`_append`). The doubles are
-    not kept.
+    Each chunk's text is written to the spool as it comes, in UTF-8; the
+    record ends, as byte offsets into the spool, and the row codes grow in
+    place (:func:`_append`). Neither the text nor the doubles are kept.
     """
 
-    def __init__(self, feature_names, header):
+    def __init__(self, feature_names, header, spool):
         self.feature_names = feature_names
-        self.header = _csv_line(header)
-        self.blocks: list[str] = []
-        self.first: list[int] = []
+        self.header = _csv_line(header).encode("utf-8")
+        self.spool = spool
+        self.size = 0
         self.ends = np.empty(0, dtype=np.int64)
         self.codes = np.empty(0, dtype=np.intp)
 
     def add(self, labels, task, x, y, text):
         block, ends = text
-        if ends.size:
-            self.blocks.append(block)
-            self.first.append(self.codes.size)
-        _append(self.ends, ends)
+        data = block.encode("utf-8")
+        # Character offsets are byte offsets only in ASCII text.
+        if not block.isascii():
+            bounds = [0, *ends.tolist()]
+            lengths = [len(block[a:b].encode("utf-8")) for a, b in zip(bounds, bounds[1:])]
+            ends = np.cumsum(lengths, dtype=np.int64)
+        self.spool.write(data)
+        _append(self.ends, ends + self.size)
+        self.size += len(data)
         _append(self.codes, task)
 
     def finish(self, labels, dropped_rows):
-        records = Records(
-            header=self.header,
-            blocks=tuple(self.blocks),
-            first=np.array(self.first, dtype=np.intp),
-            ends=self.ends,
-        )
+        # Records.take reads the spool's file descriptor, past its buffer.
+        self.spool.flush()
+        records = Records(header=self.header, spool=self.spool, ends=self.ends)
         return RowTable(
             table=records,
             task_rows=_task_rows(self.codes, len(labels)),
@@ -915,7 +930,8 @@ def write_csv(table: RowTable, task_rows, path, task_column: str, outcome_column
     """Write the rows ``task_rows[t]`` of each task t to CSV.
 
     A table of :class:`Records` is written as its header and a copy of
-    each named record, so cells keep their text and columns their order.
+    each named record, read back from the spool, so cells keep their text
+    and columns their order.
     A table of doubles is written task column first and outcome last,
     each double by ``repr``, so a write/load round trip is exact; the
     bytes are those of writing each row with ``csv.writer`` (see
@@ -925,13 +941,14 @@ def write_csv(table: RowTable, task_rows, path, task_column: str, outcome_column
     names = table.feature_names
     if task_column in names or outcome_column in names:
         raise ValueError("task/outcome column names collide with feature names")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if isinstance(table.table, Records):
+    if isinstance(table.table, Records):
+        with open(path, "wb") as fh:
             fh.write(table.table.header)
             for rows in task_rows:
                 for start in range(0, rows.size, _WRITE_BLOCK_ROWS):
                     fh.write(table.table.take(rows[start : start + _WRITE_BLOCK_ROWS]))
-            return
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([task_column, *names, outcome_column]))
         for label, rows in zip(table.task_labels, task_rows):
             prefix = _csv_line([label, ""])[:-1]

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, run in process through main()."""
 
 import csv
+import errno
 import importlib
 import io
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -99,6 +101,65 @@ def test_split_output_with_lone_cr_label_trains(tmp_path):
     for side in (train, test):
         assert load_csv(side, "task", "outcome").task_labels == ("task0", "cr\r", "task2")
     _train(tmp_path, train, "mtl.json", "--model", "mtl", "--lambda", "0.05")
+
+
+@pytest.mark.parametrize("case", ["written", "parse-error", "missing-directory"])
+def test_split_closes_and_deletes_its_spool(tmp_path, monkeypatch, capsys, case):
+    # split keeps the kept records' text in a temporary file; whatever
+    # happens after it is opened, the file is closed and leaves nothing.
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    spools = []
+    opened = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        spools.append(opened(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", recording)
+    # 1,800 rows: the last is read after three chunks have gone to the spool.
+    source = _write_csv(tmp_path / "data.csv", n_rows=600)
+    test_out = tmp_path / "test.csv"
+    if case == "parse-error":
+        text = source.read_text(encoding="utf-8")
+        source.write_text(text[: text.rstrip("\n").rfind(",")] + ",oops\n", encoding="utf-8")
+    if case == "missing-directory":
+        test_out = tmp_path / "missing" / "test.csv"
+    argv = ["split", str(source), "--train-out", str(tmp_path / "train.csv"),
+            "--test-out", str(test_out), "--manifest", str(tmp_path / "manifest.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == (0 if case == "written" else 2)
+    err = capsys.readouterr().err
+    if case == "parse-error":
+        assert err == (f"error: {source}: row 1801, column 'outcome': "
+                       "cannot parse 'oops' as a number\n")
+    assert len(spools) == 1 and spools[0].closed
+    assert list(spool_dir.iterdir()) == []
+
+
+def test_split_reports_a_full_spool_disk(tmp_path, monkeypatch, capsys):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise full
+
+    spools = []
+
+    def full_disk(*args, **kwargs):
+        spools.append(FullDisk())
+        return spools[-1]
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", full_disk)
+    source = _write_csv(tmp_path / "data.csv")
+    argv = ["split", str(source), "--train-out", str(tmp_path / "train.csv"),
+            "--test-out", str(tmp_path / "test.csv"), "--manifest", str(tmp_path / "m.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {full}\n"
+    assert len(spools) == 1 and spools[0].closed
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
 
 
 def _report_outputs(tmp_path, label):

@@ -1,10 +1,12 @@
 """How the peak memory of `taskreg train`, `evaluate` and `split` grows with the file,
 and which modules the commands load.
 
-`train` and `evaluate` stream the file, so their memory does not grow
-with it: `train` holds per-task factors, not rows; `evaluate` holds each
-test row's outcome and absolute error, not its features. `split` must
-hold every kept row to shuffle it, and holds them once, in one table.
+`train`, `evaluate` and `split` stream the file, so their memory does
+not grow with it: `train` holds per-task factors, not rows; `evaluate`
+holds each test row's outcome and absolute error, not its features;
+`split` holds where each kept record ends in its temporary spool file,
+not the record. `split --scale-full` must hold every kept row to scale
+it, and holds them once, in one table of doubles.
 
 Each run is a child process whose peak RSS comes from ``os.wait4``. On
 Linux a child's ``ru_maxrss`` starts from the peak of the process whose
@@ -104,16 +106,24 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
     assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
-def test_split_peak_memory_grows_by_one_copy(tmp_path):
-    def split_peak_mb(n_rows):
-        path = tmp_path / f"rows{n_rows}.csv"
-        _write_panel(path, n_rows)
-        return _peak_mb("split", path, "--train-out", tmp_path / "train.csv",
-                        "--test-out", tmp_path / "test.csv", "--manifest", tmp_path / "m.json")
+def _split_peak_mb(tmp_path, n_rows, *extra):
+    path = tmp_path / f"rows{n_rows}.csv"
+    _write_panel(path, n_rows)
+    return _peak_mb("split", path, "--train-out", tmp_path / "train.csv",
+                    "--test-out", tmp_path / "test.csv", "--manifest", tmp_path / "m.json", *extra)
 
-    small = split_peak_mb(3_000)
-    large = split_peak_mb(12_000)
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_split_peak_memory_does_not_grow_with_rows(tmp_path):
+    small = _split_peak_mb(tmp_path, 3_000)
+    large = _split_peak_mb(tmp_path, 12_000)
+    assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_split_scale_full_peak_memory_grows_by_one_copy(tmp_path):
+    small = _split_peak_mb(tmp_path, 3_000, "--scale-full")
+    large = _split_peak_mb(tmp_path, 12_000, "--scale-full")
     # One table row holds 40 features, the outcome and the task: 42 doubles.
     added_table_mb = (12_000 - 3_000) * 42 * 8 / 2**20
     assert large - small < 1.25 * added_table_mb, (
