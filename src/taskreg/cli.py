@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import os
 import sys
 import tempfile
@@ -266,6 +267,21 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _spool_space():
+    """Name the temporary directory in a full-disk error raised in the block."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.errno not in (errno.ENOSPC, errno.EDQUOT):
+            raise
+        raise OSError(
+            exc.errno,
+            f"{exc.strerror} for split's temporary file in {tempfile.gettempdir()} "
+            "(the TMPDIR environment variable names that directory)",
+        ) from None
+
+
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
@@ -298,33 +314,48 @@ def cmd_split(args) -> int:
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
-    # Unless it scales, split keeps the kept records' text in an unnamed
-    # temporary file, which every exit from the block closes and so deletes.
-    with contextlib.ExitStack() as stack:
-        spool = None if args.scale_full else stack.enter_context(tempfile.TemporaryFile())
-        rows = dataset.load_csv(args.input, args.task_column, args.outcome_column, spool=spool)
-        if args.scale_full:
-            with _naming(args.input):
-                dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
-        train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
-        dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
-        dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
-    manifest = {
-        "command": "split",
-        "input": str(args.input),
-        "seed": args.seed,
-        "train_fraction": args.train_fraction,
-        "task_column": args.task_column,
-        "outcome_column": args.outcome_column,
-        "scaled_before_split": bool(args.scale_full),
-        "scale_outcome": bool(args.scale_full and args.scale_outcome),
-        "dropped_rows": rows.dropped_rows,
-        "per_task": {
-            label: {"total": full.size, "train": tr.size, "test": te.size}
-            for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
-        },
-    }
-    dataset.write_json(manifest, args.manifest)
+    opened = []  # the outputs created or emptied so far, which a failed split removes
+    try:
+        # Unless it scales, split keeps the kept records' text in an unnamed
+        # temporary file, which every exit from the block closes and so deletes.
+        with contextlib.ExitStack() as stack:
+            with _spool_space():
+                spool = None if args.scale_full else stack.enter_context(tempfile.TemporaryFile())
+                rows = dataset.load_csv(
+                    args.input, args.task_column, args.outcome_column, spool=spool
+                )
+            if args.scale_full:
+                with _naming(args.input):
+                    dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
+            train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
+            # Every output opens before any is written.
+            for path in (args.train_out, args.test_out, args.manifest):
+                open(path, "wb").close()
+                opened.append(path)
+            dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
+            dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
+        manifest = {
+            "command": "split",
+            "input": str(args.input),
+            "seed": args.seed,
+            "train_fraction": args.train_fraction,
+            "task_column": args.task_column,
+            "outcome_column": args.outcome_column,
+            "scaled_before_split": bool(args.scale_full),
+            "scale_outcome": bool(args.scale_full and args.scale_outcome),
+            "dropped_rows": rows.dropped_rows,
+            "per_task": {
+                label: {"total": full.size, "train": tr.size, "test": te.size}
+                for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
+            },
+        }
+        dataset.write_json(manifest, args.manifest)
+    except BaseException:
+        for path in opened:
+            if os.path.isfile(path):  # not a device such as /dev/null
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
     print(
         f"split {rows.n_rows} rows across {rows.n_tasks} tasks "
         f"-> {args.train_out}, {args.test_out}"

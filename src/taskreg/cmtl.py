@@ -28,6 +28,9 @@ _TRACE_TOL = 1e-8
 _PD_FLOOR = 1e-12
 # The weight metric's ridge is at least this times the trace of a task's Hessian.
 _METRIC_FLOOR = 1e-12
+# Tasks whose metric is set up at a time: only this many Hessians, Cholesky
+# factors and inverses exist at once beside the kept L^{-T}.
+_METRIC_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -213,9 +216,11 @@ class _Objective:
     and :func:`~taskreg.dataset.residual_gradient`, shared with the other
     fits); it is weighted by 2/n_t with the true row counts n_t, which the
     factors' shapes do not show. Of the metric, only the (T, J, J) stack of
-    L_t^{-T} is kept. An evaluation adds two batched J x J products: W =
-    L^{-T} V for the coupling term, and the pull-back (L_t^{-T})^T g_t of
-    the coupling gradient's W part.
+    L_t^{-T} is kept; it is set up :data:`_METRIC_BLOCK` tasks at a time,
+    so the Hessians, their Cholesky factors and their inverses never exist
+    for every task at once. An evaluation adds two batched J x J products:
+    W = L^{-T} V for the coupling term, and the pull-back (L_t^{-T})^T g_t
+    of the coupling gradient's W part.
 
     The smooth part is +inf unless every eigenvalue of eta*I + C exceeds
     ``_PD_FLOOR``. The prox leaves V alone and projects C onto the relaxed
@@ -236,15 +241,22 @@ class _Objective:
         self._k = params.k
         self._eta = params.eta
         self._coupling = params.coupling
-        a = self._r[..., :-1]
-        hess = np.matmul(a.transpose(0, 2, 1), a)
-        hess *= (2.0 / self._counts)[:, None, None]
-        delta = np.maximum(2.0 * params.rho2, _METRIC_FLOOR * np.trace(hess, axis1=1, axis2=2))
-        diagonal = np.arange(self._n_features)
-        hess[:, diagonal, diagonal] += delta[:, None]
-        # L^{-T}, kept; the Hessians and their Cholesky factors are not.
-        self._back = np.linalg.inv(np.linalg.cholesky(hess)).transpose(0, 2, 1)
-        a[...] = np.matmul(a, self._back)
+        n_tasks, j = self._r.shape[0], self._n_features
+        diagonal = np.arange(j)
+        # L^{-1}, kept and read as L^{-T}; each block's Hessians and Cholesky factors are not.
+        inverse = np.empty((n_tasks, j, j))
+        self._back = inverse.transpose(0, 2, 1)
+        for start in range(0, n_tasks, _METRIC_BLOCK):
+            block = slice(start, start + _METRIC_BLOCK)
+            a = self._r[block, :, :-1]
+            hess = np.matmul(a.transpose(0, 2, 1), a)
+            hess *= (2.0 / self._counts[block])[:, None, None]
+            delta = np.maximum(
+                2.0 * params.rho2, _METRIC_FLOOR * np.trace(hess, axis1=1, axis2=2)
+            )
+            hess[:, diagonal, diagonal] += delta[:, None]
+            inverse[block] = np.linalg.inv(np.linalg.cholesky(hess))
+            a[...] = np.matmul(a, self._back[block])
         # The last evaluated point and what was computed there.
         self._point = self._value = self._solved = self._resid = None
 
@@ -341,7 +353,7 @@ def fit_cmtl(
     z_hat, trace = solve(problem, z0, cfg)
     w_hat, c_hat = objective.weights(z_hat[:, :n_features]), z_hat[:, n_features:]
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
-    assignments = extract_clusters(cluster_matrix.matrix, params.k, kmeans_seed)
+    assignments = extract_clusters(cluster_matrix, params.k, kmeans_seed)
     return MtlModel(
         weights=w_hat,
         feature_names=factors.feature_names,
@@ -363,17 +375,23 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     k-means (k-means++ seeding, 50 restarts) on the draws of numpy's
     ``default_rng(seed)`` (made by :class:`taskreg._stream.Stream`). Labels are
     renumbered in first-occurrence order, so task 0 is always in cluster
-    0 and outputs are permutation-equivariant for a fixed seed.
+    0 and outputs are permutation-equivariant for a fixed seed. ``c`` may
+    be a :class:`RelaxedClusterMatrix`, whose ``spectrum`` holds the
+    eigenvectors already; any other matrix is symmetrized and decomposed.
     """
-    mat = np.asarray(c, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if isinstance(c, RelaxedClusterMatrix):
+        mat, (_, vecs) = c.matrix, c.spectrum
+    else:
+        mat, vecs = np.asarray(c, dtype=np.float64), None
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     t = mat.shape[0]
     if not 1 <= k <= t:
         raise ValueError(f"k must be in [1, {t}], got {k}")
     from ._stream import Stream
 
-    _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    if vecs is None:
+        _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     embedding = vecs[:, t - k:]
     labels = _kmeans_labels(embedding, k, Stream(seed), restarts=50)
     return _canonical_labels(labels)

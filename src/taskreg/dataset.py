@@ -212,30 +212,47 @@ class TaskFactors:
     __eq__ = _value_eq
 
     def __post_init__(self):
+        self._settle(tuple(map(_frozen_array, self.factors)))
+
+    @classmethod
+    def _adopt(cls, factors: tuple[np.ndarray, ...], **fields) -> "TaskFactors":
+        """TaskFactors that keep ``factors``, float64 arrays just made for them, as they are.
+
+        Construction copies each factor; this makes each one read-only in
+        place instead. The checks are those of construction.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "dropped_rows", 0)
+        for name, value in fields.items():
+            object.__setattr__(out, name, value)
+        for r in factors:
+            r.setflags(write=False)
+        out._settle(factors)
+        return out
+
+    def _settle(self, factors: tuple[np.ndarray, ...]) -> None:
+        """Check the fields, then store them, ``factors`` (read-only arrays) among them."""
         labels = tuple(self.task_labels)
         names = tuple(self.feature_names)
         counts = tuple(int(n) for n in self.counts)
-        if not labels or len(self.factors) != len(labels) or len(counts) != len(labels):
+        if not labels or len(factors) != len(labels) or len(counts) != len(labels):
             raise ValueError("need one factor and one row count per task, and at least one task")
         if len(set(labels)) != len(labels) or len(set(names)) != len(names):
             raise ValueError("task labels and feature names must be unique")
         width = len(names) + 2
-        factors = []
-        for label, r, n in zip(labels, self.factors, counts):
-            r = _frozen_array(r)
+        for label, r, n in zip(labels, factors, counts):
             if r.ndim != 2 or r.shape[1] != width or r.shape[0] > min(n, width) or n < 1:
                 raise ValueError(
                     f"task {label!r}: factor of shape {r.shape} does not fit {n} row(s) "
                     f"of width {width}"
                 )
-            factors.append(r)
         lo = _frozen_array(self.feature_min)
         hi = _frozen_array(self.feature_max)
         if lo.shape != (len(names),) or hi.shape != lo.shape:
             raise ValueError(f"feature_min and feature_max must have shape ({len(names)},)")
         object.__setattr__(self, "task_labels", labels)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "feature_min", lo)
         object.__setattr__(self, "feature_max", hi)
@@ -303,7 +320,7 @@ class TaskFactors:
             a[j, j + 1] = -self.outcome_min * inverse_y
             outcome_range = params.transform_outcome(outcome_range)
         feature_range = params.transform_features(np.vstack([self.feature_min, self.feature_max]))
-        scaled = TaskFactors(
+        scaled = TaskFactors._adopt(
             task_labels=self.task_labels,
             feature_names=self.feature_names,
             factors=tuple(np.linalg.qr(r @ a, mode="r") for r in self.factors),
@@ -327,12 +344,13 @@ class TaskFactors:
         factor's, and shorter factors are padded with zero rows, which
         leave every residual norm unchanged.
         """
-        design = self.factors
-        if not intercept:
-            keep = [*range(self.n_features), self.n_features + 1]
-            design = [np.linalg.qr(r[:, keep], mode="r") for r in design]
-        stack = np.zeros((len(design), max(r.shape[0] for r in design), design[0].shape[1]))
-        for t, r in enumerate(design):
+        width = self.n_features + (2 if intercept else 1)
+        keep = [*range(self.n_features), self.n_features + 1]
+        # Without the ones column a task's factor is qr(R_t[:, keep]), of at most width rows.
+        stack = np.zeros((self.n_tasks, max(min(r.shape[0], width) for r in self.factors), width))
+        for t, r in enumerate(self.factors):
+            if not intercept:
+                r = np.linalg.qr(r[:, keep], mode="r")
             stack[t, : r.shape[0]] = r
         return stack
 
@@ -420,6 +438,8 @@ def stream_csv(
                     sink.add(tuple(codes), task, x, y, text)
                 else:
                     sink.add(tuple(codes), task, x, y)
+                # The next chunk is parsed while these names would still hold this one.
+                del task, x, y, text
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not codes:
@@ -661,7 +681,7 @@ class _FactorSink:
             if waiting:
                 self._fold(code)
         j = len(self.feature_names)
-        return TaskFactors(
+        return TaskFactors._adopt(
             task_labels=labels,
             feature_names=self.feature_names,
             factors=tuple(self.factors),
@@ -713,9 +733,11 @@ def _body_chunks(fh, path, layout, codes: dict[str, int], keep_text: bool):
         if chunk is None:
             chunk = _cell_chunks(lines, fh, path, layout, codes, row, keep_text)
         row += chunk[0]
-        # The sink holds copies; the chunk's text goes before it works.
+        # The sink holds copies; the chunk's text goes before it works, and
+        # the chunk before the next one is parsed.
         del lines
         yield chunk
+        del chunk
 
 
 def _parse_chunk(lines, layout, codes: dict[str, int], keep_text: bool):

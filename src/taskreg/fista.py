@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dataset import _value_eq
 from .errors import DivergenceError, LineSearchError
 
 _MOMENTUM_MODES = ("delayed", "standard", "none")
@@ -104,14 +105,18 @@ class SolveTrace:
     accepted in iteration i+1, ``gamma_per_iter[i]`` the accepted
     curvature. ``smooth_per_iter`` and ``surrogate_per_iter`` hold the two
     sides of the accepted descent test L(x_next) <= Q_gamma(S, x_next).
+    Each is a read-only float64 array of ``iterations`` entries, a view
+    into the records of the solve it came from. ``==`` compares values.
     """
 
-    objective_per_iter: tuple[float, ...]
-    gamma_per_iter: tuple[float, ...]
-    smooth_per_iter: tuple[float, ...]
-    surrogate_per_iter: tuple[float, ...]
+    objective_per_iter: np.ndarray
+    gamma_per_iter: np.ndarray
+    smooth_per_iter: np.ndarray
+    surrogate_per_iter: np.ndarray
     iterations: int
     converged: bool
+
+    __eq__ = _value_eq
 
 
 class BlockTraces(tuple):
@@ -246,8 +251,9 @@ def solve(
 
     Each iteration appends one (4, blocks) record: the objective, gamma,
     smooth value and surrogate of every block, NaN for a block that has
-    stopped. A block's trace is its column of the stacked records up to
-    its first NaN, so its iteration count is the length of that column. A
+    stopped. The records are stacked once the loop ends, and a block's
+    trace holds read-only views of its entries of that one array up to
+    its first NaN, so its iteration count is their length. A
     solver error's ``objective_trail`` has one float per finished
     iteration, the objective summed over the blocks, a stopped block
     counting with its objective at its stop.
@@ -355,13 +361,12 @@ def solve(
 
     if rows.size:  # the blocks still running stopped at the iteration cap
         result[rows] = best_phi
-    history = np.array(records).T  # (blocks, 4, iterations)
-    traces = [_block_trace(h, c) for h, c in zip(history, converged.tolist())]
+    history = np.stack(records, axis=-1)  # (4, blocks, iterations)
+    records.clear()
+    history.setflags(write=False)
+    iterations = np.count_nonzero(~np.isnan(history[0]), axis=1).tolist()
+    traces = [
+        SolveTrace(*history[:, b, :n], iterations=n, converged=c)
+        for b, (n, c) in enumerate(zip(iterations, converged.tolist()))
+    ]
     return (result[0], traces[0]) if scalar else (result, BlockTraces(traces))
-
-
-def _block_trace(history: np.ndarray, converged: bool) -> SolveTrace:
-    """A block's trace from its (4, iterations) records, which are NaN once it has stopped."""
-    n = int(np.count_nonzero(~np.isnan(history[0])))
-    objective, gamma, smooth, surrogate = (tuple(row) for row in history[:, :n].tolist())
-    return SolveTrace(objective, gamma, smooth, surrogate, iterations=n, converged=converged)

@@ -110,6 +110,7 @@ class LeastSquares:
 
     def residuals(self, w: np.ndarray, rows=None) -> np.ndarray:
         if rows is not self._rows:
+            self._design = None  # the last rows' copy goes before the next is gathered
             self._design = self._stack if rows is None else self._stack[rows]
             self._rows, self._point = rows, None
         point = (w.shape, w.tobytes())

@@ -120,7 +120,9 @@ def _trace_summary(trace):
     return {
         "iterations": trace.iterations,
         "converged": trace.converged,
-        "final_objective": trace.objective_per_iter[-1] if trace.objective_per_iter else None,
+        "final_objective": (
+            float(trace.objective_per_iter[-1]) if len(trace.objective_per_iter) else None
+        ),
     }
 
 

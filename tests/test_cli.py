@@ -134,8 +134,25 @@ def test_split_closes_and_deletes_its_spool(tmp_path, monkeypatch, capsys, case)
     if case == "parse-error":
         assert err == (f"error: {source}: row 1801, column 'outcome': "
                        "cannot parse 'oops' as a number\n")
+    if case == "missing-directory":
+        # A failed split leaves no side and no manifest behind.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "spool"]
     assert len(spools) == 1 and spools[0].closed
     assert list(spool_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale_full", [False, True], ids=["spool", "scale-full"])
+@pytest.mark.parametrize("missing", ["--train-out", "--test-out", "--manifest"])
+def test_failed_split_leaves_no_output(tmp_path, capsys, missing, scale_full):
+    source = _write_csv(tmp_path / "data.csv")
+    outputs = {"--train-out": "train.csv", "--test-out": "test.csv", "--manifest": "m.json"}
+    (tmp_path / "out").mkdir()
+    argv = ["split", str(source), *(["--scale-full"] if scale_full else [])]
+    for flag, name in outputs.items():
+        argv += [flag, str(tmp_path / ("missing" if flag == missing else "out") / name)]
+    assert cli.main(argv) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_split_reports_a_full_spool_disk(tmp_path, monkeypatch, capsys):
@@ -157,7 +174,10 @@ def test_split_reports_a_full_spool_disk(tmp_path, monkeypatch, capsys):
             "--test-out", str(tmp_path / "test.csv"), "--manifest", str(tmp_path / "m.json")]
     capsys.readouterr()
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {full}\n"
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)} for split's temporary file "
+        f"in {tempfile.gettempdir()} (the TMPDIR environment variable names that directory)\n"
+    )
     assert len(spools) == 1 and spools[0].closed
     assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
 

@@ -706,8 +706,9 @@ def test_smooth_part_is_inf_unless_coupling_is_positive_definite(min_eig, finite
 
 
 def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
-    # One eigh per projection, one to validate the fitted C and one to
-    # extract the clusters; search points and the start point take none.
+    # One eigh per projection and one to validate the fitted C, whose
+    # eigenvectors the clusters are extracted from; search points and the
+    # start point take none.
     from taskreg import cmtl
 
     counts = {"eigh": 0, "project": 0}
@@ -728,4 +729,59 @@ def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
     )
     assert model.trace.iterations > 10
     assert counts["project"] >= model.trace.iterations
-    assert counts["eigh"] == counts["project"] + 2
+    assert counts["eigh"] == counts["project"] + 1
+
+
+def _whole_batch_metric(f, params):
+    """The design and L^{-T} of :class:`_Objective`, each step taken on every task at once."""
+    design = f.design_stack(intercept=False)
+    a = design[..., :-1]
+    hess = np.matmul(a.transpose(0, 2, 1), a)
+    hess *= (2.0 / np.array(f.counts, dtype=np.float64))[:, None, None]
+    delta = np.maximum(2.0 * params.rho2, 1e-12 * np.trace(hess, axis1=1, axis2=2))
+    diagonal = np.arange(f.n_features)
+    hess[:, diagonal, diagonal] += delta[:, None]
+    back = np.linalg.inv(np.linalg.cholesky(hess)).transpose(0, 2, 1)
+    a[...] = np.matmul(a, back)
+    return design, back
+
+
+def _hundred_tasks():
+    # Tasks of 4 to 30 rows, so some factors are shorter than the padded design.
+    rng = np.random.default_rng(71)
+    return factors(_ragged_dataset(rng, rng.integers(4, 31, size=100), 20))
+
+
+def test_metric_set_up_in_blocks_matches_one_batch():
+    from taskreg import cmtl
+
+    f = _hundred_tasks()
+    assert f.n_tasks % cmtl._METRIC_BLOCK  # the last block is partial
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=3)
+    objective = _Objective(f, params)
+    design, back = _whole_batch_metric(f, params)
+    assert objective._r.tobytes() == design.tobytes()
+    assert objective._back.tobytes() == back.tobytes()
+
+
+def test_metric_setup_holds_one_block_of_temporaries():
+    import tracemalloc
+
+    from taskreg import cmtl
+
+    f = _hundred_tasks()
+    params = CmtlParams(rho1=0.2, rho2=0.3, k=3)
+    j = f.n_features
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        objective = _Objective(f, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = objective._r.nbytes + objective._back.nbytes
+    # A block's Hessians, Cholesky factors and inverses, and its product with
+    # its design; every task's at once would be 2 * 100 * J * J doubles more.
+    block = 4 * cmtl._METRIC_BLOCK * (j + 1) * (j + 1) * 8
+    assert peak <= kept + block + 32 * 1024, (peak, kept, block)

@@ -234,6 +234,16 @@ def test_blocked_individual_stl_matches_one_solve_per_task(penalty, lam, interce
         # computes it with an absolute error of order eps * ||y||^2.
         f_blocked, f_rows = blocked.objective_per_iter[-1], trace.objective_per_iter[-1]
         assert abs(f_blocked - f_rows) <= 1e-12 * max(1.0, abs(f_rows))
+        # Each record is a read-only float64 array, one entry per iteration.
+        for name in ("objective_per_iter", "gamma_per_iter", "smooth_per_iter",
+                     "surrogate_per_iter"):
+            record, alone = getattr(blocked, name), getattr(trace, name)
+            assert isinstance(record, np.ndarray) and record.dtype == np.float64
+            assert record.shape == (trace.iterations,) and not record.flags.writeable
+            if name == "gamma_per_iter":
+                assert np.array_equal(record, alone)
+            else:
+                assert np.all(np.abs(record - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
     assert model.trace.iterations == sum(t.iterations for t in model.trace)
 
 

@@ -245,7 +245,8 @@ def test_delayed_momentum_first_two_steps_are_plain():
         _, traces[mode] = solve(
             problem, np.zeros(6), SolverConfig(max_iters=3, rel_tol=0.0, momentum=mode)
         )
-    assert traces["delayed"].objective_per_iter[:2] == traces["none"].objective_per_iter[:2]
+    assert np.array_equal(traces["delayed"].objective_per_iter[:2],
+                          traces["none"].objective_per_iter[:2])
     # The standard schedule also starts with a plain prox step.
     assert traces["standard"].objective_per_iter[0] == traces["none"].objective_per_iter[0]
     # By the third iteration the delayed schedule has nonzero momentum.
@@ -425,9 +426,9 @@ def test_scalar_problem_and_its_one_row_block_agree_to_the_bit(seed):
     w_rows, (trace_row,) = solve(blocked, np.zeros((1, 40)), cfg)
     assert np.array_equal(w, w_rows[0])
     assert trace.iterations == trace_row.iterations
-    assert trace.gamma_per_iter == trace_row.gamma_per_iter
-    assert trace.surrogate_per_iter == trace_row.surrogate_per_iter
-    assert trace.objective_per_iter == trace_row.objective_per_iter
+    assert np.array_equal(trace.gamma_per_iter, trace_row.gamma_per_iter)
+    assert np.array_equal(trace.surrogate_per_iter, trace_row.surrogate_per_iter)
+    assert np.array_equal(trace.objective_per_iter, trace_row.objective_per_iter)
 
 
 def test_blocked_solve_returns_one_trace_per_block():
@@ -535,7 +536,7 @@ def test_backtracking_block_leaves_other_gammas_alone(momentum):
     assert len(finals) > 1
     for b in range(4):
         w, solo = solve(_row_problem(problem, b), np.zeros(6), cfg)
-        assert traces[b].gamma_per_iter == solo.gamma_per_iter
+        assert np.array_equal(traces[b].gamma_per_iter, solo.gamma_per_iter)
         assert (traces[b].iterations, traces[b].converged) == (solo.iterations, solo.converged)
         np.testing.assert_allclose(traces[b].objective_per_iter, solo.objective_per_iter,
                                    rtol=1e-12, atol=0)

@@ -34,6 +34,8 @@ ALLOWED = {
     "dataset.RowSink.finish": "a Protocol declaration; the sinks implement it",
     "dataset._value_eq": "model and parameter ==, which the library offers and no command uses",
     "dataset._same": "called only by _value_eq",
+    "dataset.TaskFactors.__post_init__": "a library caller's TaskFactors, which copies its "
+    "arrays; the commands' own are built by TaskFactors._adopt",
     "mtl.lambda_max": "the README Library example calls it to choose --lambda",
     "riskfactors.vote_merge_stl": "the paper's ensemble step, not yet wired to a command",
 }
