@@ -314,7 +314,7 @@ def cmd_split(args) -> int:
         [("--train-out", args.train_out), ("--test-out", args.test_out),
          ("--manifest", args.manifest)],
     )
-    opened = []  # the outputs created or emptied so far, which a failed split removes
+    opened = []  # the outputs split has begun to write, which a failed split removes
     try:
         # Unless it scales, split keeps the kept records' text in an unnamed
         # temporary file, which every exit from the block closes and so deletes.
@@ -328,11 +328,9 @@ def cmd_split(args) -> int:
                 with _naming(args.input):
                     dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
             train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
-            # Every output opens before any is written.
-            for path in (args.train_out, args.test_out, args.manifest):
-                open(path, "wb").close()
-                opened.append(path)
+            opened.append(args.train_out)
             dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
+            opened.append(args.test_out)
             dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
         manifest = {
             "command": "split",
@@ -349,8 +347,11 @@ def cmd_split(args) -> int:
                 for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
             },
         }
+        opened.append(args.manifest)
         dataset.write_json(manifest, args.manifest)
-    except BaseException:
+    except BaseException as exc:
+        if isinstance(exc, OSError) and opened and exc.filename == opened[-1]:
+            opened.pop()  # it could not be opened, so split left it as it was
         for path in opened:
             if os.path.isfile(path):  # not a device such as /dev/null
                 with contextlib.suppress(OSError):

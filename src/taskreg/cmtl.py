@@ -353,7 +353,8 @@ def fit_cmtl(
     z_hat, trace = solve(problem, z0, cfg)
     w_hat, c_hat = objective.weights(z_hat[:, :n_features]), z_hat[:, n_features:]
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
-    assignments = extract_clusters(cluster_matrix, params.k, kmeans_seed)
+    # The embedding reuses the eigenvectors the cluster matrix was checked with.
+    assignments = _labels_from_vectors(cluster_matrix.spectrum[1], params.k, kmeans_seed)
     return MtlModel(
         weights=w_hat,
         feature_names=factors.feature_names,
@@ -375,24 +376,23 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     k-means (k-means++ seeding, 50 restarts) on the draws of numpy's
     ``default_rng(seed)`` (made by :class:`taskreg._stream.Stream`). Labels are
     renumbered in first-occurrence order, so task 0 is always in cluster
-    0 and outputs are permutation-equivariant for a fixed seed. ``c`` may
-    be a :class:`RelaxedClusterMatrix`, whose ``spectrum`` holds the
-    eigenvectors already; any other matrix is symmetrized and decomposed.
+    0 and outputs are permutation-equivariant for a fixed seed.
     """
-    if isinstance(c, RelaxedClusterMatrix):
-        mat, (_, vecs) = c.matrix, c.spectrum
-    else:
-        mat, vecs = np.asarray(c, dtype=np.float64), None
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    mat = np.asarray(c, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     t = mat.shape[0]
     if not 1 <= k <= t:
         raise ValueError(f"k must be in [1, {t}], got {k}")
+    _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    return _labels_from_vectors(vecs, k, seed)
+
+
+def _labels_from_vectors(vecs: np.ndarray, k: int, seed: int) -> tuple[int, ...]:
+    """The k-means rounding of :func:`extract_clusters`, given the eigenvectors of C (ascending)."""
     from ._stream import Stream
 
-    if vecs is None:
-        _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    embedding = vecs[:, t - k:]
+    embedding = vecs[:, vecs.shape[1] - k:]
     labels = _kmeans_labels(embedding, k, Stream(seed), restarts=50)
     return _canonical_labels(labels)
 

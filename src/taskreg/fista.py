@@ -106,7 +106,8 @@ class SolveTrace:
     curvature. ``smooth_per_iter`` and ``surrogate_per_iter`` hold the two
     sides of the accepted descent test L(x_next) <= Q_gamma(S, x_next).
     Each is a read-only float64 array of ``iterations`` entries, a view
-    into the records of the solve it came from. ``==`` compares values.
+    into the records of the solve it came from. ``==`` compares values;
+    a trace is not hashable, since its fields are arrays.
     """
 
     objective_per_iter: np.ndarray

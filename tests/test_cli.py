@@ -155,6 +155,42 @@ def test_failed_split_leaves_no_output(tmp_path, capsys, missing, scale_full):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_split_opens_each_output_once(tmp_path, monkeypatch):
+    # A named pipe as an output would see its end at a first close.
+    source = _write_csv(tmp_path / "data.csv")
+    outputs = [str(tmp_path / name) for name in ("train.csv", "test.csv", "m.json")]
+    opens = []
+    builtin_open = open
+
+    def counting(file, *args, **kwargs):
+        opens.append(str(file))
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    argv = ["split", str(source), "--train-out", outputs[0], "--test-out", outputs[1],
+            "--manifest", outputs[2]]
+    assert cli.main(argv) == 0
+    assert [path for path in opens if path in outputs] == outputs
+
+
+def test_failed_split_keeps_an_output_it_could_not_open(tmp_path, monkeypatch, capsys):
+    from taskreg import dataset
+
+    def refused(data, path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(dataset, "write_json", refused)
+    source = _write_csv(tmp_path / "data.csv")
+    manifest = tmp_path / "m.json"
+    manifest.write_text("kept\n", encoding="utf-8")
+    argv = ["split", str(source), "--train-out", str(tmp_path / "train.csv"),
+            "--test-out", str(tmp_path / "test.csv"), "--manifest", str(manifest)]
+    assert cli.main(argv) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "m.json"]
+    assert manifest.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_split_reports_a_full_spool_disk(tmp_path, monkeypatch, capsys):
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 

@@ -730,6 +730,8 @@ def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
     assert model.trace.iterations > 10
     assert counts["project"] >= model.trace.iterations
     assert counts["eigh"] == counts["project"] + 1
+    # Those eigenvectors round to the clusters extract_clusters finds in the fitted C.
+    assert model.assignments == extract_clusters(model.cluster_matrix.matrix, 2, model.kmeans_seed)
 
 
 def _whole_batch_metric(f, params):

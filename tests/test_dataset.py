@@ -658,6 +658,26 @@ def test_factor_scaling_matches_minmax_scale(scale_outcome):
         np.testing.assert_allclose(_gram(a), _gram(b), rtol=0, atol=1e-12 * np.abs(_gram(b)).max())
 
 
+def test_a_callers_factors_are_copied_and_new_ones_adopted():
+    # A library caller's arrays are copied, so changing them later changes
+    # nothing; the loader's and minmax_scaled's own are kept as made.
+    rng = np.random.default_rng(12)
+    f = factors(_toy(rng.uniform(size=(30, 3)), labels=("a", "b"), outcomes=rng.random(30)))
+    fields = {field.name: getattr(f, field.name) for field in dataclasses.fields(f)}
+    mine = [r.copy() for r in f.factors]
+    built = dataset.TaskFactors(**{**fields, "factors": tuple(mine)})
+    assert not any(np.shares_memory(a, b) for a, b in zip(built.factors, mine))
+    mine[0][0, 0] += 1.0
+    assert built == f
+    made = [r.copy() for r in f.factors]
+    adopted = dataset.TaskFactors._adopt(**{**fields, "factors": tuple(made)})
+    assert all(a is b and not a.flags.writeable for a, b in zip(adopted.factors, made))
+    assert adopted == f
+    with pytest.raises(ValueError, match="does not fit"):
+        dataset.TaskFactors._adopt(**{**fields, "factors": (made[0][:, :-1], made[1])})
+    assert all(not r.flags.writeable for r in f.minmax_scaled()[0].factors)
+
+
 def _copied(ds, *, dropped_rows):
     tasks = tuple(TaskData(label=t.label, X=t.X.copy(), Y=t.Y.copy()) for t in ds.tasks)
     return MultiTaskDataset(tasks=tasks, feature_names=ds.feature_names, dropped_rows=dropped_rows)

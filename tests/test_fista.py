@@ -282,6 +282,14 @@ def test_trace_invariants():
     f_best = problem.full_objective(best)
     assert f_best <= min(trace.objective_per_iter) + 1e-15
     assert f_best <= problem.full_objective(phi0)
+    # The fields are read-only float64 arrays, so a trace compares by value and has no hash.
+    assert all(
+        f.dtype == np.float64 and not f.flags.writeable
+        for f in (trace.objective_per_iter, gammas, smooth, surrogate)
+    )
+    assert trace == dataclasses.replace(trace, gamma_per_iter=gammas.copy())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(trace)
 
 
 def test_line_search_error_on_inconsistent_gradient(monkeypatch):
