@@ -220,8 +220,10 @@ class MaeAccumulator:
         ):
             # A task the model lacks is predicted with row 0; report() rejects it.
             row_of_task = np.array([rows.get(label, 0) for label in labels], dtype=np.intp)
-            pred = predictions_for_task(model, x.take(columns, axis=1), row_of_task[task])
-            parts.append(np.abs(pred - y))
+            # An error that overflows is reported by write_mae_table, not warned of.
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = predictions_for_task(model, x.take(columns, axis=1), row_of_task[task])
+                parts.append(np.abs(pred - y))
 
     def finish(self, labels, dropped_rows):
         rows = _task_rows(np.concatenate(self._task_parts), len(labels))
@@ -237,18 +239,15 @@ class MaeAccumulator:
 
     def report(self, index: int = 0, total_mode: str = "pooled") -> MaeReport:
         """Per-task and total MAE of ``models[index]``; every test task must exist in it."""
-        if total_mode not in _TOTAL_MODES:
-            raise ValueError(f"total_mode must be one of {_TOTAL_MODES}, got {total_mode!r}")
         for label in self.outcomes:
             if label not in self._rows[index]:
                 raise ValueError(f"model has no task {label!r}")
         errors = self._errors[index]
-        per_task = {label: float(e.mean()) for label, e in errors.items()}
         counts = {label: e.size for label, e in errors.items()}
-        if total_mode == "pooled":
-            total = sum(float(e.sum()) for e in errors.values()) / sum(counts.values())
-        else:
-            total = sum(per_task.values()) / len(per_task)
+        with np.errstate(over="ignore"):
+            per_task = {label: float(e.mean()) for label, e in errors.items()}
+            pooled = sum(float(e.sum()) for e in errors.values()) / sum(counts.values())
+        total = pooled if total_mode == "pooled" else sum(per_task.values()) / len(per_task)
         return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
 
 
@@ -273,7 +272,8 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
     (as :attr:`MaeAccumulator.outcomes` does). Each row carries the task's
     test-set size and the mean and standard deviation of its outcomes,
     then the per-model MAE values, in the CSV dialect of
-    :func:`taskreg.dataset.write_rows`.
+    :func:`taskreg.dataset.write_rows`. A value that is not finite, as where
+    a sum or a prediction overflows, is a ValueError naming its task.
     """
     if not reports:
         raise ValueError("need at least one report to tabulate")
@@ -281,11 +281,21 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
         if set(rep.per_task) != set(outcomes):
             raise ValueError(f"report {name!r} does not cover the test tasks")
 
+    columns = ["the outcome mean", "the outcome standard deviation"]
+    columns += [f"the mean absolute error of model {name!r}" for name in reports]
+
+    def cells(where, y, maes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [float(y.mean()), float(y.std()), *maes]
+        for column, value in zip(columns, values):
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: {column} is not finite")
+        return [y.size, *map(repr, values)]
+
     rows = [["task", "n", "outcome_mean", "outcome_sd", *reports]]
     for label, y in outcomes.items():
-        row = [label, y.size, repr(float(y.mean())), repr(float(y.std()))]
-        rows.append(row + [repr(rep.per_task[label]) for rep in reports.values()])
+        maes = [rep.per_task[label] for rep in reports.values()]
+        rows.append([label, *cells(f"task {label!r}", y, maes)])
     pooled = np.concatenate(list(outcomes.values()))
-    total_row = ["TOTAL", int(pooled.size), repr(float(pooled.mean())), repr(float(pooled.std()))]
-    rows.append(total_row + [repr(rep.total) for rep in reports.values()])
+    rows.append(["TOTAL", *cells("all tasks", pooled, [rep.total for rep in reports.values()])])
     write_rows(rows, path)

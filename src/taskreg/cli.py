@@ -465,7 +465,8 @@ def cmd_evaluate(args) -> int:
     models = [serialize.load_model(path) for path in args.model]
     errors = baselines.evaluate(models, args.test, args.task_column, args.outcome_column)
     reports = {name: errors.report(k, args.total) for k, name in enumerate(names)}
-    baselines.write_mae_table(reports, errors.outcomes, args.out)
+    with _naming(args.test):
+        baselines.write_mae_table(reports, errors.outcomes, args.out)
     for name, rep in reports.items():
         print(f"{name}: total MAE {rep.total:.6g} ({args.total})")
     print(f"wrote {args.out}")
@@ -511,14 +512,13 @@ def cmd_riskfactors(args) -> int:
         raise ValueError("the cluster level requires a cmtl model")
     categories = _load_categories(args.categories, model) if args.categories else None
     top_k = min(args.top, model.n_features)
-    assignments = model.assignments if model.model_type == "cmtl" else None
     report = riskfactors.build_report(
         model.weights,
         model.feature_names,
         model.task_labels,
         top_k=top_k,
         levels=levels,
-        assignments=assignments,
+        assignments=model.assignments,  # None but for cmtl
         categories=categories,
     )
     riskfactors.write_report_json(report, args.out_json)

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScalingParams, TaskFactors, _value_eq, residual_gradient, residuals
+from .dataset import (
+    ScalingParams, TaskFactors, _integer, _numbers, _real, _value_eq, residual_gradient, residuals,
+)
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
 
@@ -39,7 +41,9 @@ class CmtlParams:
 
     ``eta`` is the derived ratio rho2/rho1. The rho1 = 0 boundary is
     accepted only together with rho2 = 0 (regularizer fully off, eta = 0);
-    it exists for gradient tests, not for fitting.
+    it exists for gradient tests, not for fitting. Construction checks
+    that rho1 and rho2 are numbers (not bools or strings), finite and
+    >= 0, and that k is an integer >= 1.
     """
 
     rho1: float
@@ -48,13 +52,13 @@ class CmtlParams:
 
     def __post_init__(self):
         for name in ("rho1", "rho2"):
-            value = getattr(self, name)
+            value = _real(getattr(self, name), name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, value)
         if self.rho1 == 0 and self.rho2 != 0:
             raise ValueError("rho1 = 0 requires rho2 = 0 (eta would be infinite)")
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -72,8 +76,10 @@ class CmtlParams:
 class RelaxedClusterMatrix:
     """A T x T matrix inside the relaxed cluster feasible set.
 
-    Construction validates symmetry, the eigenvalue box [0, 1], and
-    tr = k, all up to small numerical tolerances. ``spectrum`` keeps the
+    Construction checks that the matrix is a square array of finite
+    numbers (``cluster_matrix`` in a message) and k an integer in [1, T],
+    then validates symmetry, the eigenvalue box [0, 1], and tr = k, all
+    up to small numerical tolerances. ``spectrum`` keeps the
     read-only (eigenvalues, eigenvectors) of the symmetrized matrix from
     that validation, so a caller that needs them does not decompose the
     matrix again. ``==`` compares the matrix and k by value.
@@ -86,9 +92,10 @@ class RelaxedClusterMatrix:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _numbers(self.matrix, "cluster_matrix", 2)
+        if m.shape[0] != m.shape[1]:
             raise ValueError(f"cluster matrix must be square, got shape {m.shape}")
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         self._settle(m)
 
     @classmethod
@@ -110,10 +117,11 @@ class RelaxedClusterMatrix:
         t = m.shape[0]
         if not 1 <= self.k <= t:
             raise ValueError(f"k must be in [1, {t}], got {self.k}")
-        asym = float(np.abs(m - m.T).max())
+        with np.errstate(over="ignore"):  # an overflow here fails its check
+            asym = float(np.abs(m - m.T).max())
+            trace_err = abs(float(np.trace(m)) - self.k)
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"cluster matrix asymmetric by {asym:.3g}")
-        trace_err = abs(float(np.trace(m)) - self.k)
         if trace_err > _TRACE_TOL:
             raise ValueError(f"trace differs from k={self.k} by {trace_err:.3g}")
         eigs, vecs = np.linalg.eigh(0.5 * (m + m.T)) if spectrum is None else spectrum
@@ -445,23 +453,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 100):
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng, restarts: int) -> np.ndarray:
-    best_labels = None
-    best_inertia = math.inf
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels
+    """The labels of the restart of least inertia, the first of them on a tie."""
+    runs = (_lloyd(points, _kmeans_pp_init(points, k, rng)) for _ in range(restarts))
+    return min(runs, key=lambda run: run[1])[0]
 
 
 def _canonical_labels(labels) -> tuple[int, ...]:
     remap: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        lab = int(lab)
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
-    return tuple(out)
+    return tuple(remap.setdefault(int(lab), len(remap)) for lab in labels)

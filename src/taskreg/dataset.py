@@ -57,6 +57,91 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+# The field checkers of ScalingParams, MtlModel, CmtlParams and RelaxedClusterMatrix, which
+# a model file's values and a caller's go through alike. Each takes a JSON value, a tuple or
+# a numpy array, and names the field ``key`` in its message. A bool is not a number.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _finite(number: float, key: str) -> float:
+    # json reads a literal too large for a double, such as 1e400, as inf.
+    if not math.isfinite(number):
+        raise ValueError(f"{key}: expected a finite number, got {number!r}")
+    return number
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a float; an integer past the largest double is +-inf, as 1e400 reads."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _number(value, key: str) -> float:
+    return _finite(_real(value, key), key)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list(value, key: str, of: str):
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key}: expected a list of {of}, got {value!r}")
+    return value
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    """A list of distinct strings, such as a model's task labels or feature names."""
+    items, seen = _list(value, key, "strings"), set()
+    for item in items:
+        if not isinstance(item, str):
+            raise ValueError(f"{key}: expected a string, got {item!r}")
+        if item in seen:
+            raise ValueError(f"{key.replace('_', ' ')} must be unique, {item!r} repeats")
+        seen.add(item)
+    return tuple(items)
+
+
+def _numbers(value, key: str, ndim: int) -> np.ndarray:
+    """A finite ``ndim``-D numeric array, or ``ndim``-deep nested lists of numbers, read-only."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        array = np.array(value, dtype=np.float64)
+    else:
+        items = [value]
+        for _ in range(ndim):
+            items = list(itertools.chain.from_iterable(_list(i, key, "numbers") for i in items))
+        if not set(map(type, items)) <= {int, float}:
+            for item in items:
+                _real(item, key)
+        try:
+            array = np.array(value, dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{key}: rows differ in length") from None
+        except OverflowError:  # an integer past the largest double
+            array = np.array([_real(item, key) for item in items])
+    overflowed = array[~np.isfinite(array)]
+    if overflowed.size:
+        _finite(float(overflowed[0]), key)
+    if array.ndim != ndim:
+        raise ValueError(f"{key} must be {ndim}-D, got shape {array.shape}")
+    array.setflags(write=False)
+    return array
+
+
+def _optional_string(value, key: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string or null, got {value!r}")
+    return value
+
+
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
@@ -82,7 +167,9 @@ class ScalingParams:
     """Per-feature (min, max) ranges, plus optional outcome range.
 
     Transforms map x to (x - min) / (max - min). Columns with max = min
-    map to 0.
+    map to 0. Construction checks that each bound is a finite number (not
+    a bool or a string), that the feature bounds are 1-D of one length with
+    min <= max, that the outcome bounds come together, and that no span overflows.
     """
 
     feature_min: np.ndarray
@@ -93,25 +180,28 @@ class ScalingParams:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        lo = _frozen_array(self.feature_min)
-        hi = _frozen_array(self.feature_max)
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        lo = _numbers(self.feature_min, "feature_min", 1)
+        hi = _numbers(self.feature_max, "feature_max", 1)
+        if lo.shape != hi.shape:
             raise ValueError("feature_min and feature_max must be 1-D and equal length")
         if np.any(lo > hi):
             raise ValueError("feature_min must be <= feature_max")
         if (self.outcome_min is None) != (self.outcome_max is None):
             raise ValueError("outcome_min and outcome_max must be set together")
         # A span past the largest double would scale every value to 0 or NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             wide = np.flatnonzero(~np.isfinite(hi - lo))
         if wide.size:
             j = wide[0]
             bounds = f"[{float(lo[j])!r}, {float(hi[j])!r}]"
             raise ValueError(f"the range {bounds} of feature {j} is too wide to scale")
         if self.outcome_min is not None:
-            lo_y, hi_y = float(self.outcome_min), float(self.outcome_max)
+            lo_y = _number(self.outcome_min, "outcome_min")
+            hi_y = _number(self.outcome_max, "outcome_max")
             if not math.isfinite(hi_y - lo_y):
                 raise ValueError(f"the outcome range [{lo_y!r}, {hi_y!r}] is too wide to scale")
+            object.__setattr__(self, "outcome_min", lo_y)
+            object.__setattr__(self, "outcome_max", hi_y)
         object.__setattr__(self, "feature_min", lo)
         object.__setattr__(self, "feature_max", hi)
 
@@ -155,24 +245,6 @@ class ScalingParams:
             raise ValueError("outcome scaling was not fitted")
         y = np.asarray(y, dtype=np.float64)
         return y * (self.outcome_max - self.outcome_min) + self.outcome_min
-
-
-def check_model_axes(task_labels, feature_names, scaling: ScalingParams | None) -> None:
-    """Raise ValueError unless a model's labels and names are unique and its scaling fits them.
-
-    Fitted models call this when they are built, so a model file that
-    breaks it does not load.
-    """
-    for what, names in (("task labels", task_labels), ("feature names", feature_names)):
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise ValueError(f"{what} must be unique, {name!r} repeats")
-            seen.add(name)
-    if scaling is not None and scaling.n_features != len(feature_names):
-        raise ValueError(
-            f"scaling covers {scaling.n_features} features, the model has {len(feature_names)}"
-        )
 
 
 def _augmented(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,13 +304,11 @@ class TaskFactors:
 
     def _settle(self, factors: tuple[np.ndarray, ...]) -> None:
         """Check the fields, then store them, ``factors`` (read-only arrays) among them."""
-        labels = tuple(self.task_labels)
-        names = tuple(self.feature_names)
+        labels = _strings(self.task_labels, "task_labels")
+        names = _strings(self.feature_names, "feature_names")
         counts = tuple(int(n) for n in self.counts)
         if not labels or len(factors) != len(labels) or len(counts) != len(labels):
             raise ValueError("need one factor and one row count per task, and at least one task")
-        if len(set(labels)) != len(labels) or len(set(names)) != len(names):
-            raise ValueError("task labels and feature names must be unique")
         width = len(names) + 2
         for label, r, n in zip(labels, factors, counts):
             if r.ndim != 2 or r.shape[1] != width or r.shape[0] > min(n, width) or n < 1:

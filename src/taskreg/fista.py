@@ -21,7 +21,7 @@ one iteration path: a problem with a scalar objective runs as a stack
 of one row. Each iteration leaves one record with every block's
 objective, gamma, smooth value and surrogate, NaN for a block that has
 stopped; the traces and a solver error's objective trail are read from
-these records.
+these records, which are held in one array grown in place.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import _value_eq
+from .dataset import _append, _value_eq
 from .errors import DivergenceError, LineSearchError
 
 _MOMENTUM_MODES = ("delayed", "standard", "none")
@@ -167,14 +167,14 @@ def _callbacks(problem: ProximalProblem, rows: np.ndarray, scalar: bool):
     )
 
 
-def _trail(records: list[np.ndarray]) -> list[float]:
-    """The objectives so far, for a solver error.
+def _trail(records: np.ndarray) -> list[float]:
+    """The objectives so far, for a solver error, from the (iterations, blocks, 4) records.
 
     One float per iteration: the sum over all blocks, in which a stopped
     block keeps its objective at its stop.
     """
     trail, latest = [], np.nan
-    for f, *_ in records:
+    for f in records[..., 0]:
         latest = np.where(np.isnan(f), latest, f)
         trail.append(float(latest.sum()))
     return trail
@@ -250,11 +250,11 @@ def solve(
     the problem runs as a blocked problem of one row, and the trace is
     that row's :class:`SolveTrace`.
 
-    Each iteration appends one (4, blocks) record: the objective, gamma,
+    Each iteration writes one (blocks, 4) record: the objective, gamma,
     smooth value and surrogate of every block, NaN for a block that has
-    stopped. The records are stacked once the loop ends, and a block's
-    trace holds read-only views of its entries of that one array up to
-    its first NaN, so its iteration count is their length. A
+    stopped. The records are rows of one array, grown in place by each,
+    and a block's trace holds read-only views of its entries of that
+    array up to its first NaN, so its iteration count is their length. A
     solver error's ``objective_trail`` has one float per finished
     iteration, the objective summed over the blocks, a stopped block
     counting with its objective at its stop.
@@ -294,8 +294,8 @@ def solve(
     smooth_value, smooth_grad, prox, full_objective = _callbacks(problem, rows, scalar)
 
     # Per iteration, the objective, gamma, smooth value and surrogate of each
-    # block, NaN for a block that has stopped.
-    records: list[np.ndarray] = []
+    # block, NaN for a block that has stopped; no view of it outlives an iteration.
+    records = np.empty((0, n_blocks, 4))
 
     gamma = np.full(n_blocks, _GAMMA0)
     d_prev_prev, d_prev = 0.0, 1.0  # d_{l-2}, d_{l-1}
@@ -330,9 +330,9 @@ def solve(
         if not np.isfinite(f_next).all():
             raise DivergenceError(f"objective non-finite at iteration {l}", _trail(records))
 
-        record = np.full((4, n_blocks), np.nan)
-        record[:, rows] = f_next, gamma, smooth_next, q_next
-        records.append(record)
+        record = np.full((1, n_blocks, 4), np.nan)
+        record[0, rows] = np.stack([f_next, gamma, smooth_next, q_next], axis=1)
+        _append(records, record)
         improved = f_next < best_f
         best_f = _where(improved, f_next, best_f)
         best_phi = _where(improved, phi_next, best_phi)
@@ -362,12 +362,10 @@ def solve(
 
     if rows.size:  # the blocks still running stopped at the iteration cap
         result[rows] = best_phi
-    history = np.stack(records, axis=-1)  # (4, blocks, iterations)
-    records.clear()
-    history.setflags(write=False)
-    iterations = np.count_nonzero(~np.isnan(history[0]), axis=1).tolist()
+    records.setflags(write=False)
+    iterations = np.count_nonzero(~np.isnan(records[..., 0]), axis=0).tolist()
     traces = [
-        SolveTrace(*history[:, b, :n], iterations=n, converged=c)
+        SolveTrace(*records[:n, b].T, iterations=n, converged=c)
         for b, (n, c) in enumerate(zip(iterations, converged.tolist()))
     ]
     return (result[0], traces[0]) if scalar else (result, BlockTraces(traces))

@@ -9,18 +9,14 @@ are selected for all tasks or none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import (
-    ScalingParams,
-    TaskFactors,
-    _value_eq,
-    check_model_axes,
-    residual_gradient,
-    residuals,
+    ScalingParams, TaskFactors, _integer, _list, _number, _numbers, _optional_string, _strings,
+    _value_eq, residual_gradient, residuals,
 )
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
@@ -151,6 +147,13 @@ class MtlModel:
     are set for cmtl and ``None`` for mtl and stl; ``lam`` is ``None`` for
     cmtl. ``==`` compares values; ``trace``, the solver's diagnostics,
     which a loaded model does not have, is left out.
+
+    Construction checks every field, as it does for a loaded model: the
+    labels and names are distinct strings, one per weight row and column;
+    the weights and intercept are finite numbers (not bools or strings);
+    ``scaling`` covers the features; ``lam`` is finite and >= 0; the
+    assignments are integers numbering the clusters 0, 1, ...; ``kmeans_seed``
+    is an integer; the stl fields are a known setting and penalty or ``None``.
     """
 
     weights: np.ndarray
@@ -171,21 +174,38 @@ class MtlModel:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"weights must be 2-D, got shape {w.shape}")
+        self._settle([f.name for f in fields(self) if getattr(self, f.name) is not None])
+
+    @classmethod
+    def _from_file(cls, **values) -> "MtlModel":
+        """A model file's model, checked as when built but with a null (None) counted as set."""
+        out = object.__new__(cls)
+        for f in fields(cls):
+            object.__setattr__(out, f.name, values.get(f.name, f.default))
+        out._settle(values.keys())
+        return out
+
+    def _settle(self, set_fields) -> None:
+        """Check the fields, ``set_fields`` naming those that are set, then store them."""
+        labels = _strings(self.task_labels, "task_labels")
+        names = _strings(self.feature_names, "feature_names")
+        w = _numbers(self.weights, "weights", 2)
         t, j = w.shape
-        if len(self.task_labels) != t or len(self.feature_names) != j:
+        intercept = np.zeros(t) if self.intercept is None else self.intercept
+        intercept = _numbers(intercept, "intercept", 1)
+        if len(labels) != t or len(names) != j:
             raise ValueError(
-                f"weights shape {w.shape} inconsistent with {len(self.task_labels)} "
-                f"labels / {len(self.feature_names)} feature names"
+                f"weights shape {w.shape} inconsistent with {len(labels)} "
+                f"labels / {len(names)} feature names"
             )
-        check_model_axes(self.task_labels, self.feature_names, self.scaling)
+        covered = j if self.scaling is None else self.scaling.n_features
+        if covered != j:
+            raise ValueError(f"scaling covers {covered} features, the model has {j}")
         if self.model_type not in _MODEL_TYPES:
             raise ValueError(f"unknown model_type {self.model_type!r}")
         clustered = self.model_type == "cmtl"
         expected = _CLUSTER_FIELDS if clustered else ("lam",)
-        given = tuple(f for f in ("lam", *_CLUSTER_FIELDS) if getattr(self, f) is not None)
+        given = tuple(f for f in ("lam", *_CLUSTER_FIELDS) if f in set_fields)
         if sorted(given) != sorted(expected):
             raise ValueError(
                 f"a model of type {self.model_type!r} sets {', '.join(expected)}, "
@@ -194,7 +214,8 @@ class MtlModel:
         if clustered:
             if self.cluster_matrix.n_tasks != t:
                 raise ValueError("cluster matrix size does not match task count")
-            assignments = tuple(int(a) for a in self.assignments)
+            assignments = _list(self.assignments, "assignments", "integers")
+            assignments = tuple(_integer(a, "assignments") for a in assignments)
             if len(assignments) != t:
                 raise ValueError(f"need {t} assignments, got {len(assignments)}")
             used = sorted(set(assignments))
@@ -203,27 +224,27 @@ class MtlModel:
                     f"cluster ids must be 0..{len(used) - 1} contiguous, got {used}"
                 )
             object.__setattr__(self, "assignments", assignments)
-        elif self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+            object.__setattr__(self, "kmeans_seed", _integer(self.kmeans_seed, "kmeans_seed"))
+        else:
+            lam = _number(self.lam, "lam")
+            if lam < 0:
+                raise ValueError(f"lambda must be >= 0, got {lam}")
+            object.__setattr__(self, "lam", lam)
+        stl = {f: _optional_string(getattr(self, f), f) for f in ("stl_setting", "stl_penalty")}
         if self.model_type == "stl":
-            for name, choices in (("stl_setting", _STL_SETTINGS), ("stl_penalty", _STL_PENALTIES)):
-                value = getattr(self, name)
+            for (name, value), choices in zip(stl.items(), (_STL_SETTINGS, _STL_PENALTIES)):
                 if value not in choices:
                     raise ValueError(f"{name} must be one of {choices}, got {value!r}")
-        elif (self.stl_setting, self.stl_penalty) != (None, None):
+        elif set(stl.values()) != {None}:
             raise ValueError(
                 f"a model of type {self.model_type!r} sets no stl_setting or stl_penalty"
             )
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        intercept = self.intercept
-        intercept = np.zeros(t) if intercept is None else np.array(intercept, dtype=np.float64)
         if intercept.shape != (t,):
             raise ValueError(f"intercept must have shape ({t},), got {intercept.shape}")
-        intercept.setflags(write=False)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "task_labels", tuple(self.task_labels))
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "task_labels", labels)
 
     @property
     def n_tasks(self) -> int:

@@ -10,10 +10,6 @@ are not reconstructed on load.
 from __future__ import annotations
 
 import json
-import math
-from itertools import chain
-
-import numpy as np
 
 from .dataset import ScalingParams, write_json
 from .mtl import MtlModel
@@ -21,77 +17,12 @@ from .mtl import MtlModel
 FORMAT_VERSION = 1
 
 
-# JSON numbers load as exactly int or float; bool is a subclass of int.
-_REAL_TYPES = (int, float)
-
-
-def _finite(number: float, key: str) -> float:
-    # json reads a literal too large for a double, such as 1e400, as inf.
-    if not math.isfinite(number):
-        raise ValueError(f"{key}: expected a finite number, got {number!r}")
-    return number
-
-
-def _number(value, key: str) -> float:
-    if type(value) not in _REAL_TYPES:
-        raise ValueError(f"{key}: expected a number, got {value!r}")
-    return _finite(float(value), key)
-
-
-def _integer(value, key: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _list(value, key: str, of: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{key}: expected a list of {of}, got {value!r}")
-    return value
-
-
-def _strings(value, key: str) -> tuple[str, ...]:
-    items = _list(value, key, "strings")
-    for item in items:
-        if not isinstance(item, str):
-            raise ValueError(f"{key}: expected a string, got {item!r}")
-    return tuple(items)
-
-
-def _numbers(value, key: str, ndim: int) -> np.ndarray:
-    """``ndim``-deep nested lists of real, non-bool numbers as a float array."""
-    items = [value]
-    for _ in range(ndim):
-        items = list(chain.from_iterable(_list(item, key, "numbers") for item in items))
-    if not set(map(type, items)) <= set(_REAL_TYPES):
-        bad = next(item for item in items if type(item) not in _REAL_TYPES)
-        raise ValueError(f"{key}: expected a number, got {bad!r}")
-    try:
-        array = np.array(value, dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"{key}: rows differ in length") from None
-    overflowed = array[~np.isfinite(array)]
-    if overflowed.size:
-        _finite(float(overflowed[0]), key)
-    return array
-
-
-def _optional_string(value, key: str) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"{key}: expected a string or null, got {value!r}")
-    return value
-
-
 def _scaling_to_dict(scaling: ScalingParams | None):
     if scaling is None:
         return None
-    out = {
-        "feature_min": scaling.feature_min.tolist(),
-        "feature_max": scaling.feature_max.tolist(),
-    }
-    if scaling.scales_outcome:
-        out["outcome_min"] = float(scaling.outcome_min)
-        out["outcome_max"] = float(scaling.outcome_max)
+    out = {"feature_min": scaling.feature_min.tolist(), "feature_max": scaling.feature_max.tolist()}
+    if scaling.scales_outcome:  # ScalingParams holds the outcome bounds as floats
+        out.update(outcome_min=scaling.outcome_min, outcome_max=scaling.outcome_max)
     return out
 
 
@@ -100,15 +31,11 @@ def _scaling_from_dict(data) -> ScalingParams | None:
         return None
     if not isinstance(data, dict):
         raise ValueError(f"scaling: expected an object or null, got {data!r}")
-    outcome = [
-        None if data.get(key) is None else _number(data[key], key)
-        for key in ("outcome_min", "outcome_max")
-    ]
     return ScalingParams(
-        feature_min=_numbers(data["feature_min"], "feature_min", 1),
-        feature_max=_numbers(data["feature_max"], "feature_max", 1),
-        outcome_min=outcome[0],
-        outcome_max=outcome[1],
+        feature_min=data["feature_min"],
+        feature_max=data["feature_max"],
+        outcome_min=data.get("outcome_min"),
+        outcome_max=data.get("outcome_max"),
     )
 
 
@@ -165,57 +92,33 @@ def _model_from_dict(data: dict):
     version = data.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
-    model_type = data.get("model_type")
-    task_labels = _strings(data["task_labels"], "task_labels")
-    feature_names = _strings(data["feature_names"], "feature_names")
-    weights = _numbers(data["weights"], "weights", 2)
-    intercept = _numbers(data["intercept"], "intercept", 1)
-    scaling = _scaling_from_dict(data.get("scaling"))
-
-    if model_type == "cmtl":
+    fields = {key: data[key] for key in ("task_labels", "feature_names", "weights", "intercept")}
+    fields["scaling"] = _scaling_from_dict(data.get("scaling"))
+    fields["model_type"] = data.get("model_type")
+    if fields["model_type"] == "cmtl":
         # Only a cmtl model loads the clustered model's module.
         from .cmtl import CmtlParams, RelaxedClusterMatrix
 
-        params = CmtlParams(
-            rho1=_number(data["rho1"], "rho1"),
-            rho2=_number(data["rho2"], "rho2"),
-            k=_integer(data["k"], "k"),
-        )
-        cluster_matrix = RelaxedClusterMatrix(
-            matrix=_numbers(data["cluster_matrix"], "cluster_matrix", 2), k=params.k
-        )
-        assignments = _list(data["assignments"], "assignments", "integers")
-        fields = {
-            "cluster_matrix": cluster_matrix,
-            "params": params,
-            "assignments": tuple(_integer(a, "assignments") for a in assignments),
-            "kmeans_seed": _integer(data["kmeans_seed"], "kmeans_seed"),
-        }
+        params = CmtlParams(rho1=data["rho1"], rho2=data["rho2"], k=data["k"])
+        cluster_matrix = RelaxedClusterMatrix(matrix=data["cluster_matrix"], k=params.k)
+        fields.update(cluster_matrix=cluster_matrix, params=params)
+        fields.update({key: data[key] for key in ("assignments", "kmeans_seed")})
     else:
-        fields = {
-            "lam": _number(data["lam"], "lam"),
-            "stl_setting": _optional_string(data.get("stl_setting"), "stl_setting"),
-            "stl_penalty": _optional_string(data.get("stl_penalty"), "stl_penalty"),
-        }
-    return MtlModel(
-        weights=weights,
-        feature_names=feature_names,
-        task_labels=task_labels,
-        intercept=intercept,
-        scaling=scaling,
-        model_type=model_type,
-        **fields,
-    )
+        fields["lam"] = data["lam"]
+        fields.update({key: data.get(key) for key in ("stl_setting", "stl_penalty")})
+    return MtlModel._from_file(**fields)
 
 
 def load_model(path):
     """Load a model saved by :func:`save_model`.
 
-    A file that is not UTF-8 JSON text holding an object, a missing key, a
-    value of the wrong type or shape, or a non-finite number (a ``NaN`` or
-    ``Infinity`` token, or a literal such as ``1e400`` that overflows a
-    double; :func:`save_model` never writes one), is a ValueError naming the
-    file.
+    A file that is not UTF-8 JSON text holding an object, a ``NaN`` or
+    ``Infinity`` token (:func:`save_model` never writes one), an unknown
+    ``format_version``, a missing key or a ``scaling`` that is neither an
+    object nor null is a ValueError naming the file. Each value then goes
+    to the type that holds it (``MtlModel``, ``ScalingParams``,
+    ``CmtlParams``, ``RelaxedClusterMatrix``), whose checks, the same as
+    in code, name the key, say of a literal ``1e400``, which overflows.
     """
 
     def reject_constant(token: str):
@@ -225,7 +128,7 @@ def load_model(path):
         try:
             # Text that is not UTF-8 or not JSON is a ValueError too.
             data = json.load(fh, parse_constant=reject_constant)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # the latter for a list nested too deep
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: model file does not contain a JSON object")

@@ -890,6 +890,68 @@ def test_overflowing_number_in_model_json_is_an_error(
     assert not any(path.exists() for path in outputs)
 
 
+def _overflowing_test_side(tmp_path):
+    """A 3-task x 20-row panel split with --seed 1, two of whose task1 test outcomes are 1e308."""
+    source = _write_csv(tmp_path / "data.csv", n_rows=20)
+    _, test, _ = _split(tmp_path, source, "--seed", "1")
+    held = [line for line in test.read_text().splitlines() if line.startswith("task1,")][:2]
+    text = source.read_text()
+    for line in held:
+        text = text.replace(line, line.rsplit(",", 1)[0] + ",1e308")
+    source.write_text(text)
+    train, test, _ = _split(tmp_path, source, "--seed", "1")
+    assert test.read_text().count(",1e308\n") == 2
+    return train, test
+
+
+# Any warning is an error here: the command must fail with its error line alone.
+@pytest.mark.filterwarnings("error")
+def test_evaluate_reports_an_overflowing_mean_as_an_error(tmp_path, capsys):
+    train, test = _overflowing_test_side(tmp_path)
+    model = _train(tmp_path, train, "m.json", "--model", "mtl")
+    out = tmp_path / "mae_report.csv"
+    capsys.readouterr()
+    code = cli.main(["evaluate", str(test), "--model", str(model), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {test}: task 'task1': the outcome mean is not finite\n"
+    assert captured.out == ""
+    assert code == 2
+    assert not out.exists()
+
+
+def _huge_weights(data):
+    data["weights"] = [[1e308] * len(row) for row in data["weights"]]
+
+
+def _huge_outcome_range(data):
+    data["scaling"].update(outcome_min=-1e307, outcome_max=1e308)
+
+
+# Weights near the largest double predict inf for every row (the sum of
+# products overflows); so does undoing an outcome scale of such a span.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "edit, task", [(_huge_weights, "task0"), (_huge_outcome_range, "task1")],
+    ids=["weights", "outcome"],
+)
+def test_evaluate_reports_an_overflowing_prediction_as_an_error(tmp_path, capsys, edit, task):
+    csv_path = _write_csv(tmp_path / "data.csv")
+    train, test, _ = _split(tmp_path, csv_path)
+    model = _train(tmp_path, train, "m.json", "--model", "mtl", "--scale-outcome")
+    data = json.loads(model.read_text())
+    edit(data)
+    model.write_text(json.dumps(data))
+    out = tmp_path / "mae_report.csv"
+    capsys.readouterr()
+    code = cli.main(["evaluate", str(test), "--model", str(model), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {test}: task '{task}': the mean absolute error of model 'm' is not finite\n"
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def _write_wide_csv(path, column):
     """_write_csv's panel with 1e308 and -1e308 in one column: finite cells, a span that is not."""
     lines = _write_csv(path).read_text(encoding="utf-8").splitlines()

@@ -787,3 +787,20 @@ def test_metric_setup_holds_one_block_of_temporaries():
     # its design; every task's at once would be 2 * 100 * J * J doubles more.
     block = 4 * cmtl._METRIC_BLOCK * (j + 1) * (j + 1) * 8
     assert peak <= kept + block + 32 * 1024, (peak, kept, block)
+
+
+# Finite entries near the largest double overflow the feasibility checks'
+# own arithmetic; the matrix is rejected all the same, with no warning.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, 1e308], [-1e308, 0.5]], "cluster matrix asymmetric by inf"),
+        ([[1e308, 0.0], [0.0, 1e308]], "trace differs from k=1 by inf"),
+    ],
+    ids=["asymmetry", "trace"],
+)
+def test_cluster_matrix_whose_checks_overflow_is_rejected(matrix, message):
+    with pytest.raises(ValueError) as info:
+        RelaxedClusterMatrix(matrix=matrix, k=1)
+    assert str(info.value) == message

@@ -629,3 +629,39 @@ def test_blocked_objective_must_have_one_value_per_row():
     problem = ProximalProblem(value, np.zeros_like, _identity_prox, value)
     with pytest.raises(ValueError, match="one value per row"):
         solve(problem, np.zeros((2, 3)))
+
+
+def test_records_are_held_once():
+    # 64 blocks that never meet rel_tol = 0 run all 300 iterations; their
+    # records are 300 x 4 x 64 doubles. Holding them once, in one array grown
+    # in place, the solve peaks near their size, not at a list of per-iteration
+    # records plus the stacked copy of them.
+    import tracemalloc
+
+    n_blocks, iters = 64, 300
+    centers = np.linspace(1.0, 2.0, 4 * n_blocks).reshape(n_blocks, 4)
+
+    def value(x, rows=None):
+        d = x - centers[rows if rows is not None else slice(None)]
+        return 0.5 * (d * d).sum(axis=1)
+
+    def grad(x, rows=None):
+        return (x - centers[rows if rows is not None else slice(None)]) * 1e-3
+
+    problem = ProximalProblem(value, grad, lambda h, step, rows=None: h, value)
+    cfg = SolverConfig(max_iters=iters, rel_tol=0.0, momentum="none")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, traces = solve(problem, np.zeros((n_blocks, 4)), cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [t.iterations for t in traces] == [iters] * n_blocks
+    records = iters * 4 * n_blocks * 8
+    assert peak <= 1.25 * records + 64 * 1024, (peak, records)
+    trace = traces[0]
+    assert all(a.dtype == np.float64 and not a.flags.writeable for a in (
+        trace.objective_per_iter, trace.gamma_per_iter, trace.smooth_per_iter,
+        trace.surrogate_per_iter))

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from taskreg.baselines import StlSpec, fit_stl
 from taskreg.cmtl import CmtlParams, RelaxedClusterMatrix, fit_cmtl
+from taskreg.dataset import ScalingParams
 from taskreg.fista import SolverConfig
 from taskreg.mtl import fit_mtl
 from taskreg.serialize import FORMAT_VERSION, load_model, model_to_dict, save_model
@@ -233,9 +235,18 @@ def test_rejects_non_finite_numbers(tmp_path, token):
         load_model(tmp_path / "m.json")
 
 
-@pytest.mark.parametrize("literal, shown", [("1e400", "inf"), ("-1e400", "-inf")])
+@pytest.mark.parametrize(
+    "literal, shown",
+    [
+        ("1e400", "inf"),
+        ("-1e400", "-inf"),
+        pytest.param("1" + "0" * 400, "inf", id="integer"),
+        pytest.param("-1" + "0" * 400, "-inf", id="negative-integer"),
+    ],
+)
 def test_rejects_a_number_that_overflows_a_double(tmp_path, literal, shown):
-    # json reads 1e400 as inf without calling parse_constant.
+    # json reads 1e400 as inf without calling parse_constant, and an integer
+    # literal of any length as an int, which float() cannot convert.
     ds = _dataset(seed=99)
     save_model(fit_mtl(factors(ds), 0.1), tmp_path / "m.json")
     data = json.loads((tmp_path / "m.json").read_text())
@@ -305,3 +316,116 @@ def test_rejects_non_integral_kmeans_seed(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(data))
     with pytest.raises(ValueError, match=r"c\.json: kmeans_seed: expected an integer, got 1\.5"):
         load_model(tmp_path / "c.json")
+
+
+def _with_field(model, key, value):
+    """Build ``model`` again with ``key`` set to ``value``, by the type that holds the key."""
+    if key in ("rho1", "rho2", "k"):
+        return dataclasses.replace(model.params, **{key: value})
+    if key == "cluster_matrix":
+        return RelaxedClusterMatrix(matrix=value, k=model.params.k)
+    if key in ("feature_min", "feature_max", "outcome_min", "outcome_max"):
+        return dataclasses.replace(model.scaling, **{key: value})
+    return dataclasses.replace(model, **{key: value})
+
+
+def _first(value):
+    """A corruption that sets the first number of a (nested) list to ``value``."""
+
+    def corrupt(items):
+        items = json.loads(json.dumps(items))
+        inner = items
+        while isinstance(inner[0], list):
+            inner = inner[0]
+        inner[0] = value
+        return items
+
+    return corrupt
+
+
+# (model kind, key, corruption of the key's saved value, the text both reject it with)
+_BAD_FIELDS = [
+    ("mtl", "task_labels", lambda v: "abcd", "task_labels: expected a list of strings, got 'abcd'"),
+    ("mtl", "task_labels", _first(1), "task_labels: expected a string, got 1"),
+    ("mtl", "feature_names", lambda v: None, "feature_names: expected a list of strings, got None"),
+    ("mtl", "weights", _first(math.inf), "weights: expected a finite number, got inf"),
+    ("mtl", "weights", _first(True), "weights: expected a number, got True"),
+    ("mtl", "weights", _first(10**400), "weights: expected a finite number, got inf"),
+    ("mtl", "intercept", _first(-math.inf), "intercept: expected a finite number, got -inf"),
+    ("mtl", "intercept", _first("0"), "intercept: expected a number, got '0'"),
+    ("mtl", "lam", lambda v: math.inf, "lam: expected a finite number, got inf"),
+    ("mtl", "lam", lambda v: "0.1", "lam: expected a number, got '0.1'"),
+    ("mtl", "lam", lambda v: -(10**400), "lam: expected a finite number, got -inf"),
+    ("mtl", "lam", lambda v: -1.0, "lambda must be >= 0, got -1.0"),
+    ("mtl", "stl_setting", lambda v: 3, "stl_setting: expected a string or null, got 3"),
+    ("mtl", "feature_min", _first("0"), "feature_min: expected a number, got '0'"),
+    ("mtl", "feature_max", _first(True), "feature_max: expected a number, got True"),
+    ("mtl", "feature_max", _first(math.inf), "feature_max: expected a finite number, got inf"),
+    ("mtl", "outcome_min", lambda v: "0", "outcome_min: expected a number, got '0'"),
+    ("mtl", "outcome_max", lambda v: math.inf, "outcome_max: expected a finite number, got inf"),
+    ("cmtl", "assignments", lambda v: [0.5, 0.7, 0.5, 0.7], "assignments: expected an integer, got 0.5"),
+    ("cmtl", "assignments", lambda v: "0101", "assignments: expected a list of integers, got '0101'"),
+    ("cmtl", "kmeans_seed", lambda v: 1.5, "kmeans_seed: expected an integer, got 1.5"),
+    ("cmtl", "rho1", lambda v: "1", "rho1: expected a number, got '1'"),
+    ("cmtl", "rho2", lambda v: math.inf, "rho2 must be finite and >= 0, got inf"),
+    ("cmtl", "k", lambda v: 2.5, "k: expected an integer, got 2.5"),
+    ("cmtl", "k", lambda v: True, "k: expected an integer, got True"),
+    ("cmtl", "cluster_matrix", _first(math.inf), "cluster_matrix: expected a finite number, got inf"),
+    ("cmtl", "cluster_matrix", _first("0"), "cluster_matrix: expected a number, got '0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, key, corrupt, message", _BAD_FIELDS,
+    ids=[f"{kind}-{key}-{i}" for i, (kind, key, _, _) in enumerate(_BAD_FIELDS)],
+)
+def test_constructor_and_loader_reject_a_field_with_one_text(tmp_path, kind, key, corrupt, message):
+    model = dataclasses.replace(_fitted(kind), trace=None)
+    data = model_to_dict(model)
+    holder = data["scaling"] if data["scaling"] and key in data["scaling"] else data
+    value = corrupt(holder.get(key))
+    with pytest.raises(ValueError) as built:
+        _with_field(model, key, value)
+    assert str(built.value) == message
+    holder[key] = value
+    # json writes inf as Infinity, which the reader rejects as a token; the
+    # literal 1e400 overflows to inf only as it is read.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data).replace("Infinity", "1e400"))
+    with pytest.raises(ValueError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RelaxedClusterMatrix(matrix=np.full((2, 2), np.nan), k=1),
+         "cluster_matrix: expected a finite number, got nan"),
+        (lambda: dataclasses.replace(_fitted("mtl"), weights=np.full((4, 4), np.nan)),
+         "weights: expected a finite number, got nan"),
+        (lambda: dataclasses.replace(_fitted("mtl"), intercept=np.full(4, np.nan)),
+         "intercept: expected a finite number, got nan"),
+        (lambda: dataclasses.replace(_fitted("mtl"), lam=np.nan),
+         "lam: expected a finite number, got nan"),
+        (lambda: ScalingParams(feature_min=[np.nan], feature_max=[1.0]),
+         "feature_min: expected a finite number, got nan"),
+        (lambda: dataclasses.replace(_fitted("cmtl"), assignments=(0, 1, 0, 1.0)),
+         "assignments: expected an integer, got 1.0"),
+    ],
+    ids=["cluster-matrix", "weights", "intercept", "lam", "feature-min", "assignment"],
+)
+def test_constructor_rejects_what_no_model_file_holds(build, message):
+    # A model file cannot hold NaN: the reader rejects the token first.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_rejects_json_nested_past_the_recursion_limit(tmp_path):
+    # json's decoder raises RecursionError, not ValueError, on such a file.
+    path = tmp_path / "m.json"
+    path.write_text('{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: maximum recursion depth exceeded")
