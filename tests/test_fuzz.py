@@ -40,7 +40,8 @@ def _write_panel(path, n_tasks=3, n_rows=20, n_features=5, seed=3):
     for t in range(n_tasks):
         x = rng.uniform(size=(n_rows, n_features))
         y = x @ w[t] + 0.05 * rng.normal(size=n_rows)
-        lines += [",".join([f"task{t}", *map(repr, map(float, [*x[i], y[i]]))]) for i in range(n_rows)]
+        for i in range(n_rows):
+            lines.append(",".join([f"task{t}", *map(repr, map(float, [*x[i], y[i]]))]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -60,9 +61,9 @@ def saved(tmp_path_factory):
     }
     models = {}
     for kind, extra in options.items():
-        models[kind] = json.loads((root / f"{kind}.json").read_text()) if cli.main(
-            ["train", str(train), *extra, "--out", str(root / f"{kind}.json")]
-        ) == 0 else pytest.fail(f"{kind} did not train")
+        path = root / f"{kind}.json"
+        assert cli.main(["train", str(train), *extra, "--out", str(path)]) == 0, kind
+        models[kind] = json.loads(path.read_text())
     return root, test, models
 
 
