@@ -40,6 +40,7 @@ _EXPORTS = {
     "prox_l21": "mtl",
     "lambda_max": "mtl",
     "l21_norm": "mtl",
+    "StlSpec": "mtl",
     # clustered model
     "CmtlParams": "cmtl",
     "RelaxedClusterMatrix": "cmtl",
@@ -56,7 +57,6 @@ _EXPORTS = {
     "vote_merge_stl": "riskfactors",
     "build_report": "riskfactors",
     # baselines and evaluation
-    "StlSpec": "baselines",
     "MaeReport": "baselines",
     "fit_stl": "baselines",
     "evaluate": "baselines",

@@ -22,28 +22,9 @@ import numpy as np
 
 from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
 from .fista import ProximalProblem, SolverConfig, solve
-from .mtl import _STL_PENALTIES, _STL_SETTINGS, LeastSquares, MtlModel
+from .mtl import LeastSquares, MtlModel, StlSpec  # StlSpec is re-exported
 
 _TOTAL_MODES = ("pooled", "macro")
-
-
-@dataclass(frozen=True)
-class StlSpec:
-    """What kind of single-task baseline to fit."""
-
-    setting: str
-    penalty: str
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.setting not in _STL_SETTINGS:
-            raise ValueError(f"setting must be one of {_STL_SETTINGS}, got {self.setting!r}")
-        if self.penalty not in _STL_PENALTIES:
-            raise ValueError(f"penalty must be one of {_STL_PENALTIES}, got {self.penalty!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.penalty == "none" and self.lam != 0:
-            raise ValueError("penalty 'none' requires lam = 0")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ mirror the long flag names (hyphens or underscores both work, and
 ``lambda`` may be written ``lam``), and keys a command does not know are
 ignored so one file can serve the whole pipeline. A flag that the other
 options leave unused, such as a ``train`` flag that the chosen model does
-not use, is an error; such a config key is ignored, except ``intercept =
-true`` with ``--model cmtl``, which is refused as ``--intercept`` is.
+not use, is an error; such a config key is ignored. ``--intercept``, or
+``intercept = true``, with ``--model cmtl`` is refused either way.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
@@ -109,7 +109,7 @@ _DESTS = {"lambda": "lam"}
 
 # The train options that only some models use, and the models that use each.
 _MODEL_OPTIONS = {
-    **dict.fromkeys(("lambda", "intercept"), ("mtl", "stl")),
+    "lambda": ("mtl", "stl"),
     **dict.fromkeys(("setting", "penalty"), ("stl",)),
     **dict.fromkeys(("rho1", "rho2", "k", "kmeans_seed"), ("cmtl",)),
 }
@@ -253,11 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(value: int, option: str) -> None:
-    if value < 0:
-        raise ValueError(f"{option} must be a non-negative integer, got {value}")
-
-
 @contextlib.contextmanager
 def _naming(path):
     """Prefix a ValueError raised in the block with the file it is about."""
@@ -308,7 +303,7 @@ def _check_outputs(inputs, outputs) -> None:
 def cmd_split(args) -> int:
     from . import dataset
 
-    _check_seed(args.seed, "--seed")
+    dataset._seed(args.seed, "--seed")
     _check_outputs(
         [("the input", args.input), ("--config", args.config)],
         [("--train-out", args.train_out), ("--test-out", args.test_out),
@@ -364,14 +359,6 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _solver_config(args):
-    from . import fista
-
-    return fista.SolverConfig(
-        max_iters=args.max_iters, rel_tol=args.tol, momentum=args.momentum
-    )
-
-
 def _trace_line(trace) -> str:
     if isinstance(trace, tuple):  # a BlockTraces, one trace per task
         converged = all(t.converged for t in trace)
@@ -383,11 +370,14 @@ def _trace_line(trace) -> str:
 
 
 def cmd_train(args) -> int:
-    from . import dataset, serialize
+    from . import dataset, fista, serialize
 
     if args.model is None:
         raise ValueError("--model is required (mtl, cmtl, or stl)")
-    _check_seed(args.kmeans_seed, "--kmeans-seed")
+    if args.model == "cmtl":
+        if args.intercept:
+            raise ValueError("--intercept is not supported with the cmtl model")
+        dataset._seed(args.kmeans_seed, "--kmeans-seed")
     _check_outputs([("the input", args.input), ("--config", args.config)], [("--out", args.out)])
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     params = None
@@ -396,7 +386,7 @@ def cmd_train(args) -> int:
             factors, params = factors.minmax_scaled(scale_outcome=args.scale_outcome)
         # In the units of the fit: an outcome left unscaled can still overflow it.
         factors.check_finite()
-    cfg = _solver_config(args)
+    cfg = fista.SolverConfig(max_iters=args.max_iters, rel_tol=args.tol, momentum=args.momentum)
 
     # Each model loads only its own fitting module.
     if args.model == "mtl":
@@ -405,8 +395,6 @@ def cmd_train(args) -> int:
         lam = 0.1 if args.lam is None else args.lam
         model = mtl.fit_mtl(factors, lam, cfg, fit_intercept=args.intercept, scaling=params)
     elif args.model == "cmtl":
-        if args.intercept:
-            raise ValueError("--intercept is not supported with the cmtl model")
         if args.k is None:
             raise ValueError("--k is required for the cmtl model")
         from . import cmtl
@@ -508,8 +496,6 @@ def cmd_riskfactors(args) -> int:
     for level in levels:
         if levels.count(level) > 1:
             raise ValueError(f"--levels names {level!r} twice")
-    if "cluster" in levels and model.model_type != "cmtl":
-        raise ValueError("the cluster level requires a cmtl model")
     categories = _load_categories(args.categories, model) if args.categories else None
     top_k = min(args.top, model.n_features)
     report = riskfactors.build_report(

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
-    ScalingParams, TaskFactors, _integer, _numbers, _real, _value_eq, residual_gradient, residuals,
+    ScalingParams, TaskFactors, _integer, _nonnegative, _numbers, _value_eq, residual_gradient,
+    residuals,
 )
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import MtlModel
@@ -52,10 +53,7 @@ class CmtlParams:
 
     def __post_init__(self):
         for name in ("rho1", "rho2"):
-            value = _real(getattr(self, name), name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
         if self.rho1 == 0 and self.rho2 != 0:
             raise ValueError("rho1 = 0 requires rho2 = 0 (eta would be infinite)")
         object.__setattr__(self, "k", _integer(self.k, "k"))
@@ -70,6 +68,14 @@ class CmtlParams:
     def coupling(self) -> float:
         """The regularizer weight rho1 * eta * (1 + eta)."""
         return self.rho1 * self.eta * (1.0 + self.eta)
+
+
+def _cluster_count(k, most: int) -> int:
+    """k as an integer in [1, most]: the one statement of k's range for T tasks."""
+    k = _integer(k, "k")
+    if not 1 <= k <= most:
+        raise ValueError(f"k must be in [1, {most}], got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,16 @@ class RelaxedClusterMatrix:
         m = _numbers(self.matrix, "cluster_matrix", 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"cluster matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "k", _integer(self.k, "k"))
+        object.__setattr__(self, "k", _cluster_count(self.k, m.shape[0]))
         self._settle(m)
 
     @classmethod
     def _from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray, k: int) -> "RelaxedClusterMatrix":
         """The matrix with eigenpairs (eigs, vecs), for eigenpairs already known.
 
-        The checks are those of construction, but the box is checked on
-        ``eigs`` and the trace on the rebuilt matrix, with no new ``eigh``;
-        ``spectrum`` is (eigs, vecs), which holds up to roundoff.
+        The checks are those of construction but k's, which is the caller's;
+        the box is checked on ``eigs`` and the trace on the rebuilt matrix,
+        with no new ``eigh``; ``spectrum`` is (eigs, vecs), up to roundoff.
         """
         c = (vecs * eigs) @ vecs.T
         out = object.__new__(cls)
@@ -113,10 +119,7 @@ class RelaxedClusterMatrix:
         return out
 
     def _settle(self, m: np.ndarray, spectrum=None) -> None:
-        """Validate the square matrix m, then store it and its spectrum read-only."""
-        t = m.shape[0]
-        if not 1 <= self.k <= t:
-            raise ValueError(f"k must be in [1, {t}], got {self.k}")
+        """Validate the square matrix m (k is checked), then store it and its spectrum read-only."""
         with np.errstate(over="ignore"):  # an overflow here fails its check
             asym = float(np.abs(m - m.T).max())
             trace_err = abs(float(np.trace(m)) - self.k)
@@ -153,8 +156,7 @@ def capped_simplex_project(sigma_hat: np.ndarray, k: int) -> np.ndarray:
     t = sigma_hat.size
     if t == 0:
         raise ValueError("empty input")
-    if not 1 <= k <= t:
-        raise ValueError(f"k must be in [1, {t}], got {k}")
+    k = _cluster_count(k, t)
     if k == t:
         return np.ones(t)
 
@@ -179,9 +181,7 @@ def project_spectral(g_c: np.ndarray, k: int) -> RelaxedClusterMatrix:
     g_c = np.asarray(g_c, dtype=np.float64)
     if g_c.ndim != 2 or g_c.shape[0] != g_c.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g_c.shape}")
-    t = g_c.shape[0]
-    if not 1 <= k < t:
-        raise ValueError(f"k must be in [1, {t - 1}], got {k}")
+    k = _cluster_count(k, g_c.shape[0] - 1)
     sym = 0.5 * (g_c + g_c.T)
     vals, vecs = np.linalg.eigh(sym)
     return RelaxedClusterMatrix._from_spectrum(capped_simplex_project(vals, k), vecs, k)
@@ -339,7 +339,9 @@ def fit_cmtl(
     there in far fewer iterations than it takes on W itself. Starts from
     V = 0 (so W = 0), C = (k/T) I, and saves W = L^{-T} V of the solution;
     the trace's objective is F in the original variables. Hard assignments
-    come from :func:`extract_clusters` with ``kmeans_seed``.
+    are :func:`extract_clusters`' k-means rounding with ``kmeans_seed``, on
+    the eigenvectors the fitted C was checked with. :func:`project_spectral`
+    checks k, at the first projection.
 
     The data term runs on each task's R factor (:class:`TaskFactors`).
     ``factors`` are already in the units of the fit: ``scaling`` is only
@@ -348,8 +350,6 @@ def fit_cmtl(
     if params.rho1 <= 0 or params.rho2 <= 0:
         raise ValueError("fitting requires rho1 > 0 and rho2 > 0")
     n_tasks, n_features = factors.n_tasks, factors.n_features
-    if not 1 <= params.k < n_tasks:
-        raise ValueError(f"k must be in [1, {n_tasks - 1}], got {params.k}")
     objective = _Objective(factors, params)
     z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
     problem = ProximalProblem(
@@ -389,9 +389,7 @@ def extract_clusters(c, k: int, seed: int) -> tuple[int, ...]:
     mat = np.asarray(c, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    t = mat.shape[0]
-    if not 1 <= k <= t:
-        raise ValueError(f"k must be in [1, {t}], got {k}")
+    k = _cluster_count(k, mat.shape[0])
     _, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     return _labels_from_vectors(vecs, k, seed)
 

@@ -57,9 +57,10 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-# The field checkers of ScalingParams, MtlModel, CmtlParams and RelaxedClusterMatrix, which
-# a model file's values and a caller's go through alike. Each takes a JSON value, a tuple or
-# a numpy array, and names the field ``key`` in its message. A bool is not a number.
+# The field checkers of the model types, the solver settings and the fits, which a model
+# file's values, a caller's and the command line's go through alike. Each takes a JSON value,
+# a tuple or a numpy array, and names the field ``key`` in its message. A bool is not a number.
+# A penalty or tolerance is ``_nonnegative``; a seed of numpy's generator is ``_seed``.
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
@@ -84,10 +85,24 @@ def _number(value, key: str) -> float:
     return _finite(_real(value, key), key)
 
 
+def _nonnegative(value, key: str) -> float:
+    number = _real(value, key)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"{key} must be finite and >= 0, got {number}")
+    return number
+
+
 def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value, key: str) -> int:
+    seed = _integer(value, key)
+    if seed < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _list(value, key: str, of: str):
@@ -997,10 +1012,11 @@ def stratified_split(
     :class:`taskreg._stream.Stream`); the first
     round(train_fraction * n_t) shuffled rows (half-up rounding, clamped
     so both sides stay nonempty) form the train side. The same seed always
-    reproduces the same split.
+    reproduces the same split; ``seed`` is an integer >= 0.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    seed = _seed(seed, "seed")
     for label, rows in zip(table.task_labels, table.task_rows):
         if rows.size < 2:
             raise DegenerateTaskError(

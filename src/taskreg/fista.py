@@ -26,13 +26,12 @@ these records, which are held in one array grown in place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dataset import _append, _value_eq
+from .dataset import _append, _integer, _nonnegative, _value_eq
 from .errors import DivergenceError, LineSearchError
 
 _MOMENTUM_MODES = ("delayed", "standard", "none")
@@ -84,15 +83,17 @@ class ProximalProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """When :func:`solve` stops and how it extrapolates; construction checks each setting."""
+
     max_iters: int = 1000
     rel_tol: float = 1e-6
     momentum: str = "delayed"
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        object.__setattr__(self, "rel_tol", _nonnegative(self.rel_tol, "rel_tol"))
         if self.momentum not in _MOMENTUM_MODES:
             raise ValueError(f"momentum must be one of {_MOMENTUM_MODES}, got {self.momentum!r}")
 

@@ -8,15 +8,14 @@ are selected for all tasks or none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import (
-    ScalingParams, TaskFactors, _integer, _list, _number, _numbers, _optional_string, _strings,
-    _value_eq, residual_gradient, residuals,
+    ScalingParams, TaskFactors, _integer, _list, _nonnegative, _numbers, _optional_string, _seed,
+    _strings, _value_eq, residual_gradient, residuals,
 )
 from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 
@@ -27,6 +26,27 @@ _MODEL_TYPES = ("mtl", "stl", "cmtl")
 _STL_SETTINGS = ("global", "individual")
 _STL_PENALTIES = ("none", "ridge", "lasso")
 _CLUSTER_FIELDS = ("cluster_matrix", "params", "assignments", "kmeans_seed")
+
+
+@dataclass(frozen=True)
+class StlSpec:
+    """What kind of single-task baseline to fit; an stl :class:`MtlModel` is checked as one.
+
+    Penalty "none" requires lam = 0. Messages name each field by its model-file key.
+    """
+
+    setting: str
+    penalty: str
+    lam: float = 0.0
+
+    def __post_init__(self):
+        if self.setting not in _STL_SETTINGS:
+            raise ValueError(f"stl_setting must be one of {_STL_SETTINGS}, got {self.setting!r}")
+        if self.penalty not in _STL_PENALTIES:
+            raise ValueError(f"stl_penalty must be one of {_STL_PENALTIES}, got {self.penalty!r}")
+        object.__setattr__(self, "lam", _nonnegative(self.lam, "lam"))
+        if self.penalty == "none" and self.lam != 0:
+            raise ValueError("penalty 'none' requires lam = 0")
 
 
 def l21_norm(weights: np.ndarray) -> float:
@@ -153,7 +173,7 @@ class MtlModel:
     the weights and intercept are finite numbers (not bools or strings);
     ``scaling`` covers the features; ``lam`` is finite and >= 0; the
     assignments are integers numbering the clusters 0, 1, ...; ``kmeans_seed``
-    is an integer; the stl fields are a known setting and penalty or ``None``.
+    is an integer >= 0; an stl model's fields make a :class:`StlSpec`.
     """
 
     weights: np.ndarray
@@ -224,18 +244,13 @@ class MtlModel:
                     f"cluster ids must be 0..{len(used) - 1} contiguous, got {used}"
                 )
             object.__setattr__(self, "assignments", assignments)
-            object.__setattr__(self, "kmeans_seed", _integer(self.kmeans_seed, "kmeans_seed"))
+            object.__setattr__(self, "kmeans_seed", _seed(self.kmeans_seed, "kmeans_seed"))
         else:
-            lam = _number(self.lam, "lam")
-            if lam < 0:
-                raise ValueError(f"lambda must be >= 0, got {lam}")
-            object.__setattr__(self, "lam", lam)
-        stl = {f: _optional_string(getattr(self, f), f) for f in ("stl_setting", "stl_penalty")}
+            object.__setattr__(self, "lam", _nonnegative(self.lam, "lam"))
+        stl = [_optional_string(getattr(self, f), f) for f in ("stl_setting", "stl_penalty")]
         if self.model_type == "stl":
-            for (name, value), choices in zip(stl.items(), (_STL_SETTINGS, _STL_PENALTIES)):
-                if value not in choices:
-                    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
-        elif set(stl.values()) != {None}:
+            StlSpec(*stl, self.lam)
+        elif stl != [None, None]:
             raise ValueError(
                 f"a model of type {self.model_type!r} sets no stl_setting or stl_penalty"
             )
@@ -277,8 +292,7 @@ def fit_mtl(
     already in the units of the fit: ``scaling`` is only recorded in the
     model.
     """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    lam = _nonnegative(lam, "lam")
     n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
     objective = LeastSquares(

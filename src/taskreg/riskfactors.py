@@ -211,7 +211,7 @@ def build_report(
     if not levels:
         raise ValueError("need at least one level")
     if "cluster" in levels and assignments is None:
-        raise ValueError("cluster level requires cluster assignments")
+        raise ValueError("the cluster level requires a cmtl model's cluster assignments")
 
     weights = np.asarray(weights, dtype=np.float64)
     task_labels = tuple(task_labels)

@@ -374,12 +374,22 @@ def test_train_ignores_config_keys_the_model_does_not_use(tmp_path, capsys):
         argv = ["train", str(train), "--model", model, "--no-scale", "--config", str(config)]
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert load_model(out).model_type == model
-    # A config key the fit cannot honour is still refused.
+    # A cmtl key is no error for them even where cmtl would refuse its value.
+    config.write_text("kmeans-seed = -1\n", encoding="utf-8")
+    for model in ("mtl", "stl"):
+        argv = ["train", str(train), "--model", model, "--config", str(config)]
+        assert cli.main([*argv, "--out", str(tmp_path / f"{model}.json")]) == 0
+    # A config key the fit cannot honour is still refused, as the flag is:
+    # with one text, before the input (here missing) is read.
     config.write_text("intercept = true\n", encoding="utf-8")
     capsys.readouterr()
-    argv = ["train", str(train), "--model", "cmtl", "--k", "2", "--config", str(config)]
-    assert cli.main([*argv, "--out", str(tmp_path / "m.json")]) == 2
-    assert capsys.readouterr().err == "error: --intercept is not supported with the cmtl model\n"
+    argv = ["train", str(tmp_path / "missing.csv"), "--model", "cmtl", "--k", "2",
+            "--out", str(tmp_path / "m.json")]
+    for given in (["--config", str(config)], ["--intercept"]):
+        assert cli.main([*argv, *given]) == 2
+        assert capsys.readouterr().err == (
+            "error: --intercept is not supported with the cmtl model\n"
+        )
 
 
 def test_evaluate_is_column_order_invariant(tmp_path):
@@ -701,8 +711,8 @@ def test_version_flag(capsys):
     [
         (("--model", "mtl", "--tol", "nan"), "rel_tol must be finite and >= 0, got nan"),
         (("--model", "mtl", "--tol", "inf"), "rel_tol must be finite and >= 0, got inf"),
-        (("--model", "mtl", "--lambda", "nan"), "lambda must be finite and >= 0, got nan"),
-        (("--model", "mtl", "--lambda", "inf"), "lambda must be finite and >= 0, got inf"),
+        (("--model", "mtl", "--lambda", "nan"), "lam must be finite and >= 0, got nan"),
+        (("--model", "mtl", "--lambda", "inf"), "lam must be finite and >= 0, got inf"),
         (("--model", "stl", "--penalty", "ridge", "--lambda", "nan"),
          "lam must be finite and >= 0, got nan"),
         (("--model", "stl", "--penalty", "lasso", "--lambda", "inf"),
@@ -711,9 +721,13 @@ def test_version_flag(capsys):
         (("--model", "cmtl", "--k", "2", "--rho1", "inf"), "rho1 must be finite and >= 0, got inf"),
         (("--model", "cmtl", "--k", "2", "--rho2", "nan"), "rho2 must be finite and >= 0, got nan"),
         (("--model", "cmtl", "--k", "2", "--rho2", "inf"), "rho2 must be finite and >= 0, got inf"),
+        # One rule, so one text for both models that take --lambda.
+        (("--model", "mtl", "--lambda", "-1"), "lam must be finite and >= 0, got -1.0"),
+        (("--model", "stl", "--lambda", "-1"), "lam must be finite and >= 0, got -1.0"),
     ],
     ids=["tol-nan", "tol-inf", "mtl-lambda-nan", "mtl-lambda-inf", "stl-lambda-nan",
-         "stl-lambda-inf", "rho1-nan", "rho1-inf", "rho2-nan", "rho2-inf"],
+         "stl-lambda-inf", "rho1-nan", "rho1-inf", "rho2-nan", "rho2-inf", "mtl-lambda-negative",
+         "stl-lambda-negative"],
 )
 def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, options, message):
     train = _write_csv(tmp_path / "data.csv")

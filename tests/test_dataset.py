@@ -401,6 +401,13 @@ def test_split_errors():
         _stratified_split(_split_ds(4), 1.0, seed=0)
     with pytest.raises(ValueError, match="train_fraction"):
         _stratified_split(_split_ds(4), 0.0, seed=0)
+    # The rule of split's --seed, not numpy's unnamed one.
+    with pytest.raises(ValueError) as info:
+        _stratified_split(_split_ds(4), 0.5, seed=-1)
+    assert str(info.value) == "seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError) as info:
+        _stratified_split(_split_ds(4), 0.5, seed=1.5)
+    assert str(info.value) == "seed: expected an integer, got 1.5"
 
 
 def test_write_load_round_trip(tmp_path):

@@ -357,6 +357,14 @@ def test_config_rejects_non_finite_values(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, True, "10"])
+def test_config_rejects_a_max_iters_that_is_not_an_integer(value):
+    # Unchecked, a float would fail inside solve's loop and True would run one iteration.
+    with pytest.raises(ValueError) as info:
+        SolverConfig(max_iters=value)
+    assert str(info.value) == f"max_iters: expected an integer, got {value!r}"
+
+
 def _all_rows(rows, n_rows):
     """The block indices a callback serves: ``rows``, or every block when it is None."""
     return np.arange(n_rows) if rows is None else rows

@@ -221,8 +221,9 @@ def test_model_validation():
         MtlModel(weights=np.zeros(3), lam=0.0, feature_names=("a",), task_labels=("t",))
     with pytest.raises(ValueError, match="inconsistent"):
         MtlModel(weights=np.zeros((1, 2)), lam=0.0, feature_names=("a",), task_labels=("t",))
-    with pytest.raises(ValueError, match="lambda"):
+    with pytest.raises(ValueError) as info:
         MtlModel(weights=np.zeros((1, 1)), lam=-1.0, feature_names=("a",), task_labels=("t",))
+    assert str(info.value) == "lam must be finite and >= 0, got -1.0"
     # mtl and stl need lam and take no cluster fields; the type must be known.
     axes = dict(weights=np.zeros((1, 1)), feature_names=("a",), task_labels=("t",))
     with pytest.raises(ValueError, match="'stl' sets lam, got none"):

@@ -254,7 +254,7 @@ def test_rejects_a_number_that_overflows_a_double(tmp_path, literal, shown):
     (tmp_path / "m.json").write_text(json.dumps(data).replace('"overflow"', literal))
     with pytest.raises(ValueError) as info:
         load_model(tmp_path / "m.json")
-    assert str(info.value) == f"{tmp_path / 'm.json'}: lam: expected a finite number, got {shown}"
+    assert str(info.value) == f"{tmp_path / 'm.json'}: lam must be finite and >= 0, got {shown}"
 
 
 @pytest.mark.parametrize("key", ["lam", "weights", "task_labels"])
@@ -290,11 +290,14 @@ def test_rejects_missing_key(tmp_path, key):
          "a model of type 'mtl' sets no stl_setting or stl_penalty"),
         (lambda d: d.__setitem__("model_type", "stl"),
          "stl_setting must be one of ('global', 'individual'), got None"),
+        (lambda d: d.update(model_type="stl", stl_setting="global", stl_penalty="none", lam=5.0),
+         "penalty 'none' requires lam = 0"),
     ],
     ids=[
         "string-list-item", "bool-number", "string-number", "row-not-list", "ragged-rows",
         "intercept-scalar", "lam-null", "scaling-scalar", "scaling-field", "stl-setting-int",
         "bool-version", "stl-setting-unknown", "mtl-with-stl-setting", "stl-without-setting",
+        "stl-none-with-lam",
     ],
 )
 def test_rejects_wrongly_typed_field(tmp_path, edit, message):
@@ -353,10 +356,10 @@ _BAD_FIELDS = [
     ("mtl", "weights", _first(10**400), "weights: expected a finite number, got inf"),
     ("mtl", "intercept", _first(-math.inf), "intercept: expected a finite number, got -inf"),
     ("mtl", "intercept", _first("0"), "intercept: expected a number, got '0'"),
-    ("mtl", "lam", lambda v: math.inf, "lam: expected a finite number, got inf"),
+    ("mtl", "lam", lambda v: math.inf, "lam must be finite and >= 0, got inf"),
     ("mtl", "lam", lambda v: "0.1", "lam: expected a number, got '0.1'"),
-    ("mtl", "lam", lambda v: -(10**400), "lam: expected a finite number, got -inf"),
-    ("mtl", "lam", lambda v: -1.0, "lambda must be >= 0, got -1.0"),
+    ("mtl", "lam", lambda v: -(10**400), "lam must be finite and >= 0, got -inf"),
+    ("mtl", "lam", lambda v: -1.0, "lam must be finite and >= 0, got -1.0"),
     ("mtl", "stl_setting", lambda v: 3, "stl_setting: expected a string or null, got 3"),
     ("mtl", "feature_min", _first("0"), "feature_min: expected a number, got '0'"),
     ("mtl", "feature_max", _first(True), "feature_max: expected a number, got True"),
@@ -372,6 +375,9 @@ _BAD_FIELDS = [
     ("cmtl", "k", lambda v: True, "k: expected an integer, got True"),
     ("cmtl", "cluster_matrix", _first(math.inf), "cluster_matrix: expected a finite number, got inf"),
     ("cmtl", "cluster_matrix", _first("0"), "cluster_matrix: expected a number, got '0'"),
+    # Rules that a model file shares with a fit's arguments.
+    ("cmtl", "kmeans_seed", lambda v: -1, "kmeans_seed must be a non-negative integer, got -1"),
+    ("individual", "stl_penalty", lambda v: "none", "penalty 'none' requires lam = 0"),
 ]
 
 
@@ -407,7 +413,7 @@ def test_constructor_and_loader_reject_a_field_with_one_text(tmp_path, kind, key
         (lambda: dataclasses.replace(_fitted("mtl"), intercept=np.full(4, np.nan)),
          "intercept: expected a finite number, got nan"),
         (lambda: dataclasses.replace(_fitted("mtl"), lam=np.nan),
-         "lam: expected a finite number, got nan"),
+         "lam must be finite and >= 0, got nan"),
         (lambda: ScalingParams(feature_min=[np.nan], feature_max=[1.0]),
          "feature_min: expected a finite number, got nan"),
         (lambda: dataclasses.replace(_fitted("cmtl"), assignments=(0, 1, 0, 1.0)),
