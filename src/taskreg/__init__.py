@@ -11,6 +11,15 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The choices of a model's kind, an STL fit, the solver's momentum and
+# evaluate's total. The modules that check them and the command line, which
+# offers them before numpy loads, all name these tuples.
+_MODEL_TYPES = ("mtl", "cmtl", "stl")
+_STL_SETTINGS = ("global", "individual")
+_STL_PENALTIES = ("none", "ridge", "lasso")
+_MOMENTUM_MODES = ("delayed", "standard", "none")
+_TOTAL_MODES = ("pooled", "macro")
+
 _EXPORTS = {
     # errors
     "TaskregError": "errors",

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _TOTAL_MODES
 from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
 from .fista import ProximalProblem, SolverConfig, solve
 from .mtl import LeastSquares, MtlModel, StlSpec  # StlSpec is re-exported
-
-_TOTAL_MODES = ("pooled", "macro")
 
 
 @dataclass(frozen=True)

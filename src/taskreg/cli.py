@@ -34,7 +34,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import __version__
+from . import (
+    _MODEL_TYPES, _MOMENTUM_MODES, _STL_PENALTIES, _STL_SETTINGS, _TOTAL_MODES, __version__,
+)
 from .errors import SolverError, TaskregError
 
 _THREAD_VARS = (
@@ -48,7 +50,8 @@ _THREAD_VARS = (
 # Each command's options as (name, kind, default). The flag is --name with
 # hyphens and the config key is name with hyphens or underscores. kind is a
 # caster (str, int, float), a tuple of choices, bool (a flag that sets True)
-# or list (a repeatable flag, or a comma list in a config file).
+# or list (a repeatable flag, or a comma list in a config file). Each tuple
+# of choices is the one in taskreg/__init__.py that the library checks.
 _COMMON_IO = (
     ("task_column", str, "task"),
     ("outcome_column", str, "outcome"),
@@ -67,17 +70,17 @@ _OPTIONS = {
     ),
     "train": _COMMON_IO
     + (
-        ("model", ("mtl", "cmtl", "stl"), None),
+        ("model", _MODEL_TYPES, None),
         ("lambda", float, None),
         ("rho1", float, 1.0),
         ("rho2", float, 1.0),
         ("k", int, None),
-        ("setting", ("global", "individual"), "individual"),
-        ("penalty", ("none", "ridge", "lasso"), "none"),
+        ("setting", _STL_SETTINGS, "individual"),
+        ("penalty", _STL_PENALTIES, "none"),
         ("kmeans_seed", int, 0),
         ("max_iters", int, 1000),
         ("tol", float, 1e-6),
-        ("momentum", ("delayed", "standard", "none"), "delayed"),
+        ("momentum", _MOMENTUM_MODES, "delayed"),
         ("no_scale", bool, False),
         ("scale_outcome", bool, False),
         ("intercept", bool, False),
@@ -87,7 +90,7 @@ _OPTIONS = {
     + (
         ("model", list, None),
         ("out", str, "mae_report.csv"),
-        ("total", ("pooled", "macro"), "pooled"),
+        ("total", _TOTAL_MODES, "pooled"),
     ),
     "riskfactors": (
         ("model", str, None),
@@ -373,7 +376,8 @@ def cmd_train(args) -> int:
     from . import dataset, fista, serialize
 
     if args.model is None:
-        raise ValueError("--model is required (mtl, cmtl, or stl)")
+        *others, last = _MODEL_TYPES
+        raise ValueError(f"--model is required ({', '.join(others)}, or {last})")
     if args.model == "cmtl":
         if args.intercept:
             raise ValueError("--intercept is not supported with the cmtl model")

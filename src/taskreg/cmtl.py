@@ -44,7 +44,7 @@ class CmtlParams:
     accepted only together with rho2 = 0 (regularizer fully off, eta = 0);
     it exists for gradient tests, not for fitting. Construction checks
     that rho1 and rho2 are numbers (not bools or strings), finite and
-    >= 0, and that k is an integer >= 1.
+    >= 0, that eta and the coupling are finite, and that k is an integer >= 1.
     """
 
     rho1: float
@@ -56,6 +56,11 @@ class CmtlParams:
             object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
         if self.rho1 == 0 and self.rho2 != 0:
             raise ValueError("rho1 = 0 requires rho2 = 0 (eta would be infinite)")
+        if not math.isfinite(self.coupling):  # so is eta, which it multiplies
+            raise ValueError(
+                f"rho1 = {self.rho1} and rho2 = {self.rho2} overflow the coupling "
+                "rho1*eta*(1+eta), eta = rho2/rho1"
+            )
         object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -340,8 +345,8 @@ def fit_cmtl(
     V = 0 (so W = 0), C = (k/T) I, and saves W = L^{-T} V of the solution;
     the trace's objective is F in the original variables. Hard assignments
     are :func:`extract_clusters`' k-means rounding with ``kmeans_seed``, on
-    the eigenvectors the fitted C was checked with. :func:`project_spectral`
-    checks k, at the first projection.
+    the eigenvectors the fitted C was checked with. k is checked, by the
+    rule :func:`project_spectral` applies, before the start point is built.
 
     The data term runs on each task's R factor (:class:`TaskFactors`).
     ``factors`` are already in the units of the fit: ``scaling`` is only
@@ -350,8 +355,10 @@ def fit_cmtl(
     if params.rho1 <= 0 or params.rho2 <= 0:
         raise ValueError("fitting requires rho1 > 0 and rho2 > 0")
     n_tasks, n_features = factors.n_tasks, factors.n_features
+    # A k past the largest double would overflow k / T as an OverflowError.
+    k = _cluster_count(params.k, n_tasks - 1)
     objective = _Objective(factors, params)
-    z0 = np.hstack([np.zeros((n_tasks, n_features)), (params.k / n_tasks) * np.eye(n_tasks)])
+    z0 = np.hstack([np.zeros((n_tasks, n_features)), (k / n_tasks) * np.eye(n_tasks)])
     problem = ProximalProblem(
         smooth_value=objective.value,
         smooth_grad=objective.grad,

@@ -31,10 +31,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import _MOMENTUM_MODES
 from .dataset import _append, _integer, _nonnegative, _value_eq
 from .errors import DivergenceError, LineSearchError
-
-_MOMENTUM_MODES = ("delayed", "standard", "none")
 
 # Acceptance slack for the descent test, pure roundoff scale. Without it a
 # candidate equal to S can fail L <= Q by one ulp and double gamma forever.

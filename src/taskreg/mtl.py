@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _MODEL_TYPES, _STL_PENALTIES, _STL_SETTINGS
 from .dataset import (
     ScalingParams, TaskFactors, _integer, _list, _nonnegative, _numbers, _optional_string, _seed,
     _strings, _value_eq, residual_gradient, residuals,
@@ -22,9 +23,6 @@ from .fista import ProximalProblem, SolverConfig, SolveTrace, solve
 if TYPE_CHECKING:
     from .cmtl import CmtlParams, RelaxedClusterMatrix
 
-_MODEL_TYPES = ("mtl", "stl", "cmtl")
-_STL_SETTINGS = ("global", "individual")
-_STL_PENALTIES = ("none", "ridge", "lasso")
 _CLUSTER_FIELDS = ("cluster_matrix", "params", "assignments", "kmeans_seed")
 
 

@@ -7,7 +7,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -691,6 +694,37 @@ def test_configure_threads_cases(monkeypatch):
         cli._configure_threads()
 
 
+def test_every_choice_is_the_library_tuple_and_the_parser_loads_no_numpy():
+    from taskreg import baselines, fista, mtl
+
+    choices = {
+        (command, name): kind
+        for command, options in cli._OPTIONS.items()
+        for name, kind, _ in options
+        if isinstance(kind, tuple)
+    }
+    library = {
+        ("train", "model"): mtl._MODEL_TYPES,
+        ("train", "setting"): mtl._STL_SETTINGS,
+        ("train", "penalty"): mtl._STL_PENALTIES,
+        ("train", "momentum"): fista._MOMENTUM_MODES,
+        ("evaluate", "total"): baselines._TOTAL_MODES,
+    }
+    assert choices.keys() == library.keys()
+    for row, kind in choices.items():
+        assert kind is library[row], row
+    # The reason the choices live in the package root: a fresh interpreter
+    # builds the whole parser without loading numpy.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, taskreg.cli as c; c._build_parser(); sys.exit('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+
+
 def test_thread_env_invalid(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TASKREG_NUM_THREADS", "several")
     csv_path = _write_csv(tmp_path / "data.csv")
@@ -724,10 +758,16 @@ def test_version_flag(capsys):
         # One rule, so one text for both models that take --lambda.
         (("--model", "mtl", "--lambda", "-1"), "lam must be finite and >= 0, got -1.0"),
         (("--model", "stl", "--lambda", "-1"), "lam must be finite and >= 0, got -1.0"),
+        # Finite rho1 and rho2 whose eta, or whose coupling, overflows.
+        (("--model", "cmtl", "--k", "2", "--rho1", "1e-320", "--rho2", "1"),
+         "rho1 = 1e-320 and rho2 = 1.0 overflow the coupling rho1*eta*(1+eta), eta = rho2/rho1"),
+        (("--model", "cmtl", "--k", "2", "--rho1", "1e200", "--rho2", "1e300"),
+         "rho1 = 1e+200 and rho2 = 1e+300 overflow the coupling rho1*eta*(1+eta), "
+         "eta = rho2/rho1"),
     ],
     ids=["tol-nan", "tol-inf", "mtl-lambda-nan", "mtl-lambda-inf", "stl-lambda-nan",
          "stl-lambda-inf", "rho1-nan", "rho1-inf", "rho2-nan", "rho2-inf", "mtl-lambda-negative",
-         "stl-lambda-negative"],
+         "stl-lambda-negative", "rho-eta-overflows", "rho-coupling-overflows"],
 )
 def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, options, message):
     train = _write_csv(tmp_path / "data.csv")

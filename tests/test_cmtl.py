@@ -73,6 +73,28 @@ def test_params_validation():
     assert zero.coupling == 0.0
 
 
+@pytest.mark.parametrize(
+    "rho1, rho2, message",
+    [
+        (1e-320, 1.0, "rho1 = 1e-320 and rho2 = 1.0 overflow the coupling rho1*eta*(1+eta), "
+         "eta = rho2/rho1"),
+        (1e200, 1e300, "rho1 = 1e+200 and rho2 = 1e+300 overflow the coupling "
+         "rho1*eta*(1+eta), eta = rho2/rho1"),
+        (1.0, 1e308, "rho1 = 1.0 and rho2 = 1e+308 overflow the coupling rho1*eta*(1+eta), "
+         "eta = rho2/rho1"),
+    ],
+    ids=["eta-overflows", "coupling-overflows", "eta-squared-overflows"],
+)
+def test_params_reject_a_rho_pair_whose_coupling_overflows(rho1, rho2, message):
+    with pytest.raises(ValueError) as info:
+        CmtlParams(rho1=rho1, rho2=rho2, k=2)
+    assert str(info.value) == message
+    # The extremes of a pair whose coupling stays finite are kept.
+    for rho1, rho2 in ((1e-320, 1e-320), (1e308, 1.0), (1.0, 1e-320), (1e-100, 1e-100)):
+        params = CmtlParams(rho1=rho1, rho2=rho2, k=2)
+        assert math.isfinite(params.eta) and math.isfinite(params.coupling)
+
+
 def test_loss_examples():
     ds = _dataset([np.eye(2)], [[1.0, 2.0]])
     assert cmtl_loss(np.array([[1.0, 2.0]]), ds) == 0.0
@@ -413,6 +435,10 @@ def test_fit_parameter_errors():
     ds, _ = _planted_dataset(rng, n_tasks=4, n_rows=10)
     with pytest.raises(ValueError, match="k must be"):
         fit_cmtl(factors(ds), CmtlParams(rho1=1.0, rho2=1.0, k=4))
+    # A k past the largest double is refused before the start point (k/T) I is built.
+    with pytest.raises(ValueError) as info:
+        fit_cmtl(factors(ds), CmtlParams(rho1=1.0, rho2=1.0, k=10**400))
+    assert str(info.value) == f"k must be in [1, 3], got {10**400}"
     with pytest.raises(ValueError, match="rho1 > 0"):
         fit_cmtl(factors(ds), CmtlParams(rho1=0.0, rho2=0.0, k=2))
 

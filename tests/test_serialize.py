@@ -378,6 +378,11 @@ _BAD_FIELDS = [
     # Rules that a model file shares with a fit's arguments.
     ("cmtl", "kmeans_seed", lambda v: -1, "kmeans_seed must be a non-negative integer, got -1"),
     ("individual", "stl_penalty", lambda v: "none", "penalty 'none' requires lam = 0"),
+    # The fit's rho2 is 0.7: each pair below overflows eta or the coupling.
+    ("cmtl", "rho1", lambda v: 1e-320,
+     "rho1 = 1e-320 and rho2 = 0.7 overflow the coupling rho1*eta*(1+eta), eta = rho2/rho1"),
+    ("cmtl", "rho2", lambda v: 1e300,
+     "rho1 = 0.5 and rho2 = 1e+300 overflow the coupling rho1*eta*(1+eta), eta = rho2/rho1"),
 ]
 
 
