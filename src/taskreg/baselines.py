@@ -23,7 +23,7 @@ import numpy as np
 from . import _TOTAL_MODES
 from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
 from .fista import ProximalProblem, SolverConfig, solve
-from .mtl import LeastSquares, MtlModel, StlSpec  # StlSpec is re-exported
+from .mtl import LeastSquares, MtlModel, StlSpec, _fitted  # StlSpec is re-exported
 
 
 @dataclass(frozen=True)
@@ -107,32 +107,15 @@ def fit_stl(
     ``factors`` are already in the units of the fit: ``scaling`` is only
     recorded in the model.
     """
-    n_tasks, n_features = factors.n_tasks, factors.n_features
-    stack = factors.design_stack(intercept=fit_intercept)
+    r = factors.design_stack(intercept=fit_intercept)
     if spec.setting == "global":
         # The zero padding rows of the stack leave the pooled factor's Gram matrix unchanged.
-        r = np.linalg.qr(stack.reshape(-1, stack.shape[2]), mode="r")
-        w, trace = solve(_stl_problem(r, spec, n_features), np.zeros(r.shape[1] - 1), cfg)
-        weights_full = np.tile(w, (n_tasks, 1))
-    else:
-        weights_full, trace = solve(
-            _stl_problem(stack, spec, n_features), np.zeros((n_tasks, stack.shape[2] - 1)), cfg
-        )
-
-    if fit_intercept:
-        weights, intercept = weights_full[:, :n_features], weights_full[:, n_features]
-    else:
-        weights, intercept = weights_full, None
-    return MtlModel(
-        weights=weights,
-        lam=spec.lam,
-        feature_names=factors.feature_names,
-        task_labels=factors.task_labels,
-        intercept=intercept,
-        scaling=scaling,
-        trace=trace,
-        model_type="stl",
-        stl_setting=spec.setting,
+        r = np.linalg.qr(r.reshape(-1, r.shape[2]), mode="r")
+    # One weight vector per factor: a (T, width - 1) matrix for the stack.
+    start = np.zeros(r.shape[:-2] + (r.shape[-1] - 1,))
+    w, trace = solve(_stl_problem(r, spec, factors.n_features), start, cfg)
+    return _fitted(
+        factors, w, trace, scaling, lam=spec.lam, model_type="stl", stl_setting=spec.setting,
         stl_penalty=spec.penalty,
     )
 

@@ -13,7 +13,8 @@ mirror the long flag names (hyphens or underscores both work, and
 ignored so one file can serve the whole pipeline. A flag that the other
 options leave unused, such as a ``train`` flag that the chosen model does
 not use, is an error; such a config key is ignored. ``--intercept``, or
-``intercept = true``, with ``--model cmtl`` is refused either way.
+``intercept = true``, with ``--model cmtl`` is refused either way. A
+command that fails removes each output file it created or changed.
 
 BLAS runs one thread unless TASKREG_NUM_THREADS sets another count (or
 a BLAS library's own variable, such as OPENBLAS_NUM_THREADS, does, when
@@ -105,6 +106,12 @@ _OPTIONS = {
         ("out", str, "clusters.csv"),
         ("out_matrix", str, None),
     ),
+}
+
+# The options of each command that name a file it writes, in the order it writes them.
+_OUTPUTS = {
+    "split": ("train_out", "test_out", "manifest"), "train": ("out",), "evaluate": ("out",),
+    "riskfactors": ("out_json", "out_csv"), "clusters": ("out", "out_matrix"),
 }
 
 # The attribute of an option named by a Python keyword; either is a config key.
@@ -265,6 +272,33 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _file_state(path):
+    """The inode, size, mtime and ctime of ``path``, or None if it cannot be read."""
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+    return None
+
+
+@contextlib.contextmanager
+def _removed_on_failure(paths):
+    """Remove each regular file of ``paths`` that the block created or changed, if it raises.
+
+    A file counts as changed when its :func:`_file_state` differs from
+    before the block. So a device such as /dev/null, and an output that
+    the block could not open, stay as they were.
+    """
+    before = {path: _file_state(path) for path in paths}
+    try:
+        yield
+    except BaseException:
+        for path, state in before.items():
+            if os.path.isfile(path) and _file_state(path) != state:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
+
+
 @contextlib.contextmanager
 def _spool_space():
     """Name the temporary directory in a full-disk error raised in the block."""
@@ -287,16 +321,21 @@ def _same_file(a: str, b: str) -> bool:
         return Path(a).resolve() == Path(b).resolve()
 
 
-def _check_outputs(inputs, outputs) -> None:
+def _outputs(args) -> list[tuple[str, str]]:
+    """(flag, path) of each file the command writes (:data:`_OUTPUTS`), as the options set them."""
+    paths = ((name, getattr(args, name)) for name in _OUTPUTS[args.command])
+    return [("--" + name.replace("_", "-"), path) for name, path in paths if path is not None]
+
+
+def _check_outputs(args, *inputs) -> None:
     """Raise ValueError if an output names the same file as an input or an earlier output.
 
-    ``inputs`` and ``outputs`` are (name, path) pairs; a path of None is
-    skipped. Commands call this before they write anything.
+    ``inputs`` are (name, path) pairs, and --config is one more; a path of
+    None is skipped. Commands call this before they write anything.
     """
+    inputs += (("--config", args.config),)
     named = [(name, path) for name, path in inputs if path is not None]
-    for name, path in outputs:
-        if path is None:
-            continue
+    for name, path in _outputs(args):
         for other, other_path in named:
             if _same_file(path, other_path):
                 raise ValueError(f"{name} {path} names the same file as {other} {other_path}")
@@ -307,54 +346,35 @@ def cmd_split(args) -> int:
     from . import dataset
 
     dataset._seed(args.seed, "--seed")
-    _check_outputs(
-        [("the input", args.input), ("--config", args.config)],
-        [("--train-out", args.train_out), ("--test-out", args.test_out),
-         ("--manifest", args.manifest)],
-    )
-    opened = []  # the outputs split has begun to write, which a failed split removes
-    try:
-        # Unless it scales, split keeps the kept records' text in an unnamed
-        # temporary file, which every exit from the block closes and so deletes.
-        with contextlib.ExitStack() as stack:
-            with _spool_space():
-                spool = None if args.scale_full else stack.enter_context(tempfile.TemporaryFile())
-                rows = dataset.load_csv(
-                    args.input, args.task_column, args.outcome_column, spool=spool
-                )
-            if args.scale_full:
-                with _naming(args.input):
-                    dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
-            train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
-            opened.append(args.train_out)
-            dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
-            opened.append(args.test_out)
-            dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
-        manifest = {
-            "command": "split",
-            "input": str(args.input),
-            "seed": args.seed,
-            "train_fraction": args.train_fraction,
-            "task_column": args.task_column,
-            "outcome_column": args.outcome_column,
-            "scaled_before_split": bool(args.scale_full),
-            "scale_outcome": bool(args.scale_full and args.scale_outcome),
-            "dropped_rows": rows.dropped_rows,
-            "per_task": {
-                label: {"total": full.size, "train": tr.size, "test": te.size}
-                for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
-            },
-        }
-        opened.append(args.manifest)
-        dataset.write_json(manifest, args.manifest)
-    except BaseException as exc:
-        if isinstance(exc, OSError) and opened and exc.filename == opened[-1]:
-            opened.pop()  # it could not be opened, so split left it as it was
-        for path in opened:
-            if os.path.isfile(path):  # not a device such as /dev/null
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-        raise
+    _check_outputs(args, ("the input", args.input))
+    # Unless it scales, split keeps the kept records' text in an unnamed
+    # temporary file, which every exit from the block closes and so deletes.
+    with contextlib.ExitStack() as stack:
+        with _spool_space():
+            spool = None if args.scale_full else stack.enter_context(tempfile.TemporaryFile())
+            rows = dataset.load_csv(args.input, args.task_column, args.outcome_column, spool=spool)
+        if args.scale_full:
+            with _naming(args.input):
+                dataset.minmax_scale(rows, scale_outcome=args.scale_outcome)
+        train, test = dataset.stratified_split(rows, args.train_fraction, args.seed)
+        dataset.write_csv(rows, train, args.train_out, args.task_column, args.outcome_column)
+        dataset.write_csv(rows, test, args.test_out, args.task_column, args.outcome_column)
+    manifest = {
+        "command": "split",
+        "input": str(args.input),
+        "seed": args.seed,
+        "train_fraction": args.train_fraction,
+        "task_column": args.task_column,
+        "outcome_column": args.outcome_column,
+        "scaled_before_split": bool(args.scale_full),
+        "scale_outcome": bool(args.scale_full and args.scale_outcome),
+        "dropped_rows": rows.dropped_rows,
+        "per_task": {
+            label: {"total": full.size, "train": tr.size, "test": te.size}
+            for label, full, tr, te in zip(rows.task_labels, rows.task_rows, train, test)
+        },
+    }
+    dataset.write_json(manifest, args.manifest)
     print(
         f"split {rows.n_rows} rows across {rows.n_tasks} tasks "
         f"-> {args.train_out}, {args.test_out}"
@@ -382,7 +402,7 @@ def cmd_train(args) -> int:
         if args.intercept:
             raise ValueError("--intercept is not supported with the cmtl model")
         dataset._seed(args.kmeans_seed, "--kmeans-seed")
-    _check_outputs([("the input", args.input), ("--config", args.config)], [("--out", args.out)])
+    _check_outputs(args, ("the input", args.input))
     factors = dataset.load_factors(args.input, args.task_column, args.outcome_column)
     params = None
     with _naming(args.input):
@@ -441,11 +461,7 @@ def cmd_evaluate(args) -> int:
 
     if not args.model:
         raise ValueError("at least one --model is required")
-    _check_outputs(
-        [("the test file", args.test), *(("--model", path) for path in args.model),
-         ("--config", args.config)],
-        [("--out", args.out)],
-    )
+    _check_outputs(args, ("the test file", args.test), *(("--model", path) for path in args.model))
     names: list[str] = []
     for path in args.model:
         name = Path(path).stem
@@ -491,10 +507,7 @@ def cmd_riskfactors(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required")
-    _check_outputs(
-        [("--model", args.model), ("--categories", args.categories), ("--config", args.config)],
-        [("--out-json", args.out_json), ("--out-csv", args.out_csv)],
-    )
+    _check_outputs(args, ("--model", args.model), ("--categories", args.categories))
     model = serialize.load_model(args.model)
     levels = tuple(p.strip() for p in args.levels.split(",") if p.strip())
     for level in levels:
@@ -527,10 +540,7 @@ def cmd_clusters(args) -> int:
 
     if args.model is None:
         raise ValueError("--model is required")
-    _check_outputs(
-        [("--model", args.model), ("--config", args.config)],
-        [("--out", args.out), ("--out-matrix", args.out_matrix)],
-    )
+    _check_outputs(args, ("--model", args.model))
     model = serialize.load_model(args.model)
     if model.model_type != "cmtl":
         raise ValueError("the clusters command requires a cmtl model")
@@ -554,7 +564,9 @@ def main(argv=None) -> int:
         _configure_threads()
         config = _load_config(args.config) if args.config else {}
         _check_unused_flags(args, _resolve_options(args, config))
-        return args.handler(args)
+        # A failed command leaves no output that it began to write.
+        with _removed_on_failure([path for _, path in _outputs(args)]):
+            return args.handler(args)
     except (TaskregError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SolverError) and exc.objective_trail:

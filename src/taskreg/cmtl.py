@@ -22,7 +22,7 @@ from .dataset import (
     residuals,
 )
 from .fista import ProximalProblem, SolverConfig, solve
-from .mtl import MtlModel
+from .mtl import MtlModel, _fitted
 
 _SYMMETRY_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-8
@@ -323,6 +323,10 @@ class _Objective:
         gc = 0.5 * (gc + gc.T)
         return np.hstack([gv, gc])
 
+    def problem(self) -> ProximalProblem:
+        """The objective as a :class:`~taskreg.fista.ProximalProblem`; F is its smooth part."""
+        return ProximalProblem(self.value, self.grad, self.prox, self.value)
+
 
 def fit_cmtl(
     factors: TaskFactors,
@@ -359,27 +363,14 @@ def fit_cmtl(
     k = _cluster_count(params.k, n_tasks - 1)
     objective = _Objective(factors, params)
     z0 = np.hstack([np.zeros((n_tasks, n_features)), (k / n_tasks) * np.eye(n_tasks)])
-    problem = ProximalProblem(
-        smooth_value=objective.value,
-        smooth_grad=objective.grad,
-        prox=objective.prox,
-        full_objective=objective.value,
-    )
-    z_hat, trace = solve(problem, z0, cfg)
-    w_hat, c_hat = objective.weights(z_hat[:, :n_features]), z_hat[:, n_features:]
+    z_hat, trace = solve(objective.problem(), z0, cfg)
+    c_hat = z_hat[:, n_features:]
     cluster_matrix = RelaxedClusterMatrix(matrix=0.5 * (c_hat + c_hat.T), k=params.k)
-    # The embedding reuses the eigenvectors the cluster matrix was checked with.
-    assignments = _labels_from_vectors(cluster_matrix.spectrum[1], params.k, kmeans_seed)
-    return MtlModel(
-        weights=w_hat,
-        feature_names=factors.feature_names,
-        task_labels=factors.task_labels,
-        scaling=scaling,
-        trace=trace,
-        model_type="cmtl",
-        cluster_matrix=cluster_matrix,
-        params=params,
-        assignments=assignments,
+    return _fitted(
+        factors, objective.weights(z_hat[:, :n_features]), trace, scaling, model_type="cmtl",
+        cluster_matrix=cluster_matrix, params=params,
+        # The embedding reuses the eigenvectors the cluster matrix was checked with.
+        assignments=_labels_from_vectors(cluster_matrix.spectrum[1], params.k, kmeans_seed),
         kmeans_seed=kmeans_seed,
     )
 

@@ -7,11 +7,8 @@ search point S, then doubles the curvature gamma until the smooth part at
 the proximal candidate is dominated by its quadratic surrogate at S. The
 accepted gamma seeds the next iteration and is never decreased.
 
-The momentum schedule is configurable. The default, ``"delayed"``, uses
-alpha_l = (d_{l-2} - 1) / d_{l-1} with d_{-1} = 0, d_0 = 1, which makes
-the first two steps plain proximal steps. ``"standard"`` is the classic
-Nesterov indexing alpha_l = (d_{l-1} - 1) / d_l, and ``"none"`` disables
-momentum entirely (plain proximal gradient, i.e. ISTA).
+The extrapolation weight of each iteration comes from one sequence,
+:func:`_momentum`, chosen by ``SolverConfig.momentum``.
 
 A problem may also be a stack of independent problems, one per row of x
 (see :func:`solve`). Each row, or block, then runs the same iteration on
@@ -26,6 +23,7 @@ these records, which are held in one array grown in place.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -191,9 +189,9 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, records):
     pending = None
     for _ in range(_MAX_BACKTRACKS + 1):
         gamma_rows = _rows(gamma, s)
-        trial = prox(s - grad_s / gamma_rows, 1.0 / gamma_rows)
         # A trial that overflows fails the descent test, and its gamma doubles.
         with np.errstate(over="ignore", invalid="ignore"):
+            trial = prox(s - grad_s / gamma_rows, 1.0 / gamma_rows)
             smooth_trial = smooth_value(trial)
             delta = trial - s
             q_trial = smooth_s + 0.5 * gamma * _inner(delta, delta) + _inner(delta, grad_s)
@@ -218,8 +216,24 @@ def _backtrack(smooth_value, prox, s, smooth_s, grad_s, gamma, records):
     )
 
 
-def _d_next(d):
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * d * d))
+def _momentum(mode: str):
+    """The extrapolation weight alpha_l of each iteration l = 1, 2, ... under ``mode``.
+
+    With d_0 = 1 and d_l = (1 + sqrt(1 + 4 d_{l-1}^2)) / 2, ``"standard"``
+    gives Nesterov's alpha_l = (d_{l-1} - 1) / d_l, so alpha_1 = 0.
+    ``"delayed"``, the default, gives the same sequence after a leading 0,
+    so its first two steps are plain proximal steps. ``"none"`` gives 0
+    throughout: plain proximal gradient, i.e. ISTA.
+    """
+    if mode == "none":
+        yield from itertools.repeat(0.0)
+    if mode == "delayed":
+        yield 0.0
+    d = 1.0
+    while True:
+        d_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * d * d))
+        yield (d - 1.0) / d_next
+        d = d_next
 
 
 def solve(
@@ -230,7 +244,8 @@ def solve(
     Stops when the relative objective change |F_l - F_{l-1}| /
     max(1, |F_{l-1}|) drops below cfg.rel_tol, or after cfg.max_iters
     iterations. FISTA is not monotone, so the best-objective iterate seen
-    is returned rather than the last one.
+    is returned rather than the last one. Each iteration extrapolates from
+    the last two iterates by the weight :func:`_momentum` gives.
 
     When ``full_objective`` returns one value per row of x, each row is
     an independent block with its own gamma, best iterate and stopping
@@ -298,18 +313,8 @@ def solve(
     records = np.empty((0, n_blocks, 4))
 
     gamma = np.full(n_blocks, _GAMMA0)
-    d_prev_prev, d_prev = 0.0, 1.0  # d_{l-2}, d_{l-1}
 
-    for l in range(1, cfg.max_iters + 1):
-        if cfg.momentum == "none":
-            alpha = 0.0
-        elif cfg.momentum == "delayed":
-            # (d_{l-2} - 1)/d_{l-1}; the first difference Phi^(1) - Phi^(0)
-            # is zero, so alpha_1 is immaterial and recorded as 0.
-            alpha = 0.0 if l == 1 else (d_prev_prev - 1.0) / d_prev
-        else:  # standard
-            alpha = (d_prev - 1.0) / _d_next(d_prev)
-
+    for l, alpha in zip(range(1, cfg.max_iters + 1), _momentum(cfg.momentum)):
         s = phi_curr if alpha == 0.0 else phi_curr + alpha * (phi_curr - phi_prev)
         smooth_s = smooth_value(s)
         if not np.isfinite(smooth_s).all():
@@ -336,11 +341,6 @@ def solve(
         improved = f_next < best_f
         best_f = _where(improved, f_next, best_f)
         best_phi = _where(improved, phi_next, best_phi)
-
-        if cfg.momentum == "delayed":
-            d_prev_prev, d_prev = d_prev, _d_next(d_prev)
-        elif cfg.momentum == "standard":
-            d_prev = _d_next(d_prev)
 
         phi_prev, phi_curr = phi_curr, phi_next
         stopped = np.abs(f_next - f_prev) / np.maximum(1.0, np.abs(f_prev)) < cfg.rel_tol

@@ -268,6 +268,26 @@ class MtlModel:
         return self.weights.shape[1]
 
 
+def _fitted(factors: TaskFactors, solution: np.ndarray, trace, scaling, **fields) -> MtlModel:
+    """The model of a fit on ``factors`` whose solver returned ``solution`` and ``trace``.
+
+    ``solution`` has a row per task, or one row that all tasks share (the
+    pooled stl fit): its first ``n_features`` columns are the weights, and
+    a column after them is the intercept. ``fields`` are the model type's own.
+    """
+    n_features = factors.n_features
+    rows = np.broadcast_to(solution, (factors.n_tasks, solution.shape[-1]))
+    return MtlModel(
+        weights=rows[:, :n_features],
+        intercept=rows[:, n_features] if rows.shape[1] > n_features else None,
+        feature_names=factors.feature_names,
+        task_labels=factors.task_labels,
+        scaling=scaling,
+        trace=trace,
+        **fields,
+    )
+
+
 def fit_mtl(
     factors: TaskFactors,
     lam: float,
@@ -291,20 +311,10 @@ def fit_mtl(
     model.
     """
     lam = _nonnegative(lam, "lam")
-    n_tasks, n_features = factors.n_tasks, factors.n_features
     stack = factors.design_stack(intercept=fit_intercept)
     objective = LeastSquares(
-        stack, n_features, lambda w: lam * l21_norm(w), lambda h, step: prox_l21(h, lam * step)
+        stack, factors.n_features, lambda w: lam * l21_norm(w),
+        lambda h, step: prox_l21(h, lam * step),
     )
-    w_hat, trace = solve(objective.problem(), np.zeros((n_tasks, stack.shape[2] - 1)), cfg)
-
-    intercept = w_hat[:, n_features] if fit_intercept else None
-    return MtlModel(
-        weights=w_hat[:, :n_features],
-        lam=lam,
-        feature_names=factors.feature_names,
-        task_labels=factors.task_labels,
-        intercept=intercept,
-        scaling=scaling,
-        trace=trace,
-    )
+    w_hat, trace = solve(objective.problem(), np.zeros((factors.n_tasks, stack.shape[2] - 1)), cfg)
+    return _fitted(factors, w_hat, trace, scaling, lam=lam)

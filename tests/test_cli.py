@@ -194,6 +194,39 @@ def test_failed_split_keeps_an_output_it_could_not_open(tmp_path, monkeypatch, c
     assert manifest.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command, first, second",
+    [("riskfactors", "--out-json", "--out-csv"), ("clusters", "--out", "--out-matrix")],
+)
+def test_a_failed_report_leaves_no_output(tmp_path, capsys, command, first, second):
+    # The first output is written before the second's directory turns out to be missing.
+    model = _train(tmp_path, _write_csv(tmp_path / "data.csv"), "m.json", "--model", "cmtl",
+                   "--k", "2")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    argv = [command, "--model", str(model), first, str(tmp_path / "first.out"),
+            second, str(tmp_path / "missing" / "second.out")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+def test_a_train_whose_model_file_fails_partway_leaves_no_output(tmp_path, monkeypatch, capsys):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def partway(data, fh, **kwargs):
+        fh.write("{\n")
+        raise full
+
+    monkeypatch.setattr(json, "dump", partway)
+    source = _write_csv(tmp_path / "data.csv")
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert cli.main(["train", str(source), "--model", "mtl", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_split_reports_a_full_spool_disk(tmp_path, monkeypatch, capsys):
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -1050,6 +1083,41 @@ def test_a_range_too_wide_to_scale_is_an_error(tmp_path, capsys, column, command
     assert captured.out == ""
     assert code == 2
     assert not any(path.exists() for path in outputs)
+
+
+# A feature cell of 1e154 in task1 overflows the squared norms of the line
+# search's trials. The mtl and stl fits give up with one error line; the
+# prox of the mtl trials, like the rest of the search, must not warn.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "options, code",
+    [
+        (["--model", "mtl"], 2),
+        (["--model", "stl", "--penalty", "ridge", "--lambda", "0.1"], 2),
+        (["--model", "stl", "--setting", "global", "--penalty", "lasso", "--lambda", "0.1"], 2),
+        (["--model", "cmtl", "--k", "2"], 0),
+    ],
+    ids=["mtl", "stl-ridge", "stl-global-lasso", "cmtl"],
+)
+def test_an_overflowing_line_search_trial_does_not_warn(tmp_path, capsys, options, code):
+    csv_path = _write_csv(tmp_path / "data.csv", n_rows=20)
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = lines[22].split(",")
+    assert cells[0] == "task1"
+    cells[1] = "1e154"
+    lines[22] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert cli.main(["train", str(csv_path), "--no-scale", *options, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: no acceptable step after 100 backtracks")
+        assert err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -17,12 +17,24 @@ deleted, repeated or broken; rho1 and rho2 set together to a pair whose
 coupling overflows. Each mutated file goes through ``split`` and through
 ``train`` for every model and with no model named.
 
+A training panel is mutated at random, cell by cell and byte by byte: a
+cell set to a number that overflows or nearly overflows a double, to text
+that ``float()`` does or does not read, or emptied; a byte inserted,
+deleted or replaced, among them field and line breaks, quotes and bytes
+that are not UTF-8. Each mutated panel goes through ``split``, through
+``train`` for mtl, cmtl, individual ridge STL and global lasso STL, and
+through ``evaluate`` of every model that trained. There the numbers of
+each JSON file and of each CSV column that holds numbers are parsed and
+checked, since a task label may read ``nan``.
+
 Each command must exit 0 or 2, print nothing on stderr but one ``error:``
 line when it fails (or, after a train, the iteration-cap warning), and print
 or write no number that is not finite. Any warning fails the test.
 """
 
+import csv
 import json
+import math
 import random
 import re
 import time
@@ -116,7 +128,13 @@ def _mutate(data, rng):
         parent[key] = rng.choice([other for other in _OTHERS if other != value])
 
 
-def _run(capsys, argv, outputs):
+def _no_non_finite_text(path):
+    text = path.read_text(encoding="utf-8")
+    assert not _NON_FINITE.search(text), (path.name, text)
+
+
+def _run(capsys, argv, outputs, check=_no_non_finite_text):
+    """Run one command and hold it to the contract; ``check`` reads each output it wrote."""
     for path in outputs:
         path.unlink(missing_ok=True)
     code = cli.main([str(arg) for arg in argv])
@@ -129,8 +147,7 @@ def _run(capsys, argv, outputs):
     assert not _NON_FINITE.search(captured.out), captured.out
     for path in outputs:
         if path.exists():
-            text = path.read_text(encoding="utf-8")
-            assert not _NON_FINITE.search(text), (path.name, text)
+            check(path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -228,3 +245,98 @@ def test_mutated_config_files_end_in_a_result_or_an_error(saved, capsys):
             _run(capsys, ["train", train, *model, "--config", config, "--out", outputs[3]],
                  outputs[3:])
     assert time.perf_counter() - start < _CONFIG_BUDGET_S
+
+
+_PANEL_SEED = 40
+_PANELS = 150
+_PANEL_BUDGET_S = 10.0
+
+# A cell's new text: a number past, near or at the ends of a double, or
+# other text, which float() may or may not read. Two cells in three are numbers.
+_NUMBERS = [
+    "1e20", "1e154", "-1e154", "1e200", "1e308", "-1e308", "1.7976931348623157e308", "1e400",
+    "-1e400", "5e-324", "1e-320", "0", "-0", "nan", "inf", "-Infinity",
+]
+_TEXTS = ["", " ", "1_0", " 1 ", "0x10", "1e", "x", '"1"', '"a,b"', "task0", "task2", "1,2"]
+# A byte inserted or swapped in: field and line breaks, quotes, and bytes that are not UTF-8.
+_BYTES = [b",", b"\n", b"\r", b'"', b" ", b"0", b"9", b".", b"e", b"-", b"\x00", b"\xff", b"\xc3"]
+# Every train the slice runs, by model file name.
+_TRAINS = {
+    "mtl": ["--model", "mtl"],
+    "cmtl": ["--model", "cmtl", "--k", "2"],
+    "ridge": ["--model", "stl", "--penalty", "ridge", "--lambda", "0.1"],
+    "lasso": ["--model", "stl", "--setting", "global", "--penalty", "lasso", "--lambda", "0.05"],
+}
+
+
+def _mutate_panel(data: bytes, rng) -> bytes:
+    """``data``, a panel file's bytes, with one random change to a cell or a byte."""
+    if rng.random() < 0.6:
+        lines = data.split(b"\n")
+        row = rng.randrange(len(lines))
+        cells = lines[row].split(b",")
+        text = rng.choice(_NUMBERS if rng.random() < 2 / 3 else _TEXTS)
+        cells[rng.randrange(len(cells))] = text.encode()
+        lines[row] = b",".join(cells)
+        return b"\n".join(lines)
+    at = rng.randrange(len(data) + 1)
+    kind = rng.choice(["insert", "delete", "replace"])
+    keep = at + 1 if kind != "insert" else at
+    return data[:at] + (b"" if kind == "delete" else rng.choice(_BYTES)) + data[keep:]
+
+
+def _finite_json(value, path):
+    """Check that every number in the JSON value ``value`` is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _finite_json(item, path)
+    elif isinstance(value, float):
+        assert math.isfinite(value), (path.name, value)
+
+
+def _no_non_finite_number(path):
+    """Check the numbers of a JSON file, or of every CSV column but the task labels."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.suffix == ".json":
+            _finite_json(json.load(fh, parse_constant=float), path)
+            return
+        header, *rows = list(csv.reader(fh))
+    numeric = [j for j, name in enumerate(header) if name != "task"]
+    for row in rows:
+        for j in numeric:
+            try:
+                value = float(row[j])
+            except ValueError:
+                continue  # text that is no number: no number to check
+            assert math.isfinite(value), (path.name, row)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mutated_panels_end_in_a_result_or_an_error(saved, capsys):
+    root, _, _ = saved
+    rng = random.Random(_PANEL_SEED)
+    original = (root / "panel.csv").read_bytes()
+    panel = root / "p.csv"
+    sides = [root / name for name in ("p_train.csv", "p_test.csv", "p_split.json")]
+    models = {name: root / f"p_{name}.json" for name in _TRAINS}
+    mae = root / "p_mae.csv"
+    start = time.perf_counter()
+    for case in range(_PANELS):
+        data = original
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            data = _mutate_panel(data, rng)
+        panel.write_bytes(data)
+        scaling = rng.choice([[], ["--no-scale"], ["--scale-outcome"]])
+        _run(capsys, ["split", panel, "--seed", "1", "--train-out", sides[0],
+                      "--test-out", sides[1], "--manifest", sides[2]], sides,
+             _no_non_finite_number)
+        for name, options in _TRAINS.items():
+            _run(capsys, ["train", panel, *options, *scaling, "--max-iters", "300",
+                          "--out", models[name]], [models[name]], _no_non_finite_number)
+        trained = [path for path in models.values() if path.exists()]
+        if trained:
+            argv = ["evaluate", panel, *(arg for path in trained for arg in ("--model", path))]
+            _run(capsys, [*argv, "--out", mae], [mae], _no_non_finite_number)
+    assert time.perf_counter() - start < _PANEL_BUDGET_S
