@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _TOTAL_MODES
 from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
-from .fista import ProximalProblem, SolverConfig, solve
+from .fista import SolverConfig, solve
 from .mtl import LeastSquares, MtlModel, StlSpec, _fitted  # StlSpec is re-exported
 
 
@@ -62,27 +62,6 @@ def _shrink(w: np.ndarray, step, penalty: str, lam: float) -> np.ndarray:
     return w
 
 
-def _stl_problem(r: np.ndarray, spec: StlSpec, n_features: int) -> ProximalProblem:
-    """The :class:`~taskreg.mtl.LeastSquares` problem on an R factor [A | b] of the rows [X | y].
-
-    ||Xw - y|| = ||Aw - b||. ``r`` is one factor, fitted by one weight
-    vector (the pooled fit), or a (T, rows, width) stack of them
-    (:meth:`TaskFactors.design_stack`), fitted by a (T, width - 1) weight
-    matrix as T blocks of one solve: each value is then a vector over the
-    tasks and each value or gradient one batched matmul, and each callback
-    takes the tasks still running as ``rows`` (all of them by default).
-    The penalty is :func:`_penalty_value` of ``spec``, on the first
-    ``n_features`` weights; a weight after them is the intercept.
-    """
-    return LeastSquares(
-        r,
-        n_features,
-        lambda w: _penalty_value(w, spec.penalty, spec.lam),
-        lambda h, step: _shrink(h, step, spec.penalty, spec.lam),
-        blocked=r.ndim == 3,
-    ).problem()
-
-
 def fit_stl(
     factors: TaskFactors,
     spec: StlSpec,
@@ -93,14 +72,17 @@ def fit_stl(
 ) -> MtlModel:
     """Fit a single-task baseline and return it as a weight-matrix model.
 
+    The objective is :class:`~taskreg.mtl.LeastSquares` with the penalty
+    :func:`_penalty_value` of ``spec`` and its prox :func:`_shrink`.
     Global setting: all tasks' rows are pooled, one weight vector is
     fitted and copied to every task row, and the trace is one solver
     trace. Individual setting: each task is fitted on its own data with
     no coupling. All tasks run as the blocks of one blocked solve on the
-    zero-padded stack of their R factors; each keeps its own step size
-    and stopping test, so it takes the iterations its own solve would.
-    The trace is then a :class:`~taskreg.fista.BlockTraces`, one trace
-    per task.
+    zero-padded stack of their R factors, so each value is a vector over
+    the tasks and each value or gradient one batched matmul; each task
+    keeps its own step size and stopping test, so it takes the iterations
+    its own solve would. The trace is then a
+    :class:`~taskreg.fista.BlockTraces`, one trace per task.
 
     Like :func:`taskreg.mtl.fit_mtl`, the fits run on each task's R factor,
     and the pooled fit on the R factor of the stacked task factors.
@@ -111,9 +93,12 @@ def fit_stl(
     if spec.setting == "global":
         # The zero padding rows of the stack leave the pooled factor's Gram matrix unchanged.
         r = np.linalg.qr(r.reshape(-1, r.shape[2]), mode="r")
+    objective = LeastSquares(
+        r, factors.n_features, lambda w: _penalty_value(w, spec.penalty, spec.lam),
+        lambda h, step: _shrink(h, step, spec.penalty, spec.lam), blocked=r.ndim == 3,
+    )
     # One weight vector per factor: a (T, width - 1) matrix for the stack.
-    start = np.zeros(r.shape[:-2] + (r.shape[-1] - 1,))
-    w, trace = solve(_stl_problem(r, spec, factors.n_features), start, cfg)
+    w, trace = solve(objective.problem(), np.zeros(r.shape[:-2] + (r.shape[-1] - 1,)), cfg)
     return _fitted(
         factors, w, trace, scaling, lam=spec.lam, model_type="stl", stl_setting=spec.setting,
         stl_penalty=spec.penalty,
