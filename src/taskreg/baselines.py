@@ -213,6 +213,15 @@ def evaluate(models, path, task_column: str, outcome_column: str) -> MaeAccumula
     )
 
 
+def _std(y: np.ndarray) -> float:
+    """``y.std()``, or where its squared deviations overflow, that of y / max|y| scaled back."""
+    sd = float(y.std())
+    if math.isfinite(sd):
+        return sd
+    top = float(np.abs(y).max())
+    return top * float((y / top).std())
+
+
 def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
     """CSV table: one row per task plus TOTAL, one MAE column per model.
 
@@ -234,7 +243,7 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
 
     def cells(where, y, maes):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = [float(y.mean()), float(y.std()), *maes]
+            values = [float(y.mean()), _std(y), *maes]
         for column, value in zip(columns, values):
             if not math.isfinite(value):
                 raise ValueError(f"{where}: {column} is not finite")

@@ -12,8 +12,9 @@ afterwards by seeded k-means on the top-K eigenvectors of C.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,15 +91,15 @@ class RelaxedClusterMatrix:
     Construction checks that the matrix is a square array of finite
     numbers (``cluster_matrix`` in a message) and k an integer in [1, T],
     then validates symmetry, the eigenvalue box [0, 1], and tr = k, all
-    up to small numerical tolerances. ``spectrum`` keeps the
-    read-only (eigenvalues, eigenvectors) of the symmetrized matrix from
-    that validation, so a caller that needs them does not decompose the
-    matrix again. ``==`` compares the matrix and k by value.
+    up to small numerical tolerances; the box by two Cholesky
+    factorizations (:func:`_check_box`), so construction decomposes
+    nothing. ``spectrum``, the read-only (eigenvalues, eigenvectors) of
+    the symmetrized matrix, is computed by ``eigh`` when first read and
+    kept. ``==`` compares the matrix and k by value.
     """
 
     matrix: np.ndarray
     k: int
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     __eq__ = _value_eq
 
@@ -115,16 +116,22 @@ class RelaxedClusterMatrix:
 
         The checks are those of construction but k's, which is the caller's;
         the box is checked on ``eigs`` and the trace on the rebuilt matrix,
-        with no new ``eigh``; ``spectrum`` is (eigs, vecs), up to roundoff.
+        with no factorization; ``spectrum`` is (eigs, vecs), up to roundoff.
         """
         c = (vecs * eigs) @ vecs.T
         out = object.__new__(cls)
         object.__setattr__(out, "k", k)
-        out._settle(0.5 * (c + c.T), (eigs, vecs))
+        out._settle(0.5 * (c + c.T), eigs)
+        for arr in (eigs, vecs):
+            arr.setflags(write=False)
+        object.__setattr__(out, "spectrum", (eigs, vecs))  # fills the cache a first read would
         return out
 
-    def _settle(self, m: np.ndarray, spectrum=None) -> None:
-        """Validate the square matrix m (k is checked), then store it and its spectrum read-only."""
+    def _settle(self, m: np.ndarray, eigs=None) -> None:
+        """Validate the square matrix m (k is checked), then store it read-only.
+
+        ``eigs`` are m's eigenvalues, when known (:func:`_check_box`).
+        """
         with np.errstate(over="ignore"):  # an overflow here fails its check
             asym = float(np.abs(m - m.T).max())
             trace_err = abs(float(np.trace(m)) - self.k)
@@ -132,15 +139,17 @@ class RelaxedClusterMatrix:
             raise ValueError(f"cluster matrix asymmetric by {asym:.3g}")
         if trace_err > _TRACE_TOL:
             raise ValueError(f"trace differs from k={self.k} by {trace_err:.3g}")
-        eigs, vecs = np.linalg.eigh(0.5 * (m + m.T)) if spectrum is None else spectrum
-        if eigs.min() < -_EIGENVALUE_TOL or eigs.max() > 1.0 + _EIGENVALUE_TOL:
-            raise ValueError(
-                f"eigenvalues [{eigs.min():.3g}, {eigs.max():.3g}] leave [0, 1]"
-            )
-        for arr in (m, eigs, vecs):
-            arr.setflags(write=False)
+        _check_box(m, eigs)
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", (eigs, vecs))
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (eigenvalues, eigenvectors) of the symmetrized matrix, ascending."""
+        eigs, vecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
+        for arr in (eigs, vecs):
+            arr.setflags(write=False)
+        return eigs, vecs
 
     @property
     def n_tasks(self) -> int:
@@ -199,6 +208,26 @@ def _is_positive_definite(m: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _check_box(m: np.ndarray, eigs=None) -> None:
+    """Refuse the nearly symmetric m unless its eigenvalues lie in [0, 1], up to tolerance.
+
+    ``eigs`` are m's eigenvalues, when known. Otherwise two Cholesky
+    factorizations, of S + tol*I and (1 + tol)*I - S with S = (m + m^T)/2,
+    accept m, for both hold exactly when every eigenvalue of S is inside
+    the box; only a matrix they refuse has its eigenvalues computed to decide.
+    """
+    if eigs is None:
+        # Halved before the sum, so entries near the largest double do not overflow.
+        sym, eye = 0.5 * m + 0.5 * m.T, np.eye(m.shape[0])
+        if _is_positive_definite(sym + _EIGENVALUE_TOL * eye) and _is_positive_definite(
+            (1.0 + _EIGENVALUE_TOL) * eye - sym
+        ):
+            return
+        eigs = np.linalg.eigvalsh(sym)
+    if eigs.min() < -_EIGENVALUE_TOL or eigs.max() > 1.0 + _EIGENVALUE_TOL:
+        raise ValueError(f"eigenvalues [{eigs.min():.3g}, {eigs.max():.3g}] leave [0, 1]")
 
 
 class _Objective:
@@ -349,7 +378,7 @@ def fit_cmtl(
     V = 0 (so W = 0), C = (k/T) I, and saves W = L^{-T} V of the solution;
     the trace's objective is F in the original variables. Hard assignments
     are :func:`extract_clusters`' k-means rounding with ``kmeans_seed``, on
-    the eigenvectors the fitted C was checked with. k is checked, by the
+    the eigenvectors of the fitted C, its one ``eigh``. k is checked, by the
     rule :func:`project_spectral` applies, before the start point is built.
 
     The data term runs on each task's R factor (:class:`TaskFactors`).
@@ -369,7 +398,7 @@ def fit_cmtl(
     return _fitted(
         factors, objective.weights(z_hat[:, :n_features]), trace, scaling, model_type="cmtl",
         cluster_matrix=cluster_matrix, params=params,
-        # The embedding reuses the eigenvectors the cluster matrix was checked with.
+        # The embedding reads the fitted cluster matrix's spectrum: the fit's one eigh of it.
         assignments=_labels_from_vectors(cluster_matrix.spectrum[1], params.k, kmeans_seed),
         kmeans_seed=kmeans_seed,
     )

@@ -184,7 +184,9 @@ class ScalingParams:
     Transforms map x to (x - min) / (max - min). Columns with max = min
     map to 0. Construction checks that each bound is a finite number (not
     a bool or a string), that the feature bounds are 1-D of one length with
-    min <= max, that the outcome bounds come together, and that no span overflows.
+    min <= max, that the outcome bounds come together, that no span
+    overflows, and that :meth:`invert_outcome` maps a scaled -1 and 2 to
+    finite outcomes.
     """
 
     feature_min: np.ndarray
@@ -213,7 +215,10 @@ class ScalingParams:
         if self.outcome_min is not None:
             lo_y = _number(self.outcome_min, "outcome_min")
             hi_y = _number(self.outcome_max, "outcome_max")
-            if not math.isfinite(hi_y - lo_y):
+            # invert_outcome must map a prediction one span past either end
+            # (a scaled -1 or 2) to a finite outcome; an infinite span fails too.
+            span = hi_y - lo_y
+            if not all(math.isfinite(v * span + lo_y) for v in (-1.0, 2.0)):
                 raise ValueError(f"the outcome range [{lo_y!r}, {hi_y!r}] is too wide to scale")
             object.__setattr__(self, "outcome_min", lo_y)
             object.__setattr__(self, "outcome_max", hi_y)

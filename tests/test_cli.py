@@ -1011,11 +1011,15 @@ def _huge_weights(data):
 
 
 def _huge_outcome_range(data):
-    data["scaling"].update(outcome_min=-1e307, outcome_max=1e308)
+    # A range that maps a scaled -1 and 2 back finitely, which the model must,
+    # and a task1 intercept that puts its scaled predictions near 10.
+    data["scaling"].update(outcome_min=-1e307, outcome_max=5.9e307)
+    data["intercept"][1] += 10.0
 
 
 # Weights near the largest double predict inf for every row (the sum of
-# products overflows); so does undoing an outcome scale of such a span.
+# products overflows); so does undoing an outcome scale of such a span for
+# a prediction far past the range.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "edit, task", [(_huge_weights, "task0"), (_huge_outcome_range, "task1")],

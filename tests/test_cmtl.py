@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from taskreg.cmtl import (
+    _EIGENVALUE_TOL as _TAU,
     _Objective,
     CmtlParams,
     RelaxedClusterMatrix,
@@ -732,9 +733,9 @@ def test_smooth_part_is_inf_unless_coupling_is_positive_definite(min_eig, finite
 
 
 def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
-    # One eigh per projection and one to validate the fitted C, whose
-    # eigenvectors the clusters are extracted from; search points and the
-    # start point take none.
+    # One eigh per projection and one for the fitted C's spectrum, whose
+    # eigenvectors the clusters are extracted from; search points, the
+    # start point and the fitted C's validation take none.
     from taskreg import cmtl
 
     counts = {"eigh": 0, "project": 0}
@@ -823,10 +824,84 @@ def test_metric_setup_holds_one_block_of_temporaries():
     [
         ([[0.5, 1e308], [-1e308, 0.5]], "cluster matrix asymmetric by inf"),
         ([[1e308, 0.0], [0.0, 1e308]], "trace differs from k=1 by inf"),
+        # Symmetric, so only the box refuses it; halving before the sum keeps S finite.
+        ([[0.5, 1e308], [1e308, 0.5]], "eigenvalues [-1e+308, 1e+308] leave [0, 1]"),
     ],
-    ids=["asymmetry", "trace"],
+    ids=["asymmetry", "trace", "box"],
 )
 def test_cluster_matrix_whose_checks_overflow_is_rejected(matrix, message):
     with pytest.raises(ValueError) as info:
         RelaxedClusterMatrix(matrix=matrix, k=1)
+    assert str(info.value) == message
+
+
+def _with_eigenvalues(eigs, seed):
+    """A symmetric matrix with eigenvalues ``eigs`` and random orthogonal eigenvectors."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigs), len(eigs))))[0]
+    c = (q * np.asarray(eigs, dtype=np.float64)) @ q.T
+    return 0.5 * (c + c.T)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("an eigensolver was called")
+
+
+def test_construction_calls_no_eigensolver(monkeypatch):
+    # The box is checked by Cholesky factorizations; a matrix inside it
+    # needs no eigenvalues.
+    c = _with_eigenvalues([0.0, 0.2, 0.8, 1.0, 0.0, 0.0], 72)
+    monkeypatch.setattr(np.linalg, "eigh", _raise)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise)
+    assert RelaxedClusterMatrix(matrix=c, k=2) == RelaxedClusterMatrix(matrix=c.copy(), k=2)
+    RelaxedClusterMatrix(matrix=np.diag([1.0, 1.0, 0.0]), k=2)
+
+
+def test_spectrum_is_computed_once_when_first_read(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    c = _with_eigenvalues([0.1, 0.3, 0.6, 1.0, 0.0], 73)
+    c[0, 1] += 1e-12  # asymmetric within tolerance: the spectrum is that of (C + C^T)/2
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    matrix = RelaxedClusterMatrix(matrix=c, k=2)
+    assert calls == []
+    first = matrix.spectrum
+    assert matrix.spectrum is first
+    assert len(calls) == 1
+    expected = eigh(0.5 * (c + c.T))
+    for got, want in zip(first, expected):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(AttributeError):  # FrozenInstanceError
+        matrix.spectrum = expected
+
+    # Eigenpairs already known are the spectrum as given, with no eigh.
+    vecs = np.linalg.qr(np.random.default_rng(74).normal(size=(4, 4)))[0]
+    eigs = np.array([0.0, 0.25, 0.75, 1.0])
+    known = RelaxedClusterMatrix._from_spectrum(eigs, vecs, 2)
+    assert known.spectrum[0] is eigs and known.spectrum[1] is vecs
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "eigs, message",
+    [
+        ([-_TAU / 2, 0.5, 0.5 + _TAU / 2, 1.0], None),
+        ([0.25, 0.25, 0.5 - _TAU / 2, 1.0 + _TAU / 2], None),
+        ([-2 * _TAU, 0.5, 0.5 + 2 * _TAU, 1.0], "eigenvalues [-2e-08, 1] leave [0, 1]"),
+        ([0.25, 0.25, 0.5 - 2 * _TAU, 1.0 + 2 * _TAU], "eigenvalues [0.25, 1] leave [0, 1]"),
+    ],
+    ids=["low-inside", "high-inside", "low-outside", "high-outside"],
+)
+def test_eigenvalue_box_keeps_its_tolerance(eigs, message):
+    c = _with_eigenvalues(eigs, 75)
+    if message is None:
+        RelaxedClusterMatrix(matrix=c, k=2)
+        return
+    with pytest.raises(ValueError) as info:
+        RelaxedClusterMatrix(matrix=c, k=2)
     assert str(info.value) == message

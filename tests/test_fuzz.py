@@ -30,6 +30,10 @@ checked, since a task label may read ``nan``.
 Each command must exit 0 or 2, print nothing on stderr but one ``error:``
 line when it fails (or, after a train, the iteration-cap warning), and print
 or write no number that is not finite. Any warning fails the test.
+
+Two tests after the slices pin outcomes the panel slice met on the same
+panel: an outcome standard deviation whose squares overflow, and an
+outcome range whose inverted scale cannot hold a prediction.
 """
 
 import csv
@@ -340,3 +344,63 @@ def test_mutated_panels_end_in_a_result_or_an_error(saved, capsys):
             argv = ["evaluate", panel, *(arg for path in trained for arg in ("--model", path))]
             _run(capsys, [*argv, "--out", mae], [mae], _no_non_finite_number)
     assert time.perf_counter() - start < _PANEL_BUDGET_S
+
+
+def _panel_with_outcomes(path, task, values):
+    """``_write_panel``'s panel with the first outcomes of ``task`` set to ``values``; its outcomes."""
+    _write_panel(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith(f"task{task},")]
+    for i, value in zip(rows, values):
+        lines[i] = lines[i].rsplit(",", 1)[0] + f",{value}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {
+        label: np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]
+                         if line.startswith(f"{label},")])
+        for label in ("task0", "task1", "task2")
+    }
+
+
+# The squared deviations of an outcome of 1e160 overflow; the standard
+# deviation itself does not.
+@pytest.mark.filterwarnings("error")
+def test_evaluate_reports_an_outcome_sd_whose_squares_overflow(tmp_path, capsys):
+    outcomes = _panel_with_outcomes(tmp_path / "p.csv", 0, ["1e160"])
+    model, table = tmp_path / "m.json", tmp_path / "mae.csv"
+    assert cli.main(["train", str(tmp_path / "p.csv"), "--model", "stl", "--setting",
+                     "individual", "--penalty", "ridge", "--scale-outcome",
+                     "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(tmp_path / "p.csv"), "--model", str(model),
+                     "--out", str(table)]) == 0
+    assert capsys.readouterr().err == ""
+    _no_non_finite_number(table)
+    with open(table, encoding="utf-8", newline="") as fh:
+        rows = {row["task"]: row for row in csv.DictReader(fh)}
+    y = outcomes["task0"]
+    top = np.abs(y).max()
+    assert float(rows["task0"]["outcome_sd"]) == pytest.approx(top * (y / top).std(), rel=1e-12)
+
+
+# Two task1 outcomes of 1e308: the range's span is finite, but undoing the
+# scale of a prediction one span past it is not.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "options",
+    [["--model", "mtl"], ["--model", "stl", "--setting", "individual", "--penalty", "ridge"]],
+    ids=["mtl", "stl-ridge"],
+)
+def test_train_refuses_an_outcome_range_that_cannot_hold_a_prediction(tmp_path, capsys, options):
+    panel = tmp_path / "p.csv"
+    outcomes = _panel_with_outcomes(panel, 1, ["1e308", "1e308"])
+    lo = min(float(y.min()) for y in outcomes.values())
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    code = cli.main(["train", str(panel), *options, "--scale-outcome", "--out", str(model)])
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {panel}: the outcome range [{lo!r}, 1e+308] is too wide to scale\n"
+    )
+    assert captured.out == ""
+    assert code == 2
+    assert not model.exists()

@@ -101,6 +101,20 @@ def test_loaded_model_equals_saved_model(tmp_path, kind):
     assert loaded != dataclasses.replace(loaded, task_labels=("a", "b", "c", "d"))
 
 
+def test_cmtl_model_loads_without_an_eigensolver(tmp_path, monkeypatch):
+    model = _fitted("cmtl")
+    path = tmp_path / "cmtl.json"
+    save_model(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    loaded = load_model(path)
+    assert loaded == model
+
+
 def test_cluster_matrix_equality():
     half = RelaxedClusterMatrix(0.5 * np.eye(4), k=2)
     assert half == RelaxedClusterMatrix(0.5 * np.eye(4), k=2)
@@ -440,3 +454,26 @@ def test_rejects_json_nested_past_the_recursion_limit(tmp_path):
     with pytest.raises(ValueError) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: maximum recursion depth exceeded")
+
+
+# A scaled prediction of -1 or 2, one span past either end of the range,
+# would map back past the largest double.
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1e308), (-1e307, 1e308), (-1.5e308, -1e308)],
+    ids=["above", "above-from-below-zero", "below"],
+)
+def test_constructor_and_loader_refuse_an_outcome_range_that_cannot_hold_a_prediction(
+    tmp_path, lo, hi
+):
+    model = dataclasses.replace(_fitted("mtl"), trace=None)
+    message = f"the outcome range [{lo!r}, {hi!r}] is too wide to scale"
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(model.scaling, outcome_min=lo, outcome_max=hi)
+    assert str(built.value) == message
+    data = model_to_dict(model)
+    data["scaling"].update(outcome_min=lo, outcome_max=hi)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == f"{path}: {message}"
