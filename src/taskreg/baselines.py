@@ -15,13 +15,14 @@ scored chunk by chunk (:func:`evaluate`, :class:`MaeAccumulator`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _TOTAL_MODES
-from .dataset import ScalingParams, TaskFactors, _task_rows, stream_csv, write_rows
+from .dataset import ScalingParams, TaskFactors, _fold, _task_rows, stream_csv, write_rows
 from .fista import SolverConfig, solve
 from .mtl import LeastSquares, MtlModel, StlSpec, _fitted  # StlSpec is re-exported
 
@@ -85,14 +86,17 @@ def fit_stl(
     :class:`~taskreg.fista.BlockTraces`, one trace per task.
 
     Like :func:`taskreg.mtl.fit_mtl`, the fits run on each task's R factor,
-    and the pooled fit on the R factor of the stacked task factors.
+    and the pooled fit on the R factor of the stacked task factors, folded
+    in one task at a time.
     ``factors`` are already in the units of the fit: ``scaling`` is only
     recorded in the model.
     """
     r = factors.design_stack(intercept=fit_intercept)
     if spec.setting == "global":
-        # The zero padding rows of the stack leave the pooled factor's Gram matrix unchanged.
-        r = np.linalg.qr(r.reshape(-1, r.shape[2]), mode="r")
+        # One QR per task (TSQR): numpy copies a QR's input twice, and so no
+        # input is the whole stack. The zero padding rows of the stack leave
+        # the pooled factor's Gram matrix unchanged.
+        r = functools.reduce(_fold, r, np.empty((0, r.shape[2])))
     objective = LeastSquares(
         r, factors.n_features, lambda w: _penalty_value(w, spec.penalty, spec.lam),
         lambda h, step: _shrink(h, step, spec.penalty, spec.lam), blocked=r.ndim == 3,
@@ -192,9 +196,8 @@ class MaeAccumulator:
                 raise ValueError(f"model has no task {label!r}")
         errors = self._errors[index]
         counts = {label: e.size for label, e in errors.items()}
-        with np.errstate(over="ignore"):
-            per_task = {label: float(e.mean()) for label, e in errors.items()}
-            pooled = sum(float(e.sum()) for e in errors.values()) / sum(counts.values())
+        per_task = {label: _mean(e) for label, e in errors.items()}
+        pooled = _mean(*errors.values())
         total = pooled if total_mode == "pooled" else sum(per_task.values()) / len(per_task)
         return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
 
@@ -211,6 +214,21 @@ def evaluate(models, path, task_column: str, outcome_column: str) -> MaeAccumula
     return stream_csv(
         path, task_column, outcome_column, lambda names: MaeAccumulator(models, names)
     )
+
+
+def _mean(*parts: np.ndarray) -> float:
+    """The mean of the values of ``parts``, the sum of their sums over their count.
+
+    Where that sum overflows, it is the mean of each value over the largest
+    magnitude m, times m; a value that is not finite gives a mean that is not.
+    """
+    n = sum(part.size for part in parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sum(float(part.sum()) for part in parts) / n
+        if math.isfinite(mean):
+            return mean
+        top = max(float(np.abs(part).max()) for part in parts)
+        return top * (sum(float((part / top).sum()) for part in parts) / n)
 
 
 def _std(y: np.ndarray) -> float:
@@ -243,7 +261,7 @@ def write_mae_table(reports: dict[str, MaeReport], outcomes, path) -> None:
 
     def cells(where, y, maes):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = [float(y.mean()), _std(y), *maes]
+            values = [_mean(y), _std(y), *maes]
         for column, value in zip(columns, values):
             if not math.isfinite(value):
                 raise ValueError(f"{where}: {column} is not finite")

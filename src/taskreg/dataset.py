@@ -38,10 +38,12 @@ import numpy as np
 
 from .errors import DegenerateTaskError, ParseError, SchemaError
 
-# Body lines (or records) stream_csv parses at a time. Peak memory grows
-# with it (a 512-line chunk of 90 features is a 0.4 MB table), while the
-# per-chunk overhead of np.loadtxt and of the sinks shrinks.
-_CHUNK_LINES = 512
+# Cells stream_csv parses at a time: a chunk is _CHUNK_CELLS // (columns)
+# body lines, at least one. A chunk's working set (its text, the np.loadtxt
+# table, the sink's copies, a QR fold) grows with this budget, a 128 KiB
+# table of doubles, and not with the column count, while the per-chunk
+# overhead of np.loadtxt and of the sinks shrinks as it grows.
+_CHUNK_CELLS = 1 << 14
 
 # Rows write_csv writes at a time (and minmax_scale gathers at a time).
 # Records are copied a block at a time. Of a table of doubles, each
@@ -501,9 +503,10 @@ def stream_csv(
     ``sink_for(feature_names)`` makes the sink once the header is read
     (``sink_for(feature_names, header)`` with ``keep_text``, whose sink
     also gets each chunk's record text; see :class:`RowSink`).
-    The body is read in one pass, :data:`_CHUNK_LINES` records at a time
-    (:func:`_body_chunks`), and each chunk's kept rows go to the sink, so
-    only what the sink keeps grows with the row count. A row with a blank
+    The body is read in one pass, about :data:`_CHUNK_CELLS` cells at a
+    time (:func:`_body_chunks`), and each chunk's kept rows go to the sink,
+    so only what the sink keeps grows with the row count, and a chunk's
+    working set does not grow with the column count. A row with a blank
     outcome is dropped and counted in ``dropped_rows``. A leading UTF-8
     byte-order mark is skipped, and text that is not UTF-8 is a ValueError
     naming the file. Once the body is read, a file with no body record is
@@ -812,13 +815,15 @@ def _body_chunks(fh, path, layout, codes: dict[str, int], keep_text: bool):
     ``task`` holds each kept row's code. ``text`` is None, or with
     ``keep_text`` the kept records' ``(text, ends)``, and then ``x`` and
     ``y`` are None (see :class:`RowSink`).
-    Chunks of :data:`_CHUNK_LINES` lines go through ``np.loadtxt``
-    (:func:`_parse_chunk`). A chunk that cannot be shown to parse as
-    ``float()`` would is read cell by cell (:func:`_cell_chunks`), and the
-    next chunk goes back to ``np.loadtxt``.
+    A chunk is :data:`_CHUNK_CELLS` // (the header's column count) lines,
+    at least one, so its table holds about as many cells at any width. It
+    goes through ``np.loadtxt`` (:func:`_parse_chunk`); a chunk that cannot
+    be shown to parse as ``float()`` would is read cell by cell
+    (:func:`_cell_chunks`), and the next chunk goes back to ``np.loadtxt``.
     """
     row = 2  # the header is row 1
-    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+    chunk_lines = max(1, _CHUNK_CELLS // len(layout[0]))
+    while lines := list(itertools.islice(fh, chunk_lines)):
         chunk = _parse_chunk(lines, layout, codes, keep_text)
         if chunk is None:
             chunk = _cell_chunks(lines, fh, path, layout, codes, row, keep_text)

@@ -92,6 +92,35 @@ def test_global_matches_stacked_normal_equations():
     np.testing.assert_allclose(model.weights[0], w, atol=1e-6)
 
 
+@pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
+def test_global_fit_folds_the_pooled_factor_task_by_task(monkeypatch, intercept):
+    # One QR per task, each of at most twice the factor's width in rows, in
+    # place of one QR of the whole stack; the Gram matrix is the same.
+    from taskreg import baselines
+
+    rng = np.random.default_rng(74)
+    sizes = (3, 40, 9, 25)
+    xs = [rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-2, 3, size=6) for n in sizes]
+    ys = [rng.normal(size=n) for n in sizes]
+    task_factors = factors(_dataset(xs, ys))
+    pooled, heights = [], []
+    least_squares, fold = baselines.LeastSquares, baselines._fold
+    monkeypatch.setattr(
+        baselines, "LeastSquares", lambda r, *a, **k: pooled.append(r) or least_squares(r, *a, **k)
+    )
+    monkeypatch.setattr(
+        baselines, "_fold",
+        lambda r, *rows: heights.append(sum(b.shape[0] for b in (r, *rows))) or fold(r, *rows),
+    )
+    spec = StlSpec(setting="global", penalty="ridge", lam=0.1)
+    fit_stl(task_factors, spec, fit_intercept=intercept)
+    stack = task_factors.design_stack(intercept=intercept)
+    assert len(heights) == len(sizes) and max(heights) <= 2 * stack.shape[2]
+    one_qr = np.linalg.qr(stack.reshape(-1, stack.shape[2]), mode="r")
+    gram, expected = pooled[0].T @ pooled[0], one_qr.T @ one_qr
+    np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 def test_ridge_shrinks_to_zero():
     rng = np.random.default_rng(73)
     ds, _ = minmax_scale(_dataset([rng.random((20, 3))], [rng.random(20)]))

@@ -121,7 +121,11 @@ def test_split_closes_and_deletes_its_spool(tmp_path, monkeypatch, capsys, case)
         return spools[-1]
 
     monkeypatch.setattr(cli.tempfile, "TemporaryFile", recording)
-    # 1,800 rows: the last is read after three chunks have gone to the spool.
+    # 1,800 rows in 512-line chunks of 7 columns: the last is read after
+    # three chunks have gone to the spool.
+    from taskreg import dataset
+
+    monkeypatch.setattr(dataset, "_CHUNK_CELLS", 512 * 7)
     source = _write_csv(tmp_path / "data.csv", n_rows=600)
     test_out = tmp_path / "test.csv"
     if case == "parse-error":
@@ -991,19 +995,46 @@ def _overflowing_test_side(tmp_path):
     return train, test
 
 
-# Any warning is an error here: the command must fail with its error line alone.
+def _scaled_mean(values):
+    top = np.abs(values).max()
+    return top * (values / top).mean()
+
+
+# Any warning is an error here.
 @pytest.mark.filterwarnings("error")
-def test_evaluate_reports_an_overflowing_mean_as_an_error(tmp_path, capsys):
+def test_evaluate_scales_a_mean_whose_sum_overflows(tmp_path, capsys):
+    # Two task1 outcomes of 1e308, and so two errors near it, overflow a
+    # plain sum; each mean is finite, and is that of the values over their
+    # largest magnitude, scaled back.
     train, test = _overflowing_test_side(tmp_path)
     model = _train(tmp_path, train, "m.json", "--model", "mtl")
     out = tmp_path / "mae_report.csv"
     capsys.readouterr()
-    code = cli.main(["evaluate", str(test), "--model", str(model), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {test}: task 'task1': the outcome mean is not finite\n"
-    assert captured.out == ""
-    assert code == 2
-    assert not out.exists()
+    assert cli.main(["evaluate", str(test), "--model", str(model), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+    assert header == ["task", "n", "outcome_mean", "outcome_sd", "m"]
+    cells = {row[0]: [float(cell) for cell in row[2:]] for row in rows}
+    assert np.isfinite(list(cells.values())).all()
+
+    fitted = load_model(model)
+    ds = MultiTaskDataset.from_table(load_csv(test, "task", "outcome"))
+    outcomes, errors = {}, {}
+    for task in ds.tasks:
+        x = fitted.scaling.transform_features(task.X)
+        row = fitted.task_labels.index(task.label)
+        outcomes[task.label] = task.Y
+        errors[task.label] = np.abs(x @ fitted.weights[row] + fitted.intercept[row] - task.Y)
+    outcomes["TOTAL"] = np.concatenate(list(outcomes.values()))
+    errors["TOTAL"] = np.concatenate(list(errors.values()))
+    for label in ("task1", "TOTAL"):
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(outcomes[label].sum()) and not np.isfinite(errors[label].sum())
+        mean, _, mae = cells[label]
+        np.testing.assert_allclose(mean, _scaled_mean(outcomes[label]), rtol=1e-12)
+        np.testing.assert_allclose(mae, _scaled_mean(errors[label]), rtol=1e-12)
+    # A mean whose sum does not overflow keeps the plain mean's bits.
+    assert cells["task0"][0] == float(outcomes["task0"].mean())
 
 
 def _huge_weights(data):
@@ -1433,7 +1464,8 @@ def test_evaluate_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, ca
     capsys.readouterr()
     outputs = []
     for chunk in (1, 7, 512):
-        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        # 7 columns: the task, 5 features and the outcome.
+        monkeypatch.setattr(dataset, "_CHUNK_CELLS", chunk * 7)
         out = tmp_path / f"mae{chunk}.csv"
         argv = ["evaluate", str(test), "--out", str(out)]
         for model in models:
@@ -1490,7 +1522,7 @@ def test_train_reads_cells_only_float_reads(tmp_path, monkeypatch):
     # chunks and so the folds are those of "10", and so are the model's bytes.
     from taskreg import dataset
 
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", 7)
+    monkeypatch.setattr(dataset, "_CHUNK_CELLS", 7 * 7)  # 7 lines of 7 columns
     lines = _write_csv(tmp_path / "data.csv", n_rows=40).read_text(encoding="utf-8").splitlines()
     cells = lines[60].split(",")
     models = []

@@ -95,6 +95,11 @@ def _chunked_factors(monkeypatch, path, task_column, outcome_column):
     return _loadtxt_only(monkeypatch, load_factors, path, task_column, outcome_column)
 
 
+def _chunk_lines(monkeypatch, lines, columns):
+    """Have stream_csv read ``lines`` body lines per chunk of a file of ``columns`` columns."""
+    monkeypatch.setattr(dataset, "_CHUNK_CELLS", lines * columns)
+
+
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -479,9 +484,12 @@ def _gram(r):
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_streamed_factors_match_loaded_rows(tmp_path, monkeypatch, seed, newline, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
-    text = _chunked_panel(seed, dataset._CHUNK_LINES, newline=newline)
+    # The panel has 5 columns; by default a chunk is as many lines as the cell budget allows.
+    if chunk is None:
+        chunk = dataset._CHUNK_CELLS // 5
+    else:
+        _chunk_lines(monkeypatch, chunk, 5)
+    text = _chunked_panel(seed, chunk, newline=newline)
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _chunked_factors(monkeypatch, path, "site", "outcome") is not None  # no fallback
@@ -523,7 +531,7 @@ def _fallback_cases():
 
 @pytest.mark.parametrize("name, text", _fallback_cases(), ids=[c[0] for c in _fallback_cases()])
 def test_streamed_fallback_keeps_load_csv_errors(tmp_path, monkeypatch, name, text):
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", 3)
+    _chunk_lines(monkeypatch, 3, 3)
     path = _write(tmp_path, text)
     with pytest.raises(Exception) as expected:
         load_csv(path, "task", "y")
@@ -546,7 +554,7 @@ def test_streamed_fallback_keeps_load_csv_errors(tmp_path, monkeypatch, name, te
 def test_quoted_newline_in_label_falls_back(tmp_path, monkeypatch, line):
     # A quoted label may hold a newline; wherever it falls, the file goes to
     # the per-cell reader, which reads it.
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", line)
+    _chunk_lines(monkeypatch, line, 3)
     body = ["a,1,2", "a,2,3", "a,3,5"]
     body.insert(line - 1, '"a\nb",4,1')
     path = _write(tmp_path, "task,f,y\n" + "\n".join(body) + "\n")
@@ -560,7 +568,7 @@ def test_a_chunk_handed_to_the_cell_reader_adds_no_label(tmp_path, monkeypatch):
     # The label column comes last, so the chunk's last line, cut inside the
     # quoted label, has all three fields and parses; its label "b\n" is no
     # label of the file, which the cell reader reads whole as "b\nc".
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", 2)
+    _chunk_lines(monkeypatch, 2, 3)
     path = _write(tmp_path, 'f,y,task\n1,2,a\n1,2,"b\nc"\n3,4,a\n')
     assert _chunked_factors(monkeypatch, path, "task", "y") is None
     loaded = load_factors(path, "task", "y")
@@ -581,7 +589,7 @@ def test_only_the_chunk_that_fails_loadtxt_is_read_cell_by_cell(tmp_path, monkey
     # Three 4-line chunks. The first holds a cell only float() reads, the
     # second a dropped row and the third a new label: the cell reader takes
     # the first chunk alone, and np.loadtxt reads the other two.
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", 4)
+    _chunk_lines(monkeypatch, 4, 3)
     body = [f"t{i % 2},{i}.25,{-3 * i}" for i in range(12)]
     body[0] = "t0,1_0,7"
     body[5] = "t1,5.5,"
@@ -604,13 +612,14 @@ def test_only_the_chunk_that_fails_loadtxt_is_read_cell_by_cell(tmp_path, monkey
     assert factors_read.counts == (5, 5, 1)
 
 
-@pytest.mark.parametrize("chunk", [8, None], ids=["chunk8", "default"])
+@pytest.mark.parametrize("chunk", [8, 512, None], ids=["chunk8", "chunk512", "default"])
 def test_interleaved_and_grouped_rows_give_the_same_factors(tmp_path, monkeypatch, chunk):
     # Three tasks whose rows interleave, so a chunk holds fewer than J+2 = 7
-    # rows of a task (at 8 lines) or about 170 (at 512), and the same rows
+    # rows of a task (at 8 lines), about 170 (at 512) or, in the default
+    # 2,340-line chunk of 7 columns, all of its about 500; and the same rows
     # grouped by task. R is unique only up to row signs: compare R^T R.
     if chunk is not None:
-        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        _chunk_lines(monkeypatch, chunk, 7)
     rng = np.random.default_rng(21)
     n_rows = 1500
     task = rng.integers(3, size=n_rows)
@@ -905,7 +914,7 @@ def _grouped(text, newline):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_split_matches_library_path(tmp_path, monkeypatch, capsys, seed, newline, layout, chunk,
                                     scale):
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    _chunk_lines(monkeypatch, chunk, 5)
     text = _random_panel(seed, newline=newline, final_newline=True, cell=_float_repr)
     if layout == "grouped":
         text = _grouped(text, newline)
@@ -916,7 +925,7 @@ def test_split_matches_library_path(tmp_path, monkeypatch, capsys, seed, newline
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 def test_split_of_chunked_panel_matches_library_path(tmp_path, monkeypatch, capsys, chunk, scale):
     # "pair" has two rows, which a 0.9 split clamps to one each side.
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    _chunk_lines(monkeypatch, chunk, 5)
     text = _chunked_panel(4, 7, newline="\n")
     _assert_split_matches_oracle(tmp_path, capsys, text, fraction=0.9, scale=scale)
 
@@ -989,7 +998,7 @@ def _copy_panel(seed):
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_split_copies_each_kept_record(tmp_path, monkeypatch, seed, chunk):
-    monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+    _chunk_lines(monkeypatch, chunk, 4)
     text, records = _copy_panel(seed)
     source = tmp_path / "panel.csv"
     source.write_bytes(text.encode("utf-8"))

@@ -6,7 +6,9 @@ not grow with it: `train` holds per-task factors, not rows; `evaluate`
 holds each test row's outcome and absolute error, not its features;
 `split` holds where each kept record ends in its temporary spool file,
 not the record. `split --scale-full` must hold every kept row to scale
-it, and holds them once, in one table of doubles.
+it, and holds them once, in one table of doubles. Every command parses
+about as many cells at a time at any width, so the memory of `evaluate`
+and `split` does not grow with the column count either.
 
 Each run is a child process whose peak RSS comes from ``os.wait4``. On
 Linux a child's ``ru_maxrss`` starts from the peak of the process whose
@@ -63,9 +65,9 @@ def _train_peak_mb(tmp_path, n_rows):
     return _peak_mb("train", path, "--model", "mtl", "--out", tmp_path / "model.json")
 
 
-def _evaluate_peak_mb(tmp_path, n_rows, model):
-    path = tmp_path / f"test{n_rows}.csv"
-    _write_panel(path, n_rows, seed=1)
+def _evaluate_peak_mb(tmp_path, n_rows, model, n_features=40):
+    path = tmp_path / f"test{n_rows}x{n_features}.csv"
+    _write_panel(path, n_rows, n_features=n_features, seed=1)
     return _peak_mb("evaluate", path, "--model", model, "--out", tmp_path / "mae.csv")
 
 
@@ -106,9 +108,9 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
     assert large - small < 2.0, f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000"
 
 
-def _split_peak_mb(tmp_path, n_rows, *extra):
-    path = tmp_path / f"rows{n_rows}.csv"
-    _write_panel(path, n_rows)
+def _split_peak_mb(tmp_path, n_rows, *extra, n_features=40):
+    path = tmp_path / f"rows{n_rows}x{n_features}.csv"
+    _write_panel(path, n_rows, n_features=n_features)
     return _peak_mb("split", path, "--train-out", tmp_path / "train.csv",
                     "--test-out", tmp_path / "test.csv", "--manifest", tmp_path / "m.json", *extra)
 
@@ -130,6 +132,27 @@ def test_split_scale_full_peak_memory_grows_by_one_copy(tmp_path):
         f"peak RSS {small:.1f} MB at 3,000 rows, {large:.1f} MB at 12,000; "
         f"the added rows' table is {added_table_mb:.1f} MB"
     )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_evaluate_and_split_peak_memory_does_not_grow_with_columns(tmp_path):
+    # A chunk holds about as many cells at any width: 390 lines of 40
+    # features, 16 lines of 1,000.
+    peaks = {}
+    for n_features in (40, 1_000):
+        train = tmp_path / f"train{n_features}.csv"
+        _write_panel(train, 600, n_features=n_features)
+        model = tmp_path / f"model{n_features}.json"
+        assert cli.main(["train", str(train), "--model", "mtl", "--out", str(model)]) == 0
+        peaks[n_features] = {
+            "evaluate": _evaluate_peak_mb(tmp_path, 2_400, model, n_features=n_features),
+            "split": _split_peak_mb(tmp_path, 2_400, n_features=n_features),
+        }
+    for command in ("evaluate", "split"):
+        narrow, wide = peaks[40][command], peaks[1_000][command]
+        assert wide - narrow < 2.0, (
+            f"{command} peak RSS {narrow:.1f} MB at 40 features, {wide:.1f} MB at 1,000"
+        )
 
 
 # Runs `taskreg argv[2:]` in process and prints its exit code and, for each
