@@ -197,8 +197,11 @@ class MaeAccumulator:
         errors = self._errors[index]
         counts = {label: e.size for label, e in errors.items()}
         per_task = {label: _mean(e) for label, e in errors.items()}
-        pooled = _mean(*errors.values())
-        total = pooled if total_mode == "pooled" else sum(per_task.values()) / len(per_task)
+        if total_mode == "pooled":
+            total = _mean(*errors.values())
+        else:
+            # One part per task MAE, so where their sum is finite it is Python's sum of them.
+            total = _mean(*map(np.atleast_1d, per_task.values()))
         return MaeReport(per_task=per_task, total=total, counts=counts, total_mode=total_mode)
 
 

@@ -251,18 +251,20 @@ class _Objective:
 
     Each task's data enters through its design factor R_t = [A_t | b_t] of
     [X_t | y_t], since ||X_t w - y_t|| = ||A_t w - b_t||. The factors are
-    stacked with zero rows as padding into one (T, min(max n_t, J+1), J+1)
-    array (:meth:`TaskFactors.design_stack`), and the A part of that stack
-    is overwritten with A_t L_t^{-T}, so the data term of a value or a
-    gradient in V is one batched matmul (:func:`~taskreg.dataset.residuals`
-    and :func:`~taskreg.dataset.residual_gradient`, shared with the other
-    fits); it is weighted by 2/n_t with the true row counts n_t, which the
-    factors' shapes do not show. Of the metric, only the (T, J, J) stack of
-    L_t^{-T} is kept; it is set up :data:`_METRIC_BLOCK` tasks at a time,
-    so the Hessians, their Cholesky factors and their inverses never exist
-    for every task at once. An evaluation adds two batched J x J products:
-    W = L^{-T} V for the coupling term, and the pull-back (L_t^{-T})^T g_t
-    of the coupling gradient's W part.
+    the read-only (T, min(max n_t, J+1), J+1) view
+    :meth:`TaskFactors.design_stack` of the loaded stack, zero rows padding
+    the shorter ones, and the objective keeps no copy of them: the data
+    term of a value is one batched matmul on W = L^{-T} V, which the
+    coupling term needs too (:func:`~taskreg.dataset.residuals`, shared
+    with the other fits), weighted by 2/n_t with the true row counts n_t,
+    which the factors' shapes do not show. Of the metric, only the
+    (T, J, J) stack of L_t^{-T} is kept; it is set up
+    :data:`_METRIC_BLOCK` tasks at a time, so the Hessians, their Cholesky
+    factors and their inverses never exist for every task at once. An
+    evaluation adds two batched J x J products: W = L^{-T} V, and the
+    pull-back (L_t^{-T})^T g_t of the W gradient g, the sum of the data
+    term's A_t^T r_t (:func:`~taskreg.dataset.residual_gradient`) and the
+    coupling's.
 
     The smooth part is +inf unless every eigenvalue of eta*I + C exceeds
     ``_PD_FLOOR``. The prox leaves V alone and projects C onto the relaxed
@@ -298,7 +300,6 @@ class _Objective:
             )
             hess[:, diagonal, diagonal] += delta[:, None]
             inverse[block] = np.linalg.inv(np.linalg.cholesky(hess))
-            a[...] = np.matmul(a, self._back[block])
         # The last evaluated point and what was computed there.
         self._point = self._value = self._solved = self._resid = None
 
@@ -329,7 +330,7 @@ class _Objective:
             sym, eye = 0.5 * (c + c.T), np.eye(c.shape[0])
             positive = _is_positive_definite(sym + (self._eta - _PD_FLOOR) * eye)
             solved = np.linalg.solve(sym + self._eta * eye, w) if positive else None
-        resid = residuals(self._r, v)
+        resid = residuals(self._r, w)
         if not positive:
             value = math.inf
         else:
@@ -345,9 +346,10 @@ class _Objective:
     def grad(self, z: np.ndarray) -> np.ndarray:
         self._evaluate(z)
         solved = self._solved
-        gv = residual_gradient(self._r, self._resid)
-        gv *= (2.0 / self._counts)[:, None]
-        gv += np.matmul((2.0 * self._coupling) * solved[:, None, :], self._back)[:, 0, :]
+        gw = residual_gradient(self._r, self._resid)
+        gw *= (2.0 / self._counts)[:, None]
+        gw += (2.0 * self._coupling) * solved
+        gv = np.matmul(gw[:, None, :], self._back)[:, 0, :]
         gc = -self._coupling * (solved @ solved.T)
         gc = 0.5 * (gc + gc.T)
         return np.hstack([gv, gc])

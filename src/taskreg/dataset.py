@@ -45,12 +45,18 @@ from .errors import DegenerateTaskError, ParseError, SchemaError
 # overhead of np.loadtxt and of the sinks shrinks as it grows.
 _CHUNK_CELLS = 1 << 14
 
-# Rows write_csv writes at a time (and minmax_scale gathers at a time).
-# Records are copied a block at a time. Of a table of doubles, each
-# distinct double of a block is formatted once; a larger block finds
-# more repeats but holds more strings (128 rows of 90 features add about
-# 1 MB to peak memory).
+# Rows minmax_scale gathers at a time, and write_csv writes at most: its
+# block is also at most about _CHUNK_CELLS cells (_block_rows), so that its
+# text does not grow with the column count. Records are copied a block at
+# a time. Of a table of doubles, each distinct double of a block is
+# formatted once; a larger block finds more repeats but holds more strings
+# (128 rows of 90 features add about 1 MB to peak memory).
 _WRITE_BLOCK_ROWS = 128
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of ``columns`` cells write_csv writes at a time: 128, or fewer to hold ~_CHUNK_CELLS."""
+    return min(_WRITE_BLOCK_ROWS, max(1, _CHUNK_CELLS // columns))
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -270,8 +276,8 @@ class ScalingParams:
 
 
 def _augmented(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The rows [X | 1 | y] whose R factor :class:`TaskFactors` keeps."""
-    return np.column_stack([x, np.ones(y.shape[0]), y])
+    """The rows [X | y | 1] whose R factor :class:`TaskFactors` keeps."""
+    return np.column_stack([x, y, np.ones(y.shape[0])])
 
 
 def _fold(r: np.ndarray, *rows: np.ndarray) -> np.ndarray:
@@ -283,19 +289,24 @@ def _fold(r: np.ndarray, *rows: np.ndarray) -> np.ndarray:
 class TaskFactors:
     """Each task's rows reduced to what a least-squares fit needs of them.
 
-    ``factors[t]`` is the upper-triangular R of a QR factorization of the
-    rows [X_t | 1 | y_t], with at most J+2 rows. R_t^T R_t is the Gram
-    matrix of those columns, so ||X_t w + b - y_t|| = ||R_t [w; b; -1]||
-    for any w and b, and a fit can run on R_t in place of the rows.
-    ``counts`` holds the true row counts n_t, which the shape of R_t does
-    not show once n_t > J+2. The feature and outcome ranges cover every
-    row, for min-max scaling. ``dropped_rows`` counts the rows dropped at
-    load time for a blank outcome; it is not part of the value.
+    ``factors`` is one read-only (T, h, J+2) array. ``factors[t]`` is the
+    upper-triangular R of a QR factorization of task t's rows
+    [X_t | y_t | 1], padded with zero rows to the height h <= J+2 of the
+    tallest. R_t^T R_t is the Gram matrix of those columns, so
+    ||X_t w + b - y_t|| = ||R_t [w; -1; b]|| for any w and b, and a fit can
+    run on R_t in place of the rows. The ones column comes last, so the
+    first J+1 columns of R_t are the R factor of [X_t | y_t] alone: the
+    design of a fit without an intercept is a view of this array
+    (:meth:`design_stack`). ``counts`` holds the true row counts n_t,
+    which the stack does not show; no row of R_t past its n_t-th is
+    nonzero. The feature and outcome ranges cover every row, for min-max
+    scaling. ``dropped_rows`` counts the rows dropped at load time for a
+    blank outcome; it is not part of the value.
     """
 
     task_labels: tuple[str, ...]
     feature_names: tuple[str, ...]
-    factors: tuple[np.ndarray, ...]
+    factors: np.ndarray
     counts: tuple[int, ...]
     feature_min: np.ndarray
     feature_max: np.ndarray
@@ -306,37 +317,43 @@ class TaskFactors:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        self._settle(tuple(map(_frozen_array, self.factors)))
+        self._settle(_frozen_array(self.factors))
 
     @classmethod
-    def _adopt(cls, factors: tuple[np.ndarray, ...], **fields) -> "TaskFactors":
-        """TaskFactors that keep ``factors``, float64 arrays just made for them, as they are.
+    def _adopt(cls, factors: np.ndarray, **fields) -> "TaskFactors":
+        """TaskFactors that keep ``factors``, a float64 stack just made for them, as it is.
 
-        Construction copies each factor; this makes each one read-only in
-        place instead. The checks are those of construction.
+        Construction copies the stack; this makes it read-only in place
+        instead. The checks are those of construction.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "dropped_rows", 0)
         for name, value in fields.items():
             object.__setattr__(out, name, value)
-        for r in factors:
-            r.setflags(write=False)
+        factors.setflags(write=False)
         out._settle(factors)
         return out
 
-    def _settle(self, factors: tuple[np.ndarray, ...]) -> None:
-        """Check the fields, then store them, ``factors`` (read-only arrays) among them."""
+    def _settle(self, factors: np.ndarray) -> None:
+        """Check the fields, then store them, ``factors`` (a read-only stack) among them."""
         labels = _strings(self.task_labels, "task_labels")
         names = _strings(self.feature_names, "feature_names")
         counts = tuple(int(n) for n in self.counts)
-        if not labels or len(factors) != len(labels) or len(counts) != len(labels):
+        tasks = factors.shape[0] if factors.ndim == 3 else -1
+        if not labels or tasks != len(labels) or len(counts) != len(labels):
             raise ValueError("need one factor and one row count per task, and at least one task")
         width = len(names) + 2
+        if factors.shape[1] > width or factors.shape[2] != width:
+            raise ValueError(
+                f"factors of shape {factors.shape} do not fit rows of width {width}: "
+                f"expected ({len(labels)}, at most {width}, {width})"
+            )
         for label, r, n in zip(labels, factors, counts):
-            if r.ndim != 2 or r.shape[1] != width or r.shape[0] > min(n, width) or n < 1:
+            # np.tril selects, so an infinite entry above the diagonal leaves no NaN below it.
+            if n < 1 or r[n:].any() or np.tril(r, -1).any():
                 raise ValueError(
-                    f"task {label!r}: factor of shape {r.shape} does not fit {n} row(s) "
-                    f"of width {width}"
+                    f"task {label!r}: factor does not fit {n} row(s): it must be upper "
+                    f"triangular, with no nonzero row past row {n}"
                 )
         lo = _frozen_array(self.feature_min)
         hi = _frozen_array(self.feature_max)
@@ -387,8 +404,9 @@ class TaskFactors:
         """What :func:`minmax_scale` does to the rows, done on the factors.
 
         The params are the ones :func:`minmax_scale` fits to the same rows.
-        Scaling is affine, [X | 1 | y] maps to [X~ | 1 | y~] = [X | 1 | y] A
-        for one (J+2)-square A, so each scaled factor is qr(R_t A).
+        Scaling is affine, [X | y | 1] maps to [X~ | y~ | 1] = [X | y | 1] A
+        for one (J+2)-square A, so each scaled factor is qr(R_t A), written
+        into a new stack.
         """
         params = ScalingParams(
             feature_min=self.feature_min,
@@ -403,19 +421,23 @@ class TaskFactors:
         inverse = np.divide(1.0, span, out=np.zeros(j), where=span > 0)
         a = np.eye(j + 2)
         a[:j, :j] = np.diag(inverse)
-        a[j, :j] = -self.feature_min * inverse
+        a[j + 1, :j] = -self.feature_min * inverse
         outcome_range = np.array([self.outcome_min, self.outcome_max])
         if scale_outcome:
             span_y = self.outcome_max - self.outcome_min
             inverse_y = 1.0 / span_y if span_y > 0 else 0.0
-            a[j + 1, j + 1] = inverse_y
-            a[j, j + 1] = -self.outcome_min * inverse_y
+            a[j, j] = inverse_y
+            a[j + 1, j] = -self.outcome_min * inverse_y
             outcome_range = params.transform_outcome(outcome_range)
         feature_range = params.transform_features(np.vstack([self.feature_min, self.feature_max]))
+        stack = np.zeros_like(self.factors)
+        for out, r, n in zip(stack, self.factors, self.counts):
+            rows = min(n, j + 2)
+            out[:rows] = np.linalg.qr(r[:rows] @ a, mode="r")
         scaled = TaskFactors._adopt(
             task_labels=self.task_labels,
             feature_names=self.feature_names,
-            factors=tuple(np.linalg.qr(r @ a, mode="r") for r in self.factors),
+            factors=stack,
             counts=self.counts,
             feature_min=feature_range[0],
             feature_max=feature_range[1],
@@ -426,24 +448,25 @@ class TaskFactors:
         return scaled, params
 
     def design_stack(self, *, intercept: bool) -> np.ndarray:
-        """Each task's R factor of its fit design [X_t | 1 | y_t], as one array.
+        """Each task's R factor of its fit design, [X_t | y_t] or [X_t | 1 | y_t], as one array.
 
-        Without ``intercept`` the ones column is left out. The last column
-        holds the outcome, so with R_t = [A_t | b_t] the residual norm
-        ||X_t w - y_t|| of a weight vector w is ||A_t w - b_t||
-        (:func:`residuals`). The factors are stacked into one
-        (T, rows, width) array for batched matmuls: ``rows`` is the tallest
-        factor's, and shorter factors are padded with zero rows, which
-        leave every residual norm unchanged.
+        The last column holds the outcome, so with R_t = [A_t | b_t] the
+        residual norm ||X_t w - y_t|| of a weight vector w is
+        ||A_t w - b_t|| (:func:`residuals`). The (T, rows, width) array
+        serves batched matmuls: ``rows`` is the tallest factor's, and
+        shorter factors are padded with zero rows, which leave every
+        residual norm unchanged. Without ``intercept`` it is the read-only
+        view ``factors[:, :J+1, :J+1]``: no copy and no QR. With it, each
+        task's factor is re-triangularized with the ones column before the
+        outcome, into a new array.
         """
-        width = self.n_features + (2 if intercept else 1)
-        keep = [*range(self.n_features), self.n_features + 1]
-        # Without the ones column a task's factor is qr(R_t[:, keep]), of at most width rows.
-        stack = np.zeros((self.n_tasks, max(min(r.shape[0], width) for r in self.factors), width))
-        for t, r in enumerate(self.factors):
-            if not intercept:
-                r = np.linalg.qr(r[:, keep], mode="r")
-            stack[t, : r.shape[0]] = r
+        j = self.n_features
+        if not intercept:
+            return self.factors[:, : j + 1, : j + 1]
+        order = [*range(j), j + 1, j]
+        stack = np.empty_like(self.factors)
+        for out, r in zip(stack, self.factors):
+            out[...] = np.linalg.qr(r[:, order], mode="r")
         return stack
 
 
@@ -727,12 +750,13 @@ class _RecordSink:
 
 
 class _FactorSink:
-    """Each task's R factor (see :class:`TaskFactors`), for :func:`load_factors`.
+    """Each task's R factor in one stack (see :class:`TaskFactors`), for :func:`load_factors`.
 
     A task's rows wait until at least J+2 of them, the height of a full R,
-    have come, and are then folded in with one QR, so that a task whose
-    rows are spread thinly over many chunks is not re-triangularized for
-    each chunk.
+    have come, and are then folded into its row of the stack with one QR,
+    so that a task whose rows are spread thinly over many chunks is not
+    re-triangularized for each chunk. The stack grows in place by a
+    zero-filled row for each new task.
     """
 
     def __init__(self, feature_names):
@@ -740,7 +764,8 @@ class _FactorSink:
         self.width = len(feature_names) + 2
         self.lo = np.full(self.width, np.inf)
         self.hi = np.full(self.width, -np.inf)
-        self.factors: list[np.ndarray] = []
+        self.stack = np.zeros((0, self.width, self.width))
+        self.heights: list[int] = []
         self.counts: list[int] = []
         self.waiting: list[list[np.ndarray]] = []
         self.waiting_rows: list[int] = []
@@ -750,8 +775,11 @@ class _FactorSink:
         if rows.shape[0]:
             self.lo = np.minimum(self.lo, rows.min(axis=0))
             self.hi = np.maximum(self.hi, rows.max(axis=0))
-        new_tasks = len(labels) - len(self.factors)
-        self.factors += [np.empty((0, self.width))] * new_tasks
+        new_tasks = len(labels) - len(self.counts)
+        if new_tasks:
+            # Zero-filled; refcheck=False is safe while nothing holds a view of the stack.
+            self.stack.resize((len(labels), self.width, self.width), refcheck=False)
+        self.heights += [0] * new_tasks
         self.counts += [0] * new_tasks
         self.waiting += [[] for _ in range(new_tasks)]
         self.waiting_rows += [0] * new_tasks
@@ -765,7 +793,9 @@ class _FactorSink:
                 self._fold(code)
 
     def _fold(self, code):
-        self.factors[code] = _fold(self.factors[code], *self.waiting[code])
+        r = _fold(self.stack[code, : self.heights[code]], *self.waiting[code])
+        self.stack[code, : r.shape[0]] = r
+        self.heights[code] = r.shape[0]
         self.waiting[code] = []
         self.waiting_rows[code] = 0
 
@@ -777,12 +807,13 @@ class _FactorSink:
         return TaskFactors._adopt(
             task_labels=labels,
             feature_names=self.feature_names,
-            factors=tuple(self.factors),
+            # A copy only where every task has fewer than J+2 rows.
+            factors=np.ascontiguousarray(self.stack[:, : max(self.heights)]),
             counts=tuple(self.counts),
             feature_min=self.lo[:j],
             feature_max=self.hi[:j],
-            outcome_min=self.lo[j + 1],
-            outcome_max=self.hi[j + 1],
+            outcome_min=self.lo[j],
+            outcome_max=self.hi[j],
             dropped_rows=dropped_rows,
         )
 
@@ -1054,24 +1085,25 @@ def write_csv(table: RowTable, task_rows, path, task_column: str, outcome_column
     each double by ``repr``, so a write/load round trip is exact; the
     bytes are those of writing each row with ``csv.writer`` (see
     :func:`_csv_line`). Either way rows go out in blocks of
-    :data:`_WRITE_BLOCK_ROWS`.
+    :func:`_block_rows` of the row width.
     """
     names = table.feature_names
     if task_column in names or outcome_column in names:
         raise ValueError("task/outcome column names collide with feature names")
+    block_rows = _block_rows(len(names) + 2)
     if isinstance(table.table, Records):
         with open(path, "wb") as fh:
             fh.write(table.table.header)
             for rows in task_rows:
-                for start in range(0, rows.size, _WRITE_BLOCK_ROWS):
-                    fh.write(table.table.take(rows[start : start + _WRITE_BLOCK_ROWS]))
+                for start in range(0, rows.size, block_rows):
+                    fh.write(table.table.take(rows[start : start + block_rows]))
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([task_column, *names, outcome_column]))
         for label, rows in zip(table.task_labels, task_rows):
             prefix = _csv_line([label, ""])[:-1]
-            for start in range(0, rows.size, _WRITE_BLOCK_ROWS):
-                block = table.table[rows[start : start + _WRITE_BLOCK_ROWS]]
+            for start in range(0, rows.size, block_rows):
+                block = table.table[rows[start : start + block_rows]]
                 fh.write(_format_rows(prefix, block))
 
 

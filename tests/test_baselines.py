@@ -239,6 +239,27 @@ def test_evaluate_pooled_vs_macro(tmp_path):
         _evaluate(tmp_path, model, ds, total_mode="median")
 
 
+def test_macro_total_scales_a_sum_that_overflows(tmp_path):
+    # Each task's one row has an error of 1e308: the per-task MAEs are
+    # finite, and so is their mean, though their plain sum is not.
+    names = ("f0",)
+    xs = [np.array([[1.0]]), np.array([[1.0]])]
+    ys = [np.array([1e308]), np.array([-1e308])]
+    model = _exact_model(np.zeros((2, 1)), ("a", "b"), names)
+    macro = _evaluate(tmp_path, model, _dataset(xs, ys, labels=("a", "b")), total_mode="macro")
+    assert macro.per_task == {"a": 1e308, "b": 1e308}
+    assert macro.total == 1e308
+
+
+def test_macro_total_keeps_the_sequential_sum_where_it_is_finite(tmp_path):
+    rng = np.random.default_rng(83)
+    xs = [rng.normal(size=(5, 2)) for _ in range(12)]
+    ys = [rng.normal(size=5) * 10.0 ** rng.integers(-3, 4) for _ in range(12)]
+    model = _exact_model(rng.normal(size=(12, 2)), tuple(f"t{t}" for t in range(12)), ("f0", "f1"))
+    macro = _evaluate(tmp_path, model, _dataset(xs, ys), total_mode="macro")
+    assert macro.total == sum(macro.per_task.values()) / 12
+
+
 def test_evaluate_aligns_features_by_name(tmp_path):
     rng = np.random.default_rng(82)
     w = rng.normal(size=(1, 3))

@@ -762,17 +762,14 @@ def test_fit_decomposes_only_projections_and_the_result(monkeypatch):
 
 
 def _whole_batch_metric(f, params):
-    """The design and L^{-T} of :class:`_Objective`, each step taken on every task at once."""
-    design = f.design_stack(intercept=False)
-    a = design[..., :-1]
+    """The L^{-T} of :class:`_Objective`, each step taken on every task at once."""
+    a = f.design_stack(intercept=False)[..., :-1]
     hess = np.matmul(a.transpose(0, 2, 1), a)
     hess *= (2.0 / np.array(f.counts, dtype=np.float64))[:, None, None]
     delta = np.maximum(2.0 * params.rho2, 1e-12 * np.trace(hess, axis1=1, axis2=2))
     diagonal = np.arange(f.n_features)
     hess[:, diagonal, diagonal] += delta[:, None]
-    back = np.linalg.inv(np.linalg.cholesky(hess)).transpose(0, 2, 1)
-    a[...] = np.matmul(a, back)
-    return design, back
+    return np.linalg.inv(np.linalg.cholesky(hess)).transpose(0, 2, 1)
 
 
 def _hundred_tasks():
@@ -788,32 +785,50 @@ def test_metric_set_up_in_blocks_matches_one_batch():
     assert f.n_tasks % cmtl._METRIC_BLOCK  # the last block is partial
     params = CmtlParams(rho1=0.2, rho2=0.3, k=3)
     objective = _Objective(f, params)
-    design, back = _whole_batch_metric(f, params)
-    assert objective._r.tobytes() == design.tobytes()
-    assert objective._back.tobytes() == back.tobytes()
+    # The objective reads the loaded stack itself, and cannot write to it.
+    assert np.shares_memory(objective._r, f.factors) and not objective._r.flags.writeable
+    assert objective._r.shape == (100, 21, 21)
+    assert objective._back.tobytes() == _whole_batch_metric(f, params).tobytes()
+
+
+def _retained_and_peak(make):
+    """What ``make()`` returns, and the bytes it leaves allocated and allocates at most."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        made = make()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, current - before, peak - before
 
 
 def test_metric_setup_holds_one_block_of_temporaries():
-    import tracemalloc
-
     from taskreg import cmtl
 
     f = _hundred_tasks()
     params = CmtlParams(rho1=0.2, rho2=0.3, k=3)
     j = f.n_features
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        objective = _Objective(f, params)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    kept = objective._r.nbytes + objective._back.nbytes
-    # A block's Hessians, Cholesky factors and inverses, and its product with
-    # its design; every task's at once would be 2 * 100 * J * J doubles more.
-    block = 4 * cmtl._METRIC_BLOCK * (j + 1) * (j + 1) * 8
-    assert peak <= kept + block + 32 * 1024, (peak, kept, block)
+    objective, _, peak = _retained_and_peak(lambda: _Objective(f, params))
+    # A block's Hessians, Cholesky factors and inverses; every task's at once
+    # would be 2 * 100 * J * J doubles more.
+    block = 3 * cmtl._METRIC_BLOCK * j * j * 8
+    assert peak <= objective._back.nbytes + block + 32 * 1024, (peak, block)
+
+
+def test_objective_keeps_no_copy_of_the_design():
+    # 64 tasks of 30 rows and 20 features: a (64, 21, 21) design of 226 KB.
+    # Beyond the metric L^{-T}, the objective keeps only per-task vectors.
+    f = factors(_ragged_dataset(np.random.default_rng(72), [30] * 64, 20))
+    design = f.design_stack(intercept=False)
+    objective, retained, _ = _retained_and_peak(
+        lambda: _Objective(f, CmtlParams(rho1=0.2, rho2=0.3, k=3))
+    )
+    assert design.nbytes == 64 * 21 * 21 * 8
+    assert retained <= objective._back.nbytes + 16 * 1024, (retained, objective._back.nbytes)
 
 
 # Finite entries near the largest double overflow the feasibility checks'

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -675,23 +676,77 @@ def test_factor_scaling_matches_minmax_scale(scale_outcome):
 
 
 def test_a_callers_factors_are_copied_and_new_ones_adopted():
-    # A library caller's arrays are copied, so changing them later changes
+    # A library caller's stack is copied, so changing it later changes
     # nothing; the loader's and minmax_scaled's own are kept as made.
     rng = np.random.default_rng(12)
     f = factors(_toy(rng.uniform(size=(30, 3)), labels=("a", "b"), outcomes=rng.random(30)))
     fields = {field.name: getattr(f, field.name) for field in dataclasses.fields(f)}
-    mine = [r.copy() for r in f.factors]
-    built = dataset.TaskFactors(**{**fields, "factors": tuple(mine)})
-    assert not any(np.shares_memory(a, b) for a, b in zip(built.factors, mine))
-    mine[0][0, 0] += 1.0
+    mine = f.factors.copy()
+    built = dataset.TaskFactors(**{**fields, "factors": mine})
+    assert not np.shares_memory(built.factors, mine) and not built.factors.flags.writeable
+    mine[0, 0, 0] += 1.0
     assert built == f
-    made = [r.copy() for r in f.factors]
-    adopted = dataset.TaskFactors._adopt(**{**fields, "factors": tuple(made)})
-    assert all(a is b and not a.flags.writeable for a, b in zip(adopted.factors, made))
+    made = f.factors.copy()
+    adopted = dataset.TaskFactors._adopt(**{**fields, "factors": made})
+    assert adopted.factors is made and not made.flags.writeable
     assert adopted == f
-    with pytest.raises(ValueError, match="does not fit"):
-        dataset.TaskFactors._adopt(**{**fields, "factors": (made[0][:, :-1], made[1])})
-    assert all(not r.flags.writeable for r in f.minmax_scaled()[0].factors)
+    with pytest.raises(ValueError, match="do not fit rows of width 5"):
+        dataset.TaskFactors._adopt(**{**fields, "factors": made[:, :, :-1].copy()})
+    assert not f.minmax_scaled()[0].factors.flags.writeable
+
+
+def test_each_factor_is_upper_triangular_within_its_row_count():
+    rng = np.random.default_rng(13)
+    ds = _toy(rng.uniform(size=(3, 3)), labels=("a", "b"), outcomes=rng.random(3))
+    f = factors(ds)
+    assert f.factors.shape == (2, 3, 5)  # three rows per task, padded to none
+    fields = {field.name: getattr(f, field.name) for field in dataclasses.fields(f)}
+    below = f.factors.copy()
+    below[1, 2, 0] = 1e-300
+    with pytest.raises(ValueError, match="task 'b': factor does not fit 3 row"):
+        dataset.TaskFactors(**{**fields, "factors": below})
+    # A task of 2 rows has no nonzero third row.
+    with pytest.raises(ValueError, match="task 'a': factor does not fit 2 row"):
+        dataset.TaskFactors(**{**fields, "counts": (2, 3)})
+    with pytest.raises(ValueError, match="one factor and one row count per task"):
+        dataset.TaskFactors(**{**fields, "factors": f.factors[0]})
+    taller = np.concatenate([f.factors, np.zeros((2, 3, 5))], axis=1)
+    with pytest.raises(ValueError, match=r"factors of shape \(2, 6, 5\) do not fit"):
+        dataset.TaskFactors(**{**fields, "factors": taller})
+    # Zero padding rows past every task's count are allowed, up to J+2.
+    padded = np.concatenate([f.factors, np.zeros((2, 2, 5))], axis=1)
+    assert dataset.TaskFactors(**{**fields, "factors": padded}).factors.shape == (2, 5, 5)
+
+
+@pytest.mark.parametrize("sizes", [(3, 40, 9), (2, 4, 1)], ids=["some-full", "all-short"])
+def test_design_stacks_are_the_r_factors_of_the_fit_designs(sizes):
+    # Without an intercept the design is a read-only view of the stack, of
+    # at most J+1 rows; with one, each task is re-triangularized.
+    rng = np.random.default_rng(14)
+    xs = [rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-2, 3, size=5) for n in sizes]
+    ds = MultiTaskDataset(
+        tasks=tuple(
+            TaskData(label=f"t{i}", X=x, Y=rng.normal(size=x.shape[0])) for i, x in enumerate(xs)
+        ),
+        feature_names=tuple(f"f{j}" for j in range(5)),
+    )
+    f = factors(ds)
+    height = min(max(sizes), 7)
+    assert f.factors.shape == (3, height, 7)
+    plain = f.design_stack(intercept=False)
+    assert plain.shape == (3, min(height, 6), 6)
+    assert np.shares_memory(plain, f.factors) and not plain.flags.writeable
+    with_ones = f.design_stack(intercept=True)
+    assert with_ones.shape == (3, height, 7) and not np.shares_memory(with_ones, f.factors)
+    for task, a, b in zip(ds.tasks, plain, with_ones):
+        ones = np.ones(task.n)
+        for design, stacked in (([task.X, task.Y], a), ([task.X, ones, task.Y], b)):
+            r = np.linalg.qr(np.column_stack(design), mode="r")
+            gram, expected = stacked.T @ stacked, r.T @ r
+            np.testing.assert_allclose(
+                gram, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+            assert not np.tril(stacked, -1).any()
 
 
 def _copied(ds, *, dropped_rows):
@@ -771,6 +826,29 @@ def test_write_csv_matches_row_writer(tmp_path, monkeypatch, seed, block):
 def _readable_panel(seed=0, sizes=(1, 127, 128, 129, 1000, 128)):
     labels = tuple(x for x in _WRITER_LABELS if x != _UNREADABLE_LABEL)
     return _writer_panel(seed, sizes, labels)
+
+
+def test_records_are_copied_back_in_blocks_of_about_a_chunks_cells(tmp_path, monkeypatch):
+    # 6 columns: a block is 128 records by default, and 7 under a 42-cell
+    # budget; the copied bytes are the same.
+    source = tmp_path / "panel.csv"
+    write_csv_rows(_readable_panel(), source, "task", "outcome")
+    take = dataset.Records.take
+    written, largest = [], []
+    for cells in (None, 42):
+        if cells is not None:
+            monkeypatch.setattr(dataset, "_CHUNK_CELLS", cells)
+        taken = []
+        monkeypatch.setattr(
+            dataset.Records, "take", lambda self, rows: taken.append(rows.size) or take(self, rows)
+        )
+        with tempfile.TemporaryFile() as spool:
+            table = load_csv(source, "task", "outcome", spool=spool)
+            write_csv(table, table.task_rows, tmp_path / "out.csv", "task", "outcome")
+        written.append((tmp_path / "out.csv").read_bytes())
+        largest.append(max(taken))
+    assert largest == [128, 7]
+    assert written[0] == written[1] == source.read_bytes()
 
 
 def test_write_csv_round_trip_equals_dataset(tmp_path):

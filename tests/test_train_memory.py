@@ -137,7 +137,8 @@ def test_split_scale_full_peak_memory_grows_by_one_copy(tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_evaluate_and_split_peak_memory_does_not_grow_with_columns(tmp_path):
     # A chunk holds about as many cells at any width: 390 lines of 40
-    # features, 16 lines of 1,000.
+    # features, 16 lines of 1,000. So does a block split copies back: 128
+    # records of 40 features, 16 of 1,000 (1.5 MB higher at 128 records).
     peaks = {}
     for n_features in (40, 1_000):
         train = tmp_path / f"train{n_features}.csv"
@@ -148,9 +149,9 @@ def test_evaluate_and_split_peak_memory_does_not_grow_with_columns(tmp_path):
             "evaluate": _evaluate_peak_mb(tmp_path, 2_400, model, n_features=n_features),
             "split": _split_peak_mb(tmp_path, 2_400, n_features=n_features),
         }
-    for command in ("evaluate", "split"):
+    for command, allowance in (("evaluate", 2.0), ("split", 0.75)):
         narrow, wide = peaks[40][command], peaks[1_000][command]
-        assert wide - narrow < 2.0, (
+        assert wide - narrow < allowance, (
             f"{command} peak RSS {narrow:.1f} MB at 40 features, {wide:.1f} MB at 1,000"
         )
 
